@@ -18,4 +18,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -96,7 +96,8 @@ def evaluate_tree(instance: SteinerInstance, tree: EmbeddedTree) -> ObjectiveBre
     is raised otherwise (via :meth:`EmbeddedTree.arborescence`).
     """
     arb = tree.arborescence()
-    missing = [s for s in instance.sinks if s not in set(arb.order)]
+    reached = set(arb.order)
+    missing = [s for s in instance.sinks if s not in reached]
     if missing:
         raise ValueError(f"tree does not reach instance sinks {missing}")
 

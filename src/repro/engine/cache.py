@@ -149,14 +149,11 @@ class RerouteCache:
         self.scope = scope
         self.stats = CacheStats()
         self._signatures: Dict[int, bytes] = {}
-        self._region_cache: Dict[int, np.ndarray] = {}
-        # Planar coordinates of both endpoints of every edge, for vectorised
-        # region membership tests.
-        nx, ny = graph.nx, graph.ny
-        rest_u = np.asarray(graph.edge_u, dtype=np.int64) % (nx * ny)
-        rest_v = np.asarray(graph.edge_v, dtype=np.int64) % (nx * ny)
-        self._ux, self._uy = rest_u % nx, rest_u // nx
-        self._vx, self._vy = rest_v % nx, rest_v // nx
+        # Region edge arrays live in the graph's per-box memo, shared with
+        # the caches of earlier and later engines on this graph; boxes no
+        # net of this netlist has are dropped from it here.
+        if scope == "bbox":
+            graph.retain_box_edges(self.boxes)
         self._routing_mask = ~graph.edge_is_via
         # Incremental digest state: a retained copy of the last observed
         # cost vector, a per-edge "epoch of last change" counter, memoised
@@ -172,23 +169,30 @@ class RerouteCache:
 
     # ------------------------------------------------------------- regions
     def region_edges(self, net_index: int) -> np.ndarray:
-        """Edge indices inside the net's bounding region (memoised)."""
-        cached = self._region_cache.get(net_index)
-        if cached is None:
-            box = self.boxes[net_index]
-            inside = (
-                (self._ux >= box.xlo)
-                & (self._ux <= box.xhi)
-                & (self._uy >= box.ylo)
-                & (self._uy <= box.yhi)
-                & (self._vx >= box.xlo)
-                & (self._vx <= box.xhi)
-                & (self._vy >= box.ylo)
-                & (self._vy <= box.yhi)
-            )
-            cached = np.flatnonzero(inside)
-            self._region_cache[net_index] = cached
-        return cached
+        """Sorted edge indices inside the net's bounding region (shared,
+        read-only; see :meth:`repro.grid.graph.RoutingGraph.box_edges`)."""
+        return self.graph.box_edges(self.boxes[net_index])
+
+    def _region_with_tree(self, net_index: int, tree_edges: Sequence[int]) -> np.ndarray:
+        """The sorted union of the net's region and its tree's edges.
+
+        A tree mostly lies inside its net's box, so only the tree's own
+        edges are looked up in the (sorted) region array and the few outside
+        it are merged in; the region array itself is returned, uncopied,
+        when there are none.
+        """
+        region = self.region_edges(net_index)
+        if not len(tree_edges):
+            return region
+        tree = np.asarray(tree_edges, dtype=np.int64)
+        slots = np.searchsorted(region, tree)
+        in_range = slots < region.size
+        inside = np.zeros(tree.size, dtype=bool)
+        inside[in_range] = region[slots[in_range]] == tree[in_range]
+        if inside.all():
+            return region
+        outside = np.unique(tree[~inside])
+        return np.insert(region, np.searchsorted(region, outside), outside)
 
     # --------------------------------------------------- incremental digests
     def _observe(self, costs: np.ndarray) -> None:
@@ -245,11 +249,7 @@ class RerouteCache:
             if not stale:
                 return digest
         else:
-            region_all = self.region_edges(net_index)
-            if tree_key:
-                region_all = np.union1d(
-                    region_all, np.asarray(tree_key, dtype=np.int64)
-                )
+            region_all = self._region_with_tree(net_index, tree_key)
         digest = hashlib.sha1(
             np.ascontiguousarray(self._last_costs[region_all]).tobytes()
         ).digest()
@@ -326,9 +326,7 @@ class RerouteCache:
                 region = None
                 cost_digest = self._region_digest(net_index, tree_edges)
             else:
-                region = self.region_edges(net_index)
-                if len(tree_edges):
-                    region = np.union1d(region, np.asarray(tree_edges, dtype=np.int64))
+                region = self._region_with_tree(net_index, tree_edges)
                 cost_digest = None
         return instance_signature(
             root,

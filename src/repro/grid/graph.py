@@ -22,16 +22,16 @@ so Dijkstra-style searches stay reasonably fast in pure Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grid.geometry import GridPoint
+from repro.grid.geometry import BoundingBox, GridPoint
 from repro.grid.layers import LayerStack, default_layer_stack
 from repro.timing.delay import LinearDelayModel
 
-__all__ = ["Edge", "RoutingGraph", "build_grid_graph", "extract_prism"]
+__all__ = ["Edge", "Prism", "RoutingGraph", "build_grid_graph", "extract_prism"]
 
 # Cost charged for one via relative to one track-tile of wiring.  Vias are
 # cheap compared to wires but not free, so gratuitous layer hopping is
@@ -57,11 +57,70 @@ class Edge:
     is_via: bool
 
 
+#: The per-edge attribute arrays of a :class:`RoutingGraph`.  They are frozen
+#: (``writeable=False``) once a graph is built: everything memoised per graph
+#: (:meth:`RoutingGraph.prism`, :meth:`RoutingGraph.box_edges`) is a function
+#: of these arrays and a box alone.
+EDGE_ARRAYS = (
+    "edge_u",
+    "edge_v",
+    "edge_layer",
+    "edge_wire_type",
+    "edge_length",
+    "edge_delay",
+    "edge_base_cost",
+    "edge_capacity",
+    "edge_is_via",
+)
+
+
+def _inside_box(ux, uy, vx, vy, xlo: int, ylo: int, xhi: int, yhi: int) -> np.ndarray:
+    """Mask of the edges whose endpoints ``(ux, uy)`` and ``(vx, vy)`` both
+    lie in the closed planar box."""
+    return (
+        (ux >= xlo)
+        & (ux <= xhi)
+        & (uy >= ylo)
+        & (uy <= yhi)
+        & (vx >= xlo)
+        & (vx <= xhi)
+        & (vy >= ylo)
+        & (vy <= yhi)
+    )
+
+
+def _retained(memo: Dict, live: Collection[BoundingBox]) -> Dict:
+    """``memo`` without the entries whose box is not in ``live``."""
+    live = set(live)
+    return {box: entry for box, entry in memo.items() if box in live}
+
+
+@dataclass(frozen=True)
+class Prism:
+    """The scaffolding of one sub-prism of a graph (see
+    :meth:`RoutingGraph.prism`): what :func:`extract_prism` builds plus the
+    edge maps in both directions as plain lists (per-tree translation
+    indexes them edge by edge)."""
+
+    sub_graph: "RoutingGraph"
+    #: Sub-edge index -> edge of the parent graph (sorted, int64, read-only).
+    edge_to_global: np.ndarray = field(repr=False)
+    edge_to_global_list: List[int] = field(repr=False)
+    #: Parent edge -> sub-edge index, ``-1`` outside the prism.
+    edge_to_local_list: List[int] = field(repr=False)
+
+
 class RoutingGraph:
     """A 3D grid global routing graph.
 
     Use :func:`build_grid_graph` to construct one; the constructor is
     considered internal.
+
+    A built graph is immutable, and it owns two memos keyed by a planar
+    box: :meth:`prism` (sub-graph + edge maps of the shard layer's scopes)
+    and :meth:`box_edges` (the edge set of a net's signature region).  Both
+    die with the graph and never travel: pickling a graph (region worker
+    specs, shared-memory transport, checkpoints) drops them.
     """
 
     def __init__(
@@ -95,8 +154,30 @@ class RoutingGraph:
         self.edge_is_via = np.empty(0, dtype=bool)
         # adjacency[node] -> list of (edge_index, other_node)
         self.adjacency: List[List[Tuple[int, int]]] = []
+        self._reset_memos()
         if build:
             self._build()
+
+    def _reset_memos(self) -> None:
+        self._prisms: Dict[BoundingBox, Prism] = {}
+        self._box_edges: Dict[BoundingBox, np.ndarray] = {}
+        # Planar (x, y) of both endpoints of every edge, built on first use.
+        self._edge_planar: Optional[Tuple[np.ndarray, ...]] = None
+
+    def _freeze(self) -> None:
+        for name in EDGE_ARRAYS:
+            getattr(self, name).setflags(write=False)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        for memo in ("_prisms", "_box_edges", "_edge_planar"):
+            del state[memo]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._reset_memos()
+        self._freeze()  # numpy does not pickle the writeable flag
 
     # ------------------------------------------------------------ indexing
     def node_index(self, x: int, y: int, layer: int) -> int:
@@ -183,6 +264,52 @@ class RoutingGraph:
             raise ValueError("edge sequence is not a simple path")
         return ends[0], ends[1]
 
+    # ------------------------------------------------------ per-box memos
+    def box_edges(self, box: BoundingBox) -> np.ndarray:
+        """Sorted indices of the edges with both endpoints inside ``box``
+        (memoised; the array is shared and read-only)."""
+        cached = self._box_edges.get(box)
+        if cached is None:
+            if self._edge_planar is None:
+                tiles = self.nx * self.ny
+                rest_u = np.asarray(self.edge_u, dtype=np.int64) % tiles
+                rest_v = np.asarray(self.edge_v, dtype=np.int64) % tiles
+                self._edge_planar = (
+                    rest_u % self.nx, rest_u // self.nx, rest_v % self.nx, rest_v // self.nx
+                )
+            inside = _inside_box(*self._edge_planar, box.xlo, box.ylo, box.xhi, box.yhi)
+            cached = np.flatnonzero(inside)
+            cached.setflags(write=False)
+            self._box_edges[box] = cached
+        return cached
+
+    def retain_box_edges(self, live: Collection[BoundingBox]) -> None:
+        """Drop every :meth:`box_edges` entry whose box is not in ``live``.
+
+        Called with the boxes of the nets about to be routed, so a stream
+        of netlist edits holds at most one array per live net."""
+        self._box_edges = _retained(self._box_edges, live)
+
+    def retain_prisms(self, live: Collection[BoundingBox]) -> None:
+        """Drop every :meth:`prism` entry whose box is not in ``live`` (the
+        scope boxes of the coordinator about to route on this graph)."""
+        self._prisms = _retained(self._prisms, live)
+
+    def prism(self, box: BoundingBox) -> Prism:
+        """The memoised :class:`Prism` of ``box``: :func:`extract_prism`
+        plus the global<->local edge maps, built once per distinct box."""
+        cached = self._prisms.get(box)
+        if cached is None:
+            sub_graph, edge_to_global = extract_prism(self, box.xlo, box.ylo, box.xhi, box.yhi)
+            edge_to_global.setflags(write=False)
+            edge_to_local = np.full(self.num_edges, -1, dtype=np.int64)
+            edge_to_local[edge_to_global] = np.arange(len(edge_to_global), dtype=np.int64)
+            cached = Prism(
+                sub_graph, edge_to_global, edge_to_global.tolist(), edge_to_local.tolist()
+            )
+            self._prisms[box] = cached
+        return cached
+
     # -------------------------------------------------------------- build
     def _build(self) -> None:
         edge_u: List[int] = []
@@ -250,6 +377,7 @@ class RoutingGraph:
         self.edge_base_cost = np.asarray(edge_base_cost, dtype=np.float64)
         self.edge_capacity = np.asarray(edge_capacity, dtype=np.float64)
         self.edge_is_via = np.asarray(edge_is_via, dtype=bool)
+        self._freeze()
 
         self.adjacency = [[] for _ in range(self.num_nodes)]
         for e in range(len(edge_u)):
@@ -289,10 +417,7 @@ def extract_prism(
     yu, xu = np.divmod(rest_u, graph.nx)
     lv, rest_v = np.divmod(v, tiles)
     yv, xv = np.divmod(rest_v, graph.nx)
-    inside = (
-        (xu >= xlo) & (xu <= xhi) & (yu >= ylo) & (yu <= yhi)
-        & (xv >= xlo) & (xv <= xhi) & (yv >= ylo) & (yv <= yhi)
-    )
+    inside = _inside_box(xu, yu, xv, yv, xlo, ylo, xhi, yhi)
     edge_to_global = np.flatnonzero(inside).astype(np.int64)
 
     snx = xhi - xlo + 1
@@ -314,6 +439,7 @@ def extract_prism(
         adjacency[a].append((e, b))
         adjacency[b].append((e, a))
     sub.adjacency = adjacency
+    sub._freeze()
     return sub, edge_to_global
 
 

@@ -74,7 +74,7 @@ from repro.engine.cache import RoundMemo
 from repro.engine.engine import EngineConfig, RoundReport, RoutingEngine
 from repro.engine.executor import BatchExecutor, make_executor
 from repro.grid.congestion import CongestionMap, CongestionSnapshot
-from repro.grid.graph import RoutingGraph, extract_prism
+from repro.grid.graph import RoutingGraph
 from repro.grid.partition import NetClassification, RegionPartition, partition_grid
 from repro.grid.geometry import BoundingBox, GridPoint, bounding_box
 from repro.shard.executor import (
@@ -179,7 +179,6 @@ class _SubgraphScope:
         on the region pool; their local engines are then built cache-free
         (worker twins must be round-stateless).  Seam scopes always route
         in the parent process and keep the configured cache."""
-        graph = coordinator.graph
         self.label = label
         self.box = box
         self.interior = nets
@@ -188,15 +187,14 @@ class _SubgraphScope:
         #: exactly like the worker twins, which invalidate per task.
         self.pooled = pooled
         self.xlo, self.ylo = box.xlo, box.ylo
-        self.sub_graph, self.edge_to_global = extract_prism(
-            graph, box.xlo, box.ylo, box.xhi, box.yhi
-        )
-        self._edge_to_global_list = self.edge_to_global.tolist()
-        self._edge_to_local = np.full(graph.num_edges, -1, dtype=np.int64)
-        self._edge_to_local[self.edge_to_global] = np.arange(
-            len(self.edge_to_global), dtype=np.int64
-        )
-        self._edge_to_local_list = self._edge_to_local.tolist()
+        # Sub-graph and edge maps depend on the graph and the box alone, so
+        # they come from the graph's memo: the coordinator of the next flow
+        # on this graph (every ECO batch builds one) shares them.
+        prism = coordinator.graph.prism(box)
+        self.sub_graph = prism.sub_graph
+        self.edge_to_global = prism.edge_to_global
+        self._edge_to_global_list = prism.edge_to_global_list
+        self._edge_to_local_list = prism.edge_to_local_list
         # The sub-netlist keeps the parent's design name and the nets their
         # own names, so instance labels and name-keyed RNG streams line up
         # with the unsharded flow.
@@ -792,6 +790,11 @@ class ShardCoordinator:
                         _SubgraphScope(self, cover, nets, f"seam{len(self.seam_scopes)}")
                     )
             global_seam.sort()
+        # The graph memoises the prisms of the coordinator that routes on it
+        # now; a scope this flow no longer has takes its sub-graph along.
+        graph.retain_prisms(
+            [] if parity else [scope.box for scope in self.regions + self.seam_scopes]
+        )
 
         self._global_seam = global_seam
         self._seam_congestion = (

@@ -1,7 +1,11 @@
 """Tests for the batch-routing engine (scheduler, executors, cache, façade)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bifurcation import BifurcationModel
 from repro.core.cost_distance import CostDistanceSolver
@@ -471,6 +475,101 @@ class TestRerouteCache:
     def test_unknown_scope_rejected(self, small_graph):
         with pytest.raises(ValueError):
             RerouteCache(small_graph, [], scope="galaxy")
+
+
+_DIGEST_GRAPH = build_grid_graph(8, 8, 3)
+_DIGEST_COSTS = _DIGEST_GRAPH.base_cost_array() * (
+    1.0 + (np.arange(_DIGEST_GRAPH.num_edges) % 5) / 4.0
+)
+_coordinate = st.integers(0, 7)
+_edge = st.integers(0, _DIGEST_GRAPH.num_edges - 1)
+
+
+@st.composite
+def _box_and_tree(draw):
+    """A box plus a tree edge list that is empty, inside the box, outside
+    it, or mixed -- duplicates allowed in every non-empty case."""
+    xs = sorted((draw(_coordinate), draw(_coordinate)))
+    ys = sorted((draw(_coordinate), draw(_coordinate)))
+    box = BoundingBox(xs[0], ys[0], xs[1], ys[1])
+    region = _DIGEST_GRAPH.box_edges(box)
+    outside = np.setdiff1d(np.arange(_DIGEST_GRAPH.num_edges), region)
+    pools = {"empty": None, "mixed": _edge}
+    if region.size:
+        pools["inside"] = st.sampled_from(region.tolist())
+    if outside.size:
+        pools["outside"] = st.sampled_from(outside.tolist())
+    pool = pools[draw(st.sampled_from(sorted(pools)))]
+    tree = [] if pool is None else draw(st.lists(pool, min_size=1, max_size=24))
+    return box, tree
+
+
+class TestRegionDigest:
+    """The merge-built region digest is the digest ``np.union1d`` gave."""
+
+    @staticmethod
+    def _reference(box, tree, costs):
+        union = np.union1d(_DIGEST_GRAPH.box_edges(box), np.asarray(tree, dtype=np.int64))
+        return union, hashlib.sha1(np.ascontiguousarray(costs[union]).tobytes()).digest()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_box_and_tree(), _edge)
+    def test_matches_union1d_and_tracks_cost_changes(self, box_and_tree, bumped):
+        box, tree = box_and_tree
+        cache = RerouteCache(_DIGEST_GRAPH, [box], scope="bbox")
+        union, expected = self._reference(box, tree, _DIGEST_COSTS)
+        cache._observe(_DIGEST_COSTS)
+        assert cache._region_digest(0, tree) == expected
+        merged = cache._region_with_tree(0, tree)
+        assert merged.dtype == union.dtype and np.array_equal(merged, union)
+
+        changed = _DIGEST_COSTS.copy()
+        changed[bumped] += 1.0
+        cache._observe(changed)
+        after = cache._region_digest(0, tree)
+        assert after == self._reference(box, tree, changed)[1]
+        assert (after != expected) == bool(np.isin(bumped, union))
+
+    def test_tree_inside_the_box_shares_the_region_array(self):
+        box = BoundingBox(1, 1, 5, 5)
+        cache = RerouteCache(_DIGEST_GRAPH, [box], scope="bbox")
+        region = cache.region_edges(0)
+        assert cache._region_with_tree(0, ()) is region
+        assert cache._region_with_tree(0, [int(region[2]), int(region[2])]) is region
+        assert not region.flags.writeable
+
+    def test_golden_signature_bytes(self):
+        """Signature bytes as the commit before the merge-built digests
+        wrote them (v2 checkpoints and replay memos carry these bytes)."""
+        graph = build_grid_graph(10, 10, 4)
+        cache = RerouteCache(graph, [BoundingBox(2, 2, 5, 5)], scope="bbox")
+        costs = graph.base_cost_array() * (1.0 + (np.arange(graph.num_edges) % 7) / 8.0)
+        inside = cache.region_edges(0)
+        tree = [int(inside[3]), int(inside[3]), int(inside[40]), 0, graph.num_edges - 1, 5]
+        root = graph.node_index(2, 2, 0)
+        sinks = [graph.node_index(5, 5, 0), graph.node_index(3, 4, 1)]
+        model = BifurcationModel(dbif=2.0, eta=0.25)
+        golden = {
+            (): "a1a577f31a57dfb6067f82a2c842937f7b735b02",
+            tuple(tree): "45e5a5a6fdfd73735847a9ef5532de37785a297d",
+        }
+        for edges, expected in golden.items():
+            signature = cache.signature(
+                0, root, sinks, [0.25, 1.5], costs, model, tree_edges=edges
+            )
+            assert signature.hex() == expected
+
+    def test_region_arrays_are_shared_per_graph_and_pruned_to_live_boxes(self):
+        graph = build_grid_graph(8, 8, 3)
+        kept, dropped = BoundingBox(0, 0, 3, 3), BoundingBox(4, 4, 7, 7)
+        first = RerouteCache(graph, [kept, dropped], scope="bbox")
+        arrays = [first.region_edges(0), first.region_edges(1)]
+        second = RerouteCache(graph, [kept], scope="bbox")
+        assert second.region_edges(0) is arrays[0]
+        assert list(graph._box_edges) == [kept]
+        # A full-vector cache never reads regions and prunes nothing.
+        RerouteCache(graph, [], scope="global")
+        assert list(graph._box_edges) == [kept]
 
 
 class TestEngineConfig:

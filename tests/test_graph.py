@@ -1,11 +1,13 @@
 """Tests for the 3D routing graph."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.grid.geometry import GridPoint
-from repro.grid.graph import build_grid_graph
+from repro.grid.geometry import BoundingBox, GridPoint
+from repro.grid.graph import EDGE_ARRAYS, build_grid_graph, extract_prism
 from repro.grid.layers import default_layer_stack
 
 
@@ -155,3 +157,45 @@ class TestStructure:
         v = g.node_index(1, 0, 4) if layer_dir == "H" else g.node_index(0, 1, 4)
         connecting = [e for e, other in g.neighbors(u) if other == v]
         assert len(connecting) == len(g.stack[4].wire_types)
+
+
+class TestImmutability:
+    """Edge arrays are frozen once a graph is built; the per-box memos rest
+    on that and never leave the process."""
+
+    @pytest.mark.parametrize("name", EDGE_ARRAYS)
+    def test_edge_arrays_reject_writes(self, name):
+        graph = build_grid_graph(4, 4, 3)
+        prism, _ = extract_prism(graph, 0, 0, 2, 2)
+        for built in (graph, prism):
+            array = getattr(built, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    def test_box_edges_are_memoised_read_only_and_pruned(self):
+        graph = build_grid_graph(6, 6, 3)
+        box, other = BoundingBox(1, 1, 3, 4), BoundingBox(0, 0, 5, 0)
+        edges = graph.box_edges(box)
+        assert graph.box_edges(BoundingBox(1, 1, 3, 4)) is edges
+        expected = [
+            e.index
+            for e in graph.edges()
+            if all(1 <= x <= 3 and 1 <= y <= 4 for x, y in map(graph.node_planar, (e.u, e.v)))
+        ]
+        assert edges.tolist() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0] = 0
+        graph.box_edges(other)
+        graph.retain_box_edges([other])
+        assert list(graph._box_edges) == [other]
+
+    def test_pickle_drops_the_memos_and_keeps_the_graph_frozen(self):
+        graph = build_grid_graph(5, 5, 3)
+        bare = len(pickle.dumps(graph))
+        graph.prism(BoundingBox(0, 0, 2, 2))
+        graph.box_edges(BoundingBox(1, 1, 3, 3))
+        assert len(pickle.dumps(graph)) == bare
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone._prisms == {} and clone._box_edges == {}
+        assert np.array_equal(clone.edge_u, graph.edge_u)
+        assert not clone.edge_delay.flags.writeable

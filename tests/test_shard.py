@@ -1,5 +1,8 @@
 """Tests for the shard layer: coordinator parity, fast path, serve fan-out."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.cost_distance import CostDistanceSolver
@@ -9,9 +12,10 @@ from repro.engine.rng import (
     net_name_key,
     net_stream_seed_for_name,
 )
-from repro.grid.geometry import GridPoint
-from repro.grid.graph import build_grid_graph
+from repro.grid.geometry import BoundingBox, GridPoint
+from repro.grid.graph import EDGE_ARRAYS, build_grid_graph, extract_prism
 from repro.instances.chips import CHIP_SUITE, build_chip
+from repro.instances.eco_stream import EcoStreamConfig, generate_eco_stream
 from repro.router.metrics import PARITY_FIELDS, RoutingResult
 from repro.router.netlist import Net, Netlist, Pin
 from repro.router.router import GlobalRouter, GlobalRouterConfig
@@ -246,6 +250,110 @@ class TestShardFastPath:
             f"{netlist.name}/{net.name}" for net in netlist.nets
         )
         assert recorded == expected
+
+
+def scopes_of(router):
+    return router.engine.regions + router.engine.seam_scopes
+
+
+class TestScaffoldingMemo:
+    """Sub-graphs and edge maps are memoised per (graph, box)."""
+
+    def test_prism_is_memoised_and_equals_a_fresh_extraction(self):
+        graph = build_grid_graph(9, 7, 3)
+        box = BoundingBox(2, 1, 6, 5)
+        prism = graph.prism(box)
+        assert graph.prism(BoundingBox(2, 1, 6, 5)) is prism
+        fresh, edge_to_global = extract_prism(graph, 2, 1, 6, 5)
+        assert np.array_equal(prism.edge_to_global, edge_to_global)
+        assert prism.edge_to_global_list == edge_to_global.tolist()
+        for name in EDGE_ARRAYS:
+            ours, theirs = getattr(prism.sub_graph, name), getattr(fresh, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+        assert prism.sub_graph.adjacency == fresh.adjacency
+        # The inverse map: -1 outside the prism, the sub-edge index inside.
+        inverse = np.asarray(prism.edge_to_local_list)
+        assert np.array_equal(inverse[edge_to_global], np.arange(len(edge_to_global)))
+        assert (np.delete(inverse, edge_to_global) == -1).all()
+        assert graph.prism(BoundingBox(0, 0, 3, 3)) is not prism
+
+    def test_successive_coordinators_share_sub_graphs(self):
+        graph, netlist = smoke_design(0.4)
+        first, first_result = run_router(graph, netlist, num_rounds=2, shards=4)
+        second, second_result = run_router(graph, netlist, num_rounds=2, shards=4)
+        assert [s.key for s in scopes_of(first)] == [s.key for s in scopes_of(second)]
+        for ours, theirs in zip(scopes_of(first), scopes_of(second)):
+            assert ours.sub_graph is theirs.sub_graph
+            assert ours.edge_to_global is theirs.edge_to_global
+        assert tree_key(first.trees) == tree_key(second.trees)
+        for field in PARITY_FIELDS:
+            assert getattr(first_result, field) == getattr(second_result, field), field
+        # Routing wrote to no edge array, of the graph or of any sub-graph.
+        for routed in [graph] + [s.sub_graph for s in scopes_of(second)]:
+            assert not any(getattr(routed, name).flags.writeable for name in EDGE_ARRAYS)
+        # A coordinator with another decomposition takes the memo over.
+        third, _ = run_router(graph, netlist, num_rounds=1, shards=2)
+        assert set(graph._prisms) == {s.box for s in scopes_of(third)}
+        assert len(graph._prisms) < len(scopes_of(second))
+
+    def test_worker_spec_pickles_without_the_memos(self):
+        """What a region worker receives is the sub-graph alone, as before
+        the memo existed: byte for byte the pickle of a fresh extraction."""
+        graph, netlist = smoke_design(0.5)
+        router, _ = run_router(
+            graph, netlist, num_rounds=2, shards=4,
+            engine=EngineConfig(reroute_cache=True),
+        )
+        regions = [s for s in router.engine.regions if s.sub_graph._box_edges]
+        assert regions  # the routed flow did fill region arrays
+        for scope in regions:
+            scope.sub_graph.prism(BoundingBox(0, 0, 1, 1))
+            spec = scope.worker_spec()
+            box = scope.box
+            bare = dict(spec, graph=extract_prism(graph, box.xlo, box.ylo, box.xhi, box.yhi)[0])
+            shipped = pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
+            assert len(shipped) <= len(pickle.dumps(bare, pickle.HIGHEST_PROTOCOL))
+            received = pickle.loads(shipped)["graph"]
+            assert received._box_edges == {} and received._prisms == {}
+            assert not received.edge_capacity.flags.writeable
+
+    def test_eco_stream_keeps_the_memos_bounded(self):
+        """200 ECO batches through a 4-shard session: at every batch at most
+        one shared region array per live net and one prism per live scope,
+        and the final state equals a cold route of the final netlist."""
+        graph, netlist = smoke_design(0.3)
+        batches = generate_eco_stream(
+            netlist, graph, EcoStreamConfig(ops=200, batch_size=1, seed=4)
+        )
+        assert len(batches) == 200
+        config = GlobalRouterConfig(num_rounds=1, shards=4)
+        session = RoutingSession(graph, netlist, CostDistanceSolver(), config)
+        session.route()
+        partition = session.router.engine.partition
+        boxes = [region.box for region in partition.regions]
+        unions = {
+            BoundingBox(
+                min(a.xlo, b.xlo), min(a.ylo, b.ylo), max(a.xhi, b.xhi), max(a.yhi, b.yhi)
+            )
+            for a in boxes for b in boxes
+        }
+        seen_scopes = set()
+        for batch in batches:
+            session.apply_eco(batch)
+            scopes = scopes_of(session.router)
+            seen_scopes.add(tuple(s.key for s in scopes))
+            assert set(graph._prisms) == {s.box for s in scopes} <= unions
+            arrays = len(graph._box_edges) + sum(
+                len(prism.sub_graph._box_edges) for prism in graph._prisms.values()
+            )
+            assert arrays <= session.num_nets
+        assert len(seen_scopes) > 1  # scopes came and went along the stream
+        cold = RoutingSession(graph, session.netlist, CostDistanceSolver(), config)
+        cold.weight_overrides = session.weight_overrides
+        cold_result = cold.route()
+        for field in PARITY_FIELDS:
+            assert getattr(session.last_result, field) == getattr(cold_result, field), field
+        assert tree_key(session.router.trees) == tree_key(cold.router.trees)
 
 
 class TestServeShardJobs:

@@ -260,3 +260,48 @@ class TestObjective:
         result = evaluate_tree(inst, tree)
         assert result.sink_delays[0] == pytest.approx(result.sink_delays[1])
         assert result.weighted_delay_cost == pytest.approx(3.0 * result.sink_delays[0])
+
+    def test_fifty_sink_breakdown_and_unreached_sink(self, small_graph, instance_factory):
+        """Regression for the sink-reach check (it rebuilt the tree's node
+        set once per sink): a 50-sink tree evaluates to exactly the
+        breakdown assembled from its root paths, and a sink the tree does
+        not reach is still named in a ``ValueError``."""
+        from repro.core.cost_distance import CostDistanceSolver
+        from repro.core.objective import ObjectiveBreakdown
+
+        inst = instance_factory(50, seed=7)
+        tree = CostDistanceSolver().build(inst, np.random.default_rng(0))
+        arb = tree.arborescence()
+        delays = []
+        for sink in inst.sinks:
+            path = []
+            node = sink
+            while node != arb.root:
+                path.append(arb.parent_edge[node])
+                node = arb.parent_node[node]
+            delay = 0.0
+            for edge in reversed(path):  # root first, as the evaluator sums
+                delay = delay + float(inst.delay[edge]) + 0.0
+            delays.append(delay)
+        connection = tree.congestion_cost(inst.cost)
+        weighted = float(sum(w * d for w, d in zip(inst.weights, delays)))
+        bifurcations = sum(max(0, len(c) - 1) for c in arb.children.values())
+        assert evaluate_tree(inst, tree) == ObjectiveBreakdown(
+            total=connection + weighted,
+            connection_cost=connection,
+            weighted_delay_cost=weighted,
+            sink_delays=tuple(delays),
+            wire_length=tree.wire_length(),
+            via_count=tree.via_count(),
+            num_bifurcations=bifurcations,
+            method=tree.method,
+        )
+
+        reached = set(arb.order)
+        stray = next(n for n in range(small_graph.num_nodes) if n not in reached)
+        widened = SteinerInstance(
+            small_graph, inst.root, list(inst.sinks) + [stray],
+            list(inst.weights) + [1.0], inst.cost, inst.delay,
+        )
+        with pytest.raises(ValueError, match=rf"does not reach instance sinks \[{stray}\]"):
+            evaluate_tree(widened, tree)
