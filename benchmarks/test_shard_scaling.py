@@ -109,7 +109,7 @@ def test_shard_scaling_and_seam_quality(benchmark):
     stats = shard_router.engine.stats
     pool_executor = pool_router.engine.region_executor
     pool_live = (
-        isinstance(pool_executor, ProcessRegionExecutor) and pool_executor.pool_used
+        isinstance(pool_executor, ProcessRegionExecutor) and pool_executor.pool.used
     )
     cores = os.cpu_count() or 1
 

@@ -9,8 +9,8 @@ PORT="$1"
 BLOCKER=$(python -m repro submit --port "$PORT" --chip c1 --net-scale 1.0 --rounds 4 \
   | python -c 'import json,sys; print(json.load(sys.stdin)["job_id"])')
 echo "blocker $BLOCKER holds the worker"
-# --session routes through the in-process shard coordinator, so the job
-# publishes region_done/seam_done/round events itself.
+# A --shards job routes through the shard coordinator, which publishes
+# region_done/seam_done/round events itself.
 JOB_ID=$(python -m repro submit --port "$PORT" --chip c1 --net-scale 0.3 --rounds 3 \
   --shards 2 --session watch-smoke \
   | python -c 'import json,sys; print(json.load(sys.stdin)["job_id"])')

@@ -1,24 +1,32 @@
 #!/usr/bin/env bash
-# Shard smoke: one --shards 4 --shard-workers 2 job; validate the merged
-# result schema.  Usage: ci/shard_smoke.sh PORT  (under ci/with_daemon.sh)
+# Shard smoke: one sharding path.  `route --shards 4` in-process and the
+# same design via `submit --shards 4 --shard-workers 2` on the daemon must
+# agree on every parity field.  Usage: ci/shard_smoke.sh PORT  (under
+# ci/with_daemon.sh)
 set -euo pipefail
 PORT="$1"
 
+python -m repro route --chip c1 --net-scale 0.4 --rounds 2 --shards 4 --json \
+  > shard_route.json
 python -m repro submit --port "$PORT" --chip c1 --net-scale 0.4 --rounds 2 \
   --shards 4 --shard-workers 2 --wait --timeout 600 > shard_job.json
+python -m repro health --port "$PORT" > shard_health.json
 python - <<'EOF'
 import json
-from repro.router.metrics import RoutingResult
+from repro.router.metrics import PARITY_FIELDS, RoutingResult
 
+routed = RoutingResult.from_dict(json.load(open("shard_route.json")))
 job = json.load(open("shard_job.json"))
 assert job["status"] == "done", job
 payload = job["result"]
-merged = RoutingResult.from_dict(payload["result"])
-assert merged.num_nets == payload["seam_nets"] + sum(payload["interior_nets"])
-assert payload["shards"] == 4 and payload["subjobs"], payload
-assert payload["shard_workers"] == 2, payload
-# Ubuntu runners have working fork pools; the thread fallback is for
-# sandboxes without them.
+served = RoutingResult.from_dict(payload["result"])
+for field in PARITY_FIELDS:
+    assert getattr(served, field) == getattr(routed, field), field
+assert payload["shards"] == 4, payload
+assert served.num_nets == payload["seam_nets"] + sum(payload["interior_nets"])
 assert payload["region_backend"] == "process", payload
-print("merged shard result parses:", merged)
+# Ubuntu runners have working process pools: the region pool really ran.
+health = json.load(open("shard_health.json"))
+assert not health["pool_degradations"], health
+print("daemon shard job == route --shards 4:", served)
 EOF

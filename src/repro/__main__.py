@@ -19,7 +19,7 @@ Examples::
 
     python -m repro serve --port 8642
     python -m repro submit --chip c1 --net-scale 0.2 --session s1 --wait
-    python -m repro submit --chip c8 --shards 4 --wait
+    python -m repro submit --chip c8 --shards 4 --shard-workers 2 --wait
     python -m repro eco --session s1 --ops '[{"op": "move_pin", ...}]' --wait
     python -m repro status --all
     python -m repro watch JOB_ID

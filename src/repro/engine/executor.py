@@ -16,13 +16,17 @@ backends differ only in *where* the Steiner oracle runs:
   workers return plain ``(net_index, sinks, edges, method)`` tuples so the
   (large) graph object never travels back over the pipe.
 
-Use :func:`make_executor` to construct a backend by name.
+:class:`WorkerPool` is the pool lifecycle (start, degradation, dead-worker
+recovery, teardown) that :class:`ProcessExecutor` and the shard layer's
+region executor share.  Use :func:`make_executor` to construct a backend by
+name.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,207 +48,236 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "make_executor",
-    "create_worker_pool",
-    "validate_start_method",
-    "run_tasks_with_recovery",
+    "WorkerPool",
     "EXECUTOR_BACKENDS",
 ]
 
 
-def validate_start_method(start_method: Optional[str]) -> Optional[str]:
-    """Pass ``start_method`` through, raising for unknown/unavailable ones.
+class WorkerPool:
+    """The one ``multiprocessing`` pool lifecycle of the repo.
 
-    Pinning a start method is an explicit request; a typo (or ``"fork"``
-    on a platform without it) must fail loudly rather than silently
-    degrade the run to a slower path.
+    Both process backends (the engine's :class:`ProcessExecutor`, the shard
+    layer's region executor) route their tasks through this object and own
+    only what differs between them: the task function, the initializer
+    payload and the inline-retry function.  The contract, stated once:
+
+    * **Validation.**  ``start_method``, when given, is checked at
+      construction -- pinning an unknown method raises :class:`ValueError`
+      instead of silently falling back.  Unpinned pools prefer ``fork``
+      (workers inherit ``sys.path``), then the platform default.
+    * **Lazy start.**  :meth:`start` creates the pool on first use; every
+      worker is primed by ``initializer(pickle.dumps(payload()))``.
+    * **Degradation.**  When no pool can be started -- sandboxes routinely
+      forbid ``fork``/semaphores -- one structured WARNING log record (and
+      trace event) carries ``backend``, ``start_method``, the failure and
+      ``degrade_message``; the failure is remembered, :meth:`start` keeps
+      answering ``False`` and the caller routes in-process.  Degradation
+      costs parallelism, never correctness.
+    * **Recovery and discard.**  :meth:`run` survives dead workers by
+      re-executing lost tasks through ``retry``; a pool that saw a death
+      (or was sabotaged) is torn down off-thread and the next
+      :meth:`start` builds a fresh one from the same payload factory.
+    * **Teardown.**  :meth:`close` terminates *and joins* the workers and
+      is idempotent.
+
+    ``used`` records whether a pool was ever started (it stays ``True``
+    after :meth:`close`; benchmarks read it to tell real pool runs from
+    degraded ones), ``active`` whether one is live right now.
     """
-    if start_method is not None:
+
+    def __init__(
+        self,
+        initializer,
+        backend: str,
+        degrade_message: str,
+        start_method: Optional[str] = None,
+    ) -> None:
+        self.initializer = initializer
+        self.backend = backend
+        self.degrade_message = degrade_message
+        if start_method is not None:
+            # Pinning a start method is an explicit request; a typo (or
+            # ``"fork"`` on a platform without it) must fail loudly rather
+            # than silently degrade the run to a slower path.
+            import multiprocessing
+
+            available = multiprocessing.get_all_start_methods()
+            if start_method not in available:
+                raise ValueError(
+                    f"unknown or unavailable start method {start_method!r}; "
+                    f"available: {sorted(available)}"
+                )
+        self.start_method = start_method
+        self.used = False
+        self._pool = None
+        self._unavailable = False
+
+    @property
+    def active(self) -> bool:
+        """Whether a pool is live right now."""
+        return self._pool is not None
+
+    def start(self, payload, processes: int) -> bool:
+        """Ensure a live pool (of ``processes`` workers when one has to be
+        started); ``False`` when this environment cannot provide one.
+        ``payload`` is a zero-argument factory, called only when a pool is
+        actually (re)started."""
+        if self._pool is not None:
+            return True
+        if self._unavailable:
+            return False
         import multiprocessing
 
-        available = multiprocessing.get_all_start_methods()
-        if start_method not in available:
-            raise ValueError(
-                f"unknown or unavailable start method {start_method!r}; "
-                f"available: {sorted(available)}"
-            )
-    return start_method
-
-
-def create_worker_pool(
-    processes: int,
-    start_method: Optional[str] = None,
-    initializer=None,
-    initargs: Tuple = (),
-    prefer: Tuple[str, ...] = ("fork",),
-    degrade_message: str = "degrading to in-process execution",
-    backend: str = "process",
-):
-    """Start a ``multiprocessing`` pool, or return ``None`` when this
-    environment cannot provide one.
-
-    The single pool-bootstrap-with-degradation path shared by every
-    process backend in the repo (the engine's :class:`ProcessExecutor`,
-    the shard layer's region pool, the serve daemon's shard fan-out), so
-    their degradation contracts cannot drift apart:
-
-    * ``start_method``, when given, is *validated*
-      (:func:`validate_start_method`) -- pinning an unknown method raises
-      :class:`ValueError` instead of silently falling back.
-    * Otherwise the methods in ``prefer`` are tried in order, then the
-      platform default.  ``fork`` is the usual preference (workers inherit
-      ``sys.path``); callers embedded in multi-threaded processes should
-      prefer ``("forkserver", "spawn")``, where ``fork`` is deadlock-prone.
-    * When no pool can be started -- sandboxes routinely forbid
-      ``fork``/semaphores -- a structured WARNING log record (and trace
-      event) carries ``backend``, ``start_method``, and the failure, plus
-      ``degrade_message``, and ``None`` is returned: degradation costs
-      parallelism, never correctness.
-    """
-    import multiprocessing
-
-    validate_start_method(start_method)
-    try:
-        if start_method is not None:
-            context = multiprocessing.get_context(start_method)
-        else:
-            context = None
-            for method in prefer:
-                try:
-                    context = multiprocessing.get_context(method)
-                    break
-                except ValueError:  # pragma: no cover - platform-dependent
-                    continue
-            if context is None:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-        return context.Pool(
-            processes=processes, initializer=initializer, initargs=initargs
-        )
-    except (ImportError, OSError, PermissionError, RuntimeError, AssertionError) as exc:
-        # AssertionError is what the stdlib raises for daemonic nesting
-        # ("daemonic processes are not allowed to have children") -- e.g. a
-        # shard child running inside the serve daemon's region pool trying
-        # to start its own engine pool.  Degrading is exactly right there.
-        obs.log_pool_degradation(backend, start_method, exc, degrade_message)
-        obs.inc(f"pool.degraded.{backend}")
-        return None
-
-
-def run_tasks_with_recovery(
-    pool,
-    fn,
-    tasks,
-    retry,
-    backend: str,
-    sabotage=None,
-    stall_timeout: float = 5.0,
-) -> Tuple[list, bool]:
-    """Run ``fn`` over ``tasks`` on ``pool``, surviving dead workers.
-
-    ``multiprocessing.Pool`` replaces a worker that dies (OOM-killed,
-    segfaulted, chaos-injected SIGKILL) but silently *loses the task the
-    worker was executing* -- a plain ``pool.map`` then blocks forever on a
-    result that will never arrive.  This collector submits each task as
-    its own ``apply_async``, watches the pool's worker processes for
-    deaths, and -- once every still-pending task can only be explained by
-    a lost worker -- re-executes the pending tasks in the parent via
-    ``retry``.  Tasks are pure functions of their inputs (the engine's
-    determinism contract), so a re-execution, wherever it runs, is
-    bit-identical to the result the dead worker would have produced.
-
-    A death can also wedge the pool outright: a worker SIGKILLed while
-    holding the shared task-queue lock starves every other worker.  When
-    deaths were observed but completions stop for ``stall_timeout``
-    seconds, the collector gives up on the pool and recovers *all*
-    pending tasks in-process.  And because a wedge can surface only on
-    the *next* dispatch (the victim died after this call's results were
-    in), **any** observed death marks the pool broken: the caller
-    discards it and rebuilds from the initializer payload -- cheap, and
-    it closes the hang window for good.
-
-    ``sabotage``, when given, is called with the pool right after the
-    tasks are dispatched -- the hook chaos faults use to kill a worker at
-    the moment it is most likely mid-task.
-
-    Returns ``(results, pool_broken)`` with results aligned with
-    ``tasks``.  Worker exceptions (as opposed to worker *deaths*)
-    propagate unchanged.
-    """
-    pending = {index: pool.apply_async(fn, (task,)) for index, task in enumerate(tasks)}
-    if sabotage is not None:
-        # Give the workers a moment to pick the tasks up: killing a busy
-        # worker loses its task (the case under test); killing an idle one
-        # can only wedge the queue (the stall path below).
-        time.sleep(0.05)
-        sabotage(pool)
-    results: list = [None] * len(tasks)
-    seen_workers: set = set()
-    last_progress = time.monotonic()
-
-    def recover(reason: str) -> None:
-        lost = sorted(pending)
-        pending.clear()
-        obs.get_logger("engine").warning(
-            "%s; re-executing %d in-flight task(s) in-process",
-            reason,
-            len(lost),
-            extra={"backend": backend, "lost": len(lost)},
-        )
-        for index in lost:
-            results[index] = retry(tasks[index])
-            obs.inc("recovery.tasks_retried")
-            obs.inc(f"recovery.tasks_retried.{backend}")
-        obs.publish("recovery", backend=backend, retried=len(lost), reason=reason)
-
-    def count_deaths() -> int:
-        # Track every worker process the pool has had during this call;
-        # the pool prunes dead ones from ``_pool`` when it replaces them,
-        # but a reaped Process object keeps its exitcode.
-        seen_workers.update(getattr(pool, "_pool", None) or [])
-        return sum(1 for worker in seen_workers if worker.exitcode is not None)
-
-    while pending:
-        deaths = count_deaths()
-        ready = [index for index, result in pending.items() if result.ready()]
-        if ready:
-            last_progress = time.monotonic()
-        for index in ready:
-            results[index] = pending.pop(index).get()
-        if not pending:
-            break
-        if deaths:
-            if len(pending) <= deaths:
-                # A death loses at most the one task its worker was
-                # running, so every remaining result is unreachable.
-                recover(f"{deaths} pool worker death(s) lost the remaining tasks")
-                break
-            if time.monotonic() - last_progress > stall_timeout:
-                recover(
-                    f"pool stalled {stall_timeout:.1f}s after {deaths} worker "
-                    "death(s) (task queue presumed wedged)"
-                )
-                break
-        next(iter(pending.values())).wait(0.05)
-    return results, count_deaths() > 0
-
-
-def discard_broken_pool(pool) -> None:
-    """Tear a wedged pool down on a background thread.
-
-    Terminating a pool whose task queue died with a lock held can itself
-    block (the handler threads join the queue); a daemon thread keeps
-    that out of the routing flow's way.
-    """
-    import threading
-
-    def _terminate() -> None:
+        initargs = (pickle.dumps(payload(), protocol=pickle.HIGHEST_PROTOCOL),)
         try:
+            if self.start_method is not None:
+                context = multiprocessing.get_context(self.start_method)
+            else:
+                try:
+                    context = multiprocessing.get_context("fork")
+                except ValueError:  # pragma: no cover - non-POSIX platforms
+                    context = multiprocessing.get_context()
+            self._pool = context.Pool(
+                processes=processes,
+                initializer=self.initializer,
+                initargs=initargs,
+            )
+        except (ImportError, OSError, PermissionError, RuntimeError, AssertionError) as exc:
+            # AssertionError is what the stdlib raises for daemonic nesting
+            # ("daemonic processes are not allowed to have children") -- e.g.
+            # a region worker whose engine asks for its own process pool.
+            # Degrading is exactly right there.
+            obs.log_pool_degradation(
+                self.backend, self.start_method, exc, self.degrade_message
+            )
+            obs.inc(f"pool.degraded.{self.backend}")
+            self._unavailable = True
+            return False
+        self.used = True
+        return True
+
+    def run(self, fn, tasks, retry, sabotage=None, stall_timeout: float = 5.0) -> list:
+        """Run ``fn`` over ``tasks`` on the (started) pool, surviving dead
+        workers; returns the results aligned with ``tasks``.
+
+        ``multiprocessing.Pool`` replaces a worker that dies (OOM-killed,
+        segfaulted, chaos-injected SIGKILL) but silently *loses the task the
+        worker was executing* -- a plain ``pool.map`` then blocks forever on
+        a result that will never arrive.  This collector submits each task
+        as its own ``apply_async``, watches the pool's worker processes for
+        deaths, and -- once every still-pending task can only be explained
+        by a lost worker -- re-executes the pending tasks in the parent via
+        ``retry``.  Tasks are pure functions of their inputs (the engine's
+        determinism contract), so a re-execution, wherever it runs, is
+        bit-identical to the result the dead worker would have produced.
+
+        A death can also wedge the pool outright: a worker SIGKILLed while
+        holding the shared task-queue lock starves every other worker.  When
+        deaths were observed but completions stop for ``stall_timeout``
+        seconds, the collector gives up on the pool and recovers *all*
+        pending tasks in-process.  And because a wedge can surface only on
+        the *next* dispatch (the victim died after this call's results were
+        in), **any** observed death discards the pool; the next
+        :meth:`start` rebuilds it from the payload factory -- cheap, and it
+        closes the hang window for good.
+
+        ``sabotage``, when given, is called with the raw pool right after
+        the tasks are dispatched -- the hook chaos faults use to kill a
+        worker at the moment it is most likely mid-task.  A sabotaged pool
+        is discarded even when no death was observed during the call: a
+        worker killed *after* its last task leaves no pending work to
+        recover, but it may die holding the task-queue lock and wedge the
+        next dispatch with no observable deaths (the pool respawns its
+        ``_pool`` entry).
+
+        Worker exceptions (as opposed to worker *deaths*) propagate
+        unchanged.
+        """
+        pool = self._pool
+        pending = {index: pool.apply_async(fn, (task,)) for index, task in enumerate(tasks)}
+        if sabotage is not None:
+            # Give the workers a moment to pick the tasks up: killing a busy
+            # worker loses its task (the case under test); killing an idle one
+            # can only wedge the queue (the stall path below).
+            time.sleep(0.05)
+            sabotage(pool)
+        results: list = [None] * len(tasks)
+        seen_workers: set = set()
+        last_progress = time.monotonic()
+
+        def recover(reason: str) -> None:
+            lost = sorted(pending)
+            pending.clear()
+            obs.get_logger("engine").warning(
+                "%s; re-executing %d in-flight task(s) in-process",
+                reason,
+                len(lost),
+                extra={"backend": self.backend, "lost": len(lost)},
+            )
+            for index in lost:
+                results[index] = retry(tasks[index])
+                obs.inc("recovery.tasks_retried")
+                obs.inc(f"recovery.tasks_retried.{self.backend}")
+            obs.publish("recovery", backend=self.backend, retried=len(lost), reason=reason)
+
+        def count_deaths() -> int:
+            # Track every worker process the pool has had during this call;
+            # the pool prunes dead ones from ``_pool`` when it replaces them,
+            # but a reaped Process object keeps its exitcode.
+            seen_workers.update(getattr(pool, "_pool", None) or [])
+            return sum(1 for worker in seen_workers if worker.exitcode is not None)
+
+        while pending:
+            deaths = count_deaths()
+            ready = [index for index, result in pending.items() if result.ready()]
+            if ready:
+                last_progress = time.monotonic()
+            for index in ready:
+                results[index] = pending.pop(index).get()
+            if not pending:
+                break
+            if deaths:
+                if len(pending) <= deaths:
+                    # A death loses at most the one task its worker was
+                    # running, so every remaining result is unreachable.
+                    recover(f"{deaths} pool worker death(s) lost the remaining tasks")
+                    break
+                if time.monotonic() - last_progress > stall_timeout:
+                    recover(
+                        f"pool stalled {stall_timeout:.1f}s after {deaths} worker "
+                        "death(s) (task queue presumed wedged)"
+                    )
+                    break
+            next(iter(pending.values())).wait(0.05)
+        if count_deaths() or sabotage is not None:
+            self._discard()
+        return results
+
+    def _discard(self) -> None:
+        """Tear the (presumed wedged) pool down on a background thread.
+
+        Terminating a pool whose task queue died with a lock held can itself
+        block (the handler threads join the queue); a daemon thread keeps
+        that out of the routing flow's way.
+        """
+        pool, self._pool = self._pool, None
+
+        def _terminate() -> None:
+            try:
+                pool.terminate()
+                pool.join()
+            except Exception:  # pragma: no cover - teardown of a broken pool
+                pass
+
+        threading.Thread(target=_terminate, name="discard-broken-pool", daemon=True).start()
+        obs.inc("recovery.pools_discarded")
+
+    def close(self) -> None:
+        """Terminate and join the workers.  Idempotent."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
             pool.terminate()
             pool.join()
-        except Exception:  # pragma: no cover - teardown of a broken pool
-            pass
-
-    threading.Thread(target=_terminate, name="discard-broken-pool", daemon=True).start()
-    obs.inc("recovery.pools_discarded")
 
 
 @dataclass(frozen=True)
@@ -481,52 +514,23 @@ class ProcessExecutor(BatchExecutor):
         if num_workers is not None and num_workers < 1:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers or min(os.cpu_count() or 2, 8)
-        self._pool = None
-        self._pool_unavailable = False
+        self.pool = WorkerPool(
+            _worker_init,
+            backend=self.backend,
+            degrade_message="the process backend degrades to in-process serial routing",
+        )
 
-    # ----------------------------------------------------------- lifecycle
-    def _ensure_pool(self):
-        """The worker pool, or ``None`` when this environment cannot start
-        one (the degradation is remembered and warned about only once)."""
-        if self._pool is None and not self._pool_unavailable:
-            # Prefer fork: workers inherit sys.path (the repo uses a src/
-            # layout that may only exist on the parent's sys.path) and the
-            # initializer payload is then merely a consistency guarantee.
-            payload = pickle.dumps(
-                {
-                    "graph": self.graph,
-                    "oracle": self.oracle,
-                    "bifurcation": self.bifurcation,
-                    "seed": self.seed,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self._pool = create_worker_pool(
-                self.num_workers,
-                initializer=_worker_init,
-                initargs=(payload,),
-                degrade_message=(
-                    "the process backend degrades to in-process serial routing"
-                ),
-                backend=self.backend,
-            )
-            if self._pool is None:
-                self._pool_unavailable = True
-        return self._pool
+    def _worker_payload(self) -> Dict[str, object]:
+        return {
+            "graph": self.graph,
+            "oracle": self.oracle,
+            "bifurcation": self.bifurcation,
+            "seed": self.seed,
+        }
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        self.pool.close()
         super().close()
-
-    def _discard_pool(self) -> None:
-        """Drop a wedged pool without blocking on it; the next batch
-        starts a fresh one (same initializer payload)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            discard_broken_pool(pool)
 
     # ------------------------------------------------------------------ API
     def route_batch(
@@ -535,39 +539,21 @@ class ProcessExecutor(BatchExecutor):
         tasks: Sequence[NetTask],
         context: Optional[OracleCostContext] = None,
     ) -> Dict[int, EmbeddedTree]:
-        if len(tasks) <= 1:
-            # IPC overhead cannot pay off for a single net.
+        # A single net cannot repay the IPC overhead; without a pool (the
+        # degraded mode) everything routes in-process.
+        pooled = len(tasks) > 1 and self.pool.start(self._worker_payload, self.num_workers)
+        if not pooled:
             if context is None and tasks:
                 context = self.make_context(costs)
             return {task.net_index: self._route_one(costs, task, context) for task in tasks}
-        pool = self._ensure_pool()
-        if pool is None:
-            # Degraded mode: no pool could be started in this environment.
-            if context is None:
-                context = self.make_context(costs)
-            return {task.net_index: self._route_one(costs, task, context) for task in tasks}
-        plan = faults.get_plan()
-        sabotage = None
-        if plan is not None and plan.should("kill-pool-worker", faults.current_round()):
-            sabotage = faults.kill_pool_worker
-        shards = self._shard(list(tasks))
+        outcomes = self.pool.run(
+            _route_shard,
+            [(costs, shard) for shard in self._shard(list(tasks))],
+            retry=self._route_shard_inline,
+            sabotage=faults.pool_sabotage("kill-pool-worker", faults.current_round()),
+        )
         roots = {task.net_index: task.root for task in tasks}
         trees: Dict[int, EmbeddedTree] = {}
-        outcomes, pool_broken = run_tasks_with_recovery(
-            pool,
-            _route_shard,
-            [(costs, shard) for shard in shards],
-            retry=self._route_shard_inline,
-            backend=self.backend,
-            sabotage=sabotage,
-        )
-        if pool_broken or sabotage is not None:
-            # A sabotaged pool is discarded even when no death was observed
-            # during the call: a worker killed *after* its last task leaves
-            # no pending work to recover, but it may die holding the shared
-            # task-queue lock and wedge the next dispatch with no
-            # observable deaths (the pool respawns its _pool entry).
-            self._discard_pool()
         for shard_result, worker_metrics in outcomes:
             for net_index, sinks, edges, method in shard_result:
                 trees[net_index] = EmbeddedTree(self.graph, roots[net_index], sinks, edges, method)

@@ -66,6 +66,7 @@ __all__ = [
     "set_round",
     "current_round",
     "kill_pool_worker",
+    "pool_sabotage",
     "hard_crash",
 ]
 
@@ -317,6 +318,15 @@ def kill_pool_worker(pool) -> Optional[int]:
         if process.exitcode is None and process.pid is not None:
             os.kill(process.pid, signal.SIGKILL)
             return process.pid
+    return None
+
+
+def pool_sabotage(kind: str, round_index: Optional[int]):
+    """The ``sabotage`` hook of a pool dispatch: :func:`kill_pool_worker`
+    when a ``kind`` fault fires at this choke point, else ``None``."""
+    plan = get_plan()
+    if plan is not None and plan.should(kind, round_index):
+        return kill_pool_worker
     return None
 
 

@@ -158,9 +158,8 @@ class Netlist:
 
         Stages are retained when both endpoint nets survive and their net
         indices are remapped; stages crossing the subset boundary are
-        dropped, which relaxes the timing constraints they carried (the
-        shard fan-out path documents this).  Nets are shared, not copied --
-        callers must not mutate them.
+        dropped, which relaxes the timing constraints they carried.  Nets
+        are shared, not copied -- callers must not mutate them.
         """
         index_map = {old: new for new, old in enumerate(indices)}
         if len(index_map) != len(indices):

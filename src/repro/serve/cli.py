@@ -118,11 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help=(
-            "fan the design out as this many region sub-jobs with seam "
-            "stitching and a merged result (1 = ordinary route job); "
-            "combined with --session, the session itself routes through "
-            "the in-process shard coordinator and later eco jobs replay "
-            "their memos through it"
+            "route the design as this many regions through the shard "
+            "coordinator -- the same result as `route --shards K` (1 = "
+            "classic single-region flow); combined with --session, later "
+            "eco jobs replay their memos through the coordinator"
         ),
     )
     submit.add_argument(
@@ -136,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help=(
-            "worker processes for the region fan-out of a --shards job "
-            "(default: one dedicated thread per region; results are "
-            "bit-identical either way)"
+            "worker processes for the region-parallel pass of a --shards "
+            "job (default/1 = serial; results are bit-identical either way)"
         ),
     )
     submit.add_argument(
@@ -307,23 +305,15 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.checkpoint_every is not None:
         params["checkpoint_every"] = args.checkpoint_every
     if args.session:
-        # A session with --shards routes through the in-process shard
-        # coordinator (memo-capable), not the daemon's fan-out job kind.
         params["session"] = args.session
-        if args.shards > 1:
-            params["shards"] = args.shards
-            params["shard_halo"] = args.shard_halo
-            if args.shard_workers is not None:
-                params["shard_workers"] = args.shard_workers
-        job_id = client.submit_route(**params)
-    elif args.shards > 1:
+    if args.shards > 1:
+        # The same shard coordinator as `route --shards K`; with --session
+        # the session's later eco jobs replay their memos through it.
         params["shards"] = args.shards
         params["shard_halo"] = args.shard_halo
         if args.shard_workers is not None:
             params["shard_workers"] = args.shard_workers
-        job_id = client.submit_shard(**params)
-    else:
-        job_id = client.submit_route(**params)
+    job_id = client.submit_route(**params)
     if args.wait:
         return _finish(client.wait(job_id, timeout=args.timeout))
     _emit({"job_id": job_id})

@@ -94,18 +94,14 @@ class ServeClient:
                 time.sleep(poll)
 
     def submit_route(self, **params: object) -> str:
-        """Submit a full-route job; returns the job id."""
-        response = self.request("submit", kind="route", params=params)
-        return str(response["job_id"])
+        """Submit a full-route job; returns the job id.
 
-    def submit_shard(self, **params: object) -> str:
-        """Submit a sharded (fan-out) route job; returns the parent job id.
-
-        The daemon splits the design into ``params["shards"]`` regions,
-        routes each region's interior nets as a child ``route`` job, and
-        merges the results (see ``ServeDaemon._run_shard``).
+        ``shards=K`` (optionally ``shard_workers=N``) routes the job through
+        the shard coordinator, exactly like ``python -m repro route --shards
+        K``; its result payload then also reports ``shards`` /
+        ``interior_nets`` / ``seam_nets`` / ``region_backend``.
         """
-        response = self.request("submit", kind="shard", params=params)
+        response = self.request("submit", kind="route", params=params)
         return str(response["job_id"])
 
     def submit_eco(

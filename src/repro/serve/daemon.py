@@ -29,24 +29,16 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import socketserver
 import tempfile
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.engine.engine import EngineConfig
-from repro.engine.executor import create_worker_pool
-from repro.grid.congestion import CongestionMap
-from repro.grid.partition import partition_grid
 from repro.instances.chips import CHIP_SUITE, ChipSpec, build_chip
-from repro.router.metrics import RoutingResult
-from repro.router.netlist import Netlist
 from repro.router.oracles import make_oracle
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.serve.checkpoint import checkpoint_every_hook, try_resume_router
@@ -83,11 +75,9 @@ def _daemon_safe_start_method() -> str:
     return "forkserver" if "forkserver" in methods else "spawn"
 
 
-def _router_config_from_params(
-    params: Dict[str, object], force_single_shard: bool = False
-) -> GlobalRouterConfig:
+def _router_config_from_params(params: Dict[str, object]) -> GlobalRouterConfig:
     shard_workers = params.get("shard_workers")
-    shards = 1 if force_single_shard else int(params.get("shards", 1))  # type: ignore[arg-type]
+    shards = int(params.get("shards", 1))  # type: ignore[arg-type]
     return GlobalRouterConfig(
         num_rounds=int(params.get("rounds", 2)),  # type: ignore[arg-type]
         seed=int(params.get("seed", 0)),  # type: ignore[arg-type]
@@ -127,49 +117,6 @@ def _chain_hooks(*hooks):
             callback(router, round_index)
 
     return hook
-
-
-def _route_shard_child(
-    params: Dict[str, object], on_round_end=None
-) -> Dict[str, object]:
-    """Route one region child of a shard job: pure ``params -> payload``.
-
-    Module-level (and free of daemon state) so the region pool of
-    :meth:`ServeDaemon._run_children_on_pool` can execute children in
-    worker processes; the dedicated-thread fallback runs the same function
-    in-process with a cancellation hook, so both paths produce identical
-    payloads.
-    """
-    spec = _chip_from_params(params)
-    graph, netlist = build_chip(spec)
-    oracle = make_oracle(str(params.get("oracle", "CD")))
-    # A shard child routes one region's interior sub-netlist; its own flow
-    # is single-region (the parent owns the decomposition).
-    config = _router_config_from_params(params, force_single_shard=True)
-    partition = partition_grid(
-        graph.nx, graph.ny, int(params.get("shards", 1))  # type: ignore[arg-type]
-    )
-    classification = partition.classify_nets(
-        netlist, halo=int(params.get("shard_halo", 0))  # type: ignore[arg-type]
-    )
-    shard_index = int(params["shard_index"])  # type: ignore[arg-type]
-    netlist = netlist.subset(classification.interior[shard_index])
-    router = GlobalRouter(graph, netlist, oracle, config)
-    result = router.run(on_round_end=on_round_end)
-    payload: Dict[str, object] = {
-        "result": result.as_dict(),
-        "session": None,
-        "backend": config.engine.backend,
-        "shard_index": shard_index,
-    }
-    if params.get("emit_usage"):
-        # Shard children ship their final congestion usage so the parent
-        # can stitch the regions before routing the seam nets.
-        payload["usage"] = router.congestion.usage.tolist()
-    if router.engine.cache is not None:
-        stats = router.engine.cache.stats
-        payload["cache"] = {"hits": stats.hits, "lookups": stats.lookups}
-    return payload
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -346,9 +293,11 @@ class ServeDaemon:
 
     def _op_submit(self, request: Dict[str, object]) -> Dict[str, object]:
         kind = request.get("kind")
-        if kind not in ("route", "eco", "shard"):
+        if kind not in ("route", "eco"):
             return {"ok": False, "error": f"unknown job kind {kind!r}"}
-        params = request.get("params") or {}
+        params = request.get("params")
+        if params is None:
+            params = {}
         if not isinstance(params, dict):
             return {"ok": False, "error": "params must be a JSON object"}
         job = self.store.submit(str(kind), params)
@@ -370,6 +319,10 @@ class ServeDaemon:
         self.store.get(job_id)  # raises for unknown ids
         future = self._futures.get(job_id)
         if future is not None and future.cancel():
+            # The job never reaches _run_job, whose ``finally`` would have
+            # dropped these entries.
+            self._futures.pop(job_id, None)
+            self._cancel_flags.pop(job_id, None)
             self.store.mark_cancelled(job_id)
             self._publish_job_state(job_id)
             return {"ok": True, "status": JobState.CANCELLED}
@@ -567,8 +520,6 @@ class ServeDaemon:
                     with obs.span("job", job_id=job_id, kind=job.kind):
                         if job.kind == "route":
                             result = self._run_route(job_id, job.params, cancel)
-                        elif job.kind == "shard":
-                            result = self._run_shard(job.job_id, job.params, cancel)
                         else:
                             result = self._run_eco(job_id, job.params, cancel)
                 finally:
@@ -640,12 +591,6 @@ class ServeDaemon:
     def _run_route(
         self, job_id: str, params: Dict[str, object], cancel: threading.Event
     ) -> Dict[str, object]:
-        if params.get("shard_index") is not None:
-            # Region child of a shard job (dedicated-thread path); identical
-            # to the pool path modulo the cancellation/progress hook.
-            return _route_shard_child(
-                params, on_round_end=self._round_hook(job_id, cancel)
-            )
         spec = _chip_from_params(params)
         graph, netlist = build_chip(spec)
         oracle = make_oracle(str(params.get("oracle", "CD")))
@@ -697,281 +642,16 @@ class ServeDaemon:
             "session": None,
             "backend": config.engine.backend,
         }
-        if params.get("emit_usage"):
-            payload["usage"] = router.congestion.usage.tolist()
+        if config.shards > 1:
+            stats = router.engine.stats
+            payload["shards"] = stats.num_regions
+            payload["interior_nets"] = list(stats.interior_nets)
+            payload["seam_nets"] = stats.seam_nets
+            payload["region_backend"] = router.engine.region_executor.backend
         if router.engine.cache is not None:
             stats = router.engine.cache.stats
             payload["cache"] = {"hits": stats.hits, "lookups": stats.lookups}
         return payload
-
-    def _run_shard(
-        self, job_id: str, params: Dict[str, object], cancel: threading.Event
-    ) -> Dict[str, object]:
-        """Fan one design out as K region sub-jobs, then stitch and merge.
-
-        Every region with interior nets becomes a real ``route`` job in the
-        store (visible via ``status``).  With ``shard_workers > 1`` the
-        children execute on a ``multiprocessing`` pool
-        (:meth:`_run_children_on_pool`); otherwise -- and when no pool can
-        be started in this environment -- each child runs on a dedicated
-        thread, so a shard job can never deadlock the daemon's worker pool
-        against its own children.  Both paths produce bit-identical child
-        payloads (children are pure functions of their params).  The parent
-        stitches the children's congestion usage, routes the seam-crossing
-        nets against it, and returns one merged :class:`RoutingResult`
-        record: additive metrics (wire length, vias, TNS, objective, nets)
-        are summed, worst slack is the minimum, and the congestion metrics
-        (ACE4, overflow) are computed on the stitched full-design map.
-        Timing stages crossing region boundaries are relaxed in this path --
-        the in-process coordinator (``route --shards K``) keeps them.
-        """
-        started = time.monotonic()
-        spec = _chip_from_params(params)
-        graph, netlist = build_chip(spec)
-        oracle = make_oracle(str(params.get("oracle", "CD")))
-        shards = int(params.get("shards", 2))  # type: ignore[arg-type]
-        if shards < 2:
-            raise ValueError("shard jobs need shards >= 2")
-        halo = int(params.get("shard_halo", 0))  # type: ignore[arg-type]
-        partition = partition_grid(graph.nx, graph.ny, shards)
-        classification = partition.classify_nets(netlist, halo=halo)
-
-        child_params_base = {
-            key: value
-            for key, value in params.items()
-            if key not in ("session", "shard_index", "emit_usage", "shard_workers")
-        }
-        children: List[str] = []
-        child_params_list: List[Dict[str, object]] = []
-        for region_index, interior in enumerate(classification.interior):
-            if not interior:
-                continue
-            child_params = {
-                **child_params_base,
-                "shard_index": region_index,
-                "emit_usage": True,
-                "parent": job_id,
-            }
-            child = self.store.submit("route", child_params)
-            children.append(child.job_id)
-            child_params_list.append(child_params)
-            # Registered up front so `cancel` requests against individual
-            # children work on both execution paths.
-            self._cancel_flags[child.job_id] = threading.Event()
-
-        workers = int(params.get("shard_workers") or 1)  # type: ignore[arg-type]
-        region_backend = "threads"
-        try:
-            if workers > 1 and len(children) > 1:
-                if self._run_children_on_pool(
-                    children, child_params_list, cancel, workers
-                ):
-                    region_backend = "process"
-            if region_backend == "threads":
-                self._run_children_on_threads(children, cancel)
-        finally:
-            for child_id in children:
-                self._cancel_flags.pop(child_id, None)
-        if cancel.is_set():
-            raise JobCancelled()
-
-        stitched = np.zeros(graph.num_edges, dtype=np.float64)
-        child_results: List[RoutingResult] = []
-        for child_id in children:
-            child = self.store.get(child_id)
-            if child.status != JobState.DONE:
-                raise RuntimeError(
-                    f"shard sub-job {child_id} ended {child.status}: {child.error}"
-                )
-            payload = child.result or {}
-            child_results.append(
-                RoutingResult.from_dict(payload["result"])  # type: ignore[arg-type]
-            )
-            stitched += np.asarray(payload["usage"], dtype=np.float64)
-
-        seam_result: Optional[RoutingResult] = None
-        seam = classification.seam
-        if seam:
-            seam_config = _router_config_from_params(params, force_single_shard=True)
-            seam_router = GlobalRouter(
-                graph, netlist.subset(seam), oracle, seam_config
-            )
-            # Seed the seam flow with the stitched interior congestion: seam
-            # nets are priced against the regions' combined usage, exactly
-            # like the in-process coordinator's seam pass.
-            seam_router.congestion.usage[:] = stitched
-            seam_result = seam_router.run(
-                on_round_end=self._round_hook(job_id, cancel)
-            )
-            final_map = seam_router.congestion
-        else:
-            final_map = CongestionMap(graph)
-            final_map.usage[:] = stitched
-
-        merged = self._merge_results(
-            spec.name, child_results, seam_result, final_map, netlist,
-            time.monotonic() - started,
-        )
-        return {
-            "result": merged.as_dict(),
-            "shards": shards,
-            "subjobs": children,
-            "seam_nets": len(seam),
-            "interior_nets": [len(r) for r in classification.interior],
-            "backend": str(params.get("backend", "serial")),
-            "region_backend": region_backend,
-            "shard_workers": workers,
-        }
-
-    def _run_children_on_threads(
-        self, children: List[str], cancel: threading.Event
-    ) -> None:
-        """The dedicated-thread child path (and the pool's fallback).
-        Child cancel flags are registered by the caller."""
-        threads: List[threading.Thread] = []
-        for child_id in children:
-            thread = threading.Thread(
-                target=self._run_job,
-                args=(child_id,),
-                name=f"repro-shard-{child_id}",
-                daemon=True,
-            )
-            threads.append(thread)
-            thread.start()
-        try:
-            for thread in threads:
-                while thread.is_alive():
-                    thread.join(timeout=0.1)
-                    if cancel.is_set():
-                        for child_id in children:
-                            flag = self._cancel_flags.get(child_id)
-                            if flag is not None:
-                                flag.set()
-        finally:
-            for thread in threads:
-                thread.join()
-
-    def _run_children_on_pool(
-        self,
-        children: List[str],
-        child_params_list: List[Dict[str, object]],
-        cancel: threading.Event,
-        workers: int,
-    ) -> bool:
-        """Route the child jobs on a ``multiprocessing`` pool.
-
-        Returns ``False`` when no pool could be started in this environment
-        (sandboxes routinely forbid process pools); the caller then falls
-        back to the dedicated-thread path -- same results, no parallelism.
-        The pool prefers ``forkserver``/``spawn``: the daemon process is
-        multi-threaded (listener, handler threads, job workers), where
-        ``fork`` can copy held locks into the child; the children are
-        module-level pure functions, so a clean interpreter works.
-
-        Cancelling the *parent* tears the pool down immediately (there is
-        no cooperative handshake with a worker process, and children are
-        pure, so discarding half-finished work is safe).  Cancelling an
-        *individual child* marks it cancelled as soon as the flag is seen
-        -- its in-flight computation cannot be interrupted, but its result
-        is discarded and the parent's stitch step then fails, exactly like
-        on the thread path.
-        """
-        import multiprocessing
-
-        pool = create_worker_pool(
-            min(workers, len(children)),
-            prefer=("forkserver", "spawn"),
-            degrade_message="shard children fall back to dedicated threads",
-            backend="serve-shard",
-        )
-        if pool is None:
-            return False
-
-        def sweep_child_cancels() -> None:
-            # Flagged children flip terminal right away; a later mark_done
-            # for them is a no-op (terminal states are sticky), which is
-            # what discards the worker's result.
-            for child_id in children:
-                flag = self._cancel_flags.get(child_id)
-                if flag is not None and flag.is_set():
-                    self.store.mark_cancelled(child_id)
-
-        failed: List[str] = []
-        try:
-            for child_id in children:
-                self.store.mark_running(child_id)
-            results = pool.imap(_route_shard_child, child_params_list)
-            # imap yields per-child outcomes in submission order, each one
-            # either a payload or that child's own exception -- so errors
-            # land on the child that raised them, and siblings keep their
-            # real results, exactly like on the thread path.
-            for child_id in children:
-                payload = None
-                error: Optional[str] = None
-                while True:
-                    sweep_child_cancels()
-                    if cancel.is_set():
-                        raise JobCancelled()
-                    try:
-                        payload = results.next(timeout=0.2)
-                    except multiprocessing.TimeoutError:
-                        continue
-                    except Exception as exc:  # this child's own failure
-                        error = f"{type(exc).__name__}: {exc}"
-                    break
-                if error is not None:
-                    self.store.mark_failed(child_id, error)
-                    failed.append(child_id)
-                else:
-                    self.store.mark_done(child_id, payload)  # no-op if cancelled
-        except JobCancelled:
-            for child_id in children:
-                self.store.mark_cancelled(child_id)  # no-op on finished ones
-            raise
-        except Exception as exc:
-            # Infrastructure failure (store, pool plumbing): make sure no
-            # child is left dangling in a running state.
-            message = f"region pool aborted: {type(exc).__name__}: {exc}"
-            for child_id in children:
-                if self.store.get(child_id).status not in JobState.TERMINAL:
-                    self.store.mark_failed(child_id, message)
-            raise RuntimeError(message)
-        finally:
-            pool.terminate()
-            pool.join()
-        if failed:
-            raise RuntimeError(
-                f"shard sub-jobs failed on the region pool: {', '.join(failed)}"
-            )
-        return True
-
-    @staticmethod
-    def _merge_results(
-        chip: str,
-        child_results: List[RoutingResult],
-        seam_result: Optional[RoutingResult],
-        final_map: CongestionMap,
-        netlist: Netlist,
-        walltime: float,
-    ) -> RoutingResult:
-        parts = list(child_results)
-        if seam_result is not None:
-            parts.append(seam_result)
-        if not parts:
-            raise ValueError("shard job produced no partial results")
-        return RoutingResult(
-            chip=chip,
-            method=parts[0].method,
-            worst_slack=min(p.worst_slack for p in parts),
-            total_negative_slack=sum(p.total_negative_slack for p in parts),
-            ace4=final_map.ace4(),
-            wire_length=sum(p.wire_length for p in parts),
-            via_count=sum(p.via_count for p in parts),
-            walltime_seconds=walltime,
-            overflow=final_map.overflow(),
-            objective=sum(p.objective for p in parts),
-            num_nets=netlist.num_nets,
-        )
 
     def _run_eco(
         self, job_id: str, params: Dict[str, object], cancel: threading.Event

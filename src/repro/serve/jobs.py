@@ -127,8 +127,7 @@ class JobStore:
         pick up mid-flow from their auto-checkpoint when they kept one --
         and records their ids in :attr:`adopted_jobs` so the daemon can
         resubmit them.  ECO jobs (their session state died with the old
-        daemon) and shard children (their parent coordinates them) are
-        always marked failed.
+        daemon) are always marked failed.
     """
 
     def __init__(self, state_dir: Optional[str] = None, adopt: bool = False) -> None:
@@ -273,7 +272,7 @@ class JobStore:
     @staticmethod
     def _adoptable(job: Job) -> bool:
         """Whether an interrupted job can simply be re-run (see ``adopt``)."""
-        return job.kind == "route" and job.params.get("shard_index") is None
+        return job.kind == "route"
 
     def _load_existing(self, state_dir: str, adopt: bool = False) -> None:
         for entry in sorted(os.listdir(state_dir)):

@@ -917,14 +917,13 @@ class ShardCoordinator:
             region.key: float(report[4])
             for region, report in zip(self.regions, region_reports)
         }
-        if region_seconds:
-            busy = (
-                max(region_seconds.values())
-                if getattr(self.region_executor, "pool_active", False)
-                else sum(region_seconds.values())
-            )
-        else:
+        pool = self.region_executor.pool
+        if not region_seconds:
             busy = 0.0
+        elif pool is not None and pool.active:
+            busy = max(region_seconds.values())
+        else:
+            busy = sum(region_seconds.values())
         self.last_round_timings = {
             "regions": region_seconds,
             "interior_seconds": interior_elapsed,

@@ -51,12 +51,7 @@ from repro import faults, obs
 from repro.core.tree import EmbeddedTree
 from repro.engine.cache import RoundMemo
 from repro.engine.engine import RoutingEngine
-from repro.engine.executor import (
-    create_worker_pool,
-    discard_broken_pool,
-    run_tasks_with_recovery,
-    validate_start_method,
-)
+from repro.engine.executor import WorkerPool
 from repro.grid.congestion import CongestionMap, CongestionSnapshot
 from repro.grid.graph import RoutingGraph
 
@@ -476,6 +471,8 @@ class RegionExecutor:
 
     #: Backend name used in configuration and result reporting.
     backend = "?"
+    #: The worker pool of a process backend (``None``: regions route in-process).
+    pool: Optional[WorkerPool] = None
 
     def __init__(self) -> None:
         self.closed = False
@@ -585,91 +582,50 @@ class ProcessRegionExecutor(RegionExecutor):
         if num_workers is not None and num_workers < 1:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers or min(os.cpu_count() or 2, 8)
-        # Validated eagerly: a pinned-but-mistyped start method must raise
-        # at construction, not silently degrade the run to the serial loop.
-        self.start_method = validate_start_method(start_method)
-        #: Whether a worker pool was ever started (stays ``True`` after
-        #: :meth:`close`; benchmarks read it to tell real pool runs from
-        #: degraded ones).
-        self.pool_used = False
-        self._pool = None
-        self._pool_unavailable = False
+        # The start method is validated here, eagerly: a pinned-but-mistyped
+        # one must raise at construction, not silently degrade the run to
+        # the serial loop.
+        self.pool = WorkerPool(
+            _region_worker_init,
+            backend="region-process",
+            degrade_message=(
+                "region-parallel shard execution degrades to the serial region loop"
+            ),
+            start_method=start_method,
+        )
         self._serial = SerialRegionExecutor()
         #: The un-pickled worker payload plus parent-side runner twins,
-        #: built lazily by the recovery path: when a pool worker dies (or a
-        #: chaos fault drops an outcome), the lost region round is routed
-        #: right here in the parent from the same read-only payload the
-        #: workers were primed with.
+        #: kept for the recovery path: when a pool worker dies (or a chaos
+        #: fault drops an outcome), the lost region round is routed right
+        #: here in the parent from the same read-only payload the workers
+        #: were primed with.
         self._worker_payload: Optional[Dict[str, object]] = None
         self._recovery_runners: Dict[str, _RegionRunner] = {}
         #: Shared-memory transport for the per-round region state arrays;
         #: degrades per-process to pickled arrays when unavailable.
         self._state_store = SharedRegionStateStore()
 
-    # ----------------------------------------------------------- lifecycle
-    @property
-    def pool_active(self) -> bool:
-        """Whether a live worker pool is routing the regions (``False``
-        after degradation to the serial path or :meth:`close`)."""
-        return self._pool is not None
-
-    def _ensure_pool(self, coordinator: "ShardCoordinator"):
-        """The worker pool, or ``None`` when this environment cannot start
-        one (the degradation is remembered and warned about only once)."""
-        if self._pool is None and not self._pool_unavailable:
-            # Prefer fork (create_worker_pool's default): workers inherit
-            # sys.path, which the repo's src/ layout relies on.
-            self._worker_payload = coordinator.region_worker_payload()
-            payload = pickle.dumps(
-                self._worker_payload,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self._pool = create_worker_pool(
-                min(self.num_workers, max(1, len(coordinator.regions))),
-                start_method=self.start_method,
-                initializer=_region_worker_init,
-                initargs=(payload,),
-                degrade_message=(
-                    "region-parallel shard execution degrades to the serial "
-                    "region loop"
-                ),
-                backend="region-process",
-            )
-            if self._pool is None:
-                self._pool_unavailable = True
-            else:
-                self.pool_used = True
-        return self._pool
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        self.pool.close()
         # Blocks are unlinked only after the pool is gone: no worker can be
         # mid-attach on a block its parent is unlinking.
         self._state_store.close()
         super().close()
 
-    def _discard_pool(self) -> None:
-        """Drop a wedged pool without blocking on it; the next round
-        starts a fresh one from the cached worker payload."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            discard_broken_pool(pool)
-
     # ------------------------------------------------------------------ API
     def route_round(self, coordinator, round_index, trees, snapshot,
                     replay_round=None, log_round=None):
-        if len(coordinator.regions) <= 1:
-            # One region cannot be overlapped with anything; skip the IPC.
-            return self._serial.route_round(
-                coordinator, round_index, trees, snapshot,
-                replay_round=replay_round, log_round=log_round,
-            )
-        pool = self._ensure_pool(coordinator)
-        if pool is None:
-            # Degraded mode: no pool could be started in this environment.
+        def payload() -> Dict[str, object]:
+            self._worker_payload = coordinator.region_worker_payload()
+            return self._worker_payload
+
+        # One region cannot be overlapped with anything (skip the IPC), and
+        # the pool is capped at the region count -- extra workers could
+        # never receive work.  Without a pool (the degraded mode) the
+        # regions route on the serial loop.
+        regions = len(coordinator.regions)
+        pooled = regions > 1 and self.pool.start(payload, min(self.num_workers, regions))
+        if not pooled:
             return self._serial.route_round(
                 coordinator, round_index, trees, snapshot,
                 replay_round=replay_round, log_round=log_round,
@@ -683,25 +639,13 @@ class ProcessRegionExecutor(RegionExecutor):
             )
             for region in coordinator.regions
         ]
-        plan = faults.get_plan()
-        sabotage = None
-        if plan is not None and plan.should("kill-region-worker", round_index):
-            sabotage = faults.kill_pool_worker
-        outcomes, pool_broken = run_tasks_with_recovery(
-            pool,
+        outcomes = self.pool.run(
             _route_region,
             tasks,
             retry=self._route_region_inline,
-            backend="region-process",
-            sabotage=sabotage,
+            sabotage=faults.pool_sabotage("kill-region-worker", round_index),
         )
-        if pool_broken or sabotage is not None:
-            # A sabotaged pool is discarded even when no death was observed
-            # during the call: a worker killed after its last task leaves no
-            # pending work to recover, but it may die holding the shared
-            # task-queue lock and wedge the next dispatch with no observable
-            # deaths (the pool respawns its _pool entry).
-            self._discard_pool()
+        plan = faults.get_plan()
         if plan is not None and plan.should("drop-outcome", round_index):
             # Discard one cleanly collected outcome: exercises the
             # in-process re-execution path without involving the pool.

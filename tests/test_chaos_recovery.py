@@ -24,7 +24,8 @@ import pytest
 from repro import faults
 from repro.core.cost_distance import CostDistanceSolver
 from repro.engine.engine import EngineConfig
-from repro.engine.executor import ProcessExecutor, run_tasks_with_recovery
+from repro import obs
+from repro.engine.executor import ProcessExecutor
 from repro.grid.graph import build_grid_graph
 from repro.instances.generator import NetlistGeneratorConfig, generate_netlist
 from repro.router.metrics import PARITY_FIELDS
@@ -185,7 +186,7 @@ class TestKillThenResume:
 
 
 class TestRecoveryMachinery:
-    """Direct tests of run_tasks_with_recovery and executor teardown."""
+    """Direct tests of WorkerPool.run's recovery and executor teardown."""
 
     def _executor(self):
         from repro.core.bifurcation import BifurcationModel
@@ -199,38 +200,54 @@ class TestRecoveryMachinery:
             num_workers=2,
         )
 
-    def test_recovery_retries_when_every_worker_dies(self):
+    def test_recovery_retries_when_every_worker_dies(self, caplog):
+        import logging
+
         executor = self._executor()
-        pool = executor._ensure_pool()
-        if pool is None:
+        pool = executor.pool
+        if not pool.start(executor._worker_payload, 2):
             pytest.skip("no process pool available in this environment")
         try:
 
-            def kill_all(pool):
-                for process in list(pool._pool):
+            def kill_all(raw_pool):
+                for process in list(raw_pool._pool):
                     if process.exitcode is None:
                         os.kill(process.pid, 9)
 
-            results, pool_broken = run_tasks_with_recovery(
-                pool,
-                _slow_square,
-                [1, 2, 3],
-                retry=lambda task: task * task,
-                backend="process",
-                sabotage=kill_all,
-                stall_timeout=1.0,
-            )
+            def counter(name):
+                return obs.default_registry().snapshot()["counters"].get(name, 0)
+
+            retried = counter("recovery.tasks_retried.process")
+            discarded = counter("recovery.pools_discarded")
+            with caplog.at_level(logging.WARNING, logger="repro.engine"):
+                results = pool.run(
+                    _slow_square,
+                    [1, 2, 3],
+                    retry=lambda task: task * task,
+                    sabotage=kill_all,
+                    stall_timeout=1.0,
+                )
             assert sorted(results) == [1, 4, 9]
-            assert pool_broken
+            # The deaths were observed (the lost tasks went through
+            # ``retry``) and the broken pool was discarded ...
+            assert any("worker death" in rec.getMessage() for rec in caplog.records)
+            assert counter("recovery.tasks_retried.process") > retried
+            assert counter("recovery.pools_discarded") == discarded + 1
+            assert pool.used and not pool.active
+            # ... and the next start rebuilds a working one.
+            assert pool.start(executor._worker_payload, 2)
+            assert pool.run(_slow_square, [4], retry=lambda task: -1) == [16]
+            assert pool.active
         finally:
-            executor._discard_pool()
             executor.close()
+        assert not pool.active
 
     def test_engine_executor_double_close(self):
         executor = self._executor()
-        executor._ensure_pool()
+        executor.pool.start(executor._worker_payload, 2)
         executor.close()
         executor.close()  # idempotent
+        assert not executor.pool.active
 
     def test_region_executor_double_close_after_fault(self):
         """Close (twice) after a faulted round: no hang, no error."""
@@ -269,8 +286,8 @@ class TestDaemonReadoption:
 
     FIELDS = ("WS", "TNS", "ACE4", "WL", "Vias", "Overflow", "Objective")
 
-    def _route_params(self):
-        return dict(chip="c1", net_scale=0.1, rounds=3, checkpoint_every=1)
+    def _route_params(self, **extra):
+        return dict(chip="c1", net_scale=0.1, rounds=3, checkpoint_every=1, **extra)
 
     def _run_to_done(self, state_dir, params):
         with ServeDaemon(port=0, job_workers=1, state_dir=state_dir) as daemon:
@@ -292,19 +309,23 @@ class TestDaemonReadoption:
             json.dump(record, handle)
 
     def test_readopted_job_reaches_same_result(self, tmp_path):
-        state = str(tmp_path / "state")
-        job_id, want = self._run_to_done(state, self._route_params())
-        self._mark_interrupted(state, job_id)
+        # shards=2: sharded daemon jobs run the shard coordinator, so they
+        # checkpoint and re-adopt like any other route job.
+        for index, extra in enumerate(({}, {"shards": 2})):
+            state = str(tmp_path / f"state{index}")
+            job_id, want = self._run_to_done(state, self._route_params(**extra))
+            self._mark_interrupted(state, job_id)
 
-        with ServeDaemon(port=0, job_workers=1, state_dir=state) as daemon:
-            assert daemon.store.adopted_jobs == [job_id]
-            host, port = daemon.start()
-            client = ServeClient(host, port, timeout=30.0)
-            client.wait_until_up()
-            job = client.wait(job_id, timeout=120)
-        assert job["status"] == "done"
-        for field in self.FIELDS:
-            assert job["result"]["result"][field] == want[field], field
+            with ServeDaemon(port=0, job_workers=1, state_dir=state) as daemon:
+                assert daemon.store.adopted_jobs == [job_id]
+                host, port = daemon.start()
+                client = ServeClient(host, port, timeout=30.0)
+                client.wait_until_up()
+                job = client.wait(job_id, timeout=120)
+            assert job["status"] == "done"
+            assert job["result"].get("shards") == extra.get("shards")
+            for field in self.FIELDS:
+                assert job["result"]["result"][field] == want[field], field
 
     def test_corrupt_checkpoint_restarts_from_round_zero(self, tmp_path, caplog):
         import logging

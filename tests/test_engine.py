@@ -186,7 +186,7 @@ class TestExecutors:
             graph, CostDistanceSolver(), BifurcationModel(), 0, num_workers=2
         )
         trees = process.route_batch(costs, tasks[:1])
-        assert process._pool is None  # inline fast path, no pool spawned
+        assert not process.pool.used  # inline fast path, no pool spawned
         assert len(trees) == 1
         process.close()
 
@@ -237,7 +237,7 @@ class TestExecutors:
                 if rec.name == "repro.obs.pool" and "degrades to in-process" in rec.getMessage()
             ]
             assert len(degradations) == 1
-            assert process._pool is None
+            assert not process.pool.used and not process.pool.active
             caplog.clear()
             # The degradation is remembered: no second record, same trees.
             with caplog.at_level(logging.WARNING, logger="repro.obs.pool"):

@@ -1,6 +1,7 @@
 """Tests for the routing service layer (checkpoint, sessions, jobs, daemon)."""
 
 import json
+import time
 
 import pytest
 
@@ -545,6 +546,43 @@ class TestDaemon:
             assert status in (JobState.CANCELLED, JobState.QUEUED)
             assert client.wait(queued, timeout=300.0)["status"] == JobState.CANCELLED
             assert client.wait(blocker, timeout=300.0)["status"] == JobState.DONE
+
+    def test_cancelled_queued_job_leaves_no_bookkeeping(self):
+        """A queued job cancelled via ``future.cancel()`` never reaches
+        ``_run_job``; its future and cancel flag must be dropped on the
+        cancel path instead of leaking for the daemon's lifetime."""
+        with ServeDaemon(port=0, job_workers=1) as daemon:
+            host, port = daemon.start()
+            client = ServeClient(host, port, timeout=30.0)
+            client.wait_until_up()
+            blocker = client.submit_route(chip="c1", net_scale=0.3, rounds=3)
+            deadline = time.monotonic() + 60.0
+            while client.status(blocker)["status"] == JobState.QUEUED:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            queued = client.submit_route(chip="c1", net_scale=0.3, rounds=3)
+            assert client.cancel(queued) == JobState.CANCELLED
+            assert queued not in daemon._futures
+            assert queued not in daemon._cancel_flags
+            assert client.wait(blocker, timeout=300.0)["status"] == JobState.DONE
+            # _run_job's ``finally`` runs just after the terminal state lands.
+            while daemon._futures or daemon._cancel_flags:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert daemon._futures == {} and daemon._cancel_flags == {}
+
+    @pytest.mark.parametrize("params", [[], 0, "", "chip=c1", 3, [1], False])
+    def test_submit_params_must_be_an_object(self, client, params):
+        """Only a missing/null ``params`` defaults to ``{}``; any other
+        non-object is a malformed request, not a default c1 route."""
+        with pytest.raises(ServeError, match="params must be a JSON object"):
+            client.request("submit", kind="route", params=params)
+        assert client.jobs() == []
+
+    def test_submit_params_may_be_missing_or_null(self, client):
+        for request in ({}, {"params": None}):
+            job_id = client.request("submit", kind="eco", **request)["job_id"]
+            assert client.wait(job_id, timeout=60.0)["params"] == {}
 
     def test_jobs_listing(self, client):
         job_id = client.submit_route(chip="c1", net_scale=0.1, rounds=1)

@@ -1,6 +1,9 @@
-"""Tests for the shard layer: coordinator parity, fast path, serve fan-out."""
+"""Tests for the shard layer: coordinator parity, fast path, sharded serve jobs."""
 
+import inspect
+import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from repro.instances.eco_stream import EcoStreamConfig, generate_eco_stream
 from repro.router.metrics import PARITY_FIELDS, RoutingResult
 from repro.router.netlist import Net, Netlist, Pin
 from repro.router.router import GlobalRouter, GlobalRouterConfig
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.session import RoutingSession
 from repro.shard.coordinator import ShardCoordinator
@@ -356,6 +359,62 @@ class TestScaffoldingMemo:
         assert tree_key(session.router.trees) == tree_key(cold.router.trees)
 
 
+class TestOneShardingPathOnePoolLifecycle:
+    """The daemon's shard fan-out and the per-executor pool lifecycles were
+    *deleted*, not renamed: their names must not survive anywhere in src/,
+    and exactly one class starts ``multiprocessing`` pools."""
+
+    REMOVED_NAMES = (
+        "_run_shard",
+        "_route_shard_child",
+        "_run_children_on",
+        "_merge_results",
+        "submit_shard",
+        "emit_usage",
+        "shard_index",
+        "serve-shard",
+        "force_single_shard",
+        "create_worker_pool",
+        "run_tasks_with_recovery",
+        "discard_broken_pool",
+        "_ensure_pool",
+        "_discard_pool",
+        "_pool_unavailable",
+    )
+
+    @staticmethod
+    def _sources():
+        src_root = os.path.join(os.path.dirname(__file__), "..", "src")
+        for dirpath, _dirnames, filenames in os.walk(src_root):
+            for filename in filenames:
+                if filename.endswith(".py"):
+                    file_path = os.path.join(dirpath, filename)
+                    with open(file_path, "r", encoding="utf-8") as handle:
+                        yield file_path, handle.read()
+
+    def test_removed_names_gone_from_codebase(self):
+        offenders = [
+            (file_path, name)
+            for file_path, text in self._sources()
+            for name in self.REMOVED_NAMES
+            if name in text
+        ]
+        assert not offenders, offenders
+
+    def test_only_worker_pool_starts_process_pools(self):
+        callers = [
+            (os.path.basename(file_path), line.strip())
+            for file_path, text in self._sources()
+            for line in text.splitlines()
+            if re.search(r"\bPool\(", line) and not line.lstrip().startswith("#")
+        ]
+        assert [name for name, _ in callers] == ["executor.py"], callers
+        from repro.engine import executor
+
+        source = inspect.getsource(executor.WorkerPool)
+        assert callers[0][1] in source
+
+
 class TestServeShardJobs:
     @pytest.fixture()
     def daemon(self):
@@ -364,68 +423,44 @@ class TestServeShardJobs:
         yield daemon
         daemon.shutdown()
 
-    def test_shard_job_fans_out_and_merges(self, daemon):
+    @pytest.mark.parametrize("shard_workers", [None, 2])
+    def test_sharded_route_job_matches_in_process_router(self, daemon, shard_workers):
+        """A sharded daemon job *is* `route --shards K`: the same shard
+        coordinator, bit-identical to an in-process router, with or
+        without the region pool."""
         host, port = daemon.address
         client = ServeClient(host, port)
         client.wait_until_up()
-        job_id = client.submit_shard(chip="c1", net_scale=0.4, rounds=2, shards=4)
-        record = client.wait(job_id, timeout=300)
+        params = dict(chip="c1", net_scale=0.4, rounds=2, shards=4)
+        if shard_workers is not None:
+            params["shard_workers"] = shard_workers
+        record = client.wait(client.submit_route(**params), timeout=300)
         assert record["status"] == "done", record
         payload = record["result"]
-        merged = RoutingResult.from_dict(payload["result"])
-        assert merged.num_nets == 18  # c1 scaled 0.4
-        assert merged.wire_length > 0
-        assert payload["shards"] == 4
-        assert payload["seam_nets"] + sum(payload["interior_nets"]) == 18
-        child_wl = 0.0
-        for child_id in payload["subjobs"]:
-            child = client.result(child_id)
-            assert child["status"] == "done"
-            assert child["params"]["parent"] == job_id
-            child_result = RoutingResult.from_dict(child["result"]["result"])
-            assert child_result.num_nets > 0
-            assert len(child["result"]["usage"]) > 0
-            child_wl += child_result.wire_length
-        # The merged wire length covers the children plus the seam pass.
-        assert child_wl <= merged.wire_length
-
-    def test_shard_job_on_worker_pool_matches_thread_path(self, daemon):
-        """--shard-workers 2 routes the children on a process pool; the
-        merged result is bit-identical to the dedicated-thread fan-out
-        (children are pure functions of their params)."""
-        host, port = daemon.address
-        client = ServeClient(host, port)
-        client.wait_until_up()
-        threaded_id = client.submit_shard(chip="c1", net_scale=0.4, rounds=2, shards=4)
-        pooled_id = client.submit_shard(
-            chip="c1", net_scale=0.4, rounds=2, shards=4, shard_workers=2
-        )
-        threaded = client.wait(threaded_id, timeout=300)
-        pooled = client.wait(pooled_id, timeout=300)
-        assert threaded["status"] == "done", threaded
-        assert pooled["status"] == "done", pooled
-        assert threaded["result"]["region_backend"] == "threads"
-        assert pooled["result"]["shard_workers"] == 2
-        # In sandboxes that forbid process pools the job degrades to the
-        # thread path; either way the merged metrics must be identical.
-        assert pooled["result"]["region_backend"] in ("process", "threads")
-        a = RoutingResult.from_dict(threaded["result"]["result"])
-        b = RoutingResult.from_dict(pooled["result"]["result"])
+        graph, netlist = build_chip(CHIP_SUITE[0].scaled(0.4))
+        router, want = run_router(graph, netlist, num_rounds=2, shards=4)
+        got = RoutingResult.from_dict(payload["result"])
         for field in PARITY_FIELDS:
-            assert getattr(a, field) == getattr(b, field), field
-        for child_id in pooled["result"]["subjobs"]:
-            child = client.result(child_id)
-            assert child["status"] == "done"
-            assert child["params"]["parent"] == pooled_id
+            assert getattr(got, field) == getattr(want, field), field
+        stats = router.engine.stats
+        assert payload["shards"] == stats.num_regions == 4
+        assert payload["interior_nets"] == list(stats.interior_nets)
+        assert payload["seam_nets"] == stats.seam_nets
+        assert payload["seam_nets"] + sum(payload["interior_nets"]) == got.num_nets == 18
+        if shard_workers is None:
+            assert payload["region_backend"] == "serial"
+        else:
+            assert payload["region_backend"] in ("process", "serial")
 
     def test_shard_job_pool_with_process_backend_degrades_nested_pools(self, daemon):
-        """backend=process children inside the region pool cannot start
-        their own engine pools (daemonic workers); they must degrade to
-        serial engines and the job must still finish."""
+        """backend=process plus a region pool: pool workers are daemonic
+        and could not start engine pools of their own, so region engines
+        run serial inside them (the seam pass keeps the engine pool); the
+        job must finish, with the bits of the all-serial flow."""
         host, port = daemon.address
         client = ServeClient(host, port)
         client.wait_until_up()
-        job_id = client.submit_shard(
+        job_id = client.submit_route(
             chip="c1", net_scale=0.3, rounds=1, shards=4,
             shard_workers=2, backend="process",
         )
@@ -433,36 +468,21 @@ class TestServeShardJobs:
         assert record["status"] == "done", record
         merged = RoutingResult.from_dict(record["result"]["result"])
         assert merged.wire_length > 0
+        graph, netlist = build_chip(CHIP_SUITE[0].scaled(0.3))
+        _, want = run_router(graph, netlist, num_rounds=1, shards=4)
+        for field in PARITY_FIELDS:
+            assert getattr(merged, field) == getattr(want, field), field
 
-    def test_shard_job_pool_child_failures_attributed_per_child(self, daemon):
-        """A failing child on the pool path records its *own* error while a
-        succeeding sibling keeps its real result, like on the thread path."""
-        import threading
-
-        base = {"chip": "c1", "net_scale": 0.3, "rounds": 1, "shards": 2,
-                "emit_usage": True}
-        good = daemon.store.submit("route", {**base, "shard_index": 0})
-        bad = daemon.store.submit("route", {**base, "shard_index": 99})
-        children = [good.job_id, bad.job_id]
-        for child_id in children:
-            daemon._cancel_flags[child_id] = threading.Event()
-        with pytest.raises(RuntimeError, match="region pool"):
-            daemon._run_children_on_pool(
-                children, [good.params, bad.params], threading.Event(), 2
-            )
-        assert daemon.store.get(good.job_id).status == "done"
-        failed = daemon.store.get(bad.job_id)
-        assert failed.status == "failed"
-        assert "IndexError" in (failed.error or "")
-
-    def test_shard_job_rejects_sessions_and_k1(self, daemon):
+    def test_shard_kind_is_rejected(self, daemon):
+        """The daemon's own fan-out is gone; `shard` is not a job kind."""
         host, port = daemon.address
         client = ServeClient(host, port)
         client.wait_until_up()
-        job_id = client.submit_shard(chip="c1", net_scale=0.3, rounds=1, shards=1)
-        record = client.wait(job_id, timeout=120)
-        assert record["status"] == "failed"
-        assert "shards >= 2" in record["error"]
+        with pytest.raises(ServeError, match="unknown job kind 'shard'"):
+            client.request(
+                "submit", kind="shard", params={"chip": "c1", "shards": 2}
+            )
+        assert client.jobs() == []
 
     def test_sharded_session_route_then_eco(self, daemon):
         """A route job may open a *sharded* session; eco jobs against it

@@ -183,8 +183,8 @@ class TestDegradation:
         assert "backend=region-process" in degradations[0].getMessage()
         executor = degraded_router.engine.region_executor
         assert isinstance(executor, ProcessRegionExecutor)
-        assert not executor.pool_used
-        assert not executor.pool_active
+        assert not executor.pool.used
+        assert not executor.pool.active
         assert_bit_identical(serial_router, serial, degraded_router, degraded)
 
     def test_workers_ignored_without_sharding(self):
@@ -316,8 +316,8 @@ class TestTeardown:
         assert original is not None
         assert coordinator._closed
         assert coordinator.region_executor.closed
-        assert coordinator.region_executor.pool_used  # live when the round failed
-        assert not coordinator.region_executor.pool_active  # ...and released
+        assert coordinator.region_executor.pool.used  # live when the round failed
+        assert not coordinator.region_executor.pool.active  # ...and released
         assert coordinator.executor.closed
 
     def test_close_is_idempotent(self):
