@@ -509,8 +509,8 @@ def scenario_kernel_speedup() -> List[Dict[str, object]]:
     """Vectorized routing-state kernel vs the retained scalar reference.
 
     Routes the large chip's unsharded batch path twice: once as shipped
-    (numpy congestion kernels, batch-level oracle cost context, incremental
-    cost digests) and once with the scalar reference paths from
+    (numpy congestion kernels, batch-level oracle cost context) and once
+    with the scalar reference paths from
     :mod:`repro.grid.reference` patched in.  The two runs must be
     bit-identical on every parity field -- that is the vectorization's
     acceptance bar, asserted here in-scenario.  The speedup compares the

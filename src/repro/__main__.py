@@ -40,25 +40,12 @@ import json
 import sys
 from typing import Optional
 
+from repro.argtypes import positive_float, positive_int
 from repro.engine.engine import EngineConfig
 from repro.instances.chips import CHIP_SUITE, build_chip, chip_table
 from repro.router.metrics import format_result_row
 from repro.router.oracles import ORACLES, make_oracle
 from repro.router.router import GlobalRouter, GlobalRouterConfig
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help="worker processes for the process backend (default: auto)",
     )
@@ -114,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards",
-        type=_positive_int,
+        type=positive_int,
         default=1,
         help=(
             "route the chip as this many rectangular regions: interior nets "
@@ -124,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-workers",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help=(
             "worker processes for the region-parallel shard pass: route the "
@@ -142,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--rounds", type=_positive_int, default=2, help="resource-sharing rounds"
+        "--rounds", type=positive_int, default=2, help="resource-sharing rounds"
     )
     parser.add_argument("--seed", type=int, default=0, help="routing seed")
     parser.add_argument(
         "--net-scale",
-        type=_positive_float,
+        type=positive_float,
         default=1.0,
         help="scale factor on the chip's net count (e.g. 0.3 for a smoke run)",
     )
@@ -169,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--checkpoint-every",
-        type=_positive_int,
+        type=positive_int,
         default=1,
         metavar="N",
         help=(

@@ -128,13 +128,8 @@ class RerouteCache:
         ``"global"`` digests the full cost vector.
     """
 
-    #: Chunk size (edges) of the Merkle-style incremental global digest.
+    #: Chunk size (edges) of the global digest's fixed two-level layout.
     DIGEST_CHUNK = 4096
-
-    #: Class-level switch for the incremental digest fast paths; the
-    #: reference-kernel benchmark harness (:mod:`repro.grid.reference`)
-    #: flips it off to restore the historical full-scan hashing.
-    incremental_digests = True
 
     def __init__(
         self,
@@ -155,17 +150,6 @@ class RerouteCache:
         if scope == "bbox":
             graph.retain_box_edges(self.boxes)
         self._routing_mask = ~graph.edge_is_via
-        # Incremental digest state: a retained copy of the last observed
-        # cost vector, a per-edge "epoch of last change" counter, memoised
-        # per-chunk digests of the global Merkle digest, and per-net cached
-        # region digests (see _observe / _region_digest).
-        self._observed_costs: Optional[np.ndarray] = None
-        self._last_costs: Optional[np.ndarray] = None
-        self._edge_epoch = np.zeros(graph.num_edges, dtype=np.int64)
-        self._epoch = 0
-        self._chunk_digests: Optional[List[bytes]] = None
-        self._global_digest: Optional[bytes] = None
-        self._region_digests: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------- regions
     def region_edges(self, net_index: int) -> np.ndarray:
@@ -194,91 +178,20 @@ class RerouteCache:
         outside = np.unique(tree[~inside])
         return np.insert(region, np.searchsorted(region, outside), outside)
 
-    # --------------------------------------------------- incremental digests
-    def _observe(self, costs: np.ndarray) -> None:
-        """Fold a batch cost vector into the incremental digest state.
-
-        Exactly-equal edges keep their epoch; every changed edge is stamped
-        with a fresh epoch and its Merkle chunk digest is dropped.  The
-        observation is memoised by array identity, so one batch (whose nets
-        all share one vector object) pays a single O(edges) compare.
-        """
-        if costs is self._observed_costs:
-            return
-        contiguous = np.ascontiguousarray(costs, dtype=np.float64)
-        if self._last_costs is None or self._last_costs.shape != contiguous.shape:
-            self._last_costs = contiguous.copy()
-            self._edge_epoch = np.zeros(contiguous.shape, dtype=np.int64)
-            self._epoch = 0
-            self._chunk_digests = None
-            self._global_digest = None
-            self._region_digests.clear()
-        else:
-            changed = np.flatnonzero(self._last_costs != contiguous)
-            if changed.size:
-                self._epoch += 1
-                self._edge_epoch[changed] = self._epoch
-                self._last_costs[changed] = contiguous[changed]
-                if self._chunk_digests is not None:
-                    for chunk in np.unique(changed // self.DIGEST_CHUNK):
-                        self._chunk_digests[int(chunk)] = self._chunk_digest(int(chunk))
-                self._global_digest = None
-        self._observed_costs = costs
-
-    def _chunk_digest(self, chunk: int) -> bytes:
-        start = chunk * self.DIGEST_CHUNK
-        return hashlib.sha1(
-            self._last_costs[start : start + self.DIGEST_CHUNK].tobytes()
-        ).digest()
-
-    def _region_digest(self, net_index: int, tree_edges: Sequence[int]) -> bytes:
-        """Digest of the net's region costs, recomputed only when stale.
-
-        The cached digest is valid while (a) the net's tree -- and with it
-        the region/tree edge union -- is unchanged and (b) no edge of that
-        union changed cost since the digest was taken (per-edge epochs).
-        The digest is a pure function of the current cost vector over the
-        region, never a chain over history, so replay/memo flows that
-        revisit an earlier cost state reproduce the earlier bytes exactly.
-        """
-        tree_key = tuple(tree_edges)
-        entry = self._region_digests.get(net_index)
-        if entry is not None and entry[0] == tree_key:
-            _, epoch, region_all, digest = entry
-            stale = region_all.size and int(self._edge_epoch[region_all].max()) > epoch
-            if not stale:
-                return digest
-        else:
-            region_all = self._region_with_tree(net_index, tree_key)
-        digest = hashlib.sha1(
-            np.ascontiguousarray(self._last_costs[region_all]).tobytes()
-        ).digest()
-        self._region_digests[net_index] = (tree_key, self._epoch, region_all, digest)
-        return digest
-
     # ----------------------------------------------------------- signature
     def global_cost_digest(self, costs: np.ndarray) -> bytes:
         """Digest of the full cost vector (for ``global``-scope signatures).
 
-        Incremental: the vector is split into fixed chunks whose SHA1
-        digests are memoised and recomputed only for chunks containing a
-        changed edge; the returned digest hashes the chunk digests.  A pure
-        function of the vector's contents (chunking is fixed), so equal
-        vectors always produce equal digests regardless of history.
+        SHA-1 over the SHA-1s of the vector's fixed :attr:`DIGEST_CHUNK`-edge
+        chunks -- the layout checkpoints and replay memos already carry.  A
+        pure function of the vector's contents, recomputed per call.
         """
-        if not self.incremental_digests:
-            return hashlib.sha1(
-                np.ascontiguousarray(costs, dtype=np.float64).tobytes()
-            ).digest()
-        self._observe(costs)
-        if self._global_digest is None:
-            if self._chunk_digests is None:
-                num_chunks = -(-self._last_costs.size // self.DIGEST_CHUNK) or 1
-                self._chunk_digests = [
-                    self._chunk_digest(chunk) for chunk in range(num_chunks)
-                ]
-            self._global_digest = hashlib.sha1(b"".join(self._chunk_digests)).digest()
-        return self._global_digest
+        data = np.ascontiguousarray(costs, dtype=np.float64)
+        chunks = [
+            hashlib.sha1(data[start : start + self.DIGEST_CHUNK]).digest()
+            for start in range(0, max(data.size, 1), self.DIGEST_CHUNK)
+        ]
+        return hashlib.sha1(b"".join(chunks)).digest()
 
     def global_cost_floor(self, costs: np.ndarray) -> float:
         """The cheapest routing-edge cost anywhere under ``costs``.
@@ -311,7 +224,6 @@ class RerouteCache:
         whole batch should pass them in.
         """
         if self.scope == "global":
-            region: Optional[np.ndarray] = None
             extras: List[float] = []
             if cost_digest is None:
                 cost_digest = self.global_cost_digest(costs)
@@ -319,24 +231,12 @@ class RerouteCache:
             if cost_floor is None:
                 cost_floor = self.global_cost_floor(costs)
             extras = [cost_floor]
-            if self.incremental_digests:
-                # Incremental path: hash the (cached) digest of the region
-                # cost slice instead of re-slicing and re-hashing per call.
-                self._observe(costs)
-                region = None
-                cost_digest = self._region_digest(net_index, tree_edges)
-            else:
-                region = self._region_with_tree(net_index, tree_edges)
-                cost_digest = None
+            region = self._region_with_tree(net_index, tree_edges)
+            cost_digest = hashlib.sha1(
+                np.ascontiguousarray(costs[region], dtype=np.float64)
+            ).digest()
         return instance_signature(
-            root,
-            sinks,
-            weights,
-            costs,
-            bifurcation,
-            region_edges=region,
-            extras=extras,
-            cost_digest=cost_digest,
+            root, sinks, weights, costs, bifurcation, extras=extras, cost_digest=cost_digest
         )
 
     # -------------------------------------------------------------- lookup

@@ -120,7 +120,7 @@ class RoutingGraph:
     box: :meth:`prism` (sub-graph + edge maps of the shard layer's scopes)
     and :meth:`box_edges` (the edge set of a net's signature region).  Both
     die with the graph and never travel: pickling a graph (region worker
-    specs, shared-memory transport, checkpoints) drops them.
+    specs, checkpoints) drops them.
     """
 
     def __init__(

@@ -124,24 +124,20 @@ def install_reference_kernel() -> Iterator[None]:
 
     Patches, for the duration of the ``with`` block:
 
-    * ``CongestionMap.add_usage`` / ``remove_usage`` back to per-edge loops,
+    * ``CongestionMap.add_usage`` / ``remove_usage`` back to per-edge loops, and
     * ``BatchExecutor.make_context`` to return ``None``, reverting every
       solver/executor consumer to its per-net slow path (per-net
-      ``tolist``, per-net estimator, per-net validation scans), and
-    * ``RerouteCache.incremental_digests`` off, restoring full-vector SHA1
-      digests and per-net region cost hashing.
+      ``tolist``, per-net estimator, per-net validation scans).
 
     Results are bit-identical with and without the patches (that is the
     vectorization's acceptance bar); only the walltime differs.  Used by
     the ``kernel_speedup`` benchmark scenario and the parity battery.
     """
-    from repro.engine.cache import RerouteCache
     from repro.engine.executor import BatchExecutor
 
     saved_add = CongestionMap.add_usage
     saved_remove = CongestionMap.remove_usage
     saved_make_context = BatchExecutor.make_context
-    saved_incremental = RerouteCache.incremental_digests
 
     def _add(self, edge_indices, amount=None):
         scalar_add_usage(self, edge_indices, amount)
@@ -153,10 +149,8 @@ def install_reference_kernel() -> Iterator[None]:
         CongestionMap.add_usage = _add
         CongestionMap.remove_usage = _remove
         BatchExecutor.make_context = lambda self, costs: None
-        RerouteCache.incremental_digests = False
         yield
     finally:
         CongestionMap.add_usage = saved_add
         CongestionMap.remove_usage = saved_remove
         BatchExecutor.make_context = saved_make_context
-        RerouteCache.incremental_digests = saved_incremental

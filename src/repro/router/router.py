@@ -125,6 +125,8 @@ class GlobalRouterConfig:
     shard_start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.num_rounds < 1:
+            raise ValueError("num_rounds must be at least 1")
         if self.shards < 1:
             raise ValueError("shards must be at least 1")
         if self.shard_halo < 0:

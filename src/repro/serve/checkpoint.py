@@ -85,9 +85,13 @@ def router_fingerprint(router: GlobalRouter) -> Dict[str, object]:
     executor backend and worker count are deliberately *excluded*: all
     backends produce identical trees (the engine's determinism contract),
     so a run checkpointed under ``serial`` may resume under ``process``.
+    The shard layout is part of the identity only on the fast path, whose
+    trees depend on it; parity-regime flows reproduce the unsharded router
+    under every layout and keep ``None``, like an unsharded run.
     """
     config = router.config
     sharing = config.resource_sharing
+    fast_path = config.shards > 1 and not config.shard_parity
     return {
         "netlist": router.netlist.name,
         "num_nets": router.netlist.num_nets,
@@ -112,6 +116,7 @@ def router_fingerprint(router: GlobalRouter) -> Dict[str, object]:
             config.engine.bbox_halo,
         ],
         "cache": [config.engine.reroute_cache, config.engine.cache_scope],
+        "shard_layout": [config.shards, config.shard_halo] if fast_path else None,
     }
 
 
@@ -136,12 +141,13 @@ class Checkpoint:
             that wrote the checkpoint.
         """
         actual = router_fingerprint(router)
-        if actual != self.fingerprint:
-            mismatched = sorted(
-                key
-                for key in set(actual) | set(self.fingerprint)
-                if actual.get(key) != self.fingerprint.get(key)
-            )
+        # Key-wise with ``get``: a key a checkpoint predates reads as None.
+        mismatched = sorted(
+            key
+            for key in set(actual) | set(self.fingerprint)
+            if actual.get(key) != self.fingerprint.get(key)
+        )
+        if mismatched:
             raise CheckpointError(
                 f"checkpoint does not match this router (differs on {mismatched})"
             )

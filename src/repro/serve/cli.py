@@ -17,6 +17,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro import obs
+from repro.argtypes import positive_float, positive_int
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import DEFAULT_HOST, DEFAULT_PORT, ServeDaemon
 from repro.serve.jobs import JobState
@@ -36,13 +37,6 @@ SERVE_COMMANDS = (
     "metrics",
     "shutdown",
 )
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def _non_negative_int(text: str) -> int:
@@ -68,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser("serve", help="run the routing daemon in the foreground")
     _add_endpoint_arguments(serve)
     serve.add_argument(
-        "--job-workers", type=int, default=2, help="concurrent routing jobs"
+        "--job-workers", type=positive_int, default=2, help="concurrent routing jobs"
     )
     serve.add_argument(
         "--state-dir", default=None, help="persist job records under this directory"
@@ -99,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint_arguments(submit)
     submit.add_argument("--chip", default="c1", help="chip of the synthetic suite")
     submit.add_argument("--oracle", default="CD", help="Steiner oracle (CD/L1/SL/PD)")
-    submit.add_argument("--rounds", type=int, default=2, help="resource-sharing rounds")
+    submit.add_argument("--rounds", type=positive_int, default=2, help="resource-sharing rounds")
     submit.add_argument("--seed", type=int, default=0, help="routing seed")
-    submit.add_argument("--net-scale", type=float, default=1.0, help="net count scale")
+    submit.add_argument("--net-scale", type=positive_float, default=1.0, help="net count scale")
     submit.add_argument(
         "--backend", default="serial", choices=["serial", "process"], help="engine backend"
     )
-    submit.add_argument("--workers", type=int, default=None, help="process-pool size")
+    submit.add_argument("--workers", type=positive_int, default=None, help="process-pool size")
     submit.add_argument(
         "--scheduling", default="window", choices=["window", "bbox"], help="batch policy"
     )
@@ -115,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--shards",
-        type=_positive_int,
+        type=positive_int,
         default=1,
         help=(
             "route the design as this many regions through the shard "
@@ -132,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--shard-workers",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help=(
             "worker processes for the region-parallel pass of a --shards "
@@ -154,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--checkpoint-every",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help=(
@@ -207,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     eco.add_argument("--ops-file", default=None, help="file with a JSON list of ECO ops")
     eco.add_argument(
         "--shards",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help=(
             "re-point the session's flow at this many regions before "
@@ -216,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eco.add_argument(
         "--shard-workers",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help=(
             "region worker processes for the session's sharded replay "

@@ -29,6 +29,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import faults, obs
+from repro.argtypes import positive_int
 from repro.instances.chips import CHIP_SUITE, build_chip
 from repro.instances.eco_stream import EcoStreamConfig, generate_eco_stream
 from repro.router.metrics import PARITY_FIELDS, RoutingResult
@@ -37,13 +38,6 @@ from repro.router.router import GlobalRouterConfig
 from repro.serve.session import RoutingSession
 
 __all__ = ["build_parser", "run_soak", "main"]
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,12 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.15,
         help="scale factor on the chip's net count",
     )
-    parser.add_argument("--rounds", type=_positive_int, default=2, help="resource-sharing rounds")
+    parser.add_argument("--rounds", type=positive_int, default=2, help="resource-sharing rounds")
     parser.add_argument("--seed", type=int, default=0, help="routing seed")
-    parser.add_argument("--ops", type=_positive_int, default=60, help="total ECO operations")
+    parser.add_argument("--ops", type=positive_int, default=60, help="total ECO operations")
     parser.add_argument(
         "--batch-size",
-        type=_positive_int,
+        type=positive_int,
         default=5,
         help="ECO operations per request",
     )
@@ -84,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards",
-        type=_positive_int,
+        type=positive_int,
         default=2,
         help="regions of the chaos run's decomposition (the clean run reuses it serially)",
     )
     parser.add_argument(
         "--shard-workers",
-        type=_positive_int,
+        type=positive_int,
         default=2,
         help="region worker processes of the chaos run",
     )

@@ -17,8 +17,10 @@ metric, are bit-identical across backends.
   :class:`repro.engine.executor.ProcessExecutor`: each worker is primed once
   with a pickled read-only payload (per-region subgraphs, sub-netlists,
   engine configs, the oracle and bifurcation model), and per round only the
-  small dynamic state travels -- start usage, gathered prices, and the
-  region's trees encoded as plain tuples.  Worker-side engines are
+  small dynamic state travels, pickled in a :class:`RegionTask` -- start
+  usage and gathered prices as arrays, the region's trees as plain tuples
+  (the one transport: it is all that crosses the coordinator/region
+  boundary).  Worker-side engines are
   round-stateless (their re-route caches are disabled, see the coordinator),
   so it does not matter which worker routes which region in which round.
   When no pool can be started -- sandboxes routinely forbid ``fork`` or
@@ -65,7 +67,6 @@ __all__ = [
     "RegionExecutor",
     "SerialRegionExecutor",
     "ProcessRegionExecutor",
-    "SharedRegionStateStore",
     "make_region_executor",
     "encode_tree",
     "decode_tree",
@@ -92,147 +93,6 @@ def decode_tree(graph: RoutingGraph, record: TreeRecord) -> Optional[EmbeddedTre
     return EmbeddedTree(graph, root, tuple(sinks), tuple(edges), method)
 
 
-# --------------------------------------------------------------------------
-# Shared-memory transport of the per-round region state.
-#
-# The start-usage and gathered-price vectors are the only full-size arrays a
-# RegionTask carries; pickling them into the pool's task queue every round
-# costs two O(edges) serialisations per region per round.  The store below
-# publishes both into one reusable ``multiprocessing.shared_memory`` block
-# per region (row 0 = usage, row 1 = prices); the task then ships only the
-# block's ``(name, length, creator_pid)`` reference and the worker copies
-# the rows out on receipt.  Lifecycle contract:
-#
-# * The parent owns every block: created on first publish, *reused* (over-
-#   written in place) every following round, and closed+unlinked in
-#   ``close()``.  Reuse is safe because ``route_round`` collects all
-#   outcomes before returning -- no worker can still be reading a block
-#   when the next round's publish overwrites it.
-# * Workers attach, copy both rows, and detach inside one call; they never
-#   hold a mapping across tasks.  (On Python < 3.13 the attach side also
-#   re-registers the segment with its ``resource_tracker``, which would
-#   unlink the parent's block when the worker exits -- the attach helper
-#   therefore unregisters it explicitly.)
-# * Any failure to create or attach a block degrades to the pickle
-#   transport: ``publish`` returns ``None`` and the task ships its arrays
-#   inline, exactly as before.  Degradation costs speed, never correctness.
-# --------------------------------------------------------------------------
-
-#: ``(block_name, vector_length, creator_pid)`` -- the wire reference of one
-#: region's shared state block.  The pid lets attachers distinguish foreign
-#: blocks (drop the buggy < 3.13 tracker registration) from their own.
-StateRef = Tuple[str, int, int]
-
-
-def _untrack_shared_memory(shm) -> None:
-    """Drop an *attached* block from this process's resource tracker.
-
-    Creation registers a segment with the creator's tracker (correct: the
-    creator owns cleanup).  On Python < 3.13 attaching registers it *again*
-    with the attacher's tracker, which then unlinks the segment when the
-    attaching process exits -- yanking it out from under the owner.  The
-    explicit unregister restores single-ownership semantics; best-effort
-    because the tracker API is private and platform-dependent.
-    """
-    try:  # pragma: no cover - depends on Python version / platform
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(getattr(shm, "_name", shm.name), "shared_memory")
-    except Exception:
-        pass
-
-
-def _load_shared_state(state_ref: StateRef) -> Tuple[np.ndarray, np.ndarray]:
-    """Copy ``(usage, prices)`` out of a published shared state block."""
-    from multiprocessing import shared_memory
-
-    name, length, creator_pid = state_ref
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        rows = np.ndarray((2, length), dtype=np.float64, buffer=shm.buf)
-        usage = rows[0].copy()
-        prices = rows[1].copy()
-    finally:
-        shm.close()
-        # Only foreign attachers must drop the tracker registration; in the
-        # creator's own process (degraded inline rounds, tests) the single
-        # registration stays until ``close()`` unlinks the block.
-        if creator_pid != os.getpid():
-            _untrack_shared_memory(shm)
-    return usage, prices
-
-
-class SharedRegionStateStore:
-    """Parent-side registry of one reusable shared-memory block per region."""
-
-    def __init__(self) -> None:
-        self._blocks: Dict[str, Tuple[object, int]] = {}
-        #: Flips to ``False`` on the first creation failure; later publishes
-        #: return ``None`` immediately (pickle fallback) without re-probing.
-        self.available = True
-
-    def publish(
-        self, key: str, usage: np.ndarray, edge_prices: np.ndarray
-    ) -> Optional[StateRef]:
-        """Write the region's state rows into its block; ``None`` on failure."""
-        if not self.available:
-            return None
-        length = int(usage.shape[0])
-        if edge_prices.shape[0] != length:
-            return None
-        entry = self._blocks.get(key)
-        if entry is not None and entry[1] != length:
-            self._release(key)
-            entry = None
-        if entry is None:
-            try:
-                from multiprocessing import shared_memory
-
-                shm = shared_memory.SharedMemory(create=True, size=2 * length * 8)
-            except Exception as exc:  # OSError, PermissionError, ImportError...
-                self.available = False
-                obs.get_logger("shard").warning(
-                    "shared-memory region-state transport unavailable (%s); "
-                    "falling back to pickled task arrays",
-                    exc,
-                )
-                obs.inc("shard.shm_unavailable")
-                return None
-            entry = (shm, length)
-            self._blocks[key] = entry
-        shm = entry[0]
-        rows = np.ndarray((2, length), dtype=np.float64, buffer=shm.buf)
-        rows[0] = usage
-        rows[1] = edge_prices
-        return (shm.name, length, os.getpid())
-
-    def _release(self, key: str) -> None:
-        shm, _ = self._blocks.pop(key)
-        try:
-            shm.close()
-            # Under a fork start method the pool workers share this process's
-            # resource tracker, so a worker's attach-side unregister (see
-            # ``_untrack_shared_memory``) already removed the name from it and
-            # ``unlink``'s own unregister would log a KeyError in the tracker
-            # daemon.  Re-registering first is safe in every regime: the
-            # tracker's cache is a set, so when the registration is still in
-            # place (spawn workers, no worker ever attached) this is a no-op.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(getattr(shm, "_name", shm.name), "shared_memory")
-            except Exception:
-                pass
-            shm.unlink()
-        except Exception:  # pragma: no cover - teardown best-effort
-            pass
-
-    def close(self) -> None:
-        """Close and unlink every block (idempotent)."""
-        for key in list(self._blocks):
-            self._release(key)
-
-
 @dataclass(frozen=True)
 class RegionTask:
     """The dynamic inputs of one region's round (cheap to pickle).
@@ -248,34 +108,16 @@ class RegionTask:
     nets without a usable memo), aligned like ``trees``; ``capture_log``
     asks the worker to record this round's lookup signatures into the
     outcome.  Both default to the memo-free ordinary round.
-
-    On the pool path the two state arrays normally travel out-of-band:
-    ``state_ref`` names a :class:`SharedRegionStateStore` block holding
-    ``(usage, edge_prices)`` and both array fields are ``None``.  Exactly
-    one representation is populated; :meth:`state` resolves either.
     """
 
     key: str
     round_index: int
-    usage: Optional[np.ndarray]
-    edge_prices: Optional[np.ndarray]
+    usage: np.ndarray
+    edge_prices: np.ndarray
     weights: Tuple[Tuple[float, ...], ...]
     trees: Tuple[TreeRecord, ...]
     replay: Optional[Tuple[Optional[Tuple[bytes, TreeRecord]], ...]] = None
     capture_log: bool = False
-    state_ref: Optional[StateRef] = None
-
-    def state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(start_usage, edge_prices)`` pair, from whichever
-        transport carried it (shared memory or inline pickled arrays)."""
-        if self.state_ref is not None:
-            return _load_shared_state(self.state_ref)
-        if self.usage is None or self.edge_prices is None:
-            raise ValueError(f"region task {self.key!r} carries no state")
-        return (
-            np.asarray(self.usage, dtype=np.float64),
-            np.asarray(self.edge_prices, dtype=np.float64),
-        )
 
 
 @dataclass(frozen=True)
@@ -354,12 +196,11 @@ class _RegionRunner:
         )
 
     def route(self, task: RegionTask) -> RegionOutcome:
-        start, edge_prices = task.state()
-        self.congestion.usage = start.copy()
+        self.congestion.usage = task.usage.copy()
         engine_nets: Sequence[int] = (
             self.interior if self.interior is not None else range(len(task.trees))
         )
-        self.prices.load(edge_prices, engine_nets, task.weights)
+        self.prices.load(task.edge_prices, engine_nets, task.weights)
         replay_memo = self._replay_memo(task, engine_nets)
         log_memo = RoundMemo() if task.capture_log else None
         if replay_memo is not None or log_memo is not None:
@@ -395,7 +236,7 @@ class _RegionRunner:
         return RegionOutcome(
             key=task.key,
             trees=tuple(encode_tree(tree) for tree in routed),
-            delta=self.congestion.usage - start,
+            delta=self.congestion.usage - task.usage,
             report=(last.num_batches, last.nets_routed, last.nets_cached,
                     last.nets_replayed, last.walltime_seconds),
             log_signatures=log_signatures,
@@ -601,15 +442,9 @@ class ProcessRegionExecutor(RegionExecutor):
         #: were primed with.
         self._worker_payload: Optional[Dict[str, object]] = None
         self._recovery_runners: Dict[str, _RegionRunner] = {}
-        #: Shared-memory transport for the per-round region state arrays;
-        #: degrades per-process to pickled arrays when unavailable.
-        self._state_store = SharedRegionStateStore()
 
     def close(self) -> None:
         self.pool.close()
-        # Blocks are unlinked only after the pool is gone: no worker can be
-        # mid-attach on a block its parent is unlinking.
-        self._state_store.close()
         super().close()
 
     # ------------------------------------------------------------------ API
@@ -631,11 +466,9 @@ class ProcessRegionExecutor(RegionExecutor):
                 replay_round=replay_round, log_round=log_round,
             )
         tasks = [
-            self._publish_state(
-                region.make_task(
-                    coordinator, round_index, trees, snapshot,
-                    replay_round=replay_round, log_round=log_round,
-                )
+            region.make_task(
+                coordinator, round_index, trees, snapshot,
+                replay_round=replay_round, log_round=log_round,
             )
             for region in coordinator.regions
         ]
@@ -678,20 +511,6 @@ class ProcessRegionExecutor(RegionExecutor):
                 seconds=round(float(outcome.report[4]), 6),
             )
         return deltas, reports
-
-    def _publish_state(self, task: RegionTask) -> RegionTask:
-        """Move the task's state arrays into shared memory when possible.
-
-        On success the returned task carries only the block reference; on
-        failure (no shared memory in this environment) the task is returned
-        unchanged and travels fully pickled, as before.
-        """
-        if task.usage is None or task.edge_prices is None:
-            return task
-        ref = self._state_store.publish(task.key, task.usage, task.edge_prices)
-        if ref is None:
-            return task
-        return replace(task, usage=None, edge_prices=None, state_ref=ref)
 
     def _route_region_inline(self, task: RegionTask) -> RegionOutcome:
         """Route one region's round in the parent process.

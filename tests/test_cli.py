@@ -86,6 +86,25 @@ class TestMain:
             build_parser().parse_args(["--shards", "0"])
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rounds", "0"],
+            ["submit", "--rounds", "0"],
+            ["submit", "--workers", "0"],
+            ["submit", "--net-scale", "0"],
+            ["serve", "--job-workers", "0"],
+            ["soak", "--rounds", "0"],
+        ],
+    )
+    def test_every_parser_validates_counts_the_same_way(self, argv, capsys):
+        """One-shot, serve and soak parsers share one set of argparse types."""
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "must be a positive" in capsys.readouterr().err
+
+
 class TestServeSubcommands:
     @pytest.fixture()
     def daemon(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.bifurcation import BifurcationModel
 from repro.core.cost_distance import CostDistanceSolver
-from repro.core.instance import SteinerInstance
+from repro.core.instance import SteinerInstance, instance_signature
 from repro.engine.cache import RerouteCache
 from repro.engine.engine import EngineConfig
 from repro.engine.executor import (
@@ -508,26 +508,36 @@ class TestRegionDigest:
     """The merge-built region digest is the digest ``np.union1d`` gave."""
 
     @staticmethod
-    def _reference(box, tree, costs):
+    def _reference(cache, box, tree, costs):
+        """The union ``np.union1d`` gives, and the signature of its SHA-1."""
         union = np.union1d(_DIGEST_GRAPH.box_edges(box), np.asarray(tree, dtype=np.int64))
-        return union, hashlib.sha1(np.ascontiguousarray(costs[union]).tobytes()).digest()
+        digest = hashlib.sha1(np.ascontiguousarray(costs[union]).tobytes()).digest()
+        return union, instance_signature(
+            0, [5], [0.2], costs, BifurcationModel(),
+            extras=[cache.global_cost_floor(costs)], cost_digest=digest,
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(_box_and_tree(), _edge)
     def test_matches_union1d_and_tracks_cost_changes(self, box_and_tree, bumped):
         box, tree = box_and_tree
         cache = RerouteCache(_DIGEST_GRAPH, [box], scope="bbox")
-        union, expected = self._reference(box, tree, _DIGEST_COSTS)
-        cache._observe(_DIGEST_COSTS)
-        assert cache._region_digest(0, tree) == expected
+
+        def sign(costs):
+            return cache.signature(0, 0, [5], [0.2], costs, BifurcationModel(), tree_edges=tree)
+
+        union, expected = self._reference(cache, box, tree, _DIGEST_COSTS)
+        assert sign(_DIGEST_COSTS) == expected
         merged = cache._region_with_tree(0, tree)
         assert merged.dtype == union.dtype and np.array_equal(merged, union)
 
+        # Many edges share the minimum cost, so one bump leaves the floor
+        # alone: the signature moves exactly when the bumped edge lies in
+        # the region/tree union.
         changed = _DIGEST_COSTS.copy()
         changed[bumped] += 1.0
-        cache._observe(changed)
-        after = cache._region_digest(0, tree)
-        assert after == self._reference(box, tree, changed)[1]
+        after = sign(changed)
+        assert after == self._reference(cache, box, tree, changed)[1]
         assert (after != expected) == bool(np.isin(bumped, union))
 
     def test_tree_inside_the_box_shares_the_region_array(self):
@@ -558,6 +568,25 @@ class TestRegionDigest:
                 0, root, sinks, [0.25, 1.5], costs, model, tree_edges=edges
             )
             assert signature.hex() == expected
+
+    @pytest.mark.parametrize(
+        "dims, expected",
+        [
+            ((10, 10, 4), "4320d13f929304c7ced3e8c126f6a08b4cb3c419"),  # one chunk
+            ((24, 24, 6), "7da9156436386829e73c1e0b5389fddf0556898e"),  # two chunks
+        ],
+    )
+    def test_golden_global_signature_bytes(self, dims, expected):
+        """Global-scope bytes as the commit before the digests became
+        stateless wrote them (same nets and cost pattern as the bbox goldens)."""
+        graph = build_grid_graph(*dims)
+        cache = RerouteCache(graph, [BoundingBox(2, 2, 5, 5)], scope="global")
+        costs = graph.base_cost_array() * (1.0 + (np.arange(graph.num_edges) % 7) / 8.0)
+        root = graph.node_index(2, 2, 0)
+        sinks = [graph.node_index(5, 5, 0), graph.node_index(3, 4, 1)]
+        model = BifurcationModel(dbif=2.0, eta=0.25)
+        signature = cache.signature(0, root, sinks, [0.25, 1.5], costs, model)
+        assert signature.hex() == expected
 
     def test_region_arrays_are_shared_per_graph_and_pruned_to_live_boxes(self):
         graph = build_grid_graph(8, 8, 3)

@@ -129,6 +129,14 @@ class TestResourceSharing:
         assert prices.total_edge_price() >= before
 
 
+class TestGlobalRouterConfig:
+    @pytest.mark.parametrize("num_rounds", [0, -3])
+    def test_num_rounds_must_be_positive(self, num_rounds):
+        with pytest.raises(ValueError, match="num_rounds must be at least 1"):
+            GlobalRouterConfig(num_rounds=num_rounds)
+        assert GlobalRouterConfig(num_rounds=1).num_rounds == 1
+
+
 class TestGlobalRouter:
     @pytest.fixture(scope="class")
     def routed(self):

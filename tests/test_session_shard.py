@@ -49,6 +49,7 @@ from repro.serve.checkpoint import (
     load_checkpoint,
     resume_router,
     save_checkpoint,
+    try_resume_router,
 )
 from repro.serve.session import RoutingSession
 
@@ -433,6 +434,77 @@ class TestShardedSessionCheckpoints:
         for field in PARITY_FIELDS:
             assert getattr(result, field) == getattr(expected, field), field
         assert tree_key(resumed.trees) == tree_key(reference.trees)
+
+    @pytest.mark.parametrize("written,resumed", [(4, 1), (1, 4), (4, 2)])
+    def test_fast_path_checkpoint_rejected_under_another_layout(
+        self, tmp_path, written, resumed
+    ):
+        """Fast-path trees depend on the decomposition, so resuming under
+        another one used to finish at a result matching neither layout's
+        own run.  The layout is part of the fingerprint now: the resume is
+        refused, and ``try_resume_router`` restarts from round 0."""
+        graph, netlist = random_design(101)
+        path = str(tmp_path / "layout.ckpt")
+
+        def hook(router, round_index):
+            if round_index == 0:
+                save_checkpoint(router, path)
+
+        GlobalRouter(
+            graph, netlist, CostDistanceSolver(),
+            GlobalRouterConfig(num_rounds=2, shards=written),
+        ).run(on_round_end=hook)
+
+        def fresh(**overrides):
+            return GlobalRouter(
+                graph, netlist, CostDistanceSolver(),
+                GlobalRouterConfig(num_rounds=2, shards=resumed, **overrides),
+            )
+
+        with pytest.raises(CheckpointError, match=r"differs on \['shard_layout'\]"):
+            resume_router(fresh(), path)
+        if resumed > 1:
+            with pytest.raises(CheckpointError, match="shard_layout"):
+                resume_router(fresh(shard_halo=1), path)
+        expected = fresh().run()
+        restarted = fresh()
+        assert not try_resume_router(restarted, path)
+        assert restarted.rounds_completed == 0
+        result = restarted.run()
+        for field in PARITY_FIELDS:
+            assert getattr(result, field) == getattr(expected, field), field
+
+    def test_checkpoint_without_shard_layout_key_loads_when_unsharded(self, tmp_path):
+        """A checkpoint older than the ``shard_layout`` key reads as
+        ``None``: unsharded and parity-regime routers still accept it, a
+        fast-path router does not."""
+        graph, netlist = random_design(101)
+        path = tmp_path / "old.ckpt"
+        writer = GlobalRouter(
+            graph, netlist, CostDistanceSolver(), GlobalRouterConfig(num_rounds=2)
+        )
+
+        def hook(router, round_index):
+            if round_index == 0:
+                save_checkpoint(router, str(path))
+
+        writer.run(on_round_end=hook)
+        document = json.loads(path.read_text())
+        assert document["fingerprint"].pop("shard_layout") is None
+        path.write_text(json.dumps(document))
+        for config in (
+            GlobalRouterConfig(num_rounds=2),
+            GlobalRouterConfig(num_rounds=2, shards=2, shard_parity=True),
+        ):
+            router = GlobalRouter(graph, netlist, CostDistanceSolver(), config)
+            assert resume_router(router, str(path))
+            assert router.rounds_completed == 1
+        fast = GlobalRouter(
+            graph, netlist, CostDistanceSolver(),
+            GlobalRouterConfig(num_rounds=2, shards=2),
+        )
+        with pytest.raises(CheckpointError, match="shard_layout"):
+            resume_router(fast, str(path))
 
     def test_version1_checkpoint_rejected_with_clear_error(self, tmp_path):
         """Old-version checkpoints lack the region memo sections; they must

@@ -360,7 +360,8 @@ class TestScaffoldingMemo:
 
 
 class TestOneShardingPathOnePoolLifecycle:
-    """The daemon's shard fan-out and the per-executor pool lifecycles were
+    """The daemon's shard fan-out, the per-executor pool lifecycles, the
+    shared-memory region transport and the incremental digest memos were
     *deleted*, not renamed: their names must not survive anywhere in src/,
     and exactly one class starts ``multiprocessing`` pools."""
 
@@ -380,6 +381,16 @@ class TestOneShardingPathOnePoolLifecycle:
         "_ensure_pool",
         "_discard_pool",
         "_pool_unavailable",
+        # One region-state transport, one digest path (PR 14).
+        "shared_memory",
+        "resource_tracker",
+        "SharedRegionStateStore",
+        "state_ref",
+        "incremental_digests",
+        "_edge_epoch",
+        "_chunk_digests",
+        "_region_digests",
+        "_observe",
     )
 
     @staticmethod

@@ -1,17 +1,22 @@
 """Parity battery and transport tests for the vectorized routing-state kernel.
 
 The vectorized fast paths (numpy congestion kernels, the batch-level
-:class:`~repro.core.costctx.OracleCostContext`, incremental cost digests,
-shared-memory region-state transport) all promise **bit-exact** results --
-any speedup that changes a single bit is a bug.  These tests drive the
+:class:`~repro.core.costctx.OracleCostContext`) promise **bit-exact** results --
+any speedup that changes a single bit is a bug; cost digests are pure
+functions of the vector they hash, and a region's round state travels as
+two plain arrays.  These tests drive the
 vectorized kernel head-to-head against the retained scalar reference in
 :mod:`repro.grid.reference` with exact float equality, plus regression
 tests for the bugfixes that rode along (atomic ``remove_usage``, ``ace``
 percent validation before the empty-input return, copy-free ndarray input).
 """
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bifurcation import BifurcationModel
 from repro.core.cost_distance import CostDistanceSolver
@@ -26,11 +31,7 @@ from repro.grid.geometry import GridPoint
 from repro.grid.graph import build_grid_graph
 from repro.router.netlist import Net, Netlist, Pin, Stage
 from repro.router.router import GlobalRouter, GlobalRouterConfig
-from repro.shard.executor import (
-    RegionTask,
-    SharedRegionStateStore,
-    _load_shared_state,
-)
+from repro.shard.executor import RegionTask
 
 
 # ---------------------------------------------------------------- parity
@@ -186,7 +187,12 @@ class TestOracleCostContext:
         assert ctx.cost_list() is ctx.cost_list()
 
 
-# ------------------------------------------------- incremental digests
+# ------------------------------------------------------------ digests
+_PURITY_GRAPH = build_grid_graph(24, 24, 6)  # 7296 edges: two digest chunks
+_PURITY_BOXES = [BoundingBox(0, 0, 4, 4), BoundingBox(2, 2, 9, 9), BoundingBox(10, 3, 20, 8)]
+_edge = st.integers(0, _PURITY_GRAPH.num_edges - 1)
+
+
 class TestIncrementalDigests:
     def test_global_digest_is_pure_function_of_vector(self, small_graph):
         v0 = small_graph.base_cost_array().copy()
@@ -226,17 +232,33 @@ class TestIncrementalDigests:
         near[region[0]] *= 3.0
         assert sig(near) != base  # change inside the region: signature moves
 
-    def test_incremental_signatures_history_independent(self, small_graph):
-        box = BoundingBox(2, 2, 7, 7)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["bbox", "global"]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),  # which net signs
+                st.lists(st.tuples(_edge, st.sampled_from([0.5, 2.0, 3.0])), max_size=6),
+                st.lists(_edge, max_size=5),  # the tree the net carries
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_incremental_signatures_history_independent(self, scope, steps):
+        """Whatever vectors, nets and trees a cache signed before, its
+        signature equals a fresh cache's on the same inputs: a digest is a
+        pure function of the current vector."""
         bif = BifurcationModel()
-        v0 = small_graph.base_cost_array().copy()
-        v1 = v0 * 2.0
-        warmed = RerouteCache(small_graph, [box])
-        warmed.signature(0, 0, [5], [0.2], v0, bif)
-        fresh = RerouteCache(small_graph, [box])
-        assert warmed.signature(0, 0, [5], [0.2], v1, bif) == fresh.signature(
-            0, 0, [5], [0.2], v1, bif
-        )
+        used = RerouteCache(_PURITY_GRAPH, _PURITY_BOXES, scope=scope)
+        costs = _PURITY_GRAPH.base_cost_array().copy()
+        for net, bumps, tree in steps:
+            costs = costs.copy()
+            for edge, factor in bumps:
+                costs[edge] *= factor
+            last = used.signature(net, 0, [5], [0.2], costs, bif, tree_edges=tree)
+        fresh = RerouteCache(_PURITY_GRAPH, _PURITY_BOXES, scope=scope)
+        assert last == fresh.signature(net, 0, [5], [0.2], costs, bif, tree_edges=tree)
 
 
 # ------------------------------------------------- end-to-end parity
@@ -295,86 +317,23 @@ class TestReferenceKernelParity:
         make_context = BatchExecutor.make_context
         with reference.install_reference_kernel():
             assert CongestionMap.add_usage is not add
-            assert RerouteCache.incremental_digests is False
         assert CongestionMap.add_usage is add
         assert CongestionMap.remove_usage is remove
         assert BatchExecutor.make_context is make_context
-        assert RerouteCache.incremental_digests is True
 
 
-# ---------------------------------------------- shared-memory transport
-class TestSharedMemoryTransport:
-    def test_publish_roundtrip_and_reuse(self):
-        store = SharedRegionStateStore()
-        usage = np.arange(16, dtype=np.float64)
-        prices = np.ones(16, dtype=np.float64) * 2.5
-        ref = store.publish("r0", usage, prices)
-        if ref is None:
-            pytest.skip("shared memory unavailable in this sandbox")
-        try:
-            got_usage, got_prices = _load_shared_state(ref)
-            assert np.array_equal(got_usage, usage)
-            assert np.array_equal(got_prices, prices)
-            # Second publish reuses the same block and overwrites in place.
-            ref2 = store.publish("r0", usage * 3.0, prices * 0.5)
-            assert ref2 == ref
-            got_usage2, got_prices2 = _load_shared_state(ref2)
-            assert np.array_equal(got_usage2, usage * 3.0)
-            assert np.array_equal(got_prices2, prices * 0.5)
-        finally:
-            store.close()
-        # After close() the block is unlinked: attaching must fail.
-        with pytest.raises(Exception):
-            _load_shared_state(ref)
-
-    def test_region_task_resolves_either_transport(self):
-        store = SharedRegionStateStore()
+# ------------------------------------------------- region-state transport
+class TestRegionTaskTransport:
+    def test_pickle_roundtrip_carries_both_arrays(self):
         usage = np.linspace(0.0, 1.0, 8)
         prices = np.linspace(1.0, 2.0, 8)
-        ref = store.publish("r1", usage, prices)
-        if ref is None:
-            pytest.skip("shared memory unavailable in this sandbox")
-        try:
-            shm_task = RegionTask(
-                key="r1", round_index=0, usage=None, edge_prices=None,
-                weights=(), trees=(), state_ref=ref,
-            )
-            inline_task = RegionTask(
-                key="r1", round_index=0, usage=usage, edge_prices=prices,
-                weights=(), trees=(),
-            )
-            for task in (shm_task, inline_task):
-                got_usage, got_prices = task.state()
-                assert np.array_equal(got_usage, usage)
-                assert np.array_equal(got_prices, prices)
-        finally:
-            store.close()
-
-    def test_region_task_without_state_raises(self):
         task = RegionTask(
-            key="r2", round_index=0, usage=None, edge_prices=None,
-            weights=(), trees=(),
+            key="r1", round_index=2, usage=usage, edge_prices=prices,
+            weights=((0.5,),), trees=(None,),
         )
-        with pytest.raises(ValueError):
-            task.state()
-
-    def test_fallback_when_shared_memory_unavailable(self, monkeypatch):
-        import multiprocessing.shared_memory as shm_mod
-
-        def _broken(*args, **kwargs):
-            raise OSError("no shm in this sandbox")
-
-        monkeypatch.setattr(shm_mod, "SharedMemory", _broken)
-        store = SharedRegionStateStore()
-        usage = np.zeros(4)
-        prices = np.zeros(4)
-        assert store.publish("r3", usage, prices) is None
-        assert store.available is False
-        # Later publishes short-circuit without re-probing.
-        assert store.publish("r4", usage, prices) is None
-        store.close()
-
-    def test_length_mismatch_falls_back_to_pickle(self):
-        store = SharedRegionStateStore()
-        assert store.publish("r5", np.zeros(4), np.zeros(5)) is None
-        store.close()
+        got = pickle.loads(pickle.dumps(task))
+        assert np.array_equal(got.usage, usage) and got.usage.dtype == np.float64
+        assert np.array_equal(got.edge_prices, prices)
+        assert (got.key, got.round_index, got.weights, got.trees) == (
+            "r1", 2, ((0.5,),), (None,)
+        )
