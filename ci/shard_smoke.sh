@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Shard smoke: one sharding path.  `route --shards 4` in-process and the
 # same design via `submit --shards 4 --shard-workers 2` on the daemon must
-# agree on every parity field.  Usage: ci/shard_smoke.sh PORT  (under
+# agree on every parity field; so must `route --shards 4 --shard-parity`
+# (every region a scope over the full-die prism) on the serial loop and on
+# a live 2-worker region pool.  Usage: ci/shard_smoke.sh PORT  (under
 # ci/with_daemon.sh)
 set -euo pipefail
 PORT="$1"
@@ -11,6 +13,10 @@ python -m repro route --chip c1 --net-scale 0.4 --rounds 2 --shards 4 --json \
 python -m repro submit --port "$PORT" --chip c1 --net-scale 0.4 --rounds 2 \
   --shards 4 --shard-workers 2 --wait --timeout 600 > shard_job.json
 python -m repro health --port "$PORT" > shard_health.json
+python -m repro route --chip c1 --net-scale 0.4 --rounds 2 --shards 4 \
+  --shard-parity --json > shard_parity_serial.json
+python -m repro route --chip c1 --net-scale 0.4 --rounds 2 --shards 4 \
+  --shard-parity --shard-workers 2 --json > shard_parity_pool.json
 python - <<'EOF'
 import json
 from repro.router.metrics import PARITY_FIELDS, RoutingResult
@@ -29,4 +35,10 @@ assert payload["region_backend"] == "process", payload
 health = json.load(open("shard_health.json"))
 assert not health["pool_degradations"], health
 print("daemon shard job == route --shards 4:", served)
+
+serial = RoutingResult.from_dict(json.load(open("shard_parity_serial.json")))
+pooled = RoutingResult.from_dict(json.load(open("shard_parity_pool.json")))
+for field in PARITY_FIELDS:
+    assert getattr(pooled, field) == getattr(serial, field), field
+print("route --shard-parity: region pool == serial loop:", pooled)
 EOF

@@ -71,14 +71,6 @@ class RoundMemo:
     signatures: Dict[int, bytes] = field(default_factory=dict)
     trees: Dict[int, "EmbeddedTree"] = field(default_factory=dict)
 
-    def restrict_to(self, keep: Sequence[int]) -> "RoundMemo":
-        """A copy containing only the nets in ``keep`` (indices unchanged)."""
-        wanted = set(keep)
-        return RoundMemo(
-            signatures={i: s for i, s in self.signatures.items() if i in wanted},
-            trees={i: t for i, t in self.trees.items() if i in wanted},
-        )
-
     def remapped(self, index_map: Dict[int, int]) -> "RoundMemo":
         """A copy with net indices translated through ``index_map``.
 

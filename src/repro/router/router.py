@@ -71,9 +71,9 @@ class GlobalRouterConfig:
         instance-level comparison of Tables I/II.
     seed:
         Seed for the oracle's randomised choices.  Every net gets a private
-        RNG stream derived from ``(seed, net_index)`` (see
+        RNG stream derived from ``(seed, net name)`` (see
         :mod:`repro.engine.rng`), so trees are independent of routing order
-        and identical across engine backends.
+        and of net indices, and identical across engine backends.
     engine:
         Configuration of the batch-routing engine: executor backend
         (``serial`` / ``process``), scheduling policy, and re-route cache.
@@ -87,11 +87,11 @@ class GlobalRouterConfig:
         :class:`repro.serve.session.RoutingSession` works at any ``K``.
     shard_parity:
         Verification mode of the shard layer: interior nets are routed on
-        the full graph and all nets of a round see the round-start
-        congestion snapshot, which reproduces the unsharded router (at
-        ``cost_refresh_interval >= num_nets``) bit for bit.  The default
-        (``False``) routes interior nets on extracted region subgraphs --
-        the fast path.
+        the full-die prism (the full graph, identically numbered) and all
+        nets of a round see the round-start congestion snapshot, which
+        reproduces the unsharded router (at ``cost_refresh_interval >=
+        num_nets``) bit for bit.  The default (``False``) routes interior
+        nets on extracted region subgraphs -- the fast path.
     shard_halo:
         Tiles added around each net's pin bounding box before deciding
         whether it is interior to a region; larger halos classify more nets

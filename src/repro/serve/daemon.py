@@ -49,6 +49,10 @@ __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "ServeDaemon"]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
+#: Longest request line a connection may send (newline included).  Legitimate
+#: requests are a few hundred bytes; the cap bounds what one client can make
+#: the daemon buffer.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 def _engine_config_from_params(params: Dict[str, object]) -> EngineConfig:
@@ -131,10 +135,22 @@ class _Handler(socketserver.StreamRequestHandler):
         daemon: "ServeDaemon" = self.server.daemon_ref  # type: ignore[attr-defined]
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             except (OSError, ValueError):
                 return
             if not line:
+                return
+            if len(line) > MAX_REQUEST_BYTES:
+                # A client streaming bytes without a newline must not grow
+                # the daemon's memory: name the error and drop this
+                # connection (the rest of the line stays unread).
+                self._send(
+                    {
+                        "ok": False,
+                        "error": "ValueError: request line exceeds "
+                        f"{MAX_REQUEST_BYTES} bytes",
+                    }
+                )
                 return
             line = line.strip()
             if not line:
@@ -149,11 +165,17 @@ class _Handler(socketserver.StreamRequestHandler):
                 response = daemon.handle(request)
             except Exception as exc:  # protocol surface: never kill the socket
                 response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-                self.wfile.flush()
-            except (OSError, ValueError):
+            if not self._send(response):
                 return
+
+    def _send(self, response: Dict[str, object]) -> bool:
+        """Write one response line; ``False`` when the client has gone."""
+        try:
+            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+            self.wfile.flush()
+        except (OSError, ValueError):
+            return False
+        return True
 
 
 class _Server(socketserver.ThreadingTCPServer):

@@ -4,9 +4,7 @@
 :class:`repro.engine.engine.RoutingEngine` (selected by
 ``GlobalRouterConfig.shards > 1``).  Each rip-up-and-re-route round becomes
 
-1. **Interior pass** -- every region routes its interior nets through an
-   independent :class:`~repro.engine.engine.RoutingEngine` against a private
-   :class:`~repro.grid.congestion.CongestionMap` initialised from the
+1. **Interior pass** -- every region routes its interior nets against the
    round-start snapshot of the shared map.  Regions never see each other's
    in-round deltas, which is what makes the decomposition independent (and
    deterministic in region order).  The pass runs through a pluggable
@@ -15,27 +13,47 @@
    ``GlobalRouterConfig.shard_workers > 1`` -- both backends are
    bit-identical because every region is a pure function of the round-start
    state and the deltas are stitched in fixed region order either way.
-2. **Stitching** -- each region's usage delta (``delta_since`` the
-   round-start snapshot) is added back onto the shared map, exactly like a
-   batch of tree deltas.
+2. **Stitching** -- each region's usage delta is scattered back onto the
+   shared map through the region's edge map, exactly like a batch of tree
+   deltas.
 3. **Seam pass** -- nets whose bounding box spans two or more regions are
-   routed by a global engine against the stitched congestion, with the
-   normal windowed cost refreshes.
+   routed against the stitched congestion: on the smallest union of whole
+   regions covering them (seam scopes), or by a global engine with the
+   normal windowed cost refreshes when only the whole die does.
 
-Two interior execution modes:
+**One region round.**  A scope (:class:`_SubgraphScope`) is a prism of the
+die, the nets confined to it, and a static *spec* (extracted subgraph,
+translated sub-netlist, engine config).  A round of a scope is always
 
-* **fast** (default) -- interior nets are routed on *extracted region
-  subgraphs*: a region's prism is itself a grid graph, so per-net work that
-  scales with the edge count (instance construction, cost vector
-  materialisation, A* bookkeeping) shrinks by roughly the region count.
-  Routes are confined to their region's prism; quality drift shows up as a
-  seam-overflow delta and is tracked by ``benchmarks/test_shard_scaling.py``.
-* **parity** -- interior nets are routed on the full graph and *all* nets of
-  a round (seam included) see the round-start snapshot.  Because per-net RNG
-  streams are name-keyed and usage quanta are exact binary fractions, this
-  mode reproduces the unsharded router at ``cost_refresh_interval >=
-  num_nets`` bit for bit -- the verification harness for the shard
-  machinery.
+    ``apply_outcome(runner.route(make_task(...)))``
+
+-- ``make_task`` gathers the dynamic state (usage, prices, sink weights,
+trees, replay memo) onto the subgraph, a
+:class:`~repro.shard.executor._RegionRunner` built from the spec routes it,
+``apply_outcome`` installs trees and log signatures on the global graph.
+The scope owns one runner in the parent process (serial loop, seam scopes,
+degraded pool, recovery of a lost pool task); the pool ships the same task
+to a worker runner built from the same spec.  The one distinction is the
+spec's ``stateless`` entry, set for region scopes of a pooled coordinator
+(``shard_workers > 1``): they route cache-free and invalidate the lazily
+built memo cache per task, so a region is never a function of which
+process routed it last.
+
+Because a region's prism is itself a grid graph, per-net work that scales
+with the edge count (instance construction, cost vector materialisation,
+search bookkeeping) shrinks by roughly the region count; routes are
+confined to their scope's prism, and the quality drift shows up as a
+seam-overflow delta tracked by ``benchmarks/test_shard_scaling.py``.
+
+**Parity mode** is the same scope over the full-die prism
+(``extract_prism`` over the whole die returns an identically numbered
+graph), with the three things that *are* the mode: the global seam engine
+routes on a private map restored from the round-start snapshot, so *all*
+nets of a round see that snapshot; there are no seam scopes; and every
+engine's cost window spans its whole round.  Because per-net RNG streams
+are name-keyed and usage quanta are exact binary fractions, this
+reproduces the unsharded router at ``cost_refresh_interval >= num_nets``
+bit for bit -- the verification harness for the shard machinery.
 
 The coordinator is stateless between rounds beyond the shared map and the
 global trees list, so checkpoint/resume through :class:`GlobalRouter` works
@@ -46,11 +64,9 @@ interiors, seam super-region scopes, the global seam engine) localises its
 slice -- signatures are only comparable between identical scopes, and a
 memo tree that no longer fits a scope's prism is dropped rather than
 mis-installed -- and the freshly computed lookup signatures are merged back
-into the round's log in fixed region order.  On the region pool the memos
-travel inside :class:`~repro.shard.executor.RegionTask` /
-:class:`~repro.shard.executor.RegionOutcome`; worker engines build their
-signature caches lazily and invalidate them per task, so memo flows stay
-round-stateless on every backend.  This is what lets
+into the round's log in fixed region order.  The memos travel inside
+:class:`~repro.shard.executor.RegionTask` /
+:class:`~repro.shard.executor.RegionOutcome` on every backend.  This is what lets
 :class:`repro.serve.session.RoutingSession` drive a sharded engine: clean
 regions replay their memos without an oracle call while only the dirty-net
 closure re-routes, bit-identical to a cold sharded re-route of the edited
@@ -73,7 +89,7 @@ from repro.core.tree import EmbeddedTree
 from repro.engine.cache import RoundMemo
 from repro.engine.engine import EngineConfig, RoundReport, RoutingEngine
 from repro.engine.executor import BatchExecutor, make_executor
-from repro.grid.congestion import CongestionMap, CongestionSnapshot
+from repro.grid.congestion import CongestionMap
 from repro.grid.graph import RoutingGraph
 from repro.grid.partition import NetClassification, RegionPartition, partition_grid
 from repro.grid.geometry import BoundingBox, GridPoint, bounding_box
@@ -81,8 +97,8 @@ from repro.shard.executor import (
     RegionExecutor,
     RegionOutcome,
     RegionTask,
-    decode_tree,
-    encode_tree,
+    TreeRecord,
+    _RegionRunner,
     make_region_executor,
 )
 
@@ -92,24 +108,6 @@ if TYPE_CHECKING:  # circular at runtime: repro.router imports the engine API
 from repro.router.netlist import Net, Netlist, Pin
 
 __all__ = ["ShardStats", "ShardCoordinator"]
-
-
-def _prepare_memo_round(engine: RoutingEngine, memo_active: bool, stateless: bool) -> None:
-    """Make a scope engine memo-capable for this round.
-
-    Pooled scopes are configured cache-free (their worker twins must be
-    round-stateless); when a memo round needs the signature machinery
-    in-process -- the degraded serial fallback -- the cache is built lazily
-    and, for stateless (pooled) scopes, invalidated per round: exactly the
-    worker behavior, so degradation stays bit-identical to the live pool.
-    Shared by the fast-path and parity scope twins so the cache contract
-    cannot drift between them.
-    """
-    if not memo_active:
-        return
-    cache = engine.ensure_cache()
-    if stateless:
-        cache.invalidate()
 
 
 @dataclass(frozen=True)
@@ -133,59 +131,40 @@ class ShardStats:
         return sum(self.interior_nets)
 
 
-class _RegionPrices:
-    """Per-region view of the shared resource-sharing prices.
-
-    Exposes the two attributes the engine reads -- ``edge_prices`` (gathered
-    onto the region's subgraph edges) and ``weights_of`` (local net index
-    mapped back to the global netlist) -- and is refreshed at every round
-    start, after the router's inter-round price updates.
-    """
-
-    def __init__(self, prices: "ResourceSharingPrices", edge_to_global: np.ndarray,
-                 interior: Sequence[int]) -> None:
-        self._prices = prices
-        self._edge_to_global = edge_to_global
-        self._interior = list(interior)
-        self.edge_prices = prices.edge_prices[edge_to_global]
-
-    def refresh(self) -> None:
-        self.edge_prices = self._prices.edge_prices[self._edge_to_global]
-
-    def weights_of(self, local_index: int) -> List[float]:
-        return self._prices.weights_of(self._interior[local_index])
-
-
 class _SubgraphScope:
-    """A clipped routing scope of the fast path: an engine over the subgraph
-    extracted for one prism of the die.
+    """A routing scope: one prism of the die, its nets, and the runner that
+    routes them on the prism's extracted subgraph.
 
-    Level 0 scopes are the partition's regions (interior nets); level 1
-    scopes are "super-regions" -- the smallest union of whole regions
-    covering a group of seam-crossing nets -- so even most seam nets route
-    on a fraction of the full graph.  Nets spanning every cut stay with the
-    coordinator's global engine.
+    Region scopes hold a partition region's interior nets (the whole die in
+    parity mode: ``extract_prism`` over the full box returns an identically
+    numbered graph, so a parity region is the same scope over the full-die
+    prism); seam scopes are "super-regions" -- the smallest union of whole
+    regions covering a group of seam-crossing nets -- so even most seam
+    nets route on a fraction of the full graph.  Nets spanning every cut
+    stay with the coordinator's global engine.
+
+    A round is ``apply_outcome(runner.route(make_task(...)))`` wherever it
+    runs: the pool ships the same task to a worker runner built from the
+    same :meth:`worker_spec`.
     """
 
     def __init__(
         self,
         coordinator: "ShardCoordinator",
-        box,
+        box: BoundingBox,
         nets: List[int],
         label: str,
-        pooled: bool = False,
+        stateless: bool = False,
     ) -> None:
-        """``pooled`` marks level-0 region scopes whose rounds may execute
-        on the region pool; their local engines are then built cache-free
-        (worker twins must be round-stateless).  Seam scopes always route
-        in the parent process and keep the configured cache."""
-        self.label = label
+        """``stateless`` marks region scopes whose rounds may execute on the
+        region pool: they route cache-free and keep no signature across
+        rounds, so every runner of the scope -- here or in any worker --
+        is a pure function of the task.  Seam scopes always route in the
+        parent process and keep the configured cache."""
+        #: The scope's identity in tasks, outcomes, spans and checkpoints.
+        self.key = label
         self.box = box
         self.interior = nets
-        #: Pooled scopes keep their caches round-stateless (see
-        #: :meth:`route_round`): the degraded serial fallback must behave
-        #: exactly like the worker twins, which invalidate per task.
-        self.pooled = pooled
         self.xlo, self.ylo = box.xlo, box.ylo
         # Sub-graph and edge maps depend on the graph and the box alone, so
         # they come from the graph's memo: the coordinator of the next flow
@@ -204,38 +183,36 @@ class _SubgraphScope:
             stages=[],
             clock_period=coordinator.netlist.clock_period,
         )
-        self.prices = _RegionPrices(coordinator.prices, self.edge_to_global, nets)
-        self.congestion = CongestionMap(
-            self.sub_graph,
-            overflow_penalty=coordinator.congestion.overflow_penalty,
-            threshold=coordinator.congestion.threshold,
-        )
-        # Region subproblems are small and already run inside one round-start
-        # snapshot; process pools per region would cost more in priming than
-        # they return, so sub-engines always execute serially (the seam pass
-        # still uses the configured backend through the shared executor).
-        # Under region-parallel execution the region scopes are additionally
-        # cache-free: a re-route cache would carry state across rounds
-        # inside whichever worker process routed the region last, making
-        # the region a function of pool scheduling history.
-        sub_config = replace(
-            coordinator.config,
-            backend="serial",
-            num_workers=None,
-            scheduling="window",
-            reroute_cache=coordinator.config.reroute_cache and not pooled,
-        )
-        self.engine = RoutingEngine(
-            graph=self.sub_graph,
-            netlist=self.sub_netlist,
-            oracle=coordinator.oracle,
-            bifurcation=coordinator.bifurcation,
-            congestion=self.congestion,
-            prices=self.prices,
-            seed=coordinator.seed,
-            cost_refresh_interval=max(1, len(nets)),
-            config=sub_config,
-        )
+        # Scope subproblems are small and already run inside one round-start
+        # snapshot; a process pool per scope would cost more in priming than
+        # it returns, so scope engines always execute serially (the global
+        # seam pass still uses the configured backend).  A re-route cache on
+        # a pooled scope would carry state across rounds inside whichever
+        # worker routed it last, making the region a function of pool
+        # scheduling history.
+        self._spec: Dict[str, object] = {
+            "graph": self.sub_graph,
+            "netlist": self.sub_netlist,
+            "cost_refresh_interval": max(1, len(nets)),
+            "config": replace(
+                coordinator.config,
+                backend="serial",
+                num_workers=None,
+                scheduling="window",
+                reroute_cache=coordinator.config.reroute_cache and not stateless,
+            ),
+            "stateless": stateless,
+        }
+        self.runner = _RegionRunner(self._spec, coordinator.runner_shared)
+
+    @property
+    def engine(self) -> RoutingEngine:
+        return self.runner.engine
+
+    def worker_spec(self) -> Dict[str, object]:
+        """The static, picklable half of this scope: what its runner -- here
+        and in every pool worker -- is built from."""
+        return self._spec
 
     # ----------------------------------------------------------- geometry
     def _translate_net(self, net: Net) -> Net:
@@ -257,95 +234,73 @@ class _SubgraphScope:
             x - self.xlo
         )
 
-    def tree_to_global(self, graph: RoutingGraph, tree: EmbeddedTree) -> EmbeddedTree:
-        mapping = self._edge_to_global_list
-        return EmbeddedTree(
-            graph,
-            self._node_to_global(graph, tree.root),
-            tuple(self._node_to_global(graph, s) for s in tree.sinks),
-            tuple(mapping[e] for e in tree.edges),
-            tree.method,
-        )
-
-    def try_tree_to_local(
-        self, graph: RoutingGraph, tree: EmbeddedTree
-    ) -> Optional[EmbeddedTree]:
-        """``tree`` translated onto this scope's subgraph, or ``None`` when
+    def _record_to_local(self, graph: RoutingGraph, tree: EmbeddedTree) -> TreeRecord:
+        """``tree`` as a record on this scope's subgraph, or ``None`` when
         it uses edges outside the prism (e.g. a replay memo recorded while
         the net belonged to a different scope)."""
         mapping = self._edge_to_local_list
         edges = tuple(mapping[int(e)] for e in tree.edges)
         if any(e < 0 for e in edges):
             return None
-        return EmbeddedTree(
-            self.sub_graph,
+        return (
             self._node_to_local(graph, tree.root),
             tuple(self._node_to_local(graph, s) for s in tree.sinks),
             edges,
             tree.method,
         )
 
-    def tree_to_local(self, graph: RoutingGraph, tree: EmbeddedTree) -> EmbeddedTree:
-        local = self.try_tree_to_local(graph, tree)
-        if local is None:
+    def _current_record(
+        self, graph: RoutingGraph, tree: Optional[EmbeddedTree]
+    ) -> TreeRecord:
+        """The record of a tree a net of this scope carries into a round."""
+        if tree is None:
+            return None
+        record = self._record_to_local(graph, tree)
+        if record is None:
             # Only reachable with trees from outside this scope's flow, e.g.
             # a checkpoint taken under a different shard configuration whose
-            # routes detour outside this prism; -1 would otherwise be
-            # silently interpreted as the subgraph's last edge.
+            # routes detour outside this prism.
             raise ValueError(
-                f"tree of a net in scope {self.label!r} uses edges outside "
+                f"tree of a net in scope {self.key!r} uses edges outside "
                 "the region prism; resume checkpoints with the shard "
                 "configuration they were written under"
             )
-        return local
+        return record
 
-    # ------------------------------------------------------------- memos
-    def localize_replay(
-        self, coordinator: "ShardCoordinator", replay_round: Optional[RoundMemo]
-    ) -> Optional[RoundMemo]:
-        """The slice of the global replay memo this scope can use, keyed by
-        local net index with trees on the scope's subgraph.
+    def _replay_entry(
+        self, graph: RoutingGraph, replay_round: RoundMemo, global_index: int
+    ) -> Optional[Tuple[bytes, TreeRecord]]:
+        """One net's slice of the global replay memo, localised.
 
         Nets without a memo entry, and nets whose memoised tree strays
         outside this prism (their scope changed across the ECO, so the
-        signature could not have been computed here), are dropped -- they
+        signature could not have been computed here), carry none -- they
         simply re-route, which is always sound.
         """
-        if replay_round is None:
+        signature = replay_round.signatures.get(global_index)
+        tree = replay_round.trees.get(global_index)
+        if signature is None or tree is None:
             return None
-        graph = coordinator.graph
-        memo = RoundMemo()
-        for local_index, global_index in enumerate(self.interior):
-            signature = replay_round.signatures.get(global_index)
-            tree = replay_round.trees.get(global_index)
-            if signature is None or tree is None:
-                continue
-            local_tree = self.try_tree_to_local(graph, tree)
-            if local_tree is None:
-                continue
-            memo.signatures[local_index] = signature
-            memo.trees[local_index] = local_tree
-        return memo
+        record = self._record_to_local(graph, tree)
+        return None if record is None else (signature, record)
 
-    def merge_log(self, log_round: Optional[RoundMemo], local_log: Optional[RoundMemo]) -> None:
-        """Fold a scope-local log into the round's global memo.
-
-        Signatures move from local to global net indices; *only* signatures
-        -- memo trees are recorded globally by the router after the round,
-        so mid-round the global log never holds subgraph-indexed trees
-        (matching the pool path, whose outcomes ship signatures alone).
-        """
-        if log_round is None or local_log is None:
-            return
-        log_round.signatures.update(
-            {
-                self.interior[local_index]: signature
-                for local_index, signature in local_log.signatures.items()
-            }
+    def _tree_to_global(
+        self, graph: RoutingGraph, record: TreeRecord
+    ) -> Optional[EmbeddedTree]:
+        if record is None:
+            return None
+        root, sinks, edges, method = record
+        mapping = self._edge_to_global_list
+        return EmbeddedTree(
+            graph,
+            self._node_to_global(graph, root),
+            tuple(self._node_to_global(graph, s) for s in sinks),
+            tuple(mapping[e] for e in edges),
+            method,
         )
 
     # -------------------------------------------------------------- round
-    def route_round(
+    def make_task(
         self,
         coordinator: "ShardCoordinator",
         round_index: int,
@@ -353,89 +308,25 @@ class _SubgraphScope:
         usage: np.ndarray,
         replay_round: Optional[RoundMemo] = None,
         log_round: Optional[RoundMemo] = None,
-    ) -> np.ndarray:
-        """Route the scope's nets against the given global usage state;
-        returns the scope-local usage delta (global scatter is the
-        coordinator's job)."""
-        graph = coordinator.graph
-        start_usage = usage[self.edge_to_global]
-        self.congestion.usage = start_usage.copy()
-        self.prices.refresh()
-        # Local trees are derived from the global list every round (not kept
-        # across rounds), so checkpoint restores stay consistent for free.
-        local_trees: List[Optional[EmbeddedTree]] = [
-            None if trees[g] is None else self.tree_to_local(graph, trees[g])
-            for g in self.interior
-        ]
-        local_replay = self.localize_replay(coordinator, replay_round)
-        local_log = RoundMemo() if log_round is not None else None
-        _prepare_memo_round(
-            self.engine, local_replay is not None or local_log is not None, self.pooled
-        )
-        self.engine.route_round(
-            round_index, local_trees,
-            replay_round=local_replay, log_round=local_log,
-        )
-        self.merge_log(log_round, local_log)
-        for local_index, global_index in enumerate(self.interior):
-            local_tree = local_trees[local_index]
-            trees[global_index] = (
-                None if local_tree is None else self.tree_to_global(graph, local_tree)
-            )
-        return self.congestion.usage - start_usage
-
-    # --------------------------------------------- region-pool integration
-    @property
-    def key(self) -> str:
-        """The scope's identity inside region-executor payloads and tasks."""
-        return self.label
-
-    def worker_spec(self) -> Dict[str, object]:
-        """The static, picklable half of this scope for pool workers.
-        Worker engines are always cache-free (round-stateless), whatever
-        the local engine's config says."""
-        return {
-            "kind": "subgraph",
-            "graph": self.sub_graph,
-            "netlist": self.sub_netlist,
-            "cost_refresh_interval": self.engine.cost_refresh_interval,
-            "config": replace(self.engine.config, reroute_cache=False),
-        }
-
-    def make_task(
-        self,
-        coordinator: "ShardCoordinator",
-        round_index: int,
-        trees: List[Optional[EmbeddedTree]],
-        snapshot: CongestionSnapshot,
-        replay_round: Optional[RoundMemo] = None,
-        log_round: Optional[RoundMemo] = None,
     ) -> RegionTask:
-        """The scope's dynamic round inputs, gathered onto its subgraph."""
+        """The scope's dynamic round inputs, gathered onto its subgraph from
+        the global ``usage`` vector, prices, trees and replay memo."""
         graph = coordinator.graph
+        prices = coordinator.prices
         replay = None
         if replay_round is not None:
-            local = self.localize_replay(coordinator, replay_round)
             replay = tuple(
-                (local.signatures[i], encode_tree(local.trees[i]))
-                if i in local.signatures
-                else None
-                for i in range(len(self.interior))
+                self._replay_entry(graph, replay_round, g) for g in self.interior
             )
         return RegionTask(
             key=self.key,
             round_index=round_index,
-            usage=snapshot.usage[self.edge_to_global],
-            edge_prices=coordinator.prices.edge_prices[self.edge_to_global],
-            weights=tuple(
-                tuple(coordinator.prices.weights_of(g)) for g in self.interior
-            ),
-            trees=tuple(
-                None
-                if trees[g] is None
-                else encode_tree(self.tree_to_local(graph, trees[g]))
-                for g in self.interior
-            ),
+            usage=usage[self.edge_to_global],
+            edge_prices=prices.edge_prices[self.edge_to_global],
+            weights=tuple(tuple(prices.weights_of(g)) for g in self.interior),
+            # Local trees are derived from the global list every round (not
+            # kept across rounds), so checkpoint restores stay consistent.
+            trees=tuple(self._current_record(graph, trees[g]) for g in self.interior),
             replay=replay,
             capture_log=log_round is not None,
         )
@@ -446,26 +337,43 @@ class _SubgraphScope:
         trees: List[Optional[EmbeddedTree]],
         outcome: RegionOutcome,
         log_round: Optional[RoundMemo] = None,
-    ) -> np.ndarray:
-        """Install a worker's routed trees; returns the scope-local delta."""
+    ) -> None:
+        """Install a routed round: trees back onto the global graph, lookup
+        signatures into the round's global log.  *Only* signatures -- memo
+        trees are recorded globally by the router after the round.  The
+        scope-local usage delta (``outcome.delta``) is the coordinator's to
+        scatter."""
         graph = coordinator.graph
-        for local_index, global_index in enumerate(self.interior):
-            record = outcome.trees[local_index]
-            trees[global_index] = (
-                None
-                if record is None
-                else self.tree_to_global(graph, decode_tree(self.sub_graph, record))
-            )
+        for global_index, record in zip(self.interior, outcome.trees):
+            trees[global_index] = self._tree_to_global(graph, record)
         if log_round is not None and outcome.log_signatures is not None:
-            for local_index, global_index in enumerate(self.interior):
-                signature = outcome.log_signatures[local_index]
+            for global_index, signature in zip(self.interior, outcome.log_signatures):
                 if signature is not None:
                     log_round.signatures[global_index] = signature
-        return np.asarray(outcome.delta, dtype=np.float64)
+
+    def route_round(
+        self,
+        coordinator: "ShardCoordinator",
+        round_index: int,
+        trees: List[Optional[EmbeddedTree]],
+        usage: np.ndarray,
+        replay_round: Optional[RoundMemo] = None,
+        log_round: Optional[RoundMemo] = None,
+    ) -> RegionOutcome:
+        """Route the scope's nets in this process against the given global
+        usage state."""
+        outcome = self.runner.route(
+            self.make_task(
+                coordinator, round_index, trees, usage,
+                replay_round=replay_round, log_round=log_round,
+            )
+        )
+        self.apply_outcome(coordinator, trees, outcome, log_round=log_round)
+        return outcome
 
     # ------------------------------------------------------- checkpointing
     def cache_signatures_by_name(self) -> Optional[Dict[str, bytes]]:
-        """The local engine's stored re-route signatures keyed by net name
+        """The scope engine's stored re-route signatures keyed by net name
         (``None`` when the scope routes cache-free)."""
         if self.engine.cache is None:
             return None
@@ -475,7 +383,7 @@ class _SubgraphScope:
         }
 
     def load_cache_signatures_by_name(self, by_name: Dict[str, bytes]) -> None:
-        """Restore checkpointed signatures into the local engine's cache
+        """Restore checkpointed signatures into the scope engine's cache
         (no-op for cache-free scopes; unknown names are ignored)."""
         if self.engine.cache is None:
             return
@@ -484,181 +392,6 @@ class _SubgraphScope:
                 local_index: by_name[net.name]
                 for local_index, net in enumerate(self.sub_netlist.nets)
                 if net.name in by_name
-            }
-        )
-
-
-class _ParityRegion:
-    """One region of the parity path: an engine over the full graph."""
-
-    def __init__(self, coordinator: "ShardCoordinator", region_index: int,
-                 interior: List[int]) -> None:
-        self.index = region_index
-        self.label = f"parity{region_index}"
-        self.interior = interior
-        self.pooled = coordinator.parallel_regions
-        self.graph = coordinator.graph
-        self.netlist = coordinator.netlist
-        self.congestion = CongestionMap(
-            coordinator.graph,
-            overflow_penalty=coordinator.congestion.overflow_penalty,
-            threshold=coordinator.congestion.threshold,
-        )
-        # Cache-free under region-parallel execution, like the subgraph
-        # scopes: pool-side region engines must be round-stateless.
-        config = replace(
-            coordinator.config,
-            scheduling="window",
-            reroute_cache=(
-                coordinator.config.reroute_cache and not coordinator.parallel_regions
-            ),
-        )
-        self.engine = RoutingEngine(
-            graph=coordinator.graph,
-            netlist=coordinator.netlist,
-            oracle=coordinator.oracle,
-            bifurcation=coordinator.bifurcation,
-            congestion=self.congestion,
-            prices=coordinator.prices,
-            seed=coordinator.seed,
-            cost_refresh_interval=max(1, len(interior)),
-            config=config,
-            net_indices=interior,
-            executor=coordinator.executor,
-        )
-
-    # ------------------------------------------------------------- memos
-    def localize_replay(
-        self, coordinator: "ShardCoordinator", replay_round: Optional[RoundMemo]
-    ) -> Optional[RoundMemo]:
-        """The replay slice of this region's nets (keys and trees are
-        already global on the parity path)."""
-        if replay_round is None:
-            return None
-        return replay_round.restrict_to(self.interior)
-
-    def merge_log(self, log_round: Optional[RoundMemo], local_log: Optional[RoundMemo]) -> None:
-        """Fold this region's log into the round memo (keys already global;
-        signatures only, like the fast-path twin)."""
-        if log_round is None or local_log is None:
-            return
-        log_round.signatures.update(local_log.signatures)
-
-    def route_round(
-        self,
-        coordinator: "ShardCoordinator",
-        round_index: int,
-        trees: List[Optional[EmbeddedTree]],
-        snapshot: CongestionSnapshot,
-        replay_round: Optional[RoundMemo] = None,
-        log_round: Optional[RoundMemo] = None,
-    ) -> np.ndarray:
-        """Route on the full graph against the round-start snapshot; returns
-        the full-graph usage delta."""
-        self.congestion.restore(snapshot)
-        local_replay = self.localize_replay(coordinator, replay_round)
-        local_log = RoundMemo() if log_round is not None else None
-        _prepare_memo_round(
-            self.engine, local_replay is not None or local_log is not None, self.pooled
-        )
-        self.engine.route_round(
-            round_index, trees, replay_round=local_replay, log_round=local_log
-        )
-        self.merge_log(log_round, local_log)
-        return self.congestion.delta_since(snapshot)
-
-    # --------------------------------------------- region-pool integration
-    @property
-    def key(self) -> str:
-        return self.label
-
-    def worker_spec(self) -> Dict[str, object]:
-        """The static, picklable half of this region for pool workers.
-
-        The engine backend is forced serial inside workers -- a nested
-        process pool per region would oversubscribe the machine; the
-        backends are bit-identical, so only the shape of the parallelism
-        changes, never the trees.
-        """
-        return {
-            "kind": "parity",
-            "graph": self.graph,
-            "netlist": self.netlist,
-            "interior": list(self.interior),
-            "cost_refresh_interval": self.engine.cost_refresh_interval,
-            "config": replace(
-                self.engine.config,
-                backend="serial",
-                num_workers=None,
-                reroute_cache=False,
-            ),
-        }
-
-    def make_task(
-        self,
-        coordinator: "ShardCoordinator",
-        round_index: int,
-        trees: List[Optional[EmbeddedTree]],
-        snapshot: CongestionSnapshot,
-        replay_round: Optional[RoundMemo] = None,
-        log_round: Optional[RoundMemo] = None,
-    ) -> RegionTask:
-        replay = None
-        if replay_round is not None:
-            local = self.localize_replay(coordinator, replay_round)
-            replay = tuple(
-                (local.signatures[g], encode_tree(local.trees[g]))
-                if g in local.signatures and g in local.trees
-                else None
-                for g in self.interior
-            )
-        return RegionTask(
-            key=self.key,
-            round_index=round_index,
-            usage=snapshot.usage,
-            edge_prices=coordinator.prices.edge_prices,
-            weights=tuple(
-                tuple(coordinator.prices.weights_of(g)) for g in self.interior
-            ),
-            trees=tuple(encode_tree(trees[g]) for g in self.interior),
-            replay=replay,
-            capture_log=log_round is not None,
-        )
-
-    def apply_outcome(
-        self,
-        coordinator: "ShardCoordinator",
-        trees: List[Optional[EmbeddedTree]],
-        outcome: RegionOutcome,
-        log_round: Optional[RoundMemo] = None,
-    ) -> np.ndarray:
-        for net_index, record in zip(self.interior, outcome.trees):
-            trees[net_index] = decode_tree(self.graph, record)
-        if log_round is not None and outcome.log_signatures is not None:
-            for net_index, signature in zip(self.interior, outcome.log_signatures):
-                if signature is not None:
-                    log_round.signatures[net_index] = signature
-        return np.asarray(outcome.delta, dtype=np.float64)
-
-    # ------------------------------------------------------- checkpointing
-    def cache_signatures_by_name(self) -> Optional[Dict[str, bytes]]:
-        """Stored re-route signatures keyed by net name (``None`` when this
-        region routes cache-free)."""
-        if self.engine.cache is None:
-            return None
-        return {
-            self.netlist.nets[net_index].name: signature
-            for net_index, signature in self.engine.cache.export_signatures().items()
-        }
-
-    def load_cache_signatures_by_name(self, by_name: Dict[str, bytes]) -> None:
-        if self.engine.cache is None:
-            return
-        self.engine.cache.load_signatures(
-            {
-                net_index: by_name[self.netlist.nets[net_index].name]
-                for net_index in self.interior
-                if self.netlist.nets[net_index].name in by_name
             }
         )
 
@@ -722,9 +455,18 @@ class ShardCoordinator:
         #: router's per-round time-series; empty before the first round.
         self.last_round_timings: Dict[str, object] = {}
         self._closed = False
-        #: Whether the interior pass runs on a process pool; scope engines
-        #: are built cache-free in that case (round-stateless workers).
+        #: Whether the interior pass runs on a process pool; region scopes
+        #: are then built ``stateless`` (see :class:`_SubgraphScope`).
         self.parallel_regions = workers is not None and workers > 1
+        #: What every scope runner of this flow shares; with the per-region
+        #: specs it is the payload priming region-pool workers.
+        self.runner_shared: Dict[str, object] = {
+            "oracle": oracle,
+            "bifurcation": bifurcation,
+            "seed": seed,
+            "overflow_penalty": congestion.overflow_penalty,
+            "threshold": congestion.threshold,
+        }
 
         #: Backend of the interior pass: the in-process serial loop, or a
         #: process pool fanning the K regions out (``workers > 1``).  Owned
@@ -736,8 +478,8 @@ class ShardCoordinator:
             workers, start_method
         )
 
-        #: Executor shared by the full-graph engines (seam pass and parity
-        #: interior passes); owned and closed by the coordinator.
+        #: Executor of the full-graph seam engine (the configured engine
+        #: backend); owned and closed by the coordinator.
         self.executor: BatchExecutor = make_executor(
             self.config.backend,
             graph,
@@ -746,20 +488,21 @@ class ShardCoordinator:
             seed,
             num_workers=self.config.num_workers,
         )
-        self.regions: List[object] = []
+        full_box = BoundingBox(0, 0, graph.nx - 1, graph.ny - 1)
+        self.regions: List[_SubgraphScope] = []
         for region_index, interior in enumerate(self.classification.interior):
             if not interior:
                 continue  # empty regions need no engine (K may exceed the net count)
-            box = self.partition.regions[region_index].box
-            if parity:
-                self.regions.append(_ParityRegion(self, region_index, interior))
-            else:
-                self.regions.append(
-                    _SubgraphScope(
-                        self, box, interior, f"region{region_index}",
-                        pooled=self.parallel_regions,
-                    )
+            # A parity region is the same scope over the full-die prism.
+            self.regions.append(
+                _SubgraphScope(
+                    self,
+                    full_box if parity else self.partition.regions[region_index].box,
+                    interior,
+                    f"parity{region_index}" if parity else f"region{region_index}",
+                    stateless=self.parallel_regions,
                 )
+            )
 
         seam = self.classification.seam
         #: Fast path: seam nets whose covering super-region is smaller than
@@ -770,7 +513,6 @@ class ShardCoordinator:
         self.seam_scopes: List[_SubgraphScope] = []
         global_seam = seam
         if not parity:
-            full_box = BoundingBox(0, 0, graph.nx - 1, graph.ny - 1)
             groups: Dict[BoundingBox, List[int]] = {}
             for net_index in seam:
                 box = BoundingBox(
@@ -792,9 +534,7 @@ class ShardCoordinator:
             global_seam.sort()
         # The graph memoises the prisms of the coordinator that routes on it
         # now; a scope this flow no longer has takes its sub-graph along.
-        graph.retain_prisms(
-            [] if parity else [scope.box for scope in self.regions + self.seam_scopes]
-        )
+        graph.retain_prisms([scope.box for scope in self.regions + self.seam_scopes])
 
         self._global_seam = global_seam
         self._seam_congestion = (
@@ -862,40 +602,31 @@ class ShardCoordinator:
         collected: List[SteinerInstance] = []
         # Interior pass: all regions route against the round-start snapshot,
         # serially or on the region executor's process pool -- either way the
-        # deltas come back aligned with ``self.regions``.
-        deltas, region_reports = self.region_executor.route_round(
+        # outcomes come back aligned with ``self.regions``.
+        outcomes = self.region_executor.route_round(
             self, round_index, trees, snapshot,
             replay_round=replay_round, log_round=log_round,
         )
         interior_elapsed = time.monotonic() - started
         if record:
             for region in self.regions:
-                collected.extend(
-                    self._record_scope(region, round_costs)  # type: ignore[arg-type]
-                )
-        # Stitch: merge every region's usage delta onto the shared map, in
-        # fixed region order so the floating-point sums are identical across
-        # region backends.  The parity path produced full-graph deltas, the
-        # fast path region-local ones scattered through the region's edge
-        # map.
-        for region, delta in zip(self.regions, deltas):
-            if isinstance(region, _SubgraphScope):
-                self.congestion.usage[region.edge_to_global] += delta
-            else:
-                self.congestion.usage += delta
+                collected.extend(self._record_scope(region, round_costs))
+        # Stitch: scatter every region's usage delta onto the shared map
+        # through the region's edge map, in fixed region order so the
+        # floating-point sums are identical across region backends.
+        for region, outcome in zip(self.regions, outcomes):
+            self.congestion.usage[region.edge_to_global] += outcome.delta
         # Seam super-region scopes (fast path only) run against the live,
         # already-stitched map, one scope after the other.
         for scope in self.seam_scopes:
             with obs.span("seam_scope", key=scope.key, round=round_index):
-                delta = scope.route_round(
+                outcome = scope.route_round(
                     self, round_index, trees, self.congestion.usage,
                     replay_round=replay_round, log_round=log_round,
                 )
-                self.congestion.usage[scope.edge_to_global] += delta
+                self.congestion.usage[scope.edge_to_global] += outcome.delta
             if record:
-                collected.extend(
-                    self._record_scope(scope, round_costs)  # type: ignore[arg-type]
-                )
+                collected.extend(self._record_scope(scope, round_costs))
         if self.parity:
             self._seam_congestion.restore(snapshot)
         seam_started = time.monotonic()
@@ -913,10 +644,7 @@ class ShardCoordinator:
         # interior pass's time went per region, the seam pass, and -- for
         # pooled interior passes -- the pool/IPC overhead (elapsed beyond
         # the slowest region; for serial passes, beyond the regions' sum).
-        region_seconds = {
-            region.key: float(report[4])
-            for region, report in zip(self.regions, region_reports)
-        }
+        region_seconds = {outcome.key: float(outcome.report[4]) for outcome in outcomes}
         pool = self.region_executor.pool
         if not region_seconds:
             busy = 0.0
@@ -937,7 +665,9 @@ class ShardCoordinator:
             seconds=round(seam_elapsed, 6),
         )
         self.round_reports.append(
-            self._aggregate_report(round_index, started, region_reports)
+            self._aggregate_report(
+                round_index, started, [outcome.report for outcome in outcomes]
+            )
         )
         return collected
 
@@ -952,10 +682,7 @@ class ShardCoordinator:
         if self._closed:
             return
         self._closed = True
-        closers = [
-            region.engine.close for region in self.regions  # type: ignore[attr-defined]
-        ]
-        closers.extend(scope.engine.close for scope in self.seam_scopes)
+        closers = [scope.engine.close for scope in self.regions + self.seam_scopes]
         closers.extend(
             [self.seam_engine.close, self.region_executor.close, self.executor.close]
         )
@@ -976,22 +703,17 @@ class ShardCoordinator:
 
     # ------------------------------------------------------------ internals
     def _record_scope(
-        self, region: object, costs: np.ndarray
+        self, scope: _SubgraphScope, costs: np.ndarray
     ) -> List[SteinerInstance]:
         """Global-graph instances of a scope's nets, in scheduled order.
 
-        Recording is done here rather than inside the scope engines because
-        the fast path's sub-engines would record subgraph-indexed instances;
-        building them once at the coordinator keeps both modes uniform.
-        All recorded instances carry the round-start cost vector.
+        Recording is done here rather than inside the scope engines, which
+        would record subgraph-indexed instances.  All recorded instances
+        carry the round-start cost vector.
         """
-        if isinstance(region, _ParityRegion):
-            order = region.engine.scheduled_nets()
-        else:
-            order = [region.interior[i] for i in region.engine.scheduled_nets()]
         delay = self.graph.delay_array()
         instances = []
-        for net_index in order:
+        for net_index in (scope.interior[i] for i in scope.engine.scheduled_nets()):
             root, sinks = self.netlist.net_terminals(self.graph, net_index)
             instances.append(
                 SteinerInstance(
@@ -1042,11 +764,7 @@ class ShardCoordinator:
         restore can redistribute them across a different decomposition.
         """
         scopes: Dict[str, Dict[str, bytes]] = {}
-        for region in self.regions:
-            section = region.cache_signatures_by_name()  # type: ignore[attr-defined]
-            if section is not None:
-                scopes[region.key] = section  # type: ignore[attr-defined]
-        for scope in self.seam_scopes:
+        for scope in self.regions + self.seam_scopes:
             section = scope.cache_signatures_by_name()
             if section is not None:
                 scopes[scope.key] = section
@@ -1086,11 +804,9 @@ class ShardCoordinator:
         flat: Dict[str, bytes] = {}
         for section in scopes.values():
             flat.update(section)
-        for region in list(self.regions) + list(self.seam_scopes):
-            source = scopes.get(region.key) if exact else None  # type: ignore[attr-defined]
-            region.load_cache_signatures_by_name(  # type: ignore[attr-defined]
-                source if source is not None else flat
-            )
+        for scope in self.regions + self.seam_scopes:
+            source = scopes.get(scope.key) if exact else None
+            scope.load_cache_signatures_by_name(source if source is not None else flat)
         if self.seam_engine.cache is not None:
             source = scopes.get("seam") if exact else None
             by_name = source if source is not None else flat
@@ -1103,21 +819,14 @@ class ShardCoordinator:
             )
 
     def region_worker_payload(self) -> Dict[str, object]:
-        """The read-only payload priming region-pool workers: the oracle,
-        the bifurcation model, congestion parameters, and each region's
-        static spec (subgraph or full-graph slice).  Shared objects -- the
-        full graph and netlist referenced by every parity region -- are
-        pickled once thanks to pickle's memo table."""
-        return {
-            "oracle": self.oracle,
-            "bifurcation": self.bifurcation,
-            "seed": self.seed,
-            "overflow_penalty": self.congestion.overflow_penalty,
-            "threshold": self.congestion.threshold,
-            "regions": {  # type: ignore[attr-defined]
-                region.key: region.worker_spec() for region in self.regions
-            },
-        }
+        """The read-only payload priming region-pool workers: what every
+        runner shares plus each region's static spec.  Shared objects (the
+        full-die prism of every parity region) are pickled once thanks to
+        pickle's memo table."""
+        return dict(
+            self.runner_shared,
+            regions={region.key: region.worker_spec() for region in self.regions},
+        )
 
 
 def _net_bounding_box(net: Net) -> Tuple[int, int, int, int]:

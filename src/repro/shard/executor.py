@@ -10,32 +10,26 @@ coordinator, which stitches them onto the shared map **in fixed region
 order** -- so the floating-point sums, and therefore every downstream
 metric, are bit-identical across backends.
 
-* :class:`SerialRegionExecutor` routes the regions in-process, one after the
-  other -- the historical shard loop.
-* :class:`ProcessRegionExecutor` fans the regions out over a
-  ``multiprocessing`` pool, mirroring the worker-payload machinery of
-  :class:`repro.engine.executor.ProcessExecutor`: each worker is primed once
-  with a pickled read-only payload (per-region subgraphs, sub-netlists,
-  engine configs, the oracle and bifurcation model), and per round only the
-  small dynamic state travels, pickled in a :class:`RegionTask` -- start
-  usage and gathered prices as arrays, the region's trees as plain tuples
-  (the one transport: it is all that crosses the coordinator/region
-  boundary).  Worker-side engines are
-  round-stateless (their re-route caches are disabled, see the coordinator),
-  so it does not matter which worker routes which region in which round.
-  When no pool can be started -- sandboxes routinely forbid ``fork`` or
-  semaphores -- the executor degrades to the serial path with a warning,
-  the same contract :class:`~repro.engine.executor.ProcessExecutor` honors:
-  degradation costs parallelism, never correctness.
+Both backends route a region the same way -- a :class:`RegionTask` goes to a
+:class:`_RegionRunner` built from the region's static spec and a
+:class:`RegionOutcome` comes back; they differ only in *where* the runner
+lives:
 
-Replay memo logs (ECO sessions, see :class:`repro.engine.cache.RoundMemo`)
-travel through both backends: a task carries the scope-localised
-``(signature, tree)`` memo of each of its nets plus a ``capture_log`` flag,
-and the outcome ships the scope's freshly computed lookup signatures back,
-which the coordinator folds into the round's global memo **in fixed region
-order**.  Worker-side engines build their signature cache lazily for such
-tasks and invalidate it per task, so memo flows stay round-stateless on the
-pool exactly like ordinary rounds.
+* :class:`SerialRegionExecutor` routes the regions in-process, one after the
+  other, on each scope's own runner.
+* :class:`ProcessRegionExecutor` fans the regions out over a
+  ``multiprocessing`` pool: each worker is primed once with a pickled
+  read-only payload (the specs -- subgraphs, sub-netlists, engine configs --
+  plus the oracle and bifurcation model) and builds its runners from it;
+  per round only the task travels (start usage and gathered prices as
+  arrays, trees and replay memos as plain tuples -- the one transport).
+  Pooled specs are ``stateless`` (no re-route cache, memo cache invalidated
+  per task), so it does not matter which process routes which region in
+  which round: a task lost with its worker is routed by the scope's own
+  runner in the parent, and when no pool can be started -- sandboxes
+  routinely forbid ``fork`` or semaphores -- the executor degrades to the
+  serial loop with a warning.  Degradation costs parallelism, never
+  correctness.
 
 Use :func:`make_region_executor` to construct a backend from a worker count.
 """
@@ -95,18 +89,16 @@ def decode_tree(graph: RoutingGraph, record: TreeRecord) -> Optional[EmbeddedTre
 
 @dataclass(frozen=True)
 class RegionTask:
-    """The dynamic inputs of one region's round (cheap to pickle).
+    """The dynamic inputs of one scope's round (cheap to pickle).
 
-    ``usage`` and ``edge_prices`` are region-local (gathered onto the
-    region's subgraph edges) for fast-path regions and full-graph vectors
-    for parity regions; ``weights`` and ``trees`` are aligned with the
-    region engine's net order (local indices for subgraph scopes, the
-    interior index list for parity regions).
+    ``usage`` and ``edge_prices`` are gathered onto the scope's subgraph
+    edges; ``weights`` and ``trees`` are aligned with the scope's sub-netlist
+    (local net indices).
 
     ``replay`` carries the scope-localised replay memo of a session flow:
     one ``(lookup_signature, memoised_tree)`` entry per net (``None`` for
     nets without a usable memo), aligned like ``trees``; ``capture_log``
-    asks the worker to record this round's lookup signatures into the
+    asks the runner to record this round's lookup signatures into the
     outcome.  Both default to the memo-free ordinary round.
     """
 
@@ -122,19 +114,20 @@ class RegionTask:
 
 @dataclass(frozen=True)
 class RegionOutcome:
-    """One region's round result: routed trees, usage delta, report counts.
+    """One scope's round result: routed trees, usage delta, report counts.
 
     ``trees`` uses the same alignment as the task's; ``delta`` the same
     edge indexing as the task's ``usage``.  ``report`` is
     ``(num_batches, nets_routed, nets_cached, nets_replayed,
-    walltime_seconds)`` -- the walltime is the worker-side engine's own
+    walltime_seconds)`` -- the walltime is the runner engine's own
     (monotonic) round time, which is what the coordinator's per-region
-    telemetry reports for pooled rounds.
+    telemetry reports.
     ``log_signatures`` holds the round's lookup signatures (aligned like
     ``trees``) when the task asked for them with ``capture_log``.
-    ``metrics`` is the worker's local :class:`repro.obs.MetricsRegistry`
+    ``metrics`` is a pool worker's local :class:`repro.obs.MetricsRegistry`
     snapshot for this region round; the parent merges it in fixed region
-    order so pooled runs report the same counters as serial ones.
+    order so pooled runs report the same counters as serial ones (``None``
+    for rounds routed in the parent, whose counters land directly).
     """
 
     key: str
@@ -146,120 +139,97 @@ class RegionOutcome:
 
 
 class _TaskPrices:
-    """The price view a worker-side engine reads: a gathered ``edge_prices``
-    vector plus per-net sink weights, both refreshed from each task."""
+    """The price view a runner's engine reads: a gathered ``edge_prices``
+    vector plus per-net sink weights, both replaced by every task."""
 
-    def __init__(self) -> None:
-        self.edge_prices: Optional[np.ndarray] = None
-        self._weights: Dict[int, Tuple[float, ...]] = {}
-
-    def load(self, edge_prices: np.ndarray, nets: Sequence[int],
-             weights: Sequence[Tuple[float, ...]]) -> None:
-        self.edge_prices = np.asarray(edge_prices, dtype=np.float64)
-        self._weights = dict(zip(nets, weights))
+    edge_prices: Optional[np.ndarray] = None
+    weights: Sequence[Tuple[float, ...]] = ()
 
     def weights_of(self, net_index: int) -> List[float]:
-        return list(self._weights[net_index])
+        return list(self.weights[net_index])
 
 
 class _RegionRunner:
-    """Worker-side twin of one region: an engine rebuilt from its spec.
+    """The one local solve of the shard layer: an engine over a scope's
+    subgraph, built from the scope's spec, that turns a :class:`RegionTask`
+    into a :class:`RegionOutcome`.
 
-    Runners are cached per worker process, but their engines are
-    round-stateless (no re-route cache, usage reset from every task), so a
-    region may be routed by different workers in different rounds without
-    changing a single bit of the result.
+    The same class routes a scope wherever the executor puts the round: in
+    the parent (the scope's own runner -- serial loop, seam scopes,
+    degraded pool, recovery of a lost pool task) or in a pool worker (a
+    runner rebuilt from the same spec).  ``spec["stateless"]`` is the one
+    distinction: a scope whose rounds may run on the pool routes cache-free
+    and invalidates the lazily built memo cache per task, so it does not
+    matter which process routes which round.
     """
 
-    def __init__(self, spec: Dict[str, object], oracle, bifurcation, seed: int,
-                 overflow_penalty: float, threshold: float) -> None:
+    def __init__(self, spec: Dict[str, object], shared: Dict[str, object]) -> None:
+        """``shared`` holds what every scope of a coordinator has in common:
+        ``oracle``, ``bifurcation``, ``seed``, ``overflow_penalty`` and
+        ``threshold``."""
         self.graph: RoutingGraph = spec["graph"]  # type: ignore[assignment]
-        self.netlist = spec["netlist"]
-        #: ``None`` for subgraph scopes (the engine routes the whole
-        #: sub-netlist); the global interior index list for parity regions.
-        self.interior: Optional[List[int]] = spec.get("interior")  # type: ignore[assignment]
+        self.stateless = bool(spec["stateless"])
         self.congestion = CongestionMap(
-            self.graph, overflow_penalty=overflow_penalty, threshold=threshold
+            self.graph,
+            overflow_penalty=shared["overflow_penalty"],  # type: ignore[arg-type]
+            threshold=shared["threshold"],  # type: ignore[arg-type]
         )
         self.prices = _TaskPrices()
         self.engine = RoutingEngine(
             graph=self.graph,
-            netlist=self.netlist,  # type: ignore[arg-type]
-            oracle=oracle,
-            bifurcation=bifurcation,
+            netlist=spec["netlist"],  # type: ignore[arg-type]
+            oracle=shared["oracle"],  # type: ignore[arg-type]
+            bifurcation=shared["bifurcation"],  # type: ignore[arg-type]
             congestion=self.congestion,
             prices=self.prices,  # type: ignore[arg-type]
-            seed=seed,
-            cost_refresh_interval=int(spec["cost_refresh_interval"]),  # type: ignore[arg-type]
+            seed=shared["seed"],  # type: ignore[arg-type]
+            cost_refresh_interval=spec["cost_refresh_interval"],  # type: ignore[arg-type]
             config=spec["config"],  # type: ignore[arg-type]
-            net_indices=self.interior,
         )
 
     def route(self, task: RegionTask) -> RegionOutcome:
         self.congestion.usage = task.usage.copy()
-        engine_nets: Sequence[int] = (
-            self.interior if self.interior is not None else range(len(task.trees))
-        )
-        self.prices.load(task.edge_prices, engine_nets, task.weights)
-        replay_memo = self._replay_memo(task, engine_nets)
+        self.prices.edge_prices = task.edge_prices
+        self.prices.weights = task.weights
+        replay_memo = self._replay_memo(task)
         log_memo = RoundMemo() if task.capture_log else None
         if replay_memo is not None or log_memo is not None:
-            # Memo rounds need the signature machinery, which this engine
-            # (configured cache-free for round-statelessness) builds lazily;
-            # invalidating per task keeps the worker a pure function of the
-            # task -- no signature survives into the next round.
-            self.engine.ensure_cache().invalidate()
-        if self.interior is None:
-            trees = [decode_tree(self.graph, record) for record in task.trees]
-            self.engine.route_round(
-                task.round_index, trees,
-                replay_round=replay_memo, log_round=log_memo,
-            )
-            routed = trees
-        else:
-            # Parity regions index the full netlist; nets outside the
-            # region's interior are never touched by its engine.
-            trees = [None] * self.netlist.num_nets  # type: ignore[union-attr]
-            for net_index, record in zip(self.interior, task.trees):
-                trees[net_index] = decode_tree(self.graph, record)
-            self.engine.route_round(
-                task.round_index, trees,
-                replay_round=replay_memo, log_round=log_memo,
-            )
-            routed = [trees[net_index] for net_index in self.interior]
+            # Memo rounds need the signature machinery, which a stateless
+            # engine (configured cache-free) builds lazily; invalidating per
+            # task keeps the runner a pure function of the task -- no
+            # signature survives into the next round.
+            cache = self.engine.ensure_cache()
+            if self.stateless:
+                cache.invalidate()
+        trees = [decode_tree(self.graph, record) for record in task.trees]
+        self.engine.route_round(
+            task.round_index, trees, replay_round=replay_memo, log_round=log_memo
+        )
         last = self.engine.round_reports[-1]
         log_signatures = None
         if log_memo is not None:
             log_signatures = tuple(
-                log_memo.signatures.get(key) for key in engine_nets
+                log_memo.signatures.get(index) for index in range(len(trees))
             )
         return RegionOutcome(
             key=task.key,
-            trees=tuple(encode_tree(tree) for tree in routed),
+            trees=tuple(encode_tree(tree) for tree in trees),
             delta=self.congestion.usage - task.usage,
             report=(last.num_batches, last.nets_routed, last.nets_cached,
                     last.nets_replayed, last.walltime_seconds),
             log_signatures=log_signatures,
         )
 
-    def _replay_memo(
-        self, task: RegionTask, engine_nets: Sequence[int]
-    ) -> Optional[RoundMemo]:
-        """The task's replay entries as a :class:`RoundMemo` keyed the way
-        this runner's engine keys nets (local indices for subgraph scopes,
-        global indices for parity regions)."""
+    def _replay_memo(self, task: RegionTask) -> Optional[RoundMemo]:
+        """The task's replay entries as a :class:`RoundMemo` keyed by local
+        net index."""
         if task.replay is None:
             return None
         memo = RoundMemo()
-        for key, entry in zip(engine_nets, task.replay):
-            if entry is None:
-                continue
-            signature, record = entry
-            tree = decode_tree(self.graph, record)
-            if tree is None:
-                continue
-            memo.signatures[key] = signature
-            memo.trees[key] = tree
+        for index, entry in enumerate(task.replay):
+            if entry is not None:
+                memo.signatures[index] = entry[0]
+                memo.trees[index] = decode_tree(self.graph, entry[1])
         return memo
 
 
@@ -289,14 +259,7 @@ def _route_region(task: RegionTask) -> RegionOutcome:
     """
     runner = _REGION_RUNNERS.get(task.key)
     if runner is None:
-        runner = _RegionRunner(
-            _REGION_STATE["regions"][task.key],
-            _REGION_STATE["oracle"],
-            _REGION_STATE["bifurcation"],
-            _REGION_STATE["seed"],
-            _REGION_STATE["overflow_penalty"],
-            _REGION_STATE["threshold"],
-        )
+        runner = _RegionRunner(_REGION_STATE["regions"][task.key], _REGION_STATE)
         _REGION_RUNNERS[task.key] = runner
     local = obs.MetricsRegistry()
     previous = obs.swap_registry(local)
@@ -326,12 +289,13 @@ class RegionExecutor:
         snapshot: CongestionSnapshot,
         replay_round: Optional[RoundMemo] = None,
         log_round: Optional[RoundMemo] = None,
-    ) -> Tuple[List[np.ndarray], List[Tuple[int, int, int, int, float]]]:
+    ) -> List[RegionOutcome]:
         """Route every interior region of one round against ``snapshot``.
 
-        Mutates ``trees`` in place and returns ``(deltas, reports)`` aligned
-        with ``coordinator.regions`` -- the coordinator stitches the deltas
-        in that fixed order, which is what keeps all backends bit-identical.
+        Mutates ``trees`` in place and returns the regions' outcomes aligned
+        with ``coordinator.regions`` -- the coordinator stitches their
+        deltas in that fixed order, which is what keeps all backends
+        bit-identical.
 
         ``replay_round`` / ``log_round`` are the round's *global* replay and
         log memos (session flows); each region localises its slice of the
@@ -339,6 +303,16 @@ class RegionExecutor:
         back into ``log_round``, again in fixed region order.
         """
         raise NotImplementedError
+
+    def _publish_done(self, round_index: int, outcome: RegionOutcome) -> None:
+        obs.publish(
+            "region_done",
+            region=outcome.key,
+            round=round_index + 1,
+            backend=self.backend,
+            nets_routed=outcome.report[1],
+            seconds=round(float(outcome.report[4]), 6),
+        )
 
     def close(self) -> None:
         """Release backend resources (worker pools).  Idempotent."""
@@ -358,43 +332,21 @@ class SerialRegionExecutor(RegionExecutor):
 
     def route_round(self, coordinator, round_index, trees, snapshot,
                     replay_round=None, log_round=None):
-        deltas: List[np.ndarray] = []
-        reports: List[Tuple[int, int, int, int, float]] = []
+        outcomes: List[RegionOutcome] = []
         for region in coordinator.regions:
             with obs.span(
                 "region", key=region.key, round=round_index, backend=self.backend
             ) as region_span:
-                if coordinator.parity:
-                    deltas.append(
-                        region.route_round(
-                            coordinator, round_index, trees, snapshot,
-                            replay_round=replay_round, log_round=log_round,
-                        )
-                    )
-                else:
-                    deltas.append(
-                        region.route_round(
-                            coordinator, round_index, trees, snapshot.usage,
-                            replay_round=replay_round, log_round=log_round,
-                        )
-                    )
-                last = region.engine.round_reports[-1]
-                reports.append(
-                    (last.num_batches, last.nets_routed, last.nets_cached,
-                     last.nets_replayed, last.walltime_seconds)
+                outcome = region.route_round(
+                    coordinator, round_index, trees, snapshot.usage,
+                    replay_round=replay_round, log_round=log_round,
                 )
                 region_span.set(
-                    batches=last.num_batches, nets_routed=last.nets_routed
+                    batches=outcome.report[0], nets_routed=outcome.report[1]
                 )
-            obs.publish(
-                "region_done",
-                region=region.key,
-                round=round_index + 1,
-                backend=self.backend,
-                nets_routed=last.nets_routed,
-                seconds=round(float(last.walltime_seconds), 6),
-            )
-        return deltas, reports
+            self._publish_done(round_index, outcome)
+            outcomes.append(outcome)
+        return outcomes
 
 
 class ProcessRegionExecutor(RegionExecutor):
@@ -435,13 +387,6 @@ class ProcessRegionExecutor(RegionExecutor):
             start_method=start_method,
         )
         self._serial = SerialRegionExecutor()
-        #: The un-pickled worker payload plus parent-side runner twins,
-        #: kept for the recovery path: when a pool worker dies (or a chaos
-        #: fault drops an outcome), the lost region round is routed right
-        #: here in the parent from the same read-only payload the workers
-        #: were primed with.
-        self._worker_payload: Optional[Dict[str, object]] = None
-        self._recovery_runners: Dict[str, _RegionRunner] = {}
 
     def close(self) -> None:
         self.pool.close()
@@ -450,32 +395,39 @@ class ProcessRegionExecutor(RegionExecutor):
     # ------------------------------------------------------------------ API
     def route_round(self, coordinator, round_index, trees, snapshot,
                     replay_round=None, log_round=None):
-        def payload() -> Dict[str, object]:
-            self._worker_payload = coordinator.region_worker_payload()
-            return self._worker_payload
-
         # One region cannot be overlapped with anything (skip the IPC), and
         # the pool is capped at the region count -- extra workers could
         # never receive work.  Without a pool (the degraded mode) the
         # regions route on the serial loop.
-        regions = len(coordinator.regions)
-        pooled = regions > 1 and self.pool.start(payload, min(self.num_workers, regions))
+        regions = coordinator.regions
+        pooled = len(regions) > 1 and self.pool.start(
+            coordinator.region_worker_payload, min(self.num_workers, len(regions))
+        )
         if not pooled:
             return self._serial.route_round(
                 coordinator, round_index, trees, snapshot,
                 replay_round=replay_round, log_round=log_round,
             )
+        runners = {region.key: region.runner for region in regions}
+
+        def route_in_parent(task: RegionTask) -> RegionOutcome:
+            # The recovery path: a task lost with its worker (or dropped by
+            # a chaos fault) is routed by the scope's own runner, built from
+            # the spec the workers were primed with -- the outcome a worker
+            # would have shipped, bit for bit.
+            return runners[task.key].route(task)
+
         tasks = [
             region.make_task(
-                coordinator, round_index, trees, snapshot,
+                coordinator, round_index, trees, snapshot.usage,
                 replay_round=replay_round, log_round=log_round,
             )
-            for region in coordinator.regions
+            for region in regions
         ]
         outcomes = self.pool.run(
             _route_region,
             tasks,
-            retry=self._route_region_inline,
+            retry=route_in_parent,
             sabotage=faults.pool_sabotage("kill-region-worker", round_index),
         )
         plan = faults.get_plan()
@@ -485,58 +437,20 @@ class ProcessRegionExecutor(RegionExecutor):
             outcomes[0] = None
         for index, outcome in enumerate(outcomes):
             if outcome is None:
-                outcomes[index] = self._route_region_inline(tasks[index])
+                outcomes[index] = route_in_parent(tasks[index])
                 obs.inc("recovery.outcome_recomputed")
-        deltas: List[np.ndarray] = []
-        reports: List[Tuple[int, int, int, int, float]] = []
         # Apply in fixed region order regardless of worker completion order.
         # The worker-shipped metric snapshots merge in the same order, so
         # pooled counters land identically to a serial run's.
-        for region, outcome in zip(coordinator.regions, outcomes):
+        for region, outcome in zip(regions, outcomes):
             with obs.span(
                 "region", key=region.key, round=round_index, backend=self.backend,
                 batches=outcome.report[0], nets_routed=outcome.report[1],
             ):
-                deltas.append(
-                    region.apply_outcome(coordinator, trees, outcome, log_round=log_round)
-                )
-                reports.append(outcome.report)
+                region.apply_outcome(coordinator, trees, outcome, log_round=log_round)
             obs.merge_snapshot(outcome.metrics)
-            obs.publish(
-                "region_done",
-                region=region.key,
-                round=round_index + 1,
-                backend=self.backend,
-                nets_routed=outcome.report[1],
-                seconds=round(float(outcome.report[4]), 6),
-            )
-        return deltas, reports
-
-    def _route_region_inline(self, task: RegionTask) -> RegionOutcome:
-        """Route one region's round in the parent process.
-
-        The recovery path of this executor: runner twins are rebuilt from
-        the same read-only payload the pool workers were primed with, and
-        a :class:`RegionTask` is a pure function of that payload -- so the
-        outcome is bit-identical to what the lost worker would have
-        shipped.  The runner cache mirrors the per-worker cache (runners
-        are round-stateless, see :class:`_RegionRunner`).  Oracle counters
-        land in the parent registry directly; ``metrics`` stays ``None``.
-        """
-        payload = self._worker_payload
-        assert payload is not None, "recovery before any pool round"
-        runner = self._recovery_runners.get(task.key)
-        if runner is None:
-            runner = _RegionRunner(
-                payload["regions"][task.key],  # type: ignore[index]
-                payload["oracle"],
-                payload["bifurcation"],
-                payload["seed"],  # type: ignore[arg-type]
-                payload["overflow_penalty"],  # type: ignore[arg-type]
-                payload["threshold"],  # type: ignore[arg-type]
-            )
-            self._recovery_runners[task.key] = runner
-        return runner.route(task)
+            self._publish_done(round_index, outcome)
+        return outcomes
 
 
 def make_region_executor(

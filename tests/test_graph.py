@@ -158,6 +158,20 @@ class TestStructure:
         connecting = [e for e, other in g.neighbors(u) if other == v]
         assert len(connecting) == len(g.stack[4].wire_types)
 
+    @pytest.mark.parametrize("dims", [(7, 5, 4), (4, 9, 6)])
+    def test_full_die_prism_is_identity_numbered(self, dims):
+        """Extracting the whole die renumbers nothing -- what lets a parity
+        region be an ordinary shard scope over the full-die prism."""
+        nx, ny, layers = dims
+        graph = build_grid_graph(nx, ny, layers)
+        prism, edge_to_global = extract_prism(graph, 0, 0, nx - 1, ny - 1)
+        assert np.array_equal(edge_to_global, np.arange(graph.num_edges))
+        assert (prism.nx, prism.ny, prism.num_layers) == (nx, ny, layers)
+        for name in EDGE_ARRAYS:
+            ours, theirs = getattr(prism, name), getattr(graph, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+        assert prism.adjacency == graph.adjacency
+
 
 class TestImmutability:
     """Edge arrays are frozen once a graph is built; the per-box memos rest

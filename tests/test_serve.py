@@ -611,6 +611,30 @@ class TestDaemon:
                 response = json.loads(reader.readline())
         assert response["ok"] is False
 
+    def test_oversized_request_line_is_refused_and_dropped(self, daemon, client):
+        """A line past the cap gets a named error and loses its connection;
+        the daemon buffers no more than the cap and keeps serving others."""
+        import socket as socket_module
+
+        from repro.serve.daemon import MAX_REQUEST_BYTES
+
+        host, port = daemon.address
+        with socket_module.create_connection((host, port), timeout=10.0) as conn:
+            conn.sendall(b"x" * (MAX_REQUEST_BYTES + 1))  # no newline in sight
+            with conn.makefile("r") as reader:
+                response = json.loads(reader.readline())
+                assert reader.readline() == ""  # the daemon hung up
+        assert response == {
+            "ok": False,
+            "error": f"ValueError: request line exceeds {MAX_REQUEST_BYTES} bytes",
+        }
+        assert client.ping()["ok"] is True
+        # A line of exactly the cap is still a request (here: not JSON).
+        with socket_module.create_connection((host, port), timeout=10.0) as conn:
+            conn.sendall(b"x" * (MAX_REQUEST_BYTES - 1) + b"\n")
+            with conn.makefile("r") as reader:
+                assert "JSONDecodeError" in json.loads(reader.readline())["error"]
+
     def test_client_error_when_daemon_unreachable(self):
         client = ServeClient("127.0.0.1", 1, timeout=0.5)
         with pytest.raises(ServeError, match="cannot reach"):

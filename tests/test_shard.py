@@ -240,11 +240,15 @@ class TestShardFastPath:
         assert report.nets_reused > 0  # clean scopes replayed their memos
         assert report.nets_rerouted + report.nets_reused == 2 * session.num_nets
 
-    def test_record_instances_covers_every_net(self):
+    @pytest.mark.parametrize("shard_parity", [False, True])
+    def test_record_instances_covers_every_net(self, shard_parity):
         graph, netlist = smoke_design(0.4)
         router = GlobalRouter(
             graph, netlist, CostDistanceSolver(),
-            GlobalRouterConfig(num_rounds=2, shards=4, record_instances=True),
+            GlobalRouterConfig(
+                num_rounds=2, shards=4, record_instances=True,
+                shard_parity=shard_parity,
+            ),
         )
         router.run()
         assert len(router.collected_instances) == netlist.num_nets
@@ -359,11 +363,70 @@ class TestScaffoldingMemo:
         assert tree_key(session.router.trees) == tree_key(cold.router.trees)
 
 
+class TestOneRegionRound:
+    """Every scope routes a round as task -> runner -> outcome, on the one
+    runner it owns; a parity region is that scope over the full-die prism."""
+
+    @pytest.mark.parametrize("shard_parity", [False, True])
+    def test_scope_engine_is_its_runners_engine(self, shard_parity):
+        graph, netlist = smoke_design(0.4)
+        router, _ = run_router(
+            graph, netlist, num_rounds=2, shards=4, shard_parity=shard_parity
+        )
+        scopes = scopes_of(router)
+        assert scopes and {type(scope).__name__ for scope in scopes} == {"_SubgraphScope"}
+        for scope in scopes:
+            assert scope.engine is scope.runner.engine
+            assert len(scope.engine.round_reports) == 2
+            if shard_parity:
+                assert scope.key.startswith("parity")
+                assert np.array_equal(scope.edge_to_global, np.arange(graph.num_edges))
+
+    def test_dropped_outcome_is_routed_by_the_scopes_own_runner(self):
+        """The recovery path has no engine of its own: a dropped pool outcome
+        is recomputed by ``coordinator.regions[0].runner`` -- the object the
+        serial loop routes on -- and changes no bit."""
+        from repro import faults
+
+        graph, netlist = smoke_design(0.4)
+        serial, expected = run_router(graph, netlist, num_rounds=3, shards=4)
+        # The serial loop routed every round on the scope runners.
+        assert [len(r.runner.engine.round_reports) for r in serial.engine.regions] == [
+            3
+        ] * len(serial.engine.regions)
+        faults.install_plan("drop-outcome:round=2")
+        try:
+            chaos = GlobalRouter(
+                graph, netlist, CostDistanceSolver(),
+                GlobalRouterConfig(num_rounds=3, shards=4, shard_workers=2),
+            )
+            regions = chaos.engine.regions
+            routed = []
+            original = regions[0].runner.route
+            regions[0].runner.route = lambda task: (
+                routed.append(task.round_index), original(task)
+            )[1]
+            result = chaos.run()
+        finally:
+            faults.clear_plan()
+        if not chaos.engine.region_executor.pool.used:
+            pytest.skip("no process pool available in this environment")
+        assert routed == [1]  # the dropped round, and only that one
+        assert [len(r.runner.engine.round_reports) for r in regions] == [1] + [0] * (
+            len(regions) - 1
+        )
+        for field in PARITY_FIELDS:
+            assert getattr(result, field) == getattr(expected, field), field
+        assert tree_key(chaos.trees) == tree_key(serial.trees)
+
+
 class TestOneShardingPathOnePoolLifecycle:
     """The daemon's shard fan-out, the per-executor pool lifecycles, the
-    shared-memory region transport and the incremental digest memos were
+    shared-memory region transport, the incremental digest memos and the
+    forked region rounds (parity twin, in-process twin, recovery twin) were
     *deleted*, not renamed: their names must not survive anywhere in src/,
-    and exactly one class starts ``multiprocessing`` pools."""
+    exactly one class starts ``multiprocessing`` pools, and the shard layer
+    constructs engines in exactly two places."""
 
     REMOVED_NAMES = (
         "_run_shard",
@@ -391,6 +454,12 @@ class TestOneShardingPathOnePoolLifecycle:
         "_chunk_digests",
         "_region_digests",
         "_observe",
+        # One region round (PR 15).
+        "_ParityRegion",
+        "_prepare_memo_round",
+        "_RegionPrices",
+        "_route_region_inline",
+        "_recovery_runners",
     )
 
     @staticmethod
@@ -424,6 +493,19 @@ class TestOneShardingPathOnePoolLifecycle:
 
         source = inspect.getsource(executor.WorkerPool)
         assert callers[0][1] in source
+
+    def test_shard_layer_constructs_engines_in_two_places(self):
+        """The scope runner (every region and seam scope, on every backend)
+        and the coordinator's global seam engine."""
+        shard_dir = os.path.join("src", "repro", "shard") + os.sep
+        sites = [
+            os.path.basename(file_path)
+            for file_path, text in self._sources()
+            if shard_dir in os.path.normpath(file_path) + os.sep
+            for line in text.splitlines()
+            if re.search(r"\bRoutingEngine\(", line)
+        ]
+        assert sorted(sites) == ["coordinator.py", "executor.py"], sites
 
 
 class TestServeShardJobs:
