@@ -8,9 +8,13 @@ Two structures are provided:
   Section III-B); Fibonacci heaps only matter for the asymptotic statement.
 * :class:`TwoLevelHeap` -- the two-level structure of Section III-B: one
   sub-heap per active sink plus a top-level heap over the sub-heap minima.
-  The cost-distance solver keeps extracting from a single sub-heap while its
-  minimum stays below the best other sub-heap minimum, which avoids
-  top-level churn when one search is locally busy.
+  A push touches the top heap only when it lowers its sub-heap's minimum;
+  every extraction pops the extracted search's top entry and pushes it back
+  under the sub-heap's new minimum.  That pop-then-push, the ``<=`` at which
+  sift-up stops and the left child sift-down prefers on ties decide in which
+  order equal keys leave the heap -- on a uniform-price grid most keys of a
+  wavefront are equal, so this order is part of the router's determinism
+  contract (DESIGN.md, "The pop-order contract").
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from typing import Dict, Generic, Hashable, List, Tuple, TypeVar
 __all__ = ["AddressableBinaryHeap", "TwoLevelHeap"]
 
 K = TypeVar("K", bound=Hashable)
+
+_INF = float("inf")
 
 
 class AddressableBinaryHeap(Generic[K]):
@@ -152,15 +158,31 @@ class AddressableBinaryHeap(Generic[K]):
 class TwoLevelHeap(Generic[K]):
     """One sub-heap per search plus a top-level heap over sub-heap minima.
 
-    Items are addressed by ``(search_id, item)``.  The structure follows
-    Section III-B of the paper: extraction keeps working on the sub-heap of
-    the previous extraction while its minimum is still globally minimal,
-    which keeps the top-level heap small and rarely updated.
+    Items are addressed by ``(search_id, item)`` (Section III-B of the
+    paper).  Every heap -- each sub-heap and the top heap -- is a plain
+    ``keys`` / ``items`` list pair plus an ``item -> index`` dict, and every
+    sift loop is written out where it is used: a ``push`` or ``pop`` is one
+    Python call.  The loops are the ones of :class:`AddressableBinaryHeap`
+    (sift-up stops at ``<=``, sift-down prefers the left child on ties),
+    applied in the same order (an extraction pops the top entry and pushes
+    the sub-heap's new minimum back), so the array layouts -- and with them
+    the order in which equal keys leave the heap -- are those of a
+    composition of ``AddressableBinaryHeap`` objects, operation for
+    operation.  ``tests/test_heap.py`` holds that composition as the
+    executable specification.
+
+    Invariant between calls: the top heap holds exactly the searches with a
+    non-empty sub-heap, each keyed by its sub-heap's minimum.
     """
 
+    __slots__ = ("_subs", "_top_keys", "_top_items", "_top_pos", "_size")
+
     def __init__(self) -> None:
-        self._subheaps: Dict[Hashable, AddressableBinaryHeap[K]] = {}
-        self._top: AddressableBinaryHeap[Hashable] = AddressableBinaryHeap()
+        #: search id -> (keys, items, position) of its sub-heap.
+        self._subs: Dict[Hashable, Tuple[List[float], List[K], Dict[K, int]]] = {}
+        self._top_keys: List[float] = []
+        self._top_items: List[Hashable] = []
+        self._top_pos: Dict[Hashable, int] = {}
         self._size = 0
 
     def __len__(self) -> int:
@@ -171,66 +193,197 @@ class TwoLevelHeap(Generic[K]):
 
     def add_search(self, search_id: Hashable) -> None:
         """Register a (possibly empty) sub-heap for ``search_id``."""
-        if search_id not in self._subheaps:
-            self._subheaps[search_id] = AddressableBinaryHeap()
+        if search_id not in self._subs:
+            self._subs[search_id] = ([], [], {})
 
     def remove_search(self, search_id: Hashable) -> None:
         """Drop a search and all of its queued items."""
-        sub = self._subheaps.pop(search_id, None)
-        if sub is not None:
-            self._size -= len(sub)
-            self._top.remove(search_id)
+        sub = self._subs.pop(search_id, None)
+        if sub is None:
+            return
+        self._size -= len(sub[0])
+        keys = self._top_keys
+        items = self._top_items
+        position = self._top_pos
+        hole = position.pop(search_id, None)
+        if hole is None:
+            return
+        key = keys.pop()
+        item = items.pop()
+        size = len(keys)
+        if hole == size:
+            return
+        # The last entry fills the hole: sift it down, then up.
+        pos = hole
+        child = 2 * pos + 1
+        while child < size:
+            child_key = keys[child]
+            right = child + 1
+            if right < size and keys[right] < child_key:
+                child = right
+                child_key = keys[right]
+            if child_key >= key:
+                break
+            keys[pos] = child_key
+            moved = items[pos] = items[child]
+            position[moved] = pos
+            pos = child
+            child = 2 * pos + 1
+        if pos == hole:
+            while pos > 0:
+                parent = (pos - 1) >> 1
+                parent_key = keys[parent]
+                if parent_key <= key:
+                    break
+                keys[pos] = parent_key
+                moved = items[pos] = items[parent]
+                position[moved] = pos
+                pos = parent
+        keys[pos] = key
+        items[pos] = item
+        position[item] = pos
 
     def push(self, search_id: Hashable, item: K, key: float) -> bool:
-        """Insert or decrease-key ``item`` in the sub-heap of ``search_id``."""
-        sub = self._subheaps.get(search_id)
+        """Insert or decrease-key ``item`` in the sub-heap of ``search_id``.
+
+        Returns ``False`` when the item is already queued with a key that is
+        smaller or equal.
+        """
+        sub = self._subs.get(search_id)
         if sub is None:
-            sub = self._subheaps[search_id] = AddressableBinaryHeap()
-        old_min = sub.min_key()
-        outcome = sub.insert_or_decrease(item, key)
-        if outcome == 0:
-            return False
-        if outcome == 2:
+            sub = self._subs[search_id] = ([], [], {})
+        keys, items, position = sub
+        old_min = keys[0] if keys else _INF
+        pos = position.get(item)
+        if pos is None:
+            pos = len(keys)
+            keys.append(key)
+            items.append(item)
             self._size += 1
-        # The top-level entry tracks the sub-heap minimum; it only moves
-        # when this push actually lowered that minimum.
+        elif key >= keys[pos]:
+            return False
+        while pos > 0:
+            parent = (pos - 1) >> 1
+            parent_key = keys[parent]
+            if parent_key <= key:
+                break
+            keys[pos] = parent_key
+            moved = items[pos] = items[parent]
+            position[moved] = pos
+            pos = parent
+        keys[pos] = key
+        items[pos] = item
+        position[item] = pos
         if key < old_min:
-            self._top.push(search_id, key)
+            # The sub-heap minimum dropped: insert or decrease the search's
+            # top entry.
+            keys = self._top_keys
+            items = self._top_items
+            position = self._top_pos
+            pos = position.get(search_id)
+            if pos is None:
+                pos = len(keys)
+                keys.append(key)
+                items.append(search_id)
+            while pos > 0:
+                parent = (pos - 1) >> 1
+                parent_key = keys[parent]
+                if parent_key <= key:
+                    break
+                keys[pos] = parent_key
+                moved = items[pos] = items[parent]
+                position[moved] = pos
+                pos = parent
+            keys[pos] = key
+            items[pos] = search_id
+            position[search_id] = pos
         return True
 
     def pop(self) -> Tuple[float, Hashable, K]:
         """Remove and return the globally minimal ``(key, search_id, item)``."""
         if self._size == 0:
             raise IndexError("pop from an empty two-level heap")
-        while True:
-            top_key, search_id = self._top.peek()
-            sub = self._subheaps.get(search_id)
-            if sub is None or not sub:
-                self._top.pop()
-                continue
-            if sub.min_key() != top_key:
-                # Stale top entry -- refresh and retry.
-                self._top.pop()
-                self._top.push(search_id, sub.min_key())
-                continue
-            key, item = sub.pop()
-            self._size -= 1
-            self._top.pop()
-            if sub:
-                self._top.push(search_id, sub.min_key())
-            return key, search_id, item
+        self._size -= 1
+        top_keys = self._top_keys
+        top_items = self._top_items
+        top_pos = self._top_pos
+        search_id = top_items[0]
+        keys, items, position = self._subs[search_id]
+
+        # Extract the sub-heap minimum.
+        min_key = keys[0]
+        min_item = items[0]
+        key = keys.pop()
+        item = items.pop()
+        del position[min_item]
+        size = len(keys)
+        if size:
+            pos = 0
+            child = 1
+            while child < size:
+                child_key = keys[child]
+                right = child + 1
+                if right < size and keys[right] < child_key:
+                    child = right
+                    child_key = keys[right]
+                if child_key >= key:
+                    break
+                keys[pos] = child_key
+                moved = items[pos] = items[child]
+                position[moved] = pos
+                pos = child
+                child = 2 * pos + 1
+            keys[pos] = key
+            items[pos] = item
+            position[item] = pos
+            new_min = keys[0]
+
+        # Pop the search's top entry (the top heap's root) ...
+        key = top_keys.pop()
+        item = top_items.pop()
+        del top_pos[search_id]
+        top_size = len(top_keys)
+        if top_size:
+            pos = 0
+            child = 1
+            while child < top_size:
+                child_key = top_keys[child]
+                right = child + 1
+                if right < top_size and top_keys[right] < child_key:
+                    child = right
+                    child_key = top_keys[right]
+                if child_key >= key:
+                    break
+                top_keys[pos] = child_key
+                moved = top_items[pos] = top_items[child]
+                top_pos[moved] = pos
+                pos = child
+                child = 2 * pos + 1
+            top_keys[pos] = key
+            top_items[pos] = item
+            top_pos[item] = pos
+
+        # ... and push it back under the sub-heap's new minimum.  The
+        # pop-then-push (instead of a replace-root) is part of the pinned
+        # tie order: it decides where equal top keys sit.
+        if size:
+            pos = top_size
+            top_keys.append(new_min)
+            top_items.append(search_id)
+            while pos > 0:
+                parent = (pos - 1) >> 1
+                parent_key = top_keys[parent]
+                if parent_key <= new_min:
+                    break
+                top_keys[pos] = parent_key
+                moved = top_items[pos] = top_items[parent]
+                top_pos[moved] = pos
+                pos = parent
+            top_keys[pos] = new_min
+            top_items[pos] = search_id
+            top_pos[search_id] = pos
+        return min_key, search_id, min_item
 
     def min_key(self) -> float:
         """The globally minimal key, ``inf`` when empty."""
-        while self._top:
-            top_key, search_id = self._top.peek()
-            sub = self._subheaps.get(search_id)
-            if sub is None or not sub:
-                self._top.pop()
-                continue
-            if sub.min_key() != top_key:
-                self._top.pop()
-                self._top.push(search_id, sub.min_key())
-                continue
-            return top_key
-        return float("inf")
+        return self._top_keys[0] if self._top_keys else _INF

@@ -1,16 +1,29 @@
 """Tests for the cost-distance Steiner tree algorithm (Algorithm 1)."""
 
+import hashlib
+import json
+import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bifurcation import BifurcationModel
-from repro.core.cost_distance import CostDistanceConfig, CostDistanceSolver
+from repro.core.cost_distance import (
+    CostDistanceConfig,
+    CostDistanceSolver,
+    _initial_terminals,
+    _Solve,
+    _target_l1,
+)
+from repro.core.costctx import OracleCostContext
+from repro.core.future_cost import FutureCostEstimator
 from repro.core.instance import SteinerInstance
 from repro.core.objective import evaluate_tree
 from repro.core.shortest_path import dijkstra
 from repro.grid.graph import build_grid_graph
+from repro.instances.chips import CHIP_SUITE, build_chip
 
 from tests.conftest import make_instance
 
@@ -278,3 +291,135 @@ class TestPropertyBased:
             assert inst.root in nodes
             for sink in inst.sinks:
                 assert sink in nodes
+
+
+class TestPotentialParity:
+    """The kernel's per-tile potential array against the estimator it
+    replaced a per-push call of (non-square grid, both forms)."""
+
+    @pytest.mark.parametrize("num_targets", [(1, 8), (9, 60)])
+    def test_tile_array_equals_nearest_target_l1(self, num_targets):
+        graph = build_grid_graph(13, 9, 3)
+        estimator = FutureCostEstimator(graph, num_landmarks=0)
+        rng = random.Random(num_targets[0])
+        for _ in range(20):
+            targets = [
+                rng.randrange(graph.num_nodes) for _ in range(rng.randint(*num_targets))
+            ]
+            tiles = graph.nx * graph.ny
+            l1 = _target_l1(graph.nx, graph.ny, [t % tiles for t in targets])
+            assert len(l1) == graph.nx * graph.ny
+            for node in range(graph.num_nodes):
+                value = l1[node % len(l1)]
+                assert type(value) is float
+                assert value == estimator.nearest_target_l1(node, targets)
+
+    @pytest.mark.parametrize("num_sinks", [1, 5, 7, 8, 30, 59])
+    def test_solve_state_potential_equals_multi_target_potential(self, num_sinks):
+        graph = build_grid_graph(13, 9, 3)
+        inst = make_instance(graph, num_sinks, seed=num_sinks, dbif=1.0)
+        state = _Solve(inst, CostDistanceConfig(), random.Random(0), *_initial_terminals(inst))
+        targets = [inst.root] + [search.node for search in state.active.values()]
+        for search in state.active.values():
+            for node in range(graph.num_nodes):
+                assert state.l1[
+                    node % state.planar_tiles
+                ] * search.rate == state.estimator.multi_target_potential(
+                    node, targets, search.weight
+                )
+
+    def test_identically_zero_without_future_costs(self):
+        graph = build_grid_graph(13, 9, 3)
+        inst = make_instance(graph, 12, seed=1)
+        config = CostDistanceConfig(use_future_costs=False)
+        state = _Solve(inst, config, random.Random(0), *_initial_terminals(inst))
+        assert state.active and all(s.rate == 0.0 for s in state.active.values())
+        state.run()  # merges refresh the targets; the array must not move
+        assert state.merges and not state.active
+        assert state.l1 == [0.0] * (13 * 9)
+
+
+# ---------------------------------------------------------------- golden
+_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "kernel_golden.json"
+
+_GOLDEN_CONFIGS = {
+    "default": CostDistanceConfig(),
+    "plain": CostDistanceConfig.plain(),
+    "no-discount": CostDistanceConfig(discount_components=False),
+    "flat-heap": CostDistanceConfig(use_two_level_heap=False),
+    "no-future-cost": CostDistanceConfig(use_future_costs=False),
+    "no-placement": CostDistanceConfig(improved_steiner_placement=False),
+    "no-root-encouragement": CostDistanceConfig(encourage_root_connections=False),
+}
+
+
+def _golden_instances(chip_name, dbif):
+    """Every net of one small stock chip as a standalone instance.
+
+    ``c1`` keeps the uniform base prices (the tie-heavy regime of a first
+    routing round) and no cost context; ``c2`` gets striped prices and an
+    attached :class:`OracleCostContext`, so both set-up paths of the solver
+    are pinned.  Weights follow a fixed arithmetic pattern: nothing here
+    depends on a random stream or on the router.
+    """
+    spec = next(s for s in CHIP_SUITE if s.name == chip_name)
+    graph, netlist = build_chip(spec)
+    cost = graph.base_cost_array()
+    delay = graph.delay_array()
+    context = None
+    if chip_name == "c2":
+        cost = cost * (1.0 + 0.5 * ((np.arange(cost.size) * 7919) % 5))
+        context = OracleCostContext(graph, cost, delay)
+        cost, delay = context.cost, context.delay
+    if dbif is None:
+        dbif = graph.delay_model.bifurcation_penalty()
+    bifurcation = BifurcationModel(dbif=dbif, eta=0.25)
+    for index in range(len(netlist.nets)):
+        root, sinks = netlist.net_terminals(graph, index)
+        weights = [0.05 + 0.15 * ((index + k) % 7) for k in range(len(sinks))]
+        yield SteinerInstance(
+            graph, root, sinks, weights, cost, delay, bifurcation, context=context
+        )
+
+
+def kernel_digests():
+    """``{"<config>/dbif=<d>/<chip>": ["<sha256[:16]>:<labels>:<iters>:<merges>", ...]}``
+
+    One entry per net.  Recorded at the commit before the kernel rebuild
+    (``PYTHONPATH=<parent>/src python -c "from tests.test_cost_distance import
+    record_kernel_golden as r; r()"``) and never edited since: any drift in
+    the pop order, the potentials or the component bookkeeping moves a tree
+    or a label count here.
+    """
+    digests = {}
+    for config_name, config in _GOLDEN_CONFIGS.items():
+        solver = CostDistanceSolver(config)
+        for dbif in (None, 0.0):
+            for chip_name in ("c1", "c2"):
+                rows = []
+                for index, inst in enumerate(_golden_instances(chip_name, dbif)):
+                    result = solver.solve_with_details(inst, random.Random(index))
+                    sha = hashlib.sha256(repr(tuple(result.tree.edges)).encode()).hexdigest()
+                    rows.append(
+                        f"{sha[:16]}:{result.num_labels}:{result.num_iterations}"
+                        f":{len(result.merges)}"
+                    )
+                digests[f"{config_name}/dbif={dbif}/{chip_name}"] = rows
+    return digests
+
+
+def record_kernel_golden():
+    _GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    _GOLDEN_PATH.write_text(json.dumps(kernel_digests(), indent=0) + "\n")
+
+
+class TestKernelGolden:
+    """Tie-order drift is caught here in seconds instead of by the 4-minute
+    seed-0 ledger run (see DESIGN.md, "The pop-order contract")."""
+
+    def test_trees_and_counts_match_parent_recording(self):
+        golden = json.loads(_GOLDEN_PATH.read_text())
+        current = kernel_digests()
+        assert current.keys() == golden.keys()
+        for key, rows in golden.items():
+            assert current[key] == rows, key
