@@ -11,10 +11,9 @@
 #
 # Usage: ci/ledger_pairs.sh PARENT_REF [--workload W] [--pairs N]
 #                           [--seed-base S] [--seconds T]
-# Result files stay in $LEDGER_PAIRS_OUT when set (default: removed).
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,15p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,13p' "$0"; exit 2; }
 PARENT_REF="$1"; shift
 WORKLOAD=(); PAIRS=10; SEED_BASE=100; SECONDS_ARG=()
 while [ $# -gt 0 ]; do
@@ -30,8 +29,8 @@ done
 
 CHANGE="$(git rev-parse --show-toplevel)"
 WORK="$(mktemp -d)"
-OUT="${LEDGER_PAIRS_OUT:-$WORK/out}"
-mkdir -p "$OUT"
+OUT="$WORK/out"
+mkdir "$OUT"
 cleanup() {
   git -C "$CHANGE" worktree remove --force "$WORK/parent" 2>/dev/null || true
   rm -rf "$WORK"

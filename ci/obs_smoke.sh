@@ -6,9 +6,7 @@
 set -euo pipefail
 PORT="$1"
 
-# The blocker must outlast two CLI start-ups (the submit and the watch
-# below): c5 routes for ~3 s, c1 (0.5 s since the kernel rebuild) did not.
-BLOCKER=$(python -m repro submit --port "$PORT" --chip c5 --net-scale 1.0 --rounds 4 \
+BLOCKER=$(python -m repro submit --port "$PORT" --chip c1 --net-scale 1.0 --rounds 4 \
   | python -c 'import json,sys; print(json.load(sys.stdin)["job_id"])')
 echo "blocker $BLOCKER holds the worker"
 # A --shards job routes through the shard coordinator, which publishes

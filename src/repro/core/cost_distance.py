@@ -143,10 +143,7 @@ class _FlatQueue:
 
     def __init__(self) -> None:
         self._heap: AddressableBinaryHeap = AddressableBinaryHeap()
-        # Members per search in insertion order (a dict, not a set: removal
-        # order shapes the heap layout, and a set of ints and ``("c", node)``
-        # tuples iterates in hash-seed order).
-        self._by_search: Dict[int, Dict[object, None]] = {}
+        self._by_search: Dict[int, Set[object]] = {}
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -155,21 +152,21 @@ class _FlatQueue:
         return bool(self._heap)
 
     def add_search(self, search_id: int) -> None:
-        self._by_search.setdefault(search_id, {})
+        self._by_search.setdefault(search_id, set())
 
     def remove_search(self, search_id: int) -> None:
-        for item in self._by_search.pop(search_id, ()):
+        for item in self._by_search.pop(search_id, set()):
             self._heap.remove((search_id, item))
 
     def push(self, search_id: int, item, key: float) -> bool:
-        self._by_search.setdefault(search_id, {})[item] = None
+        self._by_search.setdefault(search_id, set()).add(item)
         return self._heap.push((search_id, item), key)
 
     def pop(self):
         key, (search_id, item) = self._heap.pop()
         members = self._by_search.get(search_id)
         if members is not None:
-            members.pop(item, None)
+            members.discard(item)
         return key, search_id, item
 
 

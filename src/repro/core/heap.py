@@ -155,6 +155,44 @@ class AddressableBinaryHeap(Generic[K]):
         self._position[item] = pos
 
 
+def _fill_hole(
+    keys: List[float], items: list, position: dict, hole: int, key: float, item: Hashable
+) -> None:
+    """Put ``(key, item)`` -- the former last entry of a heap given as its
+    three parallel structures -- into the vacated slot ``hole``: sift down,
+    then up, with :class:`AddressableBinaryHeap`'s loops.  Removal runs once
+    per merge, so unlike ``push`` and ``pop`` it can afford the call."""
+    size = len(keys)
+    pos = hole
+    child = 2 * pos + 1
+    while child < size:
+        child_key = keys[child]
+        right = child + 1
+        if right < size and keys[right] < child_key:
+            child = right
+            child_key = keys[right]
+        if child_key >= key:
+            break
+        keys[pos] = child_key
+        moved = items[pos] = items[child]
+        position[moved] = pos
+        pos = child
+        child = 2 * pos + 1
+    if pos == hole:
+        while pos > 0:
+            parent = (pos - 1) >> 1
+            parent_key = keys[parent]
+            if parent_key <= key:
+                break
+            keys[pos] = parent_key
+            moved = items[pos] = items[parent]
+            position[moved] = pos
+            pos = parent
+    keys[pos] = key
+    items[pos] = item
+    position[item] = pos
+
+
 class TwoLevelHeap(Generic[K]):
     """One sub-heap per search plus a top-level heap over sub-heap minima.
 
@@ -202,46 +240,13 @@ class TwoLevelHeap(Generic[K]):
         if sub is None:
             return
         self._size -= len(sub[0])
-        keys = self._top_keys
-        items = self._top_items
-        position = self._top_pos
-        hole = position.pop(search_id, None)
+        hole = self._top_pos.pop(search_id, None)
         if hole is None:
             return
-        key = keys.pop()
-        item = items.pop()
-        size = len(keys)
-        if hole == size:
-            return
-        # The last entry fills the hole: sift it down, then up.
-        pos = hole
-        child = 2 * pos + 1
-        while child < size:
-            child_key = keys[child]
-            right = child + 1
-            if right < size and keys[right] < child_key:
-                child = right
-                child_key = keys[right]
-            if child_key >= key:
-                break
-            keys[pos] = child_key
-            moved = items[pos] = items[child]
-            position[moved] = pos
-            pos = child
-            child = 2 * pos + 1
-        if pos == hole:
-            while pos > 0:
-                parent = (pos - 1) >> 1
-                parent_key = keys[parent]
-                if parent_key <= key:
-                    break
-                keys[pos] = parent_key
-                moved = items[pos] = items[parent]
-                position[moved] = pos
-                pos = parent
-        keys[pos] = key
-        items[pos] = item
-        position[item] = pos
+        key = self._top_keys.pop()
+        item = self._top_items.pop()
+        if hole < len(self._top_keys):
+            _fill_hole(self._top_keys, self._top_items, self._top_pos, hole, key, item)
 
     def push(self, search_id: Hashable, item: K, key: float) -> bool:
         """Insert or decrease-key ``item`` in the sub-heap of ``search_id``.

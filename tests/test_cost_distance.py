@@ -1,5 +1,6 @@
 """Tests for the cost-distance Steiner tree algorithm (Algorithm 1)."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -10,13 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bifurcation import BifurcationModel
-from repro.core.cost_distance import (
-    CostDistanceConfig,
-    CostDistanceSolver,
-    _initial_terminals,
-    _Solve,
-    _target_l1,
-)
+from repro.core.cost_distance import CostDistanceConfig, CostDistanceSolver
 from repro.core.costctx import OracleCostContext
 from repro.core.future_cost import FutureCostEstimator
 from repro.core.instance import SteinerInstance
@@ -295,10 +290,17 @@ class TestPropertyBased:
 
 class TestPotentialParity:
     """The kernel's per-tile potential array against the estimator it
-    replaced a per-push call of (non-square grid, both forms)."""
+    replaced a per-push call of (non-square grid, both forms).
+
+    The kernel's private names are imported inside the tests: the golden
+    recorder below has to import this module against the parent commit's
+    ``src``, where they do not exist.
+    """
 
     @pytest.mark.parametrize("num_targets", [(1, 8), (9, 60)])
     def test_tile_array_equals_nearest_target_l1(self, num_targets):
+        from repro.core.cost_distance import _target_l1
+
         graph = build_grid_graph(13, 9, 3)
         estimator = FutureCostEstimator(graph, num_landmarks=0)
         rng = random.Random(num_targets[0])
@@ -316,6 +318,8 @@ class TestPotentialParity:
 
     @pytest.mark.parametrize("num_sinks", [1, 5, 7, 8, 30, 59])
     def test_solve_state_potential_equals_multi_target_potential(self, num_sinks):
+        from repro.core.cost_distance import _initial_terminals, _Solve
+
         graph = build_grid_graph(13, 9, 3)
         inst = make_instance(graph, num_sinks, seed=num_sinks, dbif=1.0)
         state = _Solve(inst, CostDistanceConfig(), random.Random(0), *_initial_terminals(inst))
@@ -329,6 +333,8 @@ class TestPotentialParity:
                 )
 
     def test_identically_zero_without_future_costs(self):
+        from repro.core.cost_distance import _initial_terminals, _Solve
+
         graph = build_grid_graph(13, 9, 3)
         inst = make_instance(graph, 12, seed=1)
         config = CostDistanceConfig(use_future_costs=False)
@@ -342,11 +348,19 @@ class TestPotentialParity:
 # ---------------------------------------------------------------- golden
 _GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "kernel_golden.json"
 
+#: Every configuration here routes on the two-level heap.  The flat queue
+#: (``use_two_level_heap=False``, so ``CostDistanceConfig.plain()`` too) is
+#: not reproducible between interpreter runs: ``_FlatQueue._by_search`` is a
+#: set of ints and ``("c", node)`` tuples, ``remove_search`` iterates it, the
+#: removal order shapes the heap -- its trees depend on ``PYTHONHASHSEED``
+#: and cannot be pinned until that is fixed (ROADMAP).  The Section II
+#: bookkeeping is pinned through ``plain-two-level`` instead.
 _GOLDEN_CONFIGS = {
     "default": CostDistanceConfig(),
-    "plain": CostDistanceConfig.plain(),
+    "plain-two-level": dataclasses.replace(
+        CostDistanceConfig.plain(), use_two_level_heap=True
+    ),
     "no-discount": CostDistanceConfig(discount_components=False),
-    "flat-heap": CostDistanceConfig(use_two_level_heap=False),
     "no-future-cost": CostDistanceConfig(use_future_costs=False),
     "no-placement": CostDistanceConfig(improved_steiner_placement=False),
     "no-root-encouragement": CostDistanceConfig(encourage_root_connections=False),
@@ -385,11 +399,12 @@ def _golden_instances(chip_name, dbif):
 def kernel_digests():
     """``{"<config>/dbif=<d>/<chip>": ["<sha256[:16]>:<labels>:<iters>:<merges>", ...]}``
 
-    One entry per net.  Recorded at the commit before the kernel rebuild
-    (``PYTHONPATH=<parent>/src python -c "from tests.test_cost_distance import
-    record_kernel_golden as r; r()"``) and never edited since: any drift in
-    the pop order, the potentials or the component bookkeeping moves a tree
-    or a label count here.
+    One entry per net.  Recorded with the kernel of the commit before its
+    rebuild (from the repository root, ``PYTHONPATH=<parent checkout>/src:.
+    python -c "from tests.test_cost_distance import record_kernel_golden as
+    r; r()"``) and not edited since: any drift in the pop order, the
+    potentials or the component bookkeeping moves a tree or a label count
+    here.
     """
     digests = {}
     for config_name, config in _GOLDEN_CONFIGS.items():
