@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # Obs smoke, daemon leg: watch a sharded job live, check round history,
-# scrape Prometheus metrics.  Usage: ci/obs_smoke.sh PORT  (run under
-# ci/with_daemon.sh with --job-workers 1: a blocker job holds the single
-# worker so the watched job stays queued until the watcher has attached).
+# scrape Prometheus metrics.  Usage: ci/obs_smoke.sh PORT, under
+#   ci/with_daemon.sh --port PORT --job-workers 1 --inject slow-oracle:ms=25 -- ...
+# --job-workers 1: a blocker job holds the single worker so the watched job
+# stays queued until the watcher has attached.  The daemon-wide slow-oracle
+# plan sleeps 25 ms before every oracle call, which gives the blocker a
+# floor that does not depend on search speed: 45 nets x 4 rounds x 25 ms =
+# 4.5 s, against the two CLI start-ups (~0.35 s each) it has to outlast;
+# the 14-net watched job pays under 1 s more (14 x 3 x 25 ms).
 set -euo pipefail
 PORT="$1"
 

@@ -2,34 +2,23 @@
 
 The flat flag form routes one chip of the synthetic suite and prints the
 Table IV/V style result row; the subcommand form talks to the routing
-service (:mod:`repro.serve`).
+service (:mod:`repro.serve`).  The flow flags (``--chip`` ... ``--shard-parity``)
+and the process flags (``--trace`` / ``--log-level`` / ``--inject``) are
+declared once, in :mod:`repro.flowparams`; ``--help`` lists them.
 
-Examples::
+Examples (README "Command-line flags" lists every flag once)::
 
-    python -m repro --chip c1
     python -m repro --chip c3 --oracle L1 --rounds 3
-    python -m repro --chip c1 --backend process --workers 4 --cache
-    python -m repro --chip c2 --checkpoint run.ckpt --resume
-    python -m repro --chip c2 --checkpoint run.ckpt --checkpoint-every 2
-    python -m repro --chip c1 --shards 2 --shard-workers 2 \\
-        --inject kill-region-worker:round=2
-    python -m repro route --chip c8 --shards 4
     python -m repro route --chip c8 --shards 4 --shard-workers 2
+    python -m repro --chip c2 --checkpoint run.ckpt --checkpoint-every 2 --resume
     python -m repro --list-chips
 
     python -m repro serve --port 8642
     python -m repro submit --chip c1 --net-scale 0.2 --session s1 --wait
-    python -m repro submit --chip c8 --shards 4 --shard-workers 2 --wait
     python -m repro eco --session s1 --ops '[{"op": "move_pin", ...}]' --wait
-    python -m repro status --all
-    python -m repro watch JOB_ID
-    python -m repro history JOB_ID
-    python -m repro health
-    python -m repro metrics --format prometheus
+    python -m repro status --all    # also: watch / history / result JOB_ID, health, metrics
     python -m repro trace summarize run.trace
-    python -m repro trace export run.trace --format chrome -o run.json
-    python -m repro soak --chip c1 --ops 60 --shards 2 \\
-        --inject "kill-region-worker:round=2"
+    python -m repro soak --chip c1 --ops 60 --shards 2 --inject "kill-region-worker:round=2"
     python -m repro shutdown
 """
 
@@ -40,12 +29,18 @@ import json
 import sys
 from typing import Optional
 
-from repro.argtypes import positive_float, positive_int
-from repro.engine.engine import EngineConfig
-from repro.instances.chips import CHIP_SUITE, build_chip, chip_table
+from repro.flowparams import (
+    FLOW_NAMES,
+    add_flow_arguments,
+    add_process_arguments,
+    build_flow,
+    flow_params,
+    process_context,
+)
+from repro.instances.chips import build_chip, chip_table
 from repro.router.metrics import format_result_row
-from repro.router.oracles import ORACLES, make_oracle
-from repro.router.router import GlobalRouter, GlobalRouterConfig
+from repro.router.oracles import ORACLES, make_oracle  # noqa: F401  (re-exported)
+from repro.router.router import GlobalRouter
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,91 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Timing-constrained global routing of a synthetic chip.",
     )
-    parser.add_argument(
-        "--chip",
-        default="c1",
-        choices=[spec.name for spec in CHIP_SUITE],
-        help="chip of the synthetic suite (paper Table III analogue)",
-    )
-    parser.add_argument(
-        "--oracle",
-        default="CD",
-        choices=sorted(ORACLES),
-        help="Steiner tree oracle (CD = cost-distance, L1/SL/PD = baselines)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="serial",
-        choices=["serial", "process"],
-        help="engine executor backend",
-    )
-    parser.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        help="worker processes for the process backend (default: auto)",
-    )
-    parser.add_argument(
-        "--scheduling",
-        default="window",
-        choices=["window", "bbox"],
-        help="net batching policy",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="enable the incremental re-route cache",
-    )
-    parser.add_argument(
-        "--cache-scope",
-        default="bbox",
-        choices=["bbox", "global"],
-        help=(
-            "re-route cache signature scope: 'bbox' digests costs over each "
-            "net's bounding region (fast, heuristic), 'global' digests the "
-            "full cost vector (guaranteed bit-identical to running without "
-            "--cache)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=positive_int,
-        default=1,
-        help=(
-            "route the chip as this many rectangular regions: interior nets "
-            "run on per-region subgraphs, seam-crossing nets in a global "
-            "stitch pass (1 = classic single-region flow)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=positive_int,
-        default=None,
-        help=(
-            "worker processes for the region-parallel shard pass: route the "
-            "K region interiors of each round concurrently on a process "
-            "pool (default/1 = serial; results are bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-parity",
-        action="store_true",
-        help=(
-            "shard verification mode: route interior nets on the full graph "
-            "and every net against the round-start snapshot, reproducing "
-            "the unsharded router bit for bit at a full-round cost window"
-        ),
-    )
-    parser.add_argument(
-        "--rounds", type=positive_int, default=2, help="resource-sharing rounds"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="routing seed")
-    parser.add_argument(
-        "--net-scale",
-        type=positive_float,
-        default=1.0,
-        help="scale factor on the chip's net count (e.g. 0.3 for a smoke run)",
-    )
+    add_flow_arguments(parser, FLOW_NAMES + ("checkpoint_every",))
+    add_process_arguments(parser)
     parser.add_argument(
         "--json",
         action="store_true",
@@ -155,47 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a resumable checkpoint to PATH after every round",
     )
     parser.add_argument(
-        "--checkpoint-every",
-        type=positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "with --checkpoint: save every N rounds instead of every round "
-            "(the final round is always saved)"
-        ),
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="resume from --checkpoint PATH when it exists",
-    )
-    parser.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "inject a fault for chaos testing, e.g. "
-            "'kill-region-worker:round=2', 'kill-pool-worker', "
-            "'slow-oracle:ms=20', 'drop-outcome', 'crash-run:round=1'; "
-            "repeatable (see repro.faults)"
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write a JSON-lines trace (round/region/batch spans, per-net "
-            "events, final counters) to PATH; inspect it with "
-            "'python -m repro trace summarize PATH'"
-        ),
-    )
-    parser.add_argument(
-        "--log-level",
-        default=None,
-        choices=["debug", "info", "warning", "error"],
-        help="stderr logging level for the repro.* logger tree",
     )
     return parser
 
@@ -235,49 +109,25 @@ def main(argv: Optional[list] = None) -> int:
                 f"layers={row['layers']:<3} grid={row['grid']}"
             )
         return 0
+    with process_context(args):
+        return _route(args)
 
-    if args.log_level is not None:
-        from repro import obs
 
-        obs.configure_logging(args.log_level)
-    if args.trace is not None:
-        from repro import obs
-
-        obs.configure_tracing(args.trace)
-    if args.inject:
-        from repro import faults
-
-        faults.install_plan(";".join(args.inject))
-
-    spec = next(s for s in CHIP_SUITE if s.name == args.chip)
-    if args.net_scale != 1.0:
-        spec = spec.scaled(args.net_scale)
+def _route(args: argparse.Namespace) -> int:
+    """The one-shot flow: the same ``build_flow`` call a daemon route job makes."""
+    spec, oracle, config = build_flow(flow_params(args))
     graph, netlist = build_chip(spec)
-    oracle = make_oracle(args.oracle)
-    config = GlobalRouterConfig(
-        num_rounds=args.rounds,
-        seed=args.seed,
-        engine=EngineConfig(
-            backend=args.backend,
-            num_workers=args.workers,
-            scheduling=args.scheduling,
-            reroute_cache=args.cache,
-            cache_scope=args.cache_scope,
-        ),
-        shards=args.shards,
-        shard_parity=args.shard_parity,
-        shard_workers=args.shard_workers,
-    )
+    engine = config.engine
     print(
         f"routing {spec.name}: {netlist.num_nets} nets on {graph} "
-        f"[oracle={args.oracle} backend={args.backend} scheduling={args.scheduling}"
-        f"{' cache' if args.cache else ''}"
-        f"{f' shards={args.shards}' if args.shards > 1 else ''}"
-        f"{f' shard-workers={args.shard_workers}' if args.shard_workers else ''}]",
+        f"[oracle={oracle.name} backend={engine.backend} scheduling={engine.scheduling}"
+        f"{' cache' if engine.reroute_cache else ''}"
+        f"{f' shards={config.shards}' if config.shards > 1 else ''}"
+        f"{f' shard-workers={config.shard_workers}' if config.shard_workers else ''}]",
         file=sys.stderr,
     )
     router = GlobalRouter(graph, netlist, oracle, config)
-    if args.shards > 1:
+    if config.shards > 1:
         stats = router.engine.stats
         print(
             f"shards: {stats.num_regions} regions, interior nets "
@@ -296,14 +146,8 @@ def main(argv: Optional[list] = None) -> int:
                 f"{router.rounds_completed}/{config.num_rounds}",
                 file=sys.stderr,
             )
-        on_round_end = checkpoint_every_hook(args.checkpoint, args.checkpoint_every)
-    try:
-        result = router.run(on_round_end=on_round_end)
-    finally:
-        if args.trace is not None:
-            from repro import obs
-
-            obs.close_tracing(obs.default_registry().snapshot())
+        on_round_end = checkpoint_every_hook(args.checkpoint, args.checkpoint_every or 1)
+    result = router.run(on_round_end=on_round_end)
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, default=float))
     else:

@@ -49,7 +49,12 @@ if TYPE_CHECKING:  # circular at runtime: repro.router imports repro.engine
     from repro.router.netlist import Netlist
     from repro.router.resource_sharing import ResourceSharingPrices
 
-__all__ = ["EngineConfig", "RoundReport", "RoutingEngine"]
+__all__ = ["CACHE_SCOPES", "SCHEDULING_POLICIES", "EngineConfig", "RoundReport", "RoutingEngine"]
+
+#: The values of :attr:`EngineConfig.scheduling` / :attr:`EngineConfig.cache_scope`
+#: (the flow-parameter table reads its choice sets from here).
+SCHEDULING_POLICIES = ("window", "bbox")
+CACHE_SCOPES = ("bbox", "global")
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,9 @@ class EngineConfig:
                 f"unknown executor backend {self.backend!r}; "
                 f"available: {sorted(EXECUTOR_BACKENDS)}"
             )
-        if self.scheduling not in ("window", "bbox"):
+        if self.scheduling not in SCHEDULING_POLICIES:
             raise ValueError(f"unknown scheduling policy {self.scheduling!r}")
-        if self.cache_scope not in ("bbox", "global"):
+        if self.cache_scope not in CACHE_SCOPES:
             raise ValueError(f"unknown cache scope {self.cache_scope!r}")
         if self.bbox_halo < 0:
             raise ValueError("bbox_halo must be non-negative")

@@ -6,7 +6,9 @@ subcommands on top of :class:`~repro.serve.daemon.ServeDaemon` and
 :class:`~repro.serve.client.ServeClient`.  All query output is JSON on
 stdout (one document per invocation; ``watch`` streams one JSON event per
 line) so shell pipelines and the CI smoke job can consume it; progress
-chatter goes to stderr.
+chatter goes to stderr.  The flow flags of ``submit`` / ``eco`` are the rows
+of :mod:`repro.flowparams`' table -- the same ones ``route`` takes -- and the
+job params sent are ``flow_params(args)``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from repro import obs
-from repro.argtypes import positive_float, positive_int
+from repro.flowparams import (
+    JOB_PARAMS,
+    POSITIVE_INT,
+    add_flow_arguments,
+    add_process_arguments,
+    flow_params,
+    process_context,
+)
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import DEFAULT_HOST, DEFAULT_PORT, ServeDaemon
 from repro.serve.jobs import JobState
@@ -39,13 +47,6 @@ SERVE_COMMANDS = (
 )
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
-
-
 def _add_endpoint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default=DEFAULT_HOST, help="daemon host")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT, help="daemon port")
@@ -62,101 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser("serve", help="run the routing daemon in the foreground")
     _add_endpoint_arguments(serve)
     serve.add_argument(
-        "--job-workers", type=positive_int, default=2, help="concurrent routing jobs"
+        "--job-workers", type=POSITIVE_INT.from_text, default=2, help="concurrent routing jobs"
     )
     serve.add_argument(
         "--state-dir", default=None, help="persist job records under this directory"
     )
-    serve.add_argument(
-        "--trace",
-        default=None,
-        help="write a daemon-wide JSON-lines trace (spans of every job) to this path",
-    )
-    serve.add_argument(
-        "--log-level",
-        default=None,
-        choices=["debug", "info", "warning", "error"],
-        help="stderr logging level for the repro.* logger tree",
-    )
-    serve.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "install a daemon-wide fault plan for chaos testing, e.g. "
-            "'kill-region-worker:round=2'; repeatable (see repro.faults)"
-        ),
-    )
+    add_process_arguments(serve)
 
     submit = commands.add_parser("submit", help="submit a routing job")
     _add_endpoint_arguments(submit)
-    submit.add_argument("--chip", default="c1", help="chip of the synthetic suite")
-    submit.add_argument("--oracle", default="CD", help="Steiner oracle (CD/L1/SL/PD)")
-    submit.add_argument("--rounds", type=positive_int, default=2, help="resource-sharing rounds")
-    submit.add_argument("--seed", type=int, default=0, help="routing seed")
-    submit.add_argument("--net-scale", type=positive_float, default=1.0, help="net count scale")
-    submit.add_argument(
-        "--backend", default="serial", choices=["serial", "process"], help="engine backend"
-    )
-    submit.add_argument("--workers", type=positive_int, default=None, help="process-pool size")
-    submit.add_argument(
-        "--scheduling", default="window", choices=["window", "bbox"], help="batch policy"
-    )
-    submit.add_argument("--cache", action="store_true", help="enable the re-route cache")
-    submit.add_argument(
-        "--cache-scope", default="bbox", choices=["bbox", "global"], help="cache scope"
-    )
-    submit.add_argument(
-        "--shards",
-        type=positive_int,
-        default=1,
-        help=(
-            "route the design as this many regions through the shard "
-            "coordinator -- the same result as `route --shards K` (1 = "
-            "classic single-region flow); combined with --session, later "
-            "eco jobs replay their memos through the coordinator"
-        ),
-    )
-    submit.add_argument(
-        "--shard-halo",
-        type=_non_negative_int,
-        default=0,
-        help="halo tiles around net boxes for interior/seam classification",
-    )
-    submit.add_argument(
-        "--shard-workers",
-        type=positive_int,
-        default=None,
-        help=(
-            "worker processes for the region-parallel pass of a --shards "
-            "job (default/1 = serial; results are bit-identical either way)"
-        ),
-    )
-    submit.add_argument(
-        "--session",
-        default=None,
-        help="open a persistent session under this name (target of later eco jobs)",
-    )
-    submit.add_argument(
-        "--trace",
-        default=None,
-        help=(
-            "ask the daemon to trace this job to the given path (daemon-side "
-            "file; ignored while a daemon-wide --trace is active)"
-        ),
-    )
-    submit.add_argument(
-        "--checkpoint-every",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "auto-checkpoint the route every N rounds to a daemon-side file "
-            "next to the job record; a restarted daemon re-adopts the job "
-            "and resumes from the last saved round"
-        ),
-    )
+    add_flow_arguments(submit, JOB_PARAMS["route"])
     submit.add_argument("--wait", action="store_true", help="block until the job finishes")
     submit.add_argument("--timeout", type=float, default=600.0, help="--wait timeout (s)")
 
@@ -196,33 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     eco = commands.add_parser("eco", help="submit an ECO delta against a session")
     _add_endpoint_arguments(eco)
-    eco.add_argument("--session", required=True, help="target session name")
+    # Unset overrides keep the session's current decomposition; the ops
+    # have two sources (--ops / --ops-file), declared below.
+    add_flow_arguments(
+        eco,
+        [name for name in JOB_PARAMS["eco"] if name != "ops"],
+        defaults={"shards": None, "shard_halo": None},
+        required=("session",),
+    )
     eco.add_argument("--ops", default=None, help="JSON list of ECO ops")
     eco.add_argument("--ops-file", default=None, help="file with a JSON list of ECO ops")
-    eco.add_argument(
-        "--shards",
-        type=positive_int,
-        default=None,
-        help=(
-            "re-point the session's flow at this many regions before "
-            "replaying (omit to keep the session's current decomposition)"
-        ),
-    )
-    eco.add_argument(
-        "--shard-workers",
-        type=positive_int,
-        default=None,
-        help=(
-            "region worker processes for the session's sharded replay "
-            "(results are bit-identical for every worker count)"
-        ),
-    )
-    eco.add_argument(
-        "--shard-halo",
-        type=_non_negative_int,
-        default=None,
-        help="halo tiles for interior/seam classification of the session's flow",
-    )
     eco.add_argument("--wait", action="store_true", help="block until the job finishes")
     eco.add_argument("--timeout", type=float, default=600.0, help="--wait timeout (s)")
 
@@ -253,61 +152,27 @@ def _finish(job: Dict[str, object]) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.log_level is not None:
-        obs.configure_logging(args.log_level)
-    if args.trace is not None:
-        obs.configure_tracing(args.trace)
-    if args.inject:
-        from repro import faults
-
-        faults.install_plan(";".join(args.inject))
-    daemon = ServeDaemon(
-        host=args.host,
-        port=args.port,
-        job_workers=args.job_workers,
-        state_dir=args.state_dir,
-    )
-    host, port = daemon.address
-    print(f"repro routing daemon listening on {host}:{port}", file=sys.stderr)
-    try:
-        daemon.serve_forever()
-    except KeyboardInterrupt:
-        print("interrupted; shutting down", file=sys.stderr)
-    finally:
-        daemon.shutdown()
-        if args.trace is not None:
-            obs.close_tracing(obs.default_registry().snapshot())
+    with process_context(args):
+        daemon = ServeDaemon(
+            host=args.host,
+            port=args.port,
+            job_workers=args.job_workers,
+            state_dir=args.state_dir,
+        )
+        host, port = daemon.address
+        print(f"repro routing daemon listening on {host}:{port}", file=sys.stderr)
+        try:
+            daemon.serve_forever()
+        except KeyboardInterrupt:
+            print("interrupted; shutting down", file=sys.stderr)
+        finally:
+            daemon.shutdown()
     return 0
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     client = ServeClient(args.host, args.port)
-    params: Dict[str, object] = {
-        "chip": args.chip,
-        "oracle": args.oracle,
-        "rounds": args.rounds,
-        "seed": args.seed,
-        "net_scale": args.net_scale,
-        "backend": args.backend,
-        "workers": args.workers,
-        "scheduling": args.scheduling,
-        "cache": args.cache,
-        "cache_scope": args.cache_scope,
-    }
-    if args.trace is not None:
-        params["trace"] = args.trace
-    if args.checkpoint_every is not None:
-        params["checkpoint_every"] = args.checkpoint_every
-    if args.session:
-        params["session"] = args.session
-    if args.shards > 1:
-        # The same shard coordinator as `route --shards K`; with --session
-        # the session's later eco jobs replay their memos through it.
-        params["shards"] = args.shards
-        params["shard_halo"] = args.shard_halo
-        if args.shard_workers is not None:
-            params["shard_workers"] = args.shard_workers
-    job_id = client.submit_route(**params)
+    job_id = client.submit_route(**flow_params(args))
     if args.wait:
         return _finish(client.wait(job_id, timeout=args.timeout))
     _emit({"job_id": job_id})
@@ -346,14 +211,9 @@ def _load_ops(args: argparse.Namespace) -> List[Dict[str, object]]:
 
 def _cmd_eco(args: argparse.Namespace) -> int:
     client = ServeClient(args.host, args.port)
-    params: Dict[str, object] = {}
-    if args.shards is not None:
-        params["shards"] = args.shards
-    if args.shard_workers is not None:
-        params["shard_workers"] = args.shard_workers
-    if args.shard_halo is not None:
-        params["shard_halo"] = args.shard_halo
-    job_id = client.submit_eco(args.session, _load_ops(args), **params)
+    overrides = flow_params(args)
+    session = str(overrides.pop("session"))
+    job_id = client.submit_eco(session, _load_ops(args), **overrides)
     if args.wait:
         return _finish(client.wait(job_id, timeout=args.timeout))
     _emit({"job_id": job_id})

@@ -34,13 +34,13 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Tuple, cast
 
 from repro import obs
-from repro.engine.engine import EngineConfig
-from repro.instances.chips import CHIP_SUITE, ChipSpec, build_chip
-from repro.router.oracles import make_oracle
-from repro.router.router import GlobalRouter, GlobalRouterConfig
+from repro.flowparams import build_flow, config_kwargs, validate_params
+from repro.instances.chips import build_chip
+from repro.router.router import GlobalRouter
 from repro.serve.checkpoint import checkpoint_every_hook, try_resume_router
 from repro.serve.jobs import JobCancelled, JobState, JobStore
 from repro.serve.session import RoutingSession
@@ -55,16 +55,6 @@ DEFAULT_PORT = 8642
 MAX_REQUEST_BYTES = 1 << 20
 
 
-def _engine_config_from_params(params: Dict[str, object]) -> EngineConfig:
-    return EngineConfig(
-        backend=str(params.get("backend", "serial")),
-        num_workers=params.get("workers"),  # type: ignore[arg-type]
-        scheduling=str(params.get("scheduling", "window")),
-        reroute_cache=bool(params.get("cache", False)),
-        cache_scope=str(params.get("cache_scope", "bbox")),
-    )
-
-
 def _daemon_safe_start_method() -> str:
     """The region-pool start method for routers living inside the daemon.
 
@@ -77,40 +67,6 @@ def _daemon_safe_start_method() -> str:
 
     methods = multiprocessing.get_all_start_methods()
     return "forkserver" if "forkserver" in methods else "spawn"
-
-
-def _router_config_from_params(params: Dict[str, object]) -> GlobalRouterConfig:
-    shard_workers = params.get("shard_workers")
-    shards = int(params.get("shards", 1))  # type: ignore[arg-type]
-    return GlobalRouterConfig(
-        num_rounds=int(params.get("rounds", 2)),  # type: ignore[arg-type]
-        seed=int(params.get("seed", 0)),  # type: ignore[arg-type]
-        engine=_engine_config_from_params(params),
-        shards=shards,
-        shard_parity=bool(params.get("shard_parity", False)),
-        shard_halo=int(params.get("shard_halo", 0)),  # type: ignore[arg-type]
-        shard_workers=(
-            None if shard_workers is None else int(shard_workers)  # type: ignore[arg-type]
-        ),
-        shard_start_method=(
-            _daemon_safe_start_method()
-            if shards > 1
-            and shard_workers is not None
-            and int(shard_workers) > 1  # type: ignore[arg-type]
-            else None
-        ),
-    )
-
-
-def _chip_from_params(params: Dict[str, object]) -> ChipSpec:
-    chip_name = str(params.get("chip", "c1"))
-    spec = next((s for s in CHIP_SUITE if s.name == chip_name), None)
-    if spec is None:
-        raise ValueError(f"unknown chip {chip_name!r}")
-    net_scale = float(params.get("net_scale", 1.0))  # type: ignore[arg-type]
-    if net_scale != 1.0:
-        spec = spec.scaled(net_scale)
-    return spec
 
 
 def _chain_hooks(*hooks):
@@ -322,6 +278,10 @@ class ServeDaemon:
             params = {}
         if not isinstance(params, dict):
             return {"ok": False, "error": "params must be a JSON object"}
+        # An unknown or ill-typed param is refused here, by name, instead of
+        # failing the job later or silently routing something else (the
+        # connection handler turns the ValueError into the error response).
+        validate_params(str(kind), params)
         job = self.store.submit(str(kind), params)
         self._cancel_flags[job.job_id] = threading.Event()
         self._publish_job_state(job.job_id)
@@ -608,15 +568,18 @@ class ServeDaemon:
             if self._checkpoint_scratch is None:
                 self._checkpoint_scratch = tempfile.mkdtemp(prefix="repro-serve-ckpt-")
             base = self._checkpoint_scratch
-        return os.path.join(base, f"{job_id}.ckpt"), int(every)  # type: ignore[arg-type]
+        # ``every`` passed build_flow's validation: a positive integer.
+        return os.path.join(base, f"{job_id}.ckpt"), cast(int, every)
 
     def _run_route(
         self, job_id: str, params: Dict[str, object], cancel: threading.Event
     ) -> Dict[str, object]:
-        spec = _chip_from_params(params)
+        # The same call a one-shot `route` makes (it re-validates, so a
+        # record re-adopted from an older daemon's state dir fails by name).
+        # The daemon is multi-threaded: its region pools must not fork.
+        spec, oracle, config = build_flow(params)
+        config = replace(config, shard_start_method=_daemon_safe_start_method())
         graph, netlist = build_chip(spec)
-        oracle = make_oracle(str(params.get("oracle", "CD")))
-        config = _router_config_from_params(params)
         hook = self._round_hook(job_id, cancel)
         checkpoint_path, checkpoint_every = self._checkpoint_plan(job_id, params)
         if checkpoint_path is not None:
@@ -627,7 +590,6 @@ class ServeDaemon:
             )
         session_name = params.get("session")
         if session_name is not None:
-            session_name = str(session_name)
             # Reserve the name atomically so two concurrent route jobs
             # cannot both pass the duplicate check and race the insert.
             with self._sessions_guard:
@@ -700,33 +662,10 @@ class ServeDaemon:
             # configuration is restored when the flow fails or is cancelled:
             # a failed ECO must leave the session *exactly* as it was,
             # decomposition included.
-            shards = params.get("shards")
-            shard_workers = params.get("shard_workers")
             previous_config = session.config
+            _, shard_overrides = config_kwargs(params)
             try:
-                session.configure_sharding(
-                    shards=(
-                        None if shards is None else int(shards)  # type: ignore[arg-type]
-                    ),
-                    shard_workers=(
-                        None
-                        if shard_workers is None
-                        else int(shard_workers)  # type: ignore[arg-type]
-                    ),
-                    shard_halo=(
-                        None
-                        if params.get("shard_halo") is None
-                        else int(params["shard_halo"])  # type: ignore[arg-type]
-                    ),
-                    shard_start_method=(
-                        # The daemon is multi-threaded; in-daemon region pools
-                        # must not fork (see _daemon_safe_start_method).
-                        _daemon_safe_start_method()
-                        if session.config.shards > 1
-                        or (shards is not None and int(shards) > 1)  # type: ignore[arg-type]
-                        else None
-                    ),
-                )
+                session.configure_sharding(**shard_overrides)
                 report = session.apply_eco(
                     ops, on_round_end=self._round_hook(job_id, cancel)
                 )

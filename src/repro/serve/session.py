@@ -130,35 +130,21 @@ class RoutingSession:
         initial route); see :class:`repro.obs.timeseries.RoundSeries`."""
         return self.router.series if self.router is not None else None
 
-    def configure_sharding(
-        self,
-        shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
-        shard_halo: Optional[int] = None,
-        shard_start_method: Optional[str] = None,
-    ) -> None:
+    def configure_sharding(self, **overrides: object) -> None:
         """Re-point the session's later flows at a different decomposition.
 
-        Arguments left ``None`` keep their current value.  Changing
-        ``shard_workers`` (or the start method) never changes results --
-        region backends are bit-identical.  Changing ``shards`` or the halo
+        ``overrides`` are :class:`GlobalRouterConfig` fields (``shards``,
+        ``shard_workers``, ``shard_halo``, ``shard_start_method``); fields
+        not named keep their current value.  Changing ``shard_workers`` (or
+        the start method) never changes results -- region backends are
+        bit-identical.  Changing ``shards`` or the halo
         changes the flow itself: the next ECO is still bit-identical to a
         cold re-route of the edited netlist *under the new configuration*,
         but memos recorded under the old decomposition mostly miss (scope
         signatures are only comparable between identical scopes), so that
         first re-route amortises little.
         """
-        updates: Dict[str, object] = {}
-        if shards is not None:
-            updates["shards"] = int(shards)
-        if shard_workers is not None:
-            updates["shard_workers"] = int(shard_workers)
-        if shard_halo is not None:
-            updates["shard_halo"] = int(shard_halo)
-        if shard_start_method is not None:
-            updates["shard_start_method"] = str(shard_start_method)
-        if updates:
-            self.config = replace(self.config, **updates)  # validated by __post_init__
+        self.config = replace(self.config, **overrides)  # validated by __post_init__
 
     def route(self, on_round_end=None, resume_from: Optional[str] = None) -> RoutingResult:
         """Route the session's current netlist from scratch (records the

@@ -28,13 +28,20 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
+from dataclasses import replace
+
 from repro import faults, obs
-from repro.argtypes import positive_int
-from repro.instances.chips import CHIP_SUITE, build_chip
+from repro.flowparams import (
+    POSITIVE_INT,
+    add_flow_arguments,
+    add_process_arguments,
+    build_flow,
+    flow_params,
+    process_context,
+)
+from repro.instances.chips import build_chip
 from repro.instances.eco_stream import EcoStreamConfig, generate_eco_stream
 from repro.router.metrics import PARITY_FIELDS, RoutingResult
-from repro.router.oracles import ORACLES, make_oracle
-from repro.router.router import GlobalRouterConfig
 from repro.serve.session import RoutingSession
 
 __all__ = ["build_parser", "run_soak", "main"]
@@ -48,25 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
             "fault-injected sharded session; assert bit-identical results."
         ),
     )
-    parser.add_argument(
-        "--chip",
-        default="c1",
-        choices=[spec.name for spec in CHIP_SUITE],
-        help="chip of the synthetic suite",
+    # A deliberately small instance and a pooled 2-region chaos run: these
+    # three defaults are soak's own; everything else is the table's.
+    add_flow_arguments(
+        parser,
+        ("chip", "oracle", "net_scale", "rounds", "seed", "shards", "shard_workers", "shard_halo"),
+        defaults={"net_scale": 0.15, "shards": 2, "shard_workers": 2},
     )
-    parser.add_argument("--oracle", default="CD", choices=sorted(ORACLES), help="Steiner oracle")
     parser.add_argument(
-        "--net-scale",
-        type=float,
-        default=0.15,
-        help="scale factor on the chip's net count",
+        "--ops", type=POSITIVE_INT.from_text, default=60, help="total ECO operations"
     )
-    parser.add_argument("--rounds", type=positive_int, default=2, help="resource-sharing rounds")
-    parser.add_argument("--seed", type=int, default=0, help="routing seed")
-    parser.add_argument("--ops", type=positive_int, default=60, help="total ECO operations")
     parser.add_argument(
         "--batch-size",
-        type=positive_int,
+        type=POSITIVE_INT.from_text,
         default=5,
         help="ECO operations per request",
     )
@@ -76,29 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ECO stream seed (default: --seed)",
     )
-    parser.add_argument(
-        "--shards",
-        type=positive_int,
-        default=2,
-        help="regions of the chaos run's decomposition (the clean run reuses it serially)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=positive_int,
-        default=2,
-        help="region worker processes of the chaos run",
-    )
-    parser.add_argument("--shard-halo", type=int, default=0, help="interior/seam halo tiles")
-    parser.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "fault plan of the chaos run, e.g. 'kill-region-worker:round=2' "
-            "or 'slow-oracle:ms=5'; repeatable (see repro.faults)"
-        ),
-    )
+    add_process_arguments(parser, tracing=False)
     parser.add_argument(
         "--output",
         "-o",
@@ -107,16 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON report here instead of stdout",
     )
     return parser
-
-
-def _session_config(args: argparse.Namespace, shard_workers: Optional[int]) -> GlobalRouterConfig:
-    return GlobalRouterConfig(
-        num_rounds=args.rounds,
-        seed=args.seed,
-        shards=args.shards,
-        shard_halo=args.shard_halo,
-        shard_workers=shard_workers,
-    )
 
 
 def _tree_signature(session: RoutingSession) -> Dict[str, Optional[Tuple]]:
@@ -156,34 +125,25 @@ def _replay(
 
 def run_soak(args: argparse.Namespace) -> Dict[str, object]:
     """Run the endurance comparison and return the report document."""
-    spec = next(s for s in CHIP_SUITE if s.name == args.chip)
-    if args.net_scale != 1.0:
-        spec = spec.scaled(args.net_scale)
+    spec, oracle, config = build_flow(flow_params(args))
     graph, netlist = build_chip(spec)
-    stream_seed = args.seed if args.stream_seed is None else args.stream_seed
+    stream_seed = config.seed if args.stream_seed is None else args.stream_seed
     batches = generate_eco_stream(
         netlist,
         graph,
         EcoStreamConfig(ops=args.ops, batch_size=args.batch_size, seed=stream_seed),
     )
-    plan_text = ";".join(args.inject) if args.inject else ""
 
+    # The clean run: same decomposition, serial regions, no faults (not
+    # even a plan inherited through the environment).  Oracles hold only
+    # configuration, so both sessions share one.
     faults.clear_plan()
-    clean = RoutingSession(graph, netlist, make_oracle(args.oracle), _session_config(args, None))
+    clean = RoutingSession(graph, netlist, oracle, replace(config, shard_workers=None))
     clean_results, clean_walltime = _replay(clean, batches, "clean")
 
-    if plan_text:
-        faults.install_plan(plan_text)
-    try:
-        chaos = RoutingSession(
-            graph,
-            netlist,
-            make_oracle(args.oracle),
-            _session_config(args, args.shard_workers),
-        )
+    with process_context(args):  # the --inject plan covers the chaos run only
+        chaos = RoutingSession(graph, netlist, oracle, config)
         chaos_results, chaos_walltime = _replay(chaos, batches, "chaos")
-    finally:
-        faults.clear_plan()
 
     mismatches: List[Dict[str, object]] = []
     for flow, (want, got) in enumerate(zip(clean_results, chaos_results)):
@@ -211,15 +171,15 @@ def run_soak(args: argparse.Namespace) -> Dict[str, object]:
     return {
         "chip": spec.name,
         "nets": netlist.num_nets,
-        "oracle": args.oracle,
-        "rounds": args.rounds,
-        "seed": args.seed,
+        "oracle": oracle.name,
+        "rounds": config.num_rounds,
+        "seed": config.seed,
         "stream_seed": stream_seed,
         "ops": args.ops,
         "batches": len(batches),
-        "shards": args.shards,
-        "shard_workers": args.shard_workers,
-        "inject": plan_text,
+        "shards": config.shards,
+        "shard_workers": config.shard_workers,
+        "inject": ";".join(args.inject or ()),
         "flows": len(clean_results),
         "clean_walltime": clean_walltime,
         "chaos_walltime": chaos_walltime,

@@ -87,22 +87,27 @@ class TestMain:
 
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["--rounds", "0"],
-            ["submit", "--rounds", "0"],
-            ["submit", "--workers", "0"],
-            ["submit", "--net-scale", "0"],
-            ["serve", "--job-workers", "0"],
-            ["soak", "--rounds", "0"],
+            (["--rounds", "0"], "must be a positive"),
+            (["submit", "--rounds", "0"], "must be a positive"),
+            (["submit", "--workers", "0"], "must be a positive"),
+            (["submit", "--net-scale", "0"], "must be a positive"),
+            (["serve", "--job-workers", "0"], "must be a positive"),
+            (["soak", "--rounds", "0"], "must be a positive"),
+            (["soak", "--net-scale", "-1"], "must be a positive"),
+            (["soak", "--shard-halo", "-3"], "must be a non-negative"),
+            (["route", "--shard-halo", "-1"], "must be a non-negative"),
+            (["submit", "--chip", "c99"], "invalid choice"),
         ],
     )
-    def test_every_parser_validates_counts_the_same_way(self, argv, capsys):
-        """One-shot, serve and soak parsers share one set of argparse types."""
+    def test_every_parser_validates_counts_the_same_way(self, argv, message, capsys):
+        """One-shot, serve and soak parsers take their flow flags -- value
+        checks and choice sets included -- from the one table."""
         with pytest.raises(SystemExit) as raised:
             main(argv)
         assert raised.value.code == 2
-        assert "must be a positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestServeSubcommands:

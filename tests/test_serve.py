@@ -528,21 +528,20 @@ class TestDaemon:
         assert "unknown session" in job["error"]
 
     def test_bad_chip_fails_cleanly(self, client):
-        job_id = client.submit_route(chip="c99")
-        job = client.wait(job_id, timeout=60.0)
-        assert job["status"] == JobState.FAILED
-        assert "unknown chip" in job["error"]
+        """A bad value is refused by name in the submit response."""
+        with pytest.raises(ServeError, match="unknown chip"):
+            client.submit_route(chip="c99")
+        assert client.jobs() == []
 
     @pytest.mark.parametrize("rounds", [0, -3])
     def test_zero_round_job_fails_and_leaves_no_session(self, client, rounds):
         """``rounds < 1`` used to run zero rounds and report a "done" job
-        with nothing routed; the config rejects it before the session name
-        is reserved."""
-        job_id = client.submit_route(chip="c1", net_scale=0.1, rounds=rounds, session="z")
-        job = client.wait(job_id, timeout=60.0)
-        assert job["status"] == JobState.FAILED
-        assert "ValueError: num_rounds must be at least 1" in job["error"]
+        with nothing routed; ``submit`` refuses it, so no job exists and the
+        session name is never reserved."""
+        with pytest.raises(ServeError, match="rounds must be a positive integer"):
+            client.submit_route(chip="c1", net_scale=0.1, rounds=rounds, session="z")
         assert client.sessions() == []
+        assert client.jobs() == []
 
     def test_queued_job_cancellation(self, tmp_path):
         # One worker: the first job occupies it, the second stays queued
