@@ -49,7 +49,7 @@ from repro.core.cost_distance import CostDistanceSolver
 from repro.instances.chips import large_chip
 from repro.router.metrics import PARITY_FIELDS, format_result_row
 from repro.router.router import GlobalRouter, GlobalRouterConfig
-from repro.shard.executor import ProcessRegionExecutor
+from repro.shard.executor import region_worker
 
 from benchmarks.conftest import bench_scale, write_result
 
@@ -90,7 +90,7 @@ def route_large_chip(graph, netlist, **config):
         # Pay the pool's start-up outside the timed window (module docstring).
         coordinator = router.engine
         coordinator.region_executor.pool.start(
-            coordinator.region_worker_payload, config["shard_workers"]
+            coordinator.region_worker_payload, region_worker, len(coordinator.regions)
         )
         started = time.perf_counter()
     result = router.run()
@@ -127,9 +127,7 @@ def test_shard_scaling_and_seam_quality(benchmark):
     stacked_speedup = base_time / pool_time
     stats = shard_router.engine.stats
     pool_executor = pool_router.engine.region_executor
-    pool_live = (
-        isinstance(pool_executor, ProcessRegionExecutor) and pool_executor.pool.used
-    )
+    pool_live = pool_executor.pool.used
     cores = os.cpu_count() or 1
 
     lines = [

@@ -3,7 +3,9 @@
 # auto-checkpoint every round, and a hard crash (crash-run exits the
 # process) must -- after a --resume leg -- land bit-identical to the
 # undisturbed run.  This is the recovery contract end to end, through
-# the public CLI only.  Usage: ci/chaos_smoke.sh [workdir]
+# the public CLI only.  A second, unsharded leg kills a worker of the
+# engine's batch pool (`--backend process`), so both users of the one
+# task map are smoke-tested.  Usage: ci/chaos_smoke.sh [workdir]
 set -euo pipefail
 cd "${1:-.}"
 export PYTHONPATH="${PYTHONPATH:-src}"
@@ -34,14 +36,24 @@ fi
 python -m repro "${ROUTE_ARGS[@]}" --shard-workers 2 \
   --checkpoint chaos.ckpt --resume --json > chaos.json
 
+# Unsharded leg: same contract for the engine's batch pool.
+UNSHARDED_ARGS=(--chip c1 --net-scale 0.3 --rounds 3)
+python -m repro "${UNSHARDED_ARGS[@]}" --json > clean_unsharded.json
+python -m repro "${UNSHARDED_ARGS[@]}" --backend process --workers 2 \
+  --inject 'kill-pool-worker:round=2' --json > chaos_unsharded.json
+
 python - <<'EOF'
 import json
 from repro.router.metrics import PARITY_FIELDS, RoutingResult
 
-clean = RoutingResult.from_dict(json.load(open("clean.json")))
-chaos = RoutingResult.from_dict(json.load(open("chaos.json")))
-for field in PARITY_FIELDS:
-    want, got = getattr(clean, field), getattr(chaos, field)
-    assert want == got, f"{field}: clean {want!r} != killed+crashed+resumed {got!r}"
-print("kill + crash + resume bit-identical to the clean run on", PARITY_FIELDS)
+for clean_path, chaos_path, what in (
+    ("clean.json", "chaos.json", "kill + crash + resume"),
+    ("clean_unsharded.json", "chaos_unsharded.json", "batch-pool kill"),
+):
+    clean = RoutingResult.from_dict(json.load(open(clean_path)))
+    chaos = RoutingResult.from_dict(json.load(open(chaos_path)))
+    for field in PARITY_FIELDS:
+        want, got = getattr(clean, field), getattr(chaos, field)
+        assert want == got, f"{what}: {field}: clean {want!r} != faulted {got!r}"
+    print(what, "bit-identical to the clean run on", PARITY_FIELDS)
 EOF

@@ -59,10 +59,8 @@ from repro.engine import (
     BatchExecutor,
     EngineConfig,
     NetScheduler,
-    ProcessExecutor,
     RerouteCache,
     RoutingEngine,
-    SerialExecutor,
     derive_net_rng,
     derive_net_rng_for_name,
 )
@@ -105,8 +103,6 @@ __all__ = [
     "RoutingEngine",
     "NetScheduler",
     "BatchExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
     "RerouteCache",
     "derive_net_rng",
     "derive_net_rng_for_name",

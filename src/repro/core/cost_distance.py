@@ -139,11 +139,16 @@ class _Search:
 
 
 class _FlatQueue:
-    """Single addressable heap with the same API as :class:`TwoLevelHeap`."""
+    """Single addressable heap with the same API as :class:`TwoLevelHeap`.
+
+    A search's members are kept in an insertion-ordered dict, so
+    :meth:`remove_search` -- whose removal order shapes the heap, and with it
+    the order ties leave -- does not depend on ``PYTHONHASHSEED``.
+    """
 
     def __init__(self) -> None:
         self._heap: AddressableBinaryHeap = AddressableBinaryHeap()
-        self._by_search: Dict[int, Set[object]] = {}
+        self._by_search: Dict[int, Dict[object, None]] = {}
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -152,21 +157,21 @@ class _FlatQueue:
         return bool(self._heap)
 
     def add_search(self, search_id: int) -> None:
-        self._by_search.setdefault(search_id, set())
+        self._by_search.setdefault(search_id, {})
 
     def remove_search(self, search_id: int) -> None:
-        for item in self._by_search.pop(search_id, set()):
+        for item in self._by_search.pop(search_id, ()):
             self._heap.remove((search_id, item))
 
     def push(self, search_id: int, item, key: float) -> bool:
-        self._by_search.setdefault(search_id, set()).add(item)
+        self._by_search.setdefault(search_id, {})[item] = None
         return self._heap.push((search_id, item), key)
 
     def pop(self):
         key, (search_id, item) = self._heap.pop()
         members = self._by_search.get(search_id)
         if members is not None:
-            members.discard(item)
+            members.pop(item, None)
         return key, search_id, item
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.grid.graph import RoutingGraph
 
-__all__ = ["Arborescence", "EmbeddedTree"]
+__all__ = ["Arborescence", "EmbeddedTree", "TreeRecord", "encode_tree", "decode_tree"]
 
 
 @dataclass
@@ -213,3 +213,24 @@ class EmbeddedTree:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+#: One embedded tree as plain picklable values: ``(root, sinks, edges,
+#: method)`` or ``None`` for an unrouted net.  Graph objects never travel
+#: with trees -- both sides of a process boundary reattach their own graph.
+TreeRecord = Optional[Tuple[int, Tuple[int, ...], Tuple[int, ...], str]]
+
+
+def encode_tree(tree: Optional[EmbeddedTree]) -> TreeRecord:
+    """``tree`` as a :data:`TreeRecord` (cheap to pickle, graph-free)."""
+    if tree is None:
+        return None
+    return (int(tree.root), tuple(tree.sinks), tuple(tree.edges), tree.method)
+
+
+def decode_tree(graph: RoutingGraph, record: TreeRecord) -> Optional[EmbeddedTree]:
+    """The exact inverse of :func:`encode_tree`, reattached to ``graph``."""
+    if record is None:
+        return None
+    root, sinks, edges, method = record
+    return EmbeddedTree(graph, root, tuple(sinks), tuple(edges), method)

@@ -6,9 +6,11 @@ oracles:
 * :mod:`repro.engine.scheduler` -- partitions each rip-up-and-re-route round
   into batches of nets that share one congestion snapshot (cost-refresh
   windows, or conflict-free bounding-box batches).
-* :mod:`repro.engine.executor` -- pluggable batch backends: in-process
-  ``serial`` and ``multiprocessing``-based ``process``, producing
-  bit-identical trees thanks to per-net RNG streams.
+* :mod:`repro.engine.executor` -- :class:`WorkerPool`, the one task map
+  (pure tasks inline or on ``multiprocessing`` workers, results in task
+  order), and :class:`BatchExecutor`, which routes a batch through it:
+  ``serial`` in-process or ``process`` pooled, bit-identical trees thanks to
+  per-net RNG streams.
 * :mod:`repro.engine.cache` -- the incremental re-route cache that skips
   nets whose instance signature did not change since their last routing.
 * :mod:`repro.engine.engine` -- the :class:`RoutingEngine` façade the
@@ -24,9 +26,7 @@ from repro.engine.executor import (
     EXECUTOR_BACKENDS,
     BatchExecutor,
     NetTask,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
+    WorkerPool,
 )
 from repro.engine.rng import (
     NET_STREAM_STRIDE,
@@ -44,10 +44,8 @@ __all__ = [
     "NetScheduler",
     "NetTask",
     "BatchExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
+    "WorkerPool",
     "EXECUTOR_BACKENDS",
-    "make_executor",
     "CacheStats",
     "RerouteCache",
     "EngineConfig",

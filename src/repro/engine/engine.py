@@ -35,12 +35,7 @@ from repro.core.instance import SteinerInstance
 from repro.core.oracle import SteinerOracle
 from repro.core.tree import EmbeddedTree
 from repro.engine.cache import RerouteCache, RoundMemo
-from repro.engine.executor import (
-    EXECUTOR_BACKENDS,
-    BatchExecutor,
-    NetTask,
-    make_executor,
-)
+from repro.engine.executor import EXECUTOR_BACKENDS, BatchExecutor, NetTask
 from repro.engine.scheduler import NetBatch, NetScheduler
 from repro.grid.congestion import CongestionMap
 from repro.grid.graph import RoutingGraph
@@ -142,12 +137,12 @@ class RoutingEngine:
         cost_refresh_interval: int,
         config: Optional[EngineConfig] = None,
         net_indices: Optional[Sequence[int]] = None,
-        executor: Optional[BatchExecutor] = None,
+        start_method: Optional[str] = None,
     ) -> None:
         """``net_indices`` restricts the engine to a subset of the netlist
-        (the shard layer's per-region engines); ``executor`` injects a
-        shared, caller-owned backend instead of creating a private one --
-        the engine then never closes it."""
+        (the shard coordinator's global seam engine); ``start_method`` pins
+        the ``multiprocessing`` start method of the ``process`` backend's
+        pool."""
         if cost_refresh_interval < 1:
             raise ValueError("cost_refresh_interval must be positive")
         self.graph = graph
@@ -161,14 +156,13 @@ class RoutingEngine:
         self.config = config or EngineConfig()
         self.net_indices = None if net_indices is None else list(net_indices)
         self.scheduler = NetScheduler(graph, netlist, halo=self.config.bbox_halo)
-        self._owns_executor = executor is None
-        self.executor: BatchExecutor = executor if executor is not None else make_executor(
-            self.config.backend,
+        self.executor = BatchExecutor(
             graph,
             oracle,
             bifurcation,
             seed,
-            num_workers=self.config.num_workers,
+            workers=self.config.num_workers if self.config.backend == "process" else 1,
+            start_method=start_method,
         )
         self.cache: Optional[RerouteCache] = None
         if self.config.reroute_cache:
@@ -353,10 +347,8 @@ class RoutingEngine:
         return [net for batch in self._batches for net in batch.nets]
 
     def close(self) -> None:
-        """Release executor resources (idempotent; shared executors are
-        closed by their owner, not here)."""
-        if self._owns_executor:
-            self.executor.close()
+        """Release executor resources (idempotent)."""
+        self.executor.close()
 
     def __enter__(self) -> "RoutingEngine":
         return self

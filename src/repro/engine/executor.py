@@ -1,25 +1,25 @@
-"""Batch executors: pluggable backends that route one batch of nets.
+"""The task map and the batch executor.
 
-A batch (see :mod:`repro.engine.scheduler`) is a set of nets that share one
-frozen congestion cost vector.  Given that vector and one lightweight
-:class:`NetTask` per net, an executor returns the embedded tree of every net.
+"Run these independent, pure tasks -- here or on worker processes -- and
+give me the results in task order" is one idea, stated once:
+:class:`WorkerPool`.  Its two users differ only in what a task is:
+
+* :class:`BatchExecutor` (this module) routes one batch of nets.  A batch
+  (see :mod:`repro.engine.scheduler`) shares one frozen congestion cost
+  vector; the executor cuts it into one contiguous chunk of
+  :class:`NetTask` s per worker and maps the chunks.  Pool workers hold a
+  plain serial ``BatchExecutor`` built from the pickled payload (routing
+  graph, oracle, bifurcation model, seed) and run the same per-net loop as
+  the parent; the cost vector is pickled once per chunk rather than once per
+  net, and trees come back as graph-free
+  :data:`~repro.core.tree.TreeRecord` s.
+* the shard layer's :class:`~repro.shard.executor.RegionExecutor` routes
+  the K regions of one round.
+
 Because each net carries its own deterministically derived RNG stream
-(:mod:`repro.engine.rng`), every backend produces bit-identical trees; the
-backends differ only in *where* the Steiner oracle runs:
-
-* :class:`SerialExecutor` routes the batch in-process, net by net -- the
-  default, equivalent to the historical router loop.
-* :class:`ProcessExecutor` fans the batch out over a ``multiprocessing``
-  pool.  Each worker is primed once with a pickled read-only payload (the
-  routing graph, the oracle, and the bifurcation model); per batch, the cost
-  vector is pickled once per worker shard rather than once per net, and the
-  workers return plain ``(net_index, sinks, edges, method)`` tuples so the
-  (large) graph object never travels back over the pipe.
-
-:class:`WorkerPool` is the pool lifecycle (start, degradation, dead-worker
-recovery, teardown) that :class:`ProcessExecutor` and the shard layer's
-region executor share.  Use :func:`make_executor` to construct a backend by
-name.
+(:mod:`repro.engine.rng`), a task is a pure function of its inputs and every
+placement -- inline, pooled, degraded, retried after a worker death --
+produces bit-identical trees.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,45 +38,80 @@ from repro.core.bifurcation import BifurcationModel
 from repro.core.costctx import OracleCostContext
 from repro.core.instance import SteinerInstance
 from repro.core.oracle import SteinerOracle
-from repro.core.tree import EmbeddedTree
+from repro.core.tree import EmbeddedTree, TreeRecord, decode_tree, encode_tree
 from repro.engine.rng import derive_net_rng_for_name
 from repro.grid.graph import RoutingGraph
 
-__all__ = [
-    "NetTask",
-    "BatchExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "make_executor",
-    "WorkerPool",
-    "EXECUTOR_BACKENDS",
-]
+__all__ = ["NetTask", "BatchExecutor", "WorkerPool", "EXECUTOR_BACKENDS", "batch_worker"]
+
+#: The values of ``EngineConfig.backend``: route batches in-process, or map
+#: them over a :class:`WorkerPool`.
+EXECUTOR_BACKENDS = ("serial", "process")
+
+#: Worker side of the process boundary: the route callable this pool worker
+#: built from its payload (set once by :func:`_worker_init`).
+_worker_route: Optional[Callable] = None
+
+
+def _worker_init(payload_bytes: bytes, build: Callable) -> None:
+    """The one pool initializer: unpickle the read-only payload and build
+    the worker's route callable from it.  Trace writing and event publishing
+    are the parent's alone -- a forked worker inherits the parent's tracer
+    (file handle, span-id counter) and bus, so both are dropped here."""
+    global _worker_route
+    obs.drop_tracing()
+    obs.configure_bus(None)
+    _worker_route = build(pickle.loads(payload_bytes))
+
+
+def _worker_call(task):
+    """The one worker-side call: route ``task`` against a fresh metrics
+    registry and ship its snapshot (engine counters, A* pops, ...) back with
+    the result; the parent merges the snapshots in task order, so pooled
+    runs report the same counters as inline ones."""
+    local = obs.MetricsRegistry()
+    previous = obs.swap_registry(local)
+    try:
+        result = _worker_route(task)
+    finally:
+        obs.swap_registry(previous)
+    return result, local.snapshot()
 
 
 class WorkerPool:
-    """The one ``multiprocessing`` pool lifecycle of the repo.
+    """The one task map -- and the one ``multiprocessing`` pool lifecycle --
+    of the repo.
 
-    Both process backends (the engine's :class:`ProcessExecutor`, the shard
-    layer's region executor) route their tasks through this object and own
-    only what differs between them: the task function, the initializer
-    payload and the inline-retry function.  The contract, stated once:
+    :meth:`map` runs pure tasks inline or on pool workers and returns the
+    results in task order; callers own only what a task *is*: the payload
+    factory, the module-level ``build(payload) -> route(task)`` worker
+    factory and the parent's inline ``route``.  The contract, stated once:
 
     * **Validation.**  ``start_method``, when given, is checked at
       construction -- pinning an unknown method raises :class:`ValueError`
       instead of silently falling back.  Unpinned pools prefer ``fork``
       (workers inherit ``sys.path``), then the platform default.
-    * **Lazy start.**  :meth:`start` creates the pool on first use; every
-      worker is primed by ``initializer(pickle.dumps(payload()))``.
+    * **Size.**  ``workers`` defaults to the CPUs this process may use,
+      capped at 8 (pure-Python workloads stop scaling long before the core
+      count on big machines); a pool is never larger than the task count of
+      the call that starts it.
+    * **Inline.**  With one worker, at most one task (nothing to overlap,
+      skip the IPC) or no startable pool, the tasks run through ``route``
+      in this process, in order.
+    * **Lazy start.**  The pool is created by the first call that needs it;
+      every worker is primed once by :func:`_worker_init` with the pickled
+      ``payload()``.
     * **Degradation.**  When no pool can be started -- sandboxes routinely
       forbid ``fork``/semaphores -- one structured WARNING log record (and
       trace event) carries ``backend``, ``start_method``, the failure and
-      ``degrade_message``; the failure is remembered, :meth:`start` keeps
-      answering ``False`` and the caller routes in-process.  Degradation
-      costs parallelism, never correctness.
-    * **Recovery and discard.**  :meth:`run` survives dead workers by
-      re-executing lost tasks through ``retry``; a pool that saw a death
-      (or was sabotaged) is torn down off-thread and the next
-      :meth:`start` builds a fresh one from the same payload factory.
+      ``degrade_message``; the failure is remembered and every later call
+      runs inline.  Degradation costs parallelism, never correctness.
+    * **Recovery and discard.**  Tasks lost with a dead worker are re-run
+      through ``route``; a pool that saw a death (or was sabotaged) is torn
+      down off-thread and the next call builds a fresh one.
+    * **Metrics.**  Worker counters travel back with each result
+      (:func:`_worker_call`) and are merged in task order; inline and
+      retried tasks book into the parent registry directly.
     * **Teardown.**  :meth:`close` terminates *and joins* the workers and
       is idempotent.
 
@@ -87,12 +122,22 @@ class WorkerPool:
 
     def __init__(
         self,
-        initializer,
         backend: str,
         degrade_message: str,
+        workers: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        self.initializer = initializer
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be positive")
+        if workers is None:
+            # What this process may run on, not what the machine has: an
+            # affinity mask (taskset, container CPU sets) can be narrower.
+            if hasattr(os, "sched_getaffinity"):
+                usable = len(os.sched_getaffinity(0))
+            else:  # pragma: no cover - non-Linux platforms
+                usable = os.cpu_count() or 2
+            workers = min(usable, 8)
+        self.workers = workers
         self.backend = backend
         self.degrade_message = degrade_message
         if start_method is not None:
@@ -117,18 +162,20 @@ class WorkerPool:
         """Whether a pool is live right now."""
         return self._pool is not None
 
-    def start(self, payload, processes: int) -> bool:
-        """Ensure a live pool (of ``processes`` workers when one has to be
-        started); ``False`` when this environment cannot provide one.
-        ``payload`` is a zero-argument factory, called only when a pool is
-        actually (re)started."""
+    def start(self, payload: Callable, build: Callable, num_tasks: int) -> bool:
+        """Ensure a live pool (of ``min(workers, num_tasks)`` processes when
+        one has to be started); ``False`` when this environment cannot
+        provide one.  ``payload`` is a zero-argument factory, called only
+        when a pool is actually (re)started.  :meth:`map` calls this itself;
+        it is public so a benchmark can pay the start-up outside its timed
+        window."""
         if self._pool is not None:
             return True
         if self._unavailable:
             return False
         import multiprocessing
 
-        initargs = (pickle.dumps(payload(), protocol=pickle.HIGHEST_PROTOCOL),)
+        initargs = (pickle.dumps(payload(), protocol=pickle.HIGHEST_PROTOCOL), build)
         try:
             if self.start_method is not None:
                 context = multiprocessing.get_context(self.start_method)
@@ -138,8 +185,8 @@ class WorkerPool:
                 except ValueError:  # pragma: no cover - non-POSIX platforms
                     context = multiprocessing.get_context()
             self._pool = context.Pool(
-                processes=processes,
-                initializer=self.initializer,
+                processes=min(self.workers, num_tasks),
+                initializer=_worker_init,
                 initargs=initargs,
             )
         except (ImportError, OSError, PermissionError, RuntimeError, AssertionError) as exc:
@@ -156,20 +203,29 @@ class WorkerPool:
         self.used = True
         return True
 
-    def run(self, fn, tasks, retry, sabotage=None, stall_timeout: float = 5.0) -> list:
-        """Run ``fn`` over ``tasks`` on the (started) pool, surviving dead
-        workers; returns the results aligned with ``tasks``.
+    def map(
+        self,
+        tasks: Sequence,
+        payload: Callable,
+        build: Callable,
+        route: Callable,
+        fault: Optional[Tuple[str, Optional[int]]] = None,
+        stall_timeout: float = 5.0,
+    ) -> list:
+        """``route(task)`` for every task, inline or on the pool (see the
+        class docstring); returns the results aligned with ``tasks``.
 
-        ``multiprocessing.Pool`` replaces a worker that dies (OOM-killed,
-        segfaulted, chaos-injected SIGKILL) but silently *loses the task the
-        worker was executing* -- a plain ``pool.map`` then blocks forever on
-        a result that will never arrive.  This collector submits each task
-        as its own ``apply_async``, watches the pool's worker processes for
-        deaths, and -- once every still-pending task can only be explained
-        by a lost worker -- re-executes the pending tasks in the parent via
-        ``retry``.  Tasks are pure functions of their inputs (the engine's
-        determinism contract), so a re-execution, wherever it runs, is
-        bit-identical to the result the dead worker would have produced.
+        Pooled dispatch survives dead workers.  ``multiprocessing.Pool``
+        replaces a worker that dies (OOM-killed, segfaulted, chaos-injected
+        SIGKILL) but silently *loses the task the worker was executing* -- a
+        plain ``pool.map`` then blocks forever on a result that will never
+        arrive.  This collector submits each task as its own
+        ``apply_async``, watches the pool's worker processes for deaths, and
+        -- once every still-pending task can only be explained by a lost
+        worker -- re-executes the pending tasks in the parent via ``route``.
+        Tasks are pure functions of their inputs (the engine's determinism
+        contract), so a re-execution, wherever it runs, is bit-identical to
+        the result the dead worker would have produced.
 
         A death can also wedge the pool outright: a worker SIGKILLed while
         holding the shared task-queue lock starves every other worker.  When
@@ -177,30 +233,38 @@ class WorkerPool:
         seconds, the collector gives up on the pool and recovers *all*
         pending tasks in-process.  And because a wedge can surface only on
         the *next* dispatch (the victim died after this call's results were
-        in), **any** observed death discards the pool; the next
-        :meth:`start` rebuilds it from the payload factory -- cheap, and it
-        closes the hang window for good.
+        in), **any** observed death discards the pool; the next call
+        rebuilds it from the payload factory -- cheap, and it closes the
+        hang window for good.
 
-        ``sabotage``, when given, is called with the raw pool right after
-        the tasks are dispatched -- the hook chaos faults use to kill a
-        worker at the moment it is most likely mid-task.  A sabotaged pool
-        is discarded even when no death was observed during the call: a
-        worker killed *after* its last task leaves no pending work to
-        recover, but it may die holding the task-queue lock and wedge the
-        next dispatch with no observable deaths (the pool respawns its
-        ``_pool`` entry).
+        ``fault`` names the ``(kind, round)`` chaos fault of this choke
+        point; when it fires (asked only once the call is pooled), one
+        worker is killed right after the tasks are dispatched -- the moment
+        it is most likely mid-task.  A sabotaged pool is discarded even when
+        no death was observed during the call: a worker killed *after* its
+        last task leaves no pending work to recover, but it may die holding
+        the task-queue lock and wedge the next dispatch with no observable
+        deaths (the pool respawns its ``_pool`` entry).
 
         Worker exceptions (as opposed to worker *deaths*) propagate
         unchanged.
         """
+        tasks = list(tasks)
+        if not (self.workers > 1 and len(tasks) > 1 and self.start(payload, build, len(tasks))):
+            return [route(task) for task in tasks]
         pool = self._pool
-        pending = {index: pool.apply_async(fn, (task,)) for index, task in enumerate(tasks)}
+        sabotage = faults.pool_sabotage(*fault) if fault is not None else None
+        pending = {
+            index: pool.apply_async(_worker_call, (task,)) for index, task in enumerate(tasks)
+        }
         if sabotage is not None:
             # Give the workers a moment to pick the tasks up: killing a busy
             # worker loses its task (the case under test); killing an idle one
             # can only wedge the queue (the stall path below).
             time.sleep(0.05)
             sabotage(pool)
+        # (result, worker metrics snapshot) per task; retried tasks book
+        # their counters into the parent registry directly and ship none.
         results: list = [None] * len(tasks)
         seen_workers: set = set()
         last_progress = time.monotonic()
@@ -215,7 +279,7 @@ class WorkerPool:
                 extra={"backend": self.backend, "lost": len(lost)},
             )
             for index in lost:
-                results[index] = retry(tasks[index])
+                results[index] = (route(tasks[index]), None)
                 obs.inc("recovery.tasks_retried")
                 obs.inc(f"recovery.tasks_retried.{self.backend}")
             obs.publish("recovery", backend=self.backend, retried=len(lost), reason=reason)
@@ -251,7 +315,10 @@ class WorkerPool:
             next(iter(pending.values())).wait(0.05)
         if count_deaths() or sabotage is not None:
             self._discard()
-        return results
+        # Fixed task order keeps the merged counters deterministic.
+        for _result, worker_metrics in results:
+            obs.merge_snapshot(worker_metrics)
+        return [result for result, _worker_metrics in results]
 
     def _discard(self) -> None:
         """Tear the (presumed wedged) pool down on a background thread.
@@ -316,10 +383,17 @@ class NetTask:
 
 
 class BatchExecutor:
-    """Common state and interface of all executor backends."""
+    """Routes one batch of nets against a frozen cost vector.
 
-    #: Backend name used in configuration and result reporting.
-    backend = "?"
+    ``workers=1`` (the ``serial`` backend, default) routes in-process, net
+    by net -- equivalent to the historical router loop.  Any other value
+    (the ``process`` backend; ``None`` auto-sizes) maps one contiguous chunk
+    of the batch per worker over a :class:`WorkerPool`, whose workers hold a
+    serial ``BatchExecutor`` of their own (:func:`batch_worker`) and run the
+    same :meth:`_route_chunk`.  A batch that cannot use the pool -- a single
+    net, no startable pool -- routes in-process; every placement produces
+    bit-identical trees.
+    """
 
     def __init__(
         self,
@@ -327,16 +401,29 @@ class BatchExecutor:
         oracle: SteinerOracle,
         bifurcation: BifurcationModel,
         seed: int,
+        workers: Optional[int] = 1,
+        start_method: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.oracle = oracle
         self.bifurcation = bifurcation
         self.seed = seed
+        self.pool = WorkerPool(
+            backend="process",
+            degrade_message="the process backend degrades to in-process serial routing",
+            workers=workers,
+            start_method=start_method,
+        )
         #: Flips to ``True`` on :meth:`close`; lifecycle tests (and the
         #: shard coordinator's teardown guarantees) assert on it.
         self.closed = False
         self._delay = graph.delay_array()
         self._last_context: Optional[OracleCostContext] = None
+
+    @property
+    def backend(self) -> str:
+        """Backend name for result reporting: where batches may run."""
+        return "process" if self.pool.workers > 1 else "serial"
 
     # ------------------------------------------------------------------ API
     def route_batch(
@@ -349,9 +436,29 @@ class BatchExecutor:
 
         ``context``, when given, shares the batch-level cost artefacts
         (list conversions, future-cost estimator, validation) across the
-        batch's nets; backends build their own when omitted.
+        nets routed in this process; one is built when omitted (workers
+        always build their own, one per chunk).
         """
-        raise NotImplementedError
+        tasks = list(tasks)
+        if not tasks:
+            return {}
+        # One contiguous chunk per worker.
+        count = min(self.pool.workers, len(tasks))
+        bounds = [len(tasks) * i // count for i in range(count + 1)]
+        chunks = [(costs, tasks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        records = self.pool.map(
+            chunks,
+            self._worker_payload,
+            batch_worker,
+            lambda chunk: self._route_chunk(chunk, context),
+            fault=("kill-pool-worker", faults.current_round()),
+        )
+        # Chunks are contiguous and in order, so the records line up with ``tasks``.
+        flat = [record for chunk_records in records for record in chunk_records]
+        return {
+            task.net_index: decode_tree(self.graph, record)
+            for task, record in zip(tasks, flat)
+        }
 
     def make_context(self, costs: np.ndarray) -> Optional[OracleCostContext]:
         """One :class:`OracleCostContext` for a batch routed against
@@ -366,7 +473,8 @@ class BatchExecutor:
         return context
 
     def close(self) -> None:
-        """Release backend resources (worker pools).  Idempotent."""
+        """Release the worker pool.  Idempotent."""
+        self.pool.close()
         self.closed = True
 
     def __enter__(self) -> "BatchExecutor":
@@ -375,17 +483,37 @@ class BatchExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -------------------------------------------------------------- shared
-    def _route_one(
+    # ------------------------------------------------------------ internals
+    def _worker_payload(self) -> Tuple[RoutingGraph, SteinerOracle, BifurcationModel, int]:
+        """The read-only state priming pool workers: the constructor
+        arguments of their serial executor."""
+        return (self.graph, self.oracle, self.bifurcation, self.seed)
+
+    def _route_chunk(
         self,
-        costs: np.ndarray,
-        task: NetTask,
+        chunk: Tuple[np.ndarray, List[NetTask]],
         context: Optional[OracleCostContext] = None,
-    ) -> EmbeddedTree:
+    ) -> List[TreeRecord]:
+        """The map task on both sides of the process boundary: route one
+        chunk's nets in this process (the only per-net loop), records
+        aligned with the chunk."""
+        costs, tasks = chunk
+        if context is None:
+            # The whole chunk shares one cost vector, so the per-net list
+            # conversions / estimator / validation amortise.
+            context = self.make_context(costs)
         if context is not None:
             # The context's (contiguous) array is the canonical batch vector:
             # routing against it keeps the instance/context identity check hot.
             costs = context.cost
+        return [encode_tree(self._route_one(costs, task, context)) for task in tasks]
+
+    def _route_one(
+        self,
+        costs: np.ndarray,
+        task: NetTask,
+        context: Optional[OracleCostContext],
+    ) -> EmbeddedTree:
         instance = SteinerInstance.from_payload(
             self.graph,
             task.payload(costs, self.bifurcation),
@@ -412,203 +540,7 @@ class BatchExecutor:
         return tree
 
 
-class SerialExecutor(BatchExecutor):
-    """Routes a batch in-process, one net after the other."""
-
-    backend = "serial"
-
-    def route_batch(
-        self,
-        costs: np.ndarray,
-        tasks: Sequence[NetTask],
-        context: Optional[OracleCostContext] = None,
-    ) -> Dict[int, EmbeddedTree]:
-        if context is None and tasks:
-            context = self.make_context(costs)
-        return {task.net_index: self._route_one(costs, task, context) for task in tasks}
-
-
-# --------------------------------------------------------------------------
-# Process backend.  The worker functions live at module level so they can be
-# located by child processes under every multiprocessing start method.
-# --------------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(payload_bytes: bytes) -> None:
-    """Pool initializer: unpack the shared read-only routing payload."""
-    state = pickle.loads(payload_bytes)
-    state["delay"] = state["graph"].delay_array()
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(state)
-
-
-def _route_shard(
-    shard: Tuple[np.ndarray, List[NetTask]]
-) -> Tuple[List[Tuple[int, Tuple[int, ...], Tuple[int, ...], str]], Dict[str, object]]:
-    """Route one shard of a batch inside a worker process.
-
-    Returns the routed-tree tuples plus the worker's local metrics
-    snapshot (A* pops etc. accumulated by the oracle while routing this
-    shard); the parent merges snapshots in fixed shard order so pooled
-    runs report the same counters as serial ones.
-    """
-    costs, tasks = shard
-    graph: RoutingGraph = _WORKER_STATE["graph"]
-    oracle: SteinerOracle = _WORKER_STATE["oracle"]
-    bifurcation: BifurcationModel = _WORKER_STATE["bifurcation"]
-    seed: int = _WORKER_STATE["seed"]
-    delay: np.ndarray = _WORKER_STATE["delay"]
-    # One context per shard: the whole shard shares one cost vector, so the
-    # per-net list conversions / estimator / validation amortise worker-side.
-    context = OracleCostContext(graph, costs, delay=delay)
-    costs = context.cost
-    results = []
-    local = obs.MetricsRegistry()
-    previous = obs.swap_registry(local)
-    plan = faults.get_plan()
-    try:
-        for task in tasks:
-            if plan is not None:
-                plan.sleep("slow-oracle")
-            instance = SteinerInstance.from_payload(
-                graph, task.payload(costs, bifurcation), delay=delay, context=context
-            )
-            tree = oracle.build(instance, derive_net_rng_for_name(seed, task.rng_name))
-            results.append(
-                (task.net_index, tuple(tree.sinks), tuple(tree.edges), tree.method)
-            )
-    finally:
-        obs.swap_registry(previous)
-    return results, local.snapshot()
-
-
-class ProcessExecutor(BatchExecutor):
-    """Routes batches on a ``multiprocessing`` pool of worker processes.
-
-    When the pool cannot be created at all -- sandboxed and containerised
-    environments routinely forbid ``fork``/semaphores -- the executor
-    degrades to in-process serial routing with a warning instead of
-    crashing the job: every backend produces bit-identical trees, so the
-    fallback only costs parallelism, never correctness.
-
-    Parameters
-    ----------
-    num_workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at 8 (pure-Python
-        workloads stop scaling long before the core count on big machines).
-    """
-
-    backend = "process"
-
-    def __init__(
-        self,
-        graph: RoutingGraph,
-        oracle: SteinerOracle,
-        bifurcation: BifurcationModel,
-        seed: int,
-        num_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(graph, oracle, bifurcation, seed)
-        if num_workers is not None and num_workers < 1:
-            raise ValueError("num_workers must be positive")
-        self.num_workers = num_workers or min(os.cpu_count() or 2, 8)
-        self.pool = WorkerPool(
-            _worker_init,
-            backend=self.backend,
-            degrade_message="the process backend degrades to in-process serial routing",
-        )
-
-    def _worker_payload(self) -> Dict[str, object]:
-        return {
-            "graph": self.graph,
-            "oracle": self.oracle,
-            "bifurcation": self.bifurcation,
-            "seed": self.seed,
-        }
-
-    def close(self) -> None:
-        self.pool.close()
-        super().close()
-
-    # ------------------------------------------------------------------ API
-    def route_batch(
-        self,
-        costs: np.ndarray,
-        tasks: Sequence[NetTask],
-        context: Optional[OracleCostContext] = None,
-    ) -> Dict[int, EmbeddedTree]:
-        # A single net cannot repay the IPC overhead; without a pool (the
-        # degraded mode) everything routes in-process.
-        pooled = len(tasks) > 1 and self.pool.start(self._worker_payload, self.num_workers)
-        if not pooled:
-            if context is None and tasks:
-                context = self.make_context(costs)
-            return {task.net_index: self._route_one(costs, task, context) for task in tasks}
-        outcomes = self.pool.run(
-            _route_shard,
-            [(costs, shard) for shard in self._shard(list(tasks))],
-            retry=self._route_shard_inline,
-            sabotage=faults.pool_sabotage("kill-pool-worker", faults.current_round()),
-        )
-        roots = {task.net_index: task.root for task in tasks}
-        trees: Dict[int, EmbeddedTree] = {}
-        for shard_result, worker_metrics in outcomes:
-            for net_index, sinks, edges, method in shard_result:
-                trees[net_index] = EmbeddedTree(self.graph, roots[net_index], sinks, edges, method)
-            # Fixed shard order keeps the merged counters deterministic.
-            obs.merge_snapshot(worker_metrics)
-        return trees
-
-    def _route_shard_inline(self, shard: Tuple[np.ndarray, List[NetTask]]):
-        """Route one worker shard in the parent (the dead-worker recovery
-        path).  Every net carries its own derived RNG stream, so the trees
-        are bit-identical to what the lost worker would have returned; the
-        oracle's counters land in the parent registry directly (no snapshot
-        to ship)."""
-        costs, tasks = shard
-        context = self.make_context(costs) if tasks else None
-        results = []
-        for task in tasks:
-            tree = self._route_one(costs, task, context)
-            results.append(
-                (task.net_index, tuple(tree.sinks), tuple(tree.edges), tree.method)
-            )
-        return results, {}
-
-    def _shard(self, tasks: List[NetTask]) -> List[List[NetTask]]:
-        """Split a batch into one contiguous shard per worker."""
-        num_shards = min(self.num_workers, len(tasks))
-        size, extra = divmod(len(tasks), num_shards)
-        shards: List[List[NetTask]] = []
-        start = 0
-        for i in range(num_shards):
-            end = start + size + (1 if i < extra else 0)
-            shards.append(tasks[start:end])
-            start = end
-        return shards
-
-
-EXECUTOR_BACKENDS = {
-    SerialExecutor.backend: SerialExecutor,
-    ProcessExecutor.backend: ProcessExecutor,
-}
-
-
-def make_executor(
-    backend: str,
-    graph: RoutingGraph,
-    oracle: SteinerOracle,
-    bifurcation: BifurcationModel,
-    seed: int,
-    num_workers: Optional[int] = None,
-) -> BatchExecutor:
-    """Construct an executor backend by name (``serial`` or ``process``)."""
-    if backend == SerialExecutor.backend:
-        return SerialExecutor(graph, oracle, bifurcation, seed)
-    if backend == ProcessExecutor.backend:
-        return ProcessExecutor(graph, oracle, bifurcation, seed, num_workers=num_workers)
-    raise ValueError(
-        f"unknown executor backend {backend!r}; available: {sorted(EXECUTOR_BACKENDS)}"
-    )
+def batch_worker(payload) -> Callable:
+    """The pool's worker factory (module level: children locate it under
+    every start method): a serial executor built from the payload."""
+    return BatchExecutor(*payload)._route_chunk

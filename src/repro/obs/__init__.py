@@ -53,6 +53,7 @@ from .trace import (
     Tracer,
     close_tracing,
     configure_tracing,
+    drop_tracing,
     event,
     get_tracer,
     span,
@@ -66,6 +67,7 @@ __all__ = [
     "Tracer",
     "close_tracing",
     "configure_tracing",
+    "drop_tracing",
     "event",
     "get_tracer",
     "span",

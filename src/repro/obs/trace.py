@@ -38,6 +38,7 @@ __all__ = [
     "get_tracer",
     "configure_tracing",
     "close_tracing",
+    "drop_tracing",
     "span",
     "event",
 ]
@@ -225,6 +226,14 @@ def close_tracing(metrics_snapshot: Optional[Dict[str, object]] = None) -> None:
     if _GLOBAL is not None:
         _GLOBAL.close(metrics_snapshot)
         _GLOBAL = None
+
+
+def drop_tracing() -> None:
+    """Uninstall the global tracer *without* closing it: a forked pool
+    worker inherits the parent's tracer, whose file and span ids are the
+    parent's to write (trace writing is single-process)."""
+    global _GLOBAL
+    _GLOBAL = None
 
 
 def span(name: str, **attrs: object):

@@ -105,7 +105,8 @@ class GlobalRouterConfig:
         are stitched in fixed region order -- so this knob, like the engine
         backend, is excluded from checkpoint fingerprints.
     shard_start_method:
-        ``multiprocessing`` start method of the shard worker pool
+        ``multiprocessing`` start method of the flow's worker pools -- the
+        shard layer's region pool and the engine's ``process`` backend
         (``"fork"`` / ``"spawn"`` / ``"forkserver"``); ``None`` prefers
         ``fork`` where available.
     """
@@ -189,6 +190,7 @@ class GlobalRouter:
                 seed=self.config.seed,
                 cost_refresh_interval=self.config.cost_refresh_interval,
                 config=self.config.engine,
+                start_method=self.config.shard_start_method,
             )
         self.trees: List[Optional[EmbeddedTree]] = [None] * netlist.num_nets
         self.collected_instances: List[SteinerInstance] = []

@@ -9,25 +9,17 @@ against the merged per-region congestion deltas.
 * :mod:`repro.shard.coordinator` -- :class:`ShardCoordinator`, a drop-in
   replacement for :class:`repro.engine.engine.RoutingEngine` selected by
   ``GlobalRouterConfig.shards > 1``.
-* :mod:`repro.shard.executor` -- :class:`RegionExecutor` backends running
-  one round's K interior passes either serially in-process or fanned out
-  over a process pool (``GlobalRouterConfig.shard_workers > 1``), with a
-  bit-identical-results contract between the two.
+* :mod:`repro.shard.executor` -- :class:`RegionExecutor`, which maps one
+  round's K interior passes over the engine layer's ``WorkerPool``:
+  in-process, or on a process pool with
+  ``GlobalRouterConfig.shard_workers > 1``, bit-identical either way.
 """
 
 from repro.shard.coordinator import ShardCoordinator, ShardStats
-from repro.shard.executor import (
-    ProcessRegionExecutor,
-    RegionExecutor,
-    SerialRegionExecutor,
-    make_region_executor,
-)
+from repro.shard.executor import RegionExecutor
 
 __all__ = [
     "ShardCoordinator",
     "ShardStats",
     "RegionExecutor",
-    "SerialRegionExecutor",
-    "ProcessRegionExecutor",
-    "make_region_executor",
 ]

@@ -7,12 +7,12 @@
 1. **Interior pass** -- every region routes its interior nets against the
    round-start snapshot of the shared map.  Regions never see each other's
    in-round deltas, which is what makes the decomposition independent (and
-   deterministic in region order).  The pass runs through a pluggable
+   deterministic in region order).  The pass runs through the
    :class:`~repro.shard.executor.RegionExecutor`: in-process and serial by
-   default, or fanned out over a process pool with
-   ``GlobalRouterConfig.shard_workers > 1`` -- both backends are
-   bit-identical because every region is a pure function of the round-start
-   state and the deltas are stitched in fixed region order either way.
+   default, or mapped over a process pool with
+   ``GlobalRouterConfig.shard_workers > 1`` -- bit-identical either way,
+   because every region is a pure function of the round-start state and
+   the deltas are stitched in fixed region order.
 2. **Stitching** -- each region's usage delta is scattered back onto the
    shared map through the region's edge map, exactly like a batch of tree
    deltas.
@@ -31,8 +31,8 @@ translated sub-netlist, engine config).  A round of a scope is always
 trees, replay memo) onto the subgraph, a
 :class:`~repro.shard.executor._RegionRunner` built from the spec routes it,
 ``apply_outcome`` installs trees and log signatures on the global graph.
-The scope owns one runner in the parent process (serial loop, seam scopes,
-degraded pool, recovery of a lost pool task); the pool ships the same task
+The scope owns one runner in the parent process (inline map, seam scopes,
+retry of a lost pool task); the pool ships the same task
 to a worker runner built from the same spec.  The one distinction is the
 spec's ``stateless`` entry, set for region scopes of a pooled coordinator
 (``shard_workers > 1``): they route cache-free and invalidate the lazily
@@ -85,10 +85,9 @@ from repro import obs
 from repro.core.bifurcation import BifurcationModel
 from repro.core.instance import SteinerInstance
 from repro.core.oracle import SteinerOracle
-from repro.core.tree import EmbeddedTree
+from repro.core.tree import EmbeddedTree, TreeRecord
 from repro.engine.cache import RoundMemo
 from repro.engine.engine import EngineConfig, RoundReport, RoutingEngine
-from repro.engine.executor import BatchExecutor, make_executor
 from repro.grid.congestion import CongestionMap
 from repro.grid.graph import RoutingGraph
 from repro.grid.partition import NetClassification, RegionPartition, partition_grid
@@ -97,9 +96,7 @@ from repro.shard.executor import (
     RegionExecutor,
     RegionOutcome,
     RegionTask,
-    TreeRecord,
     _RegionRunner,
-    make_region_executor,
 )
 
 if TYPE_CHECKING:  # circular at runtime: repro.router imports the engine API
@@ -422,11 +419,11 @@ class ShardCoordinator:
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
     ) -> None:
-        """``workers`` selects the region execution backend: ``None``/``1``
-        routes the K interior passes serially in-process, ``> 1`` fans them
-        out over a process pool of that size (see
-        :mod:`repro.shard.executor`); ``start_method`` pins the pool's
-        ``multiprocessing`` start method.  Both backends are bit-identical.
+        """``workers`` places the interior pass: ``None``/``1`` routes the K
+        regions serially in-process, ``> 1`` maps them over a process pool
+        of that size (see :mod:`repro.shard.executor`); ``start_method``
+        pins the ``multiprocessing`` start method of that pool and of the
+        seam engine's.  Every placement is bit-identical.
         """
         if shards < 1:
             raise ValueError("shards must be at least 1")
@@ -468,26 +465,12 @@ class ShardCoordinator:
             "threshold": congestion.threshold,
         }
 
-        #: Backend of the interior pass: the in-process serial loop, or a
-        #: process pool fanning the K regions out (``workers > 1``).  Owned
-        #: and closed by the coordinator.  Not part of the checkpoint
-        #: fingerprint -- all backends are bit-identical, so a run
-        #: checkpointed under one ``shard_workers`` value may resume under
-        #: any other.
-        self.region_executor: RegionExecutor = make_region_executor(
-            workers, start_method
-        )
-
-        #: Executor of the full-graph seam engine (the configured engine
-        #: backend); owned and closed by the coordinator.
-        self.executor: BatchExecutor = make_executor(
-            self.config.backend,
-            graph,
-            oracle,
-            bifurcation,
-            seed,
-            num_workers=self.config.num_workers,
-        )
+        #: Runs the interior pass: in-process, or mapped over a process
+        #: pool (``workers > 1``).  Owned and closed by the coordinator.
+        #: Not part of the checkpoint fingerprint -- every placement is
+        #: bit-identical, so a run checkpointed under one ``shard_workers``
+        #: value may resume under any other.
+        self.region_executor = RegionExecutor(workers, start_method)
         full_box = BoundingBox(0, 0, graph.nx - 1, graph.ny - 1)
         self.regions: List[_SubgraphScope] = []
         for region_index, interior in enumerate(self.classification.interior):
@@ -560,7 +543,7 @@ class ShardCoordinator:
             ),
             config=seam_config,
             net_indices=global_seam,
-            executor=self.executor,
+            start_method=start_method,
         )
 
     # ------------------------------------------------------------- queries
@@ -645,10 +628,9 @@ class ShardCoordinator:
         # pooled interior passes -- the pool/IPC overhead (elapsed beyond
         # the slowest region; for serial passes, beyond the regions' sum).
         region_seconds = {outcome.key: float(outcome.report[4]) for outcome in outcomes}
-        pool = self.region_executor.pool
         if not region_seconds:
             busy = 0.0
-        elif pool is not None and pool.active:
+        elif self.region_executor.pool.active:
             busy = max(region_seconds.values())
         else:
             busy = sum(region_seconds.values())
@@ -672,8 +654,7 @@ class ShardCoordinator:
         return collected
 
     def close(self) -> None:
-        """Release every sub-engine, the region pool, and the shared
-        executor (idempotent).
+        """Release every sub-engine and the region pool (idempotent).
 
         Runs every release even when one raises -- a round that failed
         mid-flight must not leak the remaining engines or either worker
@@ -683,9 +664,7 @@ class ShardCoordinator:
             return
         self._closed = True
         closers = [scope.engine.close for scope in self.regions + self.seam_scopes]
-        closers.extend(
-            [self.seam_engine.close, self.region_executor.close, self.executor.close]
-        )
+        closers.extend([self.seam_engine.close, self.region_executor.close])
         errors: List[BaseException] = []
         for closer in closers:
             try:

@@ -1,50 +1,39 @@
-"""Region executors: run the interior passes of one shard round.
+"""The region executor: run the interior passes of one shard round.
 
 The :class:`~repro.shard.coordinator.ShardCoordinator` decomposes each
 rip-up-and-re-route round into K independent region subproblems that all
 read the *round-start* congestion snapshot and never see each other's
 in-round deltas.  That independence is what makes them trivially
-parallelisable: this module provides the pluggable execution backends that
-route all regions of one round and hand their usage deltas back to the
-coordinator, which stitches them onto the shared map **in fixed region
-order** -- so the floating-point sums, and therefore every downstream
-metric, are bit-identical across backends.
+parallelisable: a region round is a pure task, so :class:`RegionExecutor` is
+three steps -- make one :class:`RegionTask` per region, map them over the
+:class:`_RegionRunner` s (``engine.executor.WorkerPool.map``: here, or on
+pool workers with ``shard_workers > 1``), install the
+:class:`RegionOutcome` s.  The coordinator stitches the usage deltas onto
+the shared map **in fixed region order**, so the floating-point sums, and
+therefore every downstream metric, are bit-identical wherever the regions
+ran.
 
-Both backends route a region the same way -- a :class:`RegionTask` goes to a
-:class:`_RegionRunner` built from the region's static spec and a
-:class:`RegionOutcome` comes back; they differ only in *where* the runner
-lives:
-
-* :class:`SerialRegionExecutor` routes the regions in-process, one after the
-  other, on each scope's own runner.
-* :class:`ProcessRegionExecutor` fans the regions out over a
-  ``multiprocessing`` pool: each worker is primed once with a pickled
-  read-only payload (the specs -- subgraphs, sub-netlists, engine configs --
-  plus the oracle and bifurcation model) and builds its runners from it;
-  per round only the task travels (start usage and gathered prices as
-  arrays, trees and replay memos as plain tuples -- the one transport).
-  Pooled specs are ``stateless`` (no re-route cache, memo cache invalidated
-  per task), so it does not matter which process routes which region in
-  which round: a task lost with its worker is routed by the scope's own
-  runner in the parent, and when no pool can be started -- sandboxes
-  routinely forbid ``fork`` or semaphores -- the executor degrades to the
-  serial loop with a warning.  Degradation costs parallelism, never
-  correctness.
-
-Use :func:`make_region_executor` to construct a backend from a worker count.
+In the parent a region routes on its scope's own runner; a pool worker
+builds its runners from the pickled read-only payload (the specs --
+subgraphs, sub-netlists, engine configs -- plus the oracle and bifurcation
+model, see :func:`region_worker`), and per round only the task travels
+(start usage and gathered prices as arrays, trees and replay memos as plain
+tuples -- the one transport).  Scopes of a pooled coordinator are
+``stateless`` (no re-route cache, memo cache invalidated per task), so it
+does not matter which process routes which region in which round: a task
+lost with its worker is routed by the scope's own runner in the parent, and
+when no pool can be started the regions simply route in-process.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults, obs
-from repro.core.tree import EmbeddedTree
+from repro.core.tree import EmbeddedTree, TreeRecord, decode_tree, encode_tree
 from repro.engine.cache import RoundMemo
 from repro.engine.engine import RoutingEngine
 from repro.engine.executor import WorkerPool
@@ -54,37 +43,7 @@ from repro.grid.graph import RoutingGraph
 if TYPE_CHECKING:  # circular at runtime: the coordinator imports this module
     from repro.shard.coordinator import ShardCoordinator
 
-__all__ = [
-    "TreeRecord",
-    "RegionTask",
-    "RegionOutcome",
-    "RegionExecutor",
-    "SerialRegionExecutor",
-    "ProcessRegionExecutor",
-    "make_region_executor",
-    "encode_tree",
-    "decode_tree",
-]
-
-#: One embedded tree as plain picklable values: ``(root, sinks, edges,
-#: method)`` or ``None`` for an unrouted net.  Graph objects never travel
-#: with trees -- both sides reattach their own graph.
-TreeRecord = Optional[Tuple[int, Tuple[int, ...], Tuple[int, ...], str]]
-
-
-def encode_tree(tree: Optional[EmbeddedTree]) -> TreeRecord:
-    """``tree`` as a :data:`TreeRecord` (cheap to pickle, graph-free)."""
-    if tree is None:
-        return None
-    return (int(tree.root), tuple(tree.sinks), tuple(tree.edges), tree.method)
-
-
-def decode_tree(graph: RoutingGraph, record: TreeRecord) -> Optional[EmbeddedTree]:
-    """The exact inverse of :func:`encode_tree`, reattached to ``graph``."""
-    if record is None:
-        return None
-    root, sinks, edges, method = record
-    return EmbeddedTree(graph, root, tuple(sinks), tuple(edges), method)
+__all__ = ["RegionTask", "RegionOutcome", "RegionExecutor", "region_worker"]
 
 
 @dataclass(frozen=True)
@@ -124,10 +83,6 @@ class RegionOutcome:
     telemetry reports.
     ``log_signatures`` holds the round's lookup signatures (aligned like
     ``trees``) when the task asked for them with ``capture_log``.
-    ``metrics`` is a pool worker's local :class:`repro.obs.MetricsRegistry`
-    snapshot for this region round; the parent merges it in fixed region
-    order so pooled runs report the same counters as serial ones (``None``
-    for rounds routed in the parent, whose counters land directly).
     """
 
     key: str
@@ -135,7 +90,6 @@ class RegionOutcome:
     delta: np.ndarray
     report: Tuple[int, int, int, int, float]
     log_signatures: Optional[Tuple[Optional[bytes], ...]] = None
-    metrics: Optional[Dict[str, object]] = None
 
 
 class _TaskPrices:
@@ -155,9 +109,9 @@ class _RegionRunner:
     into a :class:`RegionOutcome`.
 
     The same class routes a scope wherever the executor puts the round: in
-    the parent (the scope's own runner -- serial loop, seam scopes,
-    degraded pool, recovery of a lost pool task) or in a pool worker (a
-    runner rebuilt from the same spec).  ``spec["stateless"]`` is the one
+    the parent (the scope's own runner -- inline map, seam scopes, retry
+    of a lost pool task) or in a pool worker (a runner rebuilt from the
+    same spec).  ``spec["stateless"]`` is the one
     distinction: a scope whose rounds may run on the pool routes cache-free
     and invalidates the lazily built memo cache per task, so it does not
     matter which process routes which round.
@@ -233,53 +187,52 @@ class _RegionRunner:
         return memo
 
 
-# --------------------------------------------------------------------------
-# Worker plumbing.  Module-level so children can locate the functions under
-# every multiprocessing start method (fork and spawn alike).
-# --------------------------------------------------------------------------
+def region_worker(payload: Dict[str, object]) -> Callable[[RegionTask], RegionOutcome]:
+    """The pool's worker factory (module level: children locate it under
+    every start method): routes a task on the runner of its region, built
+    from the payload's spec on the region's first task in this worker."""
+    runners: Dict[str, _RegionRunner] = {}
 
-_REGION_STATE: dict = {}
-_REGION_RUNNERS: Dict[str, _RegionRunner] = {}
+    def route(task: RegionTask) -> RegionOutcome:
+        if task.key not in runners:
+            runners[task.key] = _RegionRunner(payload["regions"][task.key], payload)
+        return runners[task.key].route(task)
 
-
-def _region_worker_init(payload_bytes: bytes) -> None:
-    """Pool initializer: unpack the shared read-only region payload."""
-    state = pickle.loads(payload_bytes)
-    _REGION_STATE.clear()
-    _REGION_STATE.update(state)
-    _REGION_RUNNERS.clear()
-
-
-def _route_region(task: RegionTask) -> RegionOutcome:
-    """Route one region's round inside a worker process.
-
-    The worker accumulates metrics (engine counters, A* pops) into a
-    fresh local registry and ships its snapshot back on the outcome; the
-    parent merges the snapshots in fixed region order.
-    """
-    runner = _REGION_RUNNERS.get(task.key)
-    if runner is None:
-        runner = _RegionRunner(_REGION_STATE["regions"][task.key], _REGION_STATE)
-        _REGION_RUNNERS[task.key] = runner
-    local = obs.MetricsRegistry()
-    previous = obs.swap_registry(local)
-    try:
-        outcome = runner.route(task)
-    finally:
-        obs.swap_registry(previous)
-    return replace(outcome, metrics=local.snapshot())
+    return route
 
 
 class RegionExecutor:
-    """Common interface of the region execution backends."""
+    """Routes the K interior regions of each round: in-process, one after
+    the other (``workers`` ``None``/``1``), or mapped over a process pool.
 
-    #: Backend name used in configuration and result reporting.
-    backend = "?"
-    #: The worker pool of a process backend (``None``: regions route in-process).
-    pool: Optional[WorkerPool] = None
+    Parameters
+    ----------
+    workers:
+        Pool size; the pool is additionally capped at the region count --
+        extra workers could never receive work.
+    start_method:
+        ``multiprocessing`` start method (``"fork"`` / ``"spawn"`` /
+        ``"forkserver"``), validated here, eagerly: a pinned-but-mistyped
+        one raises at construction instead of silently degrading the run.
+        ``None`` prefers ``fork`` (workers inherit ``sys.path``) and falls
+        back to the platform default.
+    """
 
-    def __init__(self) -> None:
+    def __init__(self, workers: Optional[int] = None, start_method: Optional[str] = None) -> None:
+        self.pool = WorkerPool(
+            backend="region-process",
+            degrade_message=(
+                "region-parallel shard execution degrades to the serial region loop"
+            ),
+            workers=1 if workers is None else workers,
+            start_method=start_method,
+        )
         self.closed = False
+
+    @property
+    def backend(self) -> str:
+        """Backend name for result reporting: where regions may run."""
+        return "process" if self.pool.workers > 1 else "serial"
 
     def route_round(
         self,
@@ -294,28 +247,79 @@ class RegionExecutor:
 
         Mutates ``trees`` in place and returns the regions' outcomes aligned
         with ``coordinator.regions`` -- the coordinator stitches their
-        deltas in that fixed order, which is what keeps all backends
+        deltas in that fixed order, which is what keeps every placement
         bit-identical.
 
         ``replay_round`` / ``log_round`` are the round's *global* replay and
         log memos (session flows); each region localises its slice of the
         replay memo and its freshly computed lookup signatures are merged
-        back into ``log_round``, again in fixed region order.
-        """
-        raise NotImplementedError
+        back into ``log_round``.
 
-    def _publish_done(self, round_index: int, outcome: RegionOutcome) -> None:
-        obs.publish(
-            "region_done",
-            region=outcome.key,
-            round=round_index + 1,
-            backend=self.backend,
-            nets_routed=outcome.report[1],
-            seconds=round(float(outcome.report[4]), 6),
+        Every region writes one ``region`` span per round: around its
+        routing when that happens in this process (``backend="serial"``;
+        the inline map, and the retry of a task lost with its worker),
+        around the install of a worker's outcome otherwise.
+        """
+        scopes = {region.key: region for region in coordinator.regions}
+        tasks = [
+            region.make_task(
+                coordinator, round_index, trees, snapshot.usage,
+                replay_round=replay_round, log_round=log_round,
+            )
+            for region in coordinator.regions
+        ]
+        installed = set()
+
+        def install(outcome: RegionOutcome, span, backend: str) -> None:
+            scopes[outcome.key].apply_outcome(coordinator, trees, outcome, log_round=log_round)
+            span.set(batches=outcome.report[0], nets_routed=outcome.report[1])
+            installed.add(outcome.key)
+            obs.publish(
+                "region_done",
+                region=outcome.key,
+                round=round_index + 1,
+                backend=backend,
+                nets_routed=outcome.report[1],
+                seconds=round(float(outcome.report[4]), 6),
+            )
+
+        def route_here(task: RegionTask) -> RegionOutcome:
+            # The scope's own runner, built from the spec the workers are
+            # primed with -- the outcome a worker would ship, bit for bit.
+            with obs.span("region", key=task.key, round=round_index, backend="serial") as span:
+                outcome = scopes[task.key].runner.route(task)
+                install(outcome, span, "serial")
+            return outcome
+
+        outcomes = self.pool.map(
+            tasks,
+            coordinator.region_worker_payload,
+            region_worker,
+            route_here,
+            fault=("kill-region-worker", round_index),
         )
+        plan = faults.get_plan()
+        if (
+            plan is not None
+            and tasks
+            and tasks[0].key not in installed
+            and plan.should("drop-outcome", round_index)
+        ):
+            # Discard one cleanly collected worker outcome: exercises the
+            # in-process re-execution path without involving the pool.
+            outcomes[0] = route_here(tasks[0])
+            obs.inc("recovery.outcome_recomputed")
+        for outcome in outcomes:
+            if outcome.key not in installed:
+                with obs.span(
+                    "region", key=outcome.key, round=round_index, backend="process"
+                ) as span:
+                    install(outcome, span, "process")
+        return outcomes
 
     def close(self) -> None:
-        """Release backend resources (worker pools).  Idempotent."""
+        """Release the worker pool.  Idempotent."""
+        self.pool.close()
         self.closed = True
 
     def __enter__(self) -> "RegionExecutor":
@@ -323,144 +327,3 @@ class RegionExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class SerialRegionExecutor(RegionExecutor):
-    """Routes the regions in-process, one after the other (the classic loop)."""
-
-    backend = "serial"
-
-    def route_round(self, coordinator, round_index, trees, snapshot,
-                    replay_round=None, log_round=None):
-        outcomes: List[RegionOutcome] = []
-        for region in coordinator.regions:
-            with obs.span(
-                "region", key=region.key, round=round_index, backend=self.backend
-            ) as region_span:
-                outcome = region.route_round(
-                    coordinator, round_index, trees, snapshot.usage,
-                    replay_round=replay_round, log_round=log_round,
-                )
-                region_span.set(
-                    batches=outcome.report[0], nets_routed=outcome.report[1]
-                )
-            self._publish_done(round_index, outcome)
-            outcomes.append(outcome)
-        return outcomes
-
-
-class ProcessRegionExecutor(RegionExecutor):
-    """Routes the regions of each round on a ``multiprocessing`` pool.
-
-    Parameters
-    ----------
-    num_workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at 8.  The pool is
-        additionally capped at the region count -- extra workers could never
-        receive work.
-    start_method:
-        ``multiprocessing`` start method (``"fork"`` / ``"spawn"`` /
-        ``"forkserver"``).  ``None`` prefers ``fork`` (workers inherit
-        ``sys.path``) and falls back to the platform default.
-    """
-
-    backend = "process"
-
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        super().__init__()
-        if num_workers is not None and num_workers < 1:
-            raise ValueError("num_workers must be positive")
-        self.num_workers = num_workers or min(os.cpu_count() or 2, 8)
-        # The start method is validated here, eagerly: a pinned-but-mistyped
-        # one must raise at construction, not silently degrade the run to
-        # the serial loop.
-        self.pool = WorkerPool(
-            _region_worker_init,
-            backend="region-process",
-            degrade_message=(
-                "region-parallel shard execution degrades to the serial region loop"
-            ),
-            start_method=start_method,
-        )
-        self._serial = SerialRegionExecutor()
-
-    def close(self) -> None:
-        self.pool.close()
-        super().close()
-
-    # ------------------------------------------------------------------ API
-    def route_round(self, coordinator, round_index, trees, snapshot,
-                    replay_round=None, log_round=None):
-        # One region cannot be overlapped with anything (skip the IPC), and
-        # the pool is capped at the region count -- extra workers could
-        # never receive work.  Without a pool (the degraded mode) the
-        # regions route on the serial loop.
-        regions = coordinator.regions
-        pooled = len(regions) > 1 and self.pool.start(
-            coordinator.region_worker_payload, min(self.num_workers, len(regions))
-        )
-        if not pooled:
-            return self._serial.route_round(
-                coordinator, round_index, trees, snapshot,
-                replay_round=replay_round, log_round=log_round,
-            )
-        runners = {region.key: region.runner for region in regions}
-
-        def route_in_parent(task: RegionTask) -> RegionOutcome:
-            # The recovery path: a task lost with its worker (or dropped by
-            # a chaos fault) is routed by the scope's own runner, built from
-            # the spec the workers were primed with -- the outcome a worker
-            # would have shipped, bit for bit.
-            return runners[task.key].route(task)
-
-        tasks = [
-            region.make_task(
-                coordinator, round_index, trees, snapshot.usage,
-                replay_round=replay_round, log_round=log_round,
-            )
-            for region in regions
-        ]
-        outcomes = self.pool.run(
-            _route_region,
-            tasks,
-            retry=route_in_parent,
-            sabotage=faults.pool_sabotage("kill-region-worker", round_index),
-        )
-        plan = faults.get_plan()
-        if plan is not None and plan.should("drop-outcome", round_index):
-            # Discard one cleanly collected outcome: exercises the
-            # in-process re-execution path without involving the pool.
-            outcomes[0] = None
-        for index, outcome in enumerate(outcomes):
-            if outcome is None:
-                outcomes[index] = route_in_parent(tasks[index])
-                obs.inc("recovery.outcome_recomputed")
-        # Apply in fixed region order regardless of worker completion order.
-        # The worker-shipped metric snapshots merge in the same order, so
-        # pooled counters land identically to a serial run's.
-        for region, outcome in zip(regions, outcomes):
-            with obs.span(
-                "region", key=region.key, round=round_index, backend=self.backend,
-                batches=outcome.report[0], nets_routed=outcome.report[1],
-            ):
-                region.apply_outcome(coordinator, trees, outcome, log_round=log_round)
-            obs.merge_snapshot(outcome.metrics)
-            self._publish_done(round_index, outcome)
-        return outcomes
-
-
-def make_region_executor(
-    workers: Optional[int] = None,
-    start_method: Optional[str] = None,
-) -> RegionExecutor:
-    """Construct the region backend for a worker count: ``None``/``1`` is
-    the in-process serial loop, anything larger a process pool."""
-    if workers is not None and workers < 1:
-        raise ValueError("shard workers must be positive")
-    if workers is None or workers == 1:
-        return SerialRegionExecutor()
-    return ProcessRegionExecutor(num_workers=workers, start_method=start_method)

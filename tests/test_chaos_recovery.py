@@ -25,7 +25,7 @@ from repro import faults
 from repro.core.cost_distance import CostDistanceSolver
 from repro.engine.engine import EngineConfig
 from repro import obs
-from repro.engine.executor import ProcessExecutor
+from repro.engine.executor import BatchExecutor, WorkerPool, batch_worker
 from repro.grid.graph import build_grid_graph
 from repro.instances.generator import NetlistGeneratorConfig, generate_netlist
 from repro.router.metrics import PARITY_FIELDS
@@ -186,73 +186,71 @@ class TestKillThenResume:
 
 
 class TestRecoveryMachinery:
-    """Direct tests of WorkerPool.run's recovery and executor teardown."""
+    """Direct tests of WorkerPool.map's recovery and executor teardown."""
 
-    def _executor(self):
-        from repro.core.bifurcation import BifurcationModel
-
-        graph = build_grid_graph(6, 6, 2)
-        return ProcessExecutor(
-            graph,
-            CostDistanceSolver(),
-            BifurcationModel(dbif=0.0, eta=0.25),
-            seed=0,
-            num_workers=2,
-        )
-
-    def test_recovery_retries_when_every_worker_dies(self, caplog):
+    def test_recovery_retries_when_every_worker_dies(self, caplog, monkeypatch):
         import logging
 
-        executor = self._executor()
-        pool = executor.pool
-        if not pool.start(executor._worker_payload, 2):
+        def kill_all(raw_pool):
+            for process in list(raw_pool._pool):
+                if process.exitcode is None:
+                    os.kill(process.pid, 9)
+
+        def counter(name):
+            return obs.default_registry().snapshot()["counters"].get(name, 0)
+
+        def run(tasks, fault=None):
+            return pool.map(
+                tasks,
+                dict,
+                _slow_square_worker,
+                lambda task: task * task,
+                fault=fault,
+                stall_timeout=1.0,
+            )
+
+        pool = WorkerPool("process", "toy tasks degrade to the inline loop", workers=2)
+        if not pool.start(dict, _slow_square_worker, 2):
             pytest.skip("no process pool available in this environment")
         try:
-
-            def kill_all(raw_pool):
-                for process in list(raw_pool._pool):
-                    if process.exitcode is None:
-                        os.kill(process.pid, 9)
-
-            def counter(name):
-                return obs.default_registry().snapshot()["counters"].get(name, 0)
-
+            # The fault of this choke point kills every worker, not just one.
+            monkeypatch.setattr(faults, "kill_pool_worker", kill_all)
+            faults.install_plan("kill-pool-worker")
             retried = counter("recovery.tasks_retried.process")
             discarded = counter("recovery.pools_discarded")
             with caplog.at_level(logging.WARNING, logger="repro.engine"):
-                results = pool.run(
-                    _slow_square,
-                    [1, 2, 3],
-                    retry=lambda task: task * task,
-                    sabotage=kill_all,
-                    stall_timeout=1.0,
-                )
-            assert sorted(results) == [1, 4, 9]
-            # The deaths were observed (the lost tasks went through
-            # ``retry``) and the broken pool was discarded ...
+                results = run([1, 2, 3], fault=("kill-pool-worker", None))
+            assert results == [1, 4, 9]
+            # The deaths were observed (the lost tasks went through the
+            # inline ``route``) and the broken pool was discarded ...
             assert any("worker death" in rec.getMessage() for rec in caplog.records)
             assert counter("recovery.tasks_retried.process") > retried
             assert counter("recovery.pools_discarded") == discarded + 1
             assert pool.used and not pool.active
-            # ... and the next start rebuilds a working one.
-            assert pool.start(executor._worker_payload, 2)
-            assert pool.run(_slow_square, [4], retry=lambda task: -1) == [16]
+            # ... and the next call rebuilds a working one.
+            assert run([4, 5]) == [16, 25]
             assert pool.active
         finally:
-            executor.close()
+            pool.close()
         assert not pool.active
 
     def test_engine_executor_double_close(self):
-        executor = self._executor()
-        executor.pool.start(executor._worker_payload, 2)
+        from repro.core.bifurcation import BifurcationModel
+
+        executor = BatchExecutor(
+            build_grid_graph(6, 6, 2),
+            CostDistanceSolver(),
+            BifurcationModel(dbif=0.0, eta=0.25),
+            seed=0,
+            workers=2,
+        )
+        executor.pool.start(executor._worker_payload, batch_worker, 2)
         executor.close()
         executor.close()  # idempotent
-        assert not executor.pool.active
+        assert executor.closed and not executor.pool.active
 
     def test_region_executor_double_close_after_fault(self):
         """Close (twice) after a faulted round: no hang, no error."""
-        from repro.shard.executor import ProcessRegionExecutor
-
         graph, netlist = random_design(23, num_nets=14)
         faults.install_plan("kill-region-worker:round=1")
         router = GlobalRouter(
@@ -267,17 +265,22 @@ class TestRecoveryMachinery:
             executor = router.engine.region_executor
             router.engine.close()
             router.engine.close()
-        assert isinstance(executor, ProcessRegionExecutor)
+        assert executor.backend == "process"
         assert executor.closed
 
 
-def _slow_square(task):
-    # Slow enough that the sabotage kill (0.05 s after dispatch) lands
-    # while the tasks are still in flight -- the recoverable scenario.
-    import time
+def _slow_square_worker(payload):
+    """Worker factory of the toy pool (module level, like the real ones)."""
 
-    time.sleep(0.5)
-    return task * task
+    def slow_square(task):
+        # Slow enough that the sabotage kill (0.05 s after dispatch) lands
+        # while the tasks are still in flight -- the recoverable scenario.
+        import time
+
+        time.sleep(0.5)
+        return task * task
+
+    return slow_square
 
 
 class TestDaemonReadoption:

@@ -348,13 +348,11 @@ class TestPotentialParity:
 # ---------------------------------------------------------------- golden
 _GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "kernel_golden.json"
 
-#: Every configuration here routes on the two-level heap.  The flat queue
-#: (``use_two_level_heap=False``, so ``CostDistanceConfig.plain()`` too) is
-#: not reproducible between interpreter runs: ``_FlatQueue._by_search`` is a
-#: set of ints and ``("c", node)`` tuples, ``remove_search`` iterates it, the
-#: removal order shapes the heap -- its trees depend on ``PYTHONHASHSEED``
-#: and cannot be pinned until that is fixed (ROADMAP).  The Section II
-#: bookkeeping is pinned through ``plain-two-level`` instead.
+#: The last two rows route on the flat queue (``use_two_level_heap=False``).
+#: They were recorded once ``_FlatQueue`` kept its members in insertion order
+#: -- before that, ``remove_search`` iterated a set and the trees depended on
+#: ``PYTHONHASHSEED`` (``TestFlatQueueIgnoresHashSeed``); every other row is
+#: the recording of the commit before the kernel rebuild.
 _GOLDEN_CONFIGS = {
     "default": CostDistanceConfig(),
     "plain-two-level": dataclasses.replace(
@@ -364,6 +362,8 @@ _GOLDEN_CONFIGS = {
     "no-future-cost": CostDistanceConfig(use_future_costs=False),
     "no-placement": CostDistanceConfig(improved_steiner_placement=False),
     "no-root-encouragement": CostDistanceConfig(encourage_root_connections=False),
+    "plain": CostDistanceConfig.plain(),
+    "flat-heap": CostDistanceConfig(use_two_level_heap=False),
 }
 
 
@@ -396,7 +396,7 @@ def _golden_instances(chip_name, dbif):
         )
 
 
-def kernel_digests():
+def kernel_digests(config_names=None):
     """``{"<config>/dbif=<d>/<chip>": ["<sha256[:16]>:<labels>:<iters>:<merges>", ...]}``
 
     One entry per net.  Recorded with the kernel of the commit before its
@@ -407,8 +407,8 @@ def kernel_digests():
     here.
     """
     digests = {}
-    for config_name, config in _GOLDEN_CONFIGS.items():
-        solver = CostDistanceSolver(config)
+    for config_name in config_names or _GOLDEN_CONFIGS:
+        solver = CostDistanceSolver(_GOLDEN_CONFIGS[config_name])
         for dbif in (None, 0.0):
             for chip_name in ("c1", "c2"):
                 rows = []
@@ -438,3 +438,35 @@ class TestKernelGolden:
         assert current.keys() == golden.keys()
         for key, rows in golden.items():
             assert current[key] == rows, key
+
+
+class TestFlatQueueIgnoresHashSeed:
+    """``_FlatQueue.remove_search`` used to iterate a set of ints and
+    ``("c", node)`` tuples, so flat-queue trees moved with the interpreter's
+    string-hash seed; only a second interpreter can show that."""
+
+    def test_two_hash_seeds_produce_the_same_trees(self):
+        import os
+        import subprocess
+        import sys
+
+        root = pathlib.Path(__file__).parent.parent
+        script = (
+            "import json; from tests.test_cost_distance import kernel_digests; "
+            "print(json.dumps(kernel_digests(['plain', 'flat-heap'])))"
+        )
+        outputs = []
+        for hash_seed in ("1", "3"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=root, env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1]
+        golden = json.loads(_GOLDEN_PATH.read_text())
+        assert outputs[0] == {key: golden[key] for key in outputs[0]}

@@ -12,12 +12,7 @@ from repro.core.cost_distance import CostDistanceSolver
 from repro.core.instance import SteinerInstance, instance_signature
 from repro.engine.cache import RerouteCache
 from repro.engine.engine import EngineConfig
-from repro.engine.executor import (
-    NetTask,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.executor import EXECUTOR_BACKENDS, BatchExecutor, NetTask
 from repro.engine.rng import NET_STREAM_STRIDE, derive_net_rng, net_stream_seed
 from repro.engine.scheduler import BoundingBox, NetScheduler
 from repro.grid.congestion import CongestionMap
@@ -159,7 +154,7 @@ class TestExecutors:
 
     def test_serial_routes_all_tasks(self, setup):
         graph, tasks, costs = setup
-        executor = SerialExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
+        executor = BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
         trees = executor.route_batch(costs, tasks)
         assert sorted(trees) == [t.net_index for t in tasks]
         for task in tasks:
@@ -167,9 +162,9 @@ class TestExecutors:
 
     def test_process_matches_serial_bit_for_bit(self, setup):
         graph, tasks, costs = setup
-        serial = SerialExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
-        with ProcessExecutor(
-            graph, CostDistanceSolver(), BifurcationModel(), 0, num_workers=2
+        serial = BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
+        with BatchExecutor(
+            graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         ) as process:
             expected = serial.route_batch(costs, tasks)
             actual = process.route_batch(costs, tasks)
@@ -182,32 +177,43 @@ class TestExecutors:
 
     def test_single_task_avoids_pool(self, setup):
         graph, tasks, costs = setup
-        process = ProcessExecutor(
-            graph, CostDistanceSolver(), BifurcationModel(), 0, num_workers=2
+        process = BatchExecutor(
+            graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         )
         trees = process.route_batch(costs, tasks[:1])
         assert not process.pool.used  # inline fast path, no pool spawned
         assert len(trees) == 1
         process.close()
 
-    def test_make_executor(self, setup):
+    def test_backend_selection(self, setup):
         graph, *_ = setup
         oracle = CostDistanceSolver()
-        assert isinstance(
-            make_executor("serial", graph, oracle, BifurcationModel(), 0),
-            SerialExecutor,
+        assert EXECUTOR_BACKENDS == ("serial", "process")
+        assert BatchExecutor(graph, oracle, BifurcationModel(), 0).backend == "serial"
+        assert (
+            BatchExecutor(graph, oracle, BifurcationModel(), 0, workers=3).backend
+            == "process"
         )
-        assert isinstance(
-            make_executor("process", graph, oracle, BifurcationModel(), 0),
-            ProcessExecutor,
-        )
-        with pytest.raises(ValueError):
-            make_executor("thread", graph, oracle, BifurcationModel(), 0)
+        with pytest.raises(ValueError, match="positive"):
+            BatchExecutor(graph, oracle, BifurcationModel(), 0, workers=0)
+        with pytest.raises(ValueError, match="thread"):
+            EngineConfig(backend="thread")
+        netlist = tiny_netlist()
+        for backend, workers, expected in (
+            ("serial", 4, "serial"),  # num_workers is a process-backend knob
+            ("process", 2, "process"),
+        ):
+            router = GlobalRouter(
+                graph, netlist, oracle,
+                GlobalRouterConfig(engine=EngineConfig(backend=backend, num_workers=workers)),
+            )
+            assert router.engine.executor.backend == expected
+            router.engine.close()
 
     def test_close_is_idempotent(self, setup):
         graph, tasks, costs = setup
-        process = ProcessExecutor(
-            graph, CostDistanceSolver(), BifurcationModel(), 0, num_workers=2
+        process = BatchExecutor(
+            graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         )
         process.route_batch(costs, tasks)
         process.close()
@@ -224,10 +230,10 @@ class TestExecutors:
             raise OSError("forking is forbidden here")
 
         monkeypatch.setattr(multiprocessing, "get_context", broken_context)
-        serial = SerialExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
+        serial = BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
         expected = serial.route_batch(costs, tasks)
-        with ProcessExecutor(
-            graph, CostDistanceSolver(), BifurcationModel(), 0, num_workers=2
+        with BatchExecutor(
+            graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         ) as process:
             with caplog.at_level(logging.WARNING, logger="repro.obs.pool"):
                 actual = process.route_batch(costs, tasks)

@@ -19,7 +19,7 @@ from repro.instances.eco import (
     apply_eco,
     parse_ops,
 )
-from repro.router.metrics import RoutingResult
+from repro.router.metrics import PARITY_FIELDS, RoutingResult
 from repro.router.netlist import Net, Netlist, Pin, Stage
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.serve.checkpoint import (
@@ -520,6 +520,27 @@ class TestDaemon:
         assert payload["touched"] == ["n0"]
         assert payload["nets_reused"] > 0
         assert client.sessions()[0]["generation"] == 2
+
+    def test_process_backend_pool_never_forks_the_daemon(self, daemon, client):
+        """The daemon is multi-threaded, so the start-method pin it sets on
+        every job must reach the engine's batch pool too, not only the
+        region pool -- and the pooled job routes the serial job's bits."""
+        params = dict(chip="c1", net_scale=0.3, rounds=2)
+        serial = client.wait(client.submit_route(session="serial", **params), timeout=300.0)
+        pooled = client.wait(
+            client.submit_route(session="pooled", backend="process", workers=2, **params),
+            timeout=300.0,
+        )
+        assert serial["status"] == pooled["status"] == JobState.DONE
+        assert pooled["result"]["backend"] == "process"
+        pool = daemon.sessions["pooled"].router.engine.executor.pool
+        assert pool.workers == 2
+        assert pool.start_method in ("forkserver", "spawn")
+        assert daemon.sessions["serial"].router.engine.executor.pool.workers == 1
+        want = RoutingResult.from_dict(serial["result"]["result"])
+        got = RoutingResult.from_dict(pooled["result"]["result"])
+        for field in PARITY_FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
 
     def test_eco_against_unknown_session_fails(self, client):
         job_id = client.submit_eco("ghost", [{"op": "remove_net", "net": "n0"}])

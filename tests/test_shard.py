@@ -430,7 +430,6 @@ class TestOneShardingPathOnePoolLifecycle:
 
     REMOVED_NAMES = (
         "_run_shard",
-        "_route_shard_child",
         "_run_children_on",
         "_merge_results",
         "submit_shard",
@@ -458,8 +457,21 @@ class TestOneShardingPathOnePoolLifecycle:
         "_ParityRegion",
         "_prepare_memo_round",
         "_RegionPrices",
-        "_route_region_inline",
         "_recovery_runners",
+        # One task map (PR 20).  Written in two pieces so that a repo-wide
+        # grep for a deleted name finds live code only; the first two also
+        # cover the daemon's shard child and the forked region rounds.
+        "_route_" "shard",
+        "_route_" "region",
+        "Serial" "Executor",
+        "Process" "Executor",
+        "Serial" "RegionExecutor",
+        "Process" "RegionExecutor",
+        "make_" "executor",
+        "make_region_" "executor",
+        "_owns_" "executor",
+        "_WORKER_" "STATE",
+        "_REGION_" "STATE",
     )
 
     @staticmethod
@@ -493,6 +505,37 @@ class TestOneShardingPathOnePoolLifecycle:
 
         source = inspect.getsource(executor.WorkerPool)
         assert callers[0][1] in source
+
+    def test_one_executor_class_per_layer_and_one_worker_protocol(self):
+        """PR 20: both executor hierarchies folded into one class each on
+        top of ``WorkerPool.map``; the worker-local metrics registry lives
+        in the pool's one worker-side call and nowhere else."""
+        import ast
+
+        from repro.engine import executor as engine_executor
+        from repro.shard import executor as shard_executor
+
+        def classes(module):
+            tree = ast.parse(inspect.getsource(module))
+            return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+        assert classes(engine_executor) == {"WorkerPool", "NetTask", "BatchExecutor"}
+        assert classes(shard_executor) == {
+            "RegionTask", "RegionOutcome", "_TaskPrices", "_RegionRunner", "RegionExecutor",
+        }
+        layers = tuple(
+            os.path.join("src", "repro", layer) + os.sep for layer in ("engine", "shard")
+        )
+        users = [
+            (os.path.basename(file_path), line.strip())
+            for file_path, text in self._sources()
+            if any(layer in os.path.normpath(file_path) for layer in layers)
+            for line in text.splitlines()
+            if re.search(r"MetricsRegistry\(\)|swap_registry\(", line)
+        ]
+        assert {name for name, _ in users} == {"executor.py"}, users
+        worker_call = inspect.getsource(engine_executor._worker_call)
+        assert all(line in worker_call for _, line in users), users
 
     def test_shard_layer_constructs_engines_in_two_places(self):
         """The scope runner (every region and seam scope, on every backend)

@@ -32,11 +32,7 @@ from repro.router.metrics import PARITY_FIELDS
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.serve.checkpoint import resume_router, save_checkpoint
 from repro.shard.coordinator import ShardCoordinator
-from repro.shard.executor import (
-    ProcessRegionExecutor,
-    SerialRegionExecutor,
-    make_region_executor,
-)
+from repro.shard.executor import RegionExecutor
 
 #: Wide-sweep opt-in (nightly-style): more seeds, every start method.
 SWEEP = os.environ.get("REPRO_TEST_SWEEP") == "1"
@@ -103,8 +99,7 @@ class TestDeterminismBattery:
         )
         assert_bit_identical(serial_router, serial, parallel_router, parallel)
         if shards > 1 and workers > 1:
-            executor = parallel_router.engine.region_executor
-            assert isinstance(executor, ProcessRegionExecutor)
+            assert parallel_router.engine.region_executor.backend == "process"
 
     @pytest.mark.slow
     @pytest.mark.parametrize("start_method", SWEEP_START_METHODS)
@@ -182,7 +177,7 @@ class TestDegradation:
         assert len(degradations) == 1
         assert "backend=region-process" in degradations[0].getMessage()
         executor = degraded_router.engine.region_executor
-        assert isinstance(executor, ProcessRegionExecutor)
+        assert executor.backend == "process"
         assert not executor.pool.used
         assert not executor.pool.active
         assert_bit_identical(serial_router, serial, degraded_router, degraded)
@@ -196,12 +191,13 @@ class TestDegradation:
         assert not isinstance(one_router.engine, ShardCoordinator)
         assert_bit_identical(plain_router, plain, one_router, one)
 
-    def test_make_region_executor_selects_backend(self):
-        assert isinstance(make_region_executor(None), SerialRegionExecutor)
-        assert isinstance(make_region_executor(1), SerialRegionExecutor)
-        assert isinstance(make_region_executor(3), ProcessRegionExecutor)
+    def test_region_executor_backend_follows_worker_count(self):
+        assert RegionExecutor(None).backend == "serial"
+        assert RegionExecutor(1).backend == "serial"
+        assert RegionExecutor(3).backend == "process"
+        assert RegionExecutor(3).pool.workers == 3
         with pytest.raises(ValueError, match="positive"):
-            make_region_executor(0)
+            RegionExecutor(0)
         with pytest.raises(ValueError, match="shard_workers"):
             GlobalRouterConfig(shard_workers=0)
 
@@ -209,7 +205,7 @@ class TestDegradation:
         """A pinned-but-mistyped start method is an explicit request gone
         wrong; it must fail at construction, not silently route serially."""
         with pytest.raises(ValueError, match="start method"):
-            make_region_executor(2, start_method="frok")
+            RegionExecutor(2, start_method="frok")
         graph, netlist = random_design(14, num_nets=12)
         with pytest.raises(ValueError, match="start method"):
             GlobalRouter(
@@ -219,6 +215,65 @@ class TestDegradation:
                     shard_start_method="frok",
                 ),
             )
+
+
+class TestTraceIsSingleProcess:
+    """Trace writing is the parent's alone: a forked pool worker inherits
+    the tracer (file handle, span-id counter), and must drop it -- the trace
+    of a pooled run must not depend on the start method."""
+
+    ROUNDS = 2
+
+    def _traced_run(self, tmp_path, start_method):
+        from collections import Counter
+
+        from repro import obs
+        from repro.obs.summary import load_trace
+
+        graph, netlist = random_design(21, num_nets=16)
+        path = tmp_path / f"{start_method}.jsonl"
+        obs.configure_tracing(str(path))
+        try:
+            router, _ = run_router(
+                graph, netlist, num_rounds=self.ROUNDS, shards=2,
+                shard_workers=2, shard_start_method=start_method,
+            )
+        finally:
+            obs.close_tracing()
+        if not router.engine.region_executor.pool.used:
+            pytest.skip("no process pool available in this environment")
+        records = load_trace(str(path))
+        names = Counter((r["type"], r.get("name")) for r in records)
+        return router, records, names
+
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="no fork on platform")
+    def test_forked_workers_write_no_trace_records(self, tmp_path):
+        router, records, names = self._traced_run(tmp_path, "fork")
+        spans = {r["span_id"]: r for r in records if r["type"] == "span"}
+        assert len(spans) == sum(1 for r in records if r["type"] == "span")  # unique ids
+        regions = [
+            (span["attrs"]["key"], span["attrs"]["round"])
+            for span in spans.values()
+            if span["name"] == "region"
+        ]
+        assert sorted(regions) == sorted(
+            (region.key, round_index)
+            for region in router.engine.regions
+            for round_index in range(self.ROUNDS)
+        )
+        # Every batch span and net event was written by this process's own
+        # seam passes; the regions' were routed (and dropped) in the workers.
+        batches = [span for span in spans.values() if span["name"] == "batch"]
+        assert batches
+        for span in batches:
+            assert spans[span["parent_id"]]["name"] in ("seam", "seam_scope")
+        nets = [r for r in records if r["type"] == "event" and r["name"] == "net"]
+        assert len(nets) == router.engine.stats.seam_nets * self.ROUNDS
+        for event in nets:
+            assert spans[event["parent_id"]]["name"] == "batch"
+        other = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+        _, _, other_names = self._traced_run(tmp_path, other)
+        assert names == other_names
 
 
 class TestScopeCaches:
@@ -292,7 +347,7 @@ class TestTeardown:
         with pytest.raises(RuntimeError, match="injected region failure"):
             router.run()
         assert coordinator._closed
-        assert coordinator.executor.closed
+        assert coordinator.seam_engine.executor.closed
         assert coordinator.region_executor.closed
 
     def test_close_releases_pool_when_a_round_fails_mid_flight(self):
@@ -309,7 +364,7 @@ class TestTeardown:
             raise RuntimeError("injected seam failure")
 
         coordinator.seam_engine.route_round = explode_after_interior
-        assert isinstance(coordinator.region_executor, ProcessRegionExecutor)
+        assert coordinator.region_executor.backend == "process"
         with pytest.raises(RuntimeError, match="injected seam failure"):
             router.run()
         assert calls["n"] == 1
@@ -318,7 +373,7 @@ class TestTeardown:
         assert coordinator.region_executor.closed
         assert coordinator.region_executor.pool.used  # live when the round failed
         assert not coordinator.region_executor.pool.active  # ...and released
-        assert coordinator.executor.closed
+        assert coordinator.seam_engine.executor.closed
 
     def test_close_is_idempotent(self):
         router = self._failing_router(shard_workers=2)
