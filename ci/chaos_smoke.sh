@@ -3,14 +3,16 @@
 # auto-checkpoint every round, and a hard crash (crash-run exits the
 # process) must -- after a --resume leg -- land bit-identical to the
 # undisturbed run.  This is the recovery contract end to end, through
-# the public CLI only.  A second, unsharded leg kills a worker of the
+# the public CLI only.  The sharded legs run with `--cache`, so the
+# checkpoint the resume reads carries re-route signatures written by a
+# pooled run.  A second, unsharded leg kills a worker of the
 # engine's batch pool (`--backend process`), so both users of the one
 # task map are smoke-tested.  Usage: ci/chaos_smoke.sh [workdir]
 set -euo pipefail
 cd "${1:-.}"
 export PYTHONPATH="${PYTHONPATH:-src}"
 
-ROUTE_ARGS=(--chip c1 --net-scale 0.3 --rounds 3 --shards 2)
+ROUTE_ARGS=(--chip c1 --net-scale 0.3 --rounds 3 --shards 2 --cache)
 
 python -m repro "${ROUTE_ARGS[@]}" --json > clean.json
 

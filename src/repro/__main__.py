@@ -29,6 +29,7 @@ import json
 import sys
 from typing import Optional
 
+from repro.engine.cache import reroute_stats
 from repro.flowparams import (
     FLOW_NAMES,
     add_flow_arguments,
@@ -152,8 +153,8 @@ def _route(args: argparse.Namespace) -> int:
         print(json.dumps(result.as_dict(), indent=2, default=float))
     else:
         print(format_result_row(result))
-    if router.engine.cache is not None:
-        stats = router.engine.cache.stats
+    if engine.reroute_cache:
+        stats = reroute_stats(router.engine.round_reports)
         print(
             f"re-route cache: {stats.hits}/{stats.lookups} hits "
             f"({100.0 * stats.hit_rate:.1f}%)",

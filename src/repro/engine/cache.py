@@ -40,7 +40,7 @@ from repro.grid.graph import RoutingGraph
 if TYPE_CHECKING:  # circular at runtime: tree.py does not import the engine
     from repro.core.tree import EmbeddedTree
 
-__all__ = ["CacheStats", "RerouteCache", "RoundMemo"]
+__all__ = ["CacheStats", "RerouteCache", "RoundMemo", "reroute_stats"]
 
 
 @dataclass
@@ -103,6 +103,18 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
+
+
+def reroute_stats(round_reports: Sequence[object]) -> CacheStats:
+    """The re-route cache's counters of a flow, from its engine's round
+    reports (:class:`~repro.engine.engine.RoundReport`) -- the one view that
+    exists for sharded flows, whose lookups happen in many scope caches and
+    processes.  Every net is looked up once per round after the first (it
+    has no tree to keep before), and is then either kept or re-routed."""
+    return CacheStats(
+        hits=sum(r.nets_cached for r in round_reports),
+        misses=sum(r.nets_routed for r in round_reports if r.round_index > 0),
+    )
 
 
 class RerouteCache:

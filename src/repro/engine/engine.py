@@ -177,22 +177,10 @@ class RoutingEngine:
             max_batch_size=self.config.max_batch_size,
         )
         self.round_reports: List[RoundReport] = []
+        #: The sharded engine's per-round walltime split; always empty here.
+        self.last_round_timings: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ API
-    def ensure_cache(self) -> RerouteCache:
-        """The engine's re-route cache, built on demand when absent.
-
-        Replay/memo rounds need a cache for their signature computation even
-        on engines configured cache-free -- the shard layer's pooled region
-        engines, whose caches must stay round-stateless.  Such callers build
-        the cache lazily with this method (idempotent) and invalidate it per
-        round, which keeps the signature machinery without reintroducing
-        inter-round cache state.
-        """
-        if self.cache is None:
-            self.cache = self._make_cache()
-        return self.cache
-
     def route_round(
         self,
         round_index: int,
@@ -345,6 +333,23 @@ class RoutingEngine:
     def scheduled_nets(self) -> List[int]:
         """The engine's net indices in scheduled (batch) order."""
         return [net for batch in self._batches for net in batch.nets]
+
+    def export_signatures(self) -> Optional[Dict[str, bytes]]:
+        """The stored re-route signatures keyed by net name, like RNG
+        streams and replay memos (``None`` when the engine is cache-free)."""
+        if self.cache is None:
+            return None
+        nets = self.netlist.nets
+        return {nets[i].name: s for i, s in self.cache.export_signatures().items()}
+
+    def load_signatures(self, by_name: Dict[str, bytes]) -> None:
+        """Restore :meth:`export_signatures` (no-op when cache-free; names
+        this engine does not route are ignored)."""
+        if self.cache is not None:
+            names = ((i, self.netlist.nets[i].name) for i in self.scheduled_nets())
+            self.cache.load_signatures(
+                {i: by_name[name] for i, name in names if name in by_name}
+            )
 
     def close(self) -> None:
         """Release executor resources (idempotent)."""

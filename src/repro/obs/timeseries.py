@@ -95,11 +95,9 @@ def round_sample(router, round_index: int) -> Dict[str, object]:
     coordinator's ``last_round_timings`` split.  All values are plain
     Python scalars/dicts, safe to JSON-persist into job records.
     """
-    report = None
-    reports = getattr(router.engine, "round_reports", None)
-    if reports:
-        report = reports[-1]
-    timings = getattr(router.engine, "last_round_timings", None) or {}
+    reports = router.engine.round_reports
+    report = reports[-1] if reports else None
+    timings = router.engine.last_round_timings
     congestion = router.congestion
     # The priced congestion cost of the current solution: usage weighted by
     # the live edge costs -- the per-round convergence quantity next to

@@ -32,7 +32,7 @@ from repro.core.costctx import OracleCostContext
 from repro.core.instance import SteinerInstance
 from repro.core.objective import evaluate_tree
 from repro.core.oracle import SteinerOracle
-from repro.core.tree import EmbeddedTree
+from repro.core.tree import EmbeddedTree, TreeRecord, decode_tree, encode_tree
 from repro.engine.cache import RoundMemo
 from repro.engine.engine import EngineConfig, RoutingEngine
 from repro.engine.rng import derive_net_rng_for_name
@@ -324,64 +324,36 @@ class GlobalRouter:
         The returned dict (numpy arrays included) restores a freshly
         constructed router to this router's exact mid-flow state via
         :meth:`import_state`; :mod:`repro.serve.checkpoint` handles the
-        on-disk encoding.  The replay log and collected instances are
-        intentionally excluded -- they are derived artifacts.
+        on-disk encoding.  Trees are :data:`~repro.core.tree.TreeRecord` s,
+        ``cache_signatures`` the engine's name-keyed re-route signatures
+        (``None`` when it runs cache-free).  The replay log and collected
+        instances are intentionally excluded -- they are derived artifacts.
         """
-        trees: List[Optional[Dict[str, object]]] = []
-        for tree in self.trees:
-            if tree is None:
-                trees.append(None)
-            else:
-                trees.append(
-                    {
-                        "root": int(tree.root),
-                        "sinks": [int(s) for s in tree.sinks],
-                        "edges": [int(e) for e in tree.edges],
-                        "method": tree.method,
-                    }
-                )
-        cache_signatures: Optional[Dict[int, bytes]] = None
-        if self.engine.cache is not None:
-            cache_signatures = self.engine.cache.export_signatures()
-        region_cache_signatures: Optional[Dict[str, object]] = None
-        if hasattr(self.engine, "export_cache_signatures"):
-            # Sharded flows keep their re-route signatures inside the scope
-            # engines (regions, seam scopes, the global seam engine); the
-            # coordinator exports them as name-keyed per-scope sections so a
-            # resume -- even under a different decomposition -- can
-            # redistribute them.
-            region_cache_signatures = self.engine.export_cache_signatures()
         return {
             "rounds_completed": self.rounds_completed,
-            "trees": trees,
+            "trees": [encode_tree(tree) for tree in self.trees],
             "congestion": self.congestion.state_dict(),
             "edge_prices": self.prices.edge_prices.copy(),
             "delay_weights": [list(w) for w in self.prices.delay_weights],
-            "cache_signatures": cache_signatures,
-            "region_cache_signatures": region_cache_signatures,
+            "cache_signatures": self.engine.export_signatures(),
         }
 
     def import_state(self, state: Dict[str, object]) -> None:
-        """Restore a state exported by :meth:`export_state` (exact inverse)."""
-        trees = state["trees"]
-        if len(trees) != self.netlist.num_nets:  # type: ignore[arg-type]
+        """Restore a state exported by :meth:`export_state` (exact inverse).
+
+        This is the disk boundary: the whole state is checked against this
+        router's graph and netlist *before* the first mutation, so a state
+        that does not fit raises :class:`ValueError` naming the defect and
+        leaves the router untouched.
+        """
+        records = list(state["trees"])  # type: ignore[call-overload]
+        if len(records) != self.netlist.num_nets:
             raise ValueError(
                 "checkpoint state has a different net count than this netlist"
             )
-        restored: List[Optional[EmbeddedTree]] = []
-        for record in trees:  # type: ignore[union-attr]
-            if record is None:
-                restored.append(None)
-                continue
-            tree = EmbeddedTree(
-                self.graph,
-                int(record["root"]),
-                tuple(int(s) for s in record["sinks"]),
-                tuple(int(e) for e in record["edges"]),
-                str(record["method"]),
-            )
-            restored.append(tree)
-        self.congestion.load_state(state["congestion"])  # type: ignore[arg-type]
+        for net_index, record in enumerate(records):
+            if record is not None:
+                records[net_index] = self._checked_record(net_index, record)
         edge_prices = np.asarray(state["edge_prices"], dtype=np.float64)
         if edge_prices.shape != self.prices.edge_prices.shape:
             raise ValueError("checkpoint edge prices do not match this graph")
@@ -393,62 +365,33 @@ class GlobalRouter:
             net.num_sinks for net in self.netlist.nets
         ]:
             raise ValueError("checkpoint delay weights do not match this netlist")
-        self.trees = restored
+        rounds_completed = int(state["rounds_completed"])  # type: ignore[call-overload]
+        if not 0 <= rounds_completed <= self.config.num_rounds:
+            raise ValueError(f"checkpoint round counter {rounds_completed} out of range")
+        signatures = dict(state.get("cache_signatures") or {})  # type: ignore[call-overload]
+        # The first mutation; it checks its own shape before it assigns.
+        self.congestion.load_state(state["congestion"])  # type: ignore[arg-type]
+        self.trees = [decode_tree(self.graph, record) for record in records]
         self.prices.edge_prices = edge_prices.copy()
         self.prices.delay_weights = delay_weights
-        self.rounds_completed = int(state["rounds_completed"])  # type: ignore[arg-type]
-        self._restore_cache_signatures(
-            state.get("cache_signatures"),  # type: ignore[arg-type]
-            state.get("region_cache_signatures"),  # type: ignore[arg-type]
-        )
+        self.rounds_completed = rounds_completed
+        self.engine.load_signatures(signatures)
         self.timing_report = None
 
-    def _restore_cache_signatures(
-        self,
-        signatures: Optional[Dict[int, bytes]],
-        region_sections: Optional[Dict[str, object]],
-    ) -> None:
-        """Install checkpointed re-route signatures into whichever engine
-        this router runs -- including across decompositions.
-
-        A flat (unsharded) signature map restores directly into a
-        single-region engine and is redistributed by net name through a
-        shard coordinator; per-region sections restore scope-exact into a
-        matching coordinator, by-name into a different layout, and flatten
-        back into a single-region engine.  A stale signature can only cause
-        a cache miss (the lookup compares digests), so every combination is
-        sound; parity-regime layouts restore exactly.
-        """
-        if hasattr(self.engine, "load_cache_signatures"):
-            if region_sections:
-                self.engine.load_cache_signatures(region_sections)
-            elif signatures:
-                by_name = {
-                    self.netlist.nets[net_index].name: signature
-                    for net_index, signature in signatures.items()
-                    if 0 <= net_index < self.netlist.num_nets
-                }
-                self.engine.load_cache_signatures(
-                    {"layout": {}, "scopes": {"unsharded": by_name}}
-                )
-            return
-        if self.engine.cache is None:
-            return
-        if signatures is not None:
-            self.engine.cache.load_signatures(signatures)
-        elif region_sections:
-            flat: Dict[str, bytes] = {}
-            scopes = region_sections.get("scopes") or {}
-            for section in scopes.values():  # type: ignore[union-attr]
-                flat.update(section)
-            index_by_name = {net.name: i for i, net in enumerate(self.netlist.nets)}
-            self.engine.cache.load_signatures(
-                {
-                    index_by_name[name]: signature
-                    for name, signature in flat.items()
-                    if name in index_by_name
-                }
-            )
+    def _checked_record(self, net_index: int, record: Sequence[object]) -> TreeRecord:
+        """``record`` as a well-typed :data:`TreeRecord` whose node and edge
+        indices exist on this graph; :class:`ValueError` otherwise."""
+        try:
+            root, sinks, edges, method = record
+            checked = (int(root), tuple(map(int, sinks)), tuple(map(int, edges)), str(method))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"tree record of net {net_index} is malformed ({exc})") from exc
+        root, sinks, edges, _ = checked
+        if not all(0 <= node < self.graph.num_nodes for node in (root, *sinks)):
+            raise ValueError(f"tree record of net {net_index} has a node out of range")
+        if not all(0 <= edge < self.graph.num_edges for edge in edges):
+            raise ValueError(f"tree record of net {net_index} has an edge out of range")
+        return checked
 
     # ------------------------------------------------------------ internals
     def _make_bifurcation(self) -> BifurcationModel:

@@ -36,8 +36,6 @@ __all__ = [
     "CheckpointError",
     "Checkpoint",
     "router_fingerprint",
-    "encode_region_signatures",
-    "decode_region_signatures",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_hook",
@@ -47,13 +45,12 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-#: Version 2 added the per-region replay-memo sections
-#: (``region_cache_signatures``): sharded flows keep their re-route
-#: signatures inside per-scope engines, exported as name-keyed sections so a
-#: resume -- under the same or a different decomposition, sharded or not --
-#: restores them.  Version 1 checkpoints lack the sections and are rejected
-#: with a clear error instead of being restored with silently dropped state.
-CHECKPOINT_VERSION = 2
+#: Version 3 stores the re-route signatures of every engine, sharded or not,
+#: as one ``cache_signatures`` map keyed by net name (a net belongs to exactly
+#: one scope, so the flat map is lossless) and trees as the
+#: :data:`~repro.core.tree.TreeRecord` s the process pools ship.  Older
+#: versions are refused with a clear error instead of being mis-restored.
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -138,7 +135,9 @@ class Checkpoint:
         ------
         CheckpointError
             If the router was built from different inputs than the run
-            that wrote the checkpoint.
+            that wrote the checkpoint, or the state does not fit the router
+            (wrong net count, a tree index off the graph, ...); the router
+            is untouched either way.
         """
         actual = router_fingerprint(router)
         # Key-wise with ``get``: a key a checkpoint predates reads as None.
@@ -151,43 +150,12 @@ class Checkpoint:
             raise CheckpointError(
                 f"checkpoint does not match this router (differs on {mismatched})"
             )
-        router.import_state(self.state)
-
-
-def encode_region_signatures(
-    sections: Optional[Dict[str, object]]
-) -> Optional[Dict[str, object]]:
-    """JSON encoding of the per-region signature sections (hex digests)."""
-    if sections is None:
-        return None
-    return {
-        "layout": sections.get("layout") or {},
-        "scopes": {
-            scope_key: {name: sig.hex() for name, sig in by_name.items()}
-            for scope_key, by_name in (  # type: ignore[union-attr]
-                sections.get("scopes") or {}
-            ).items()
-        },
-    }
-
-
-def decode_region_signatures(
-    record: Optional[Dict[str, object]]
-) -> Optional[Dict[str, object]]:
-    """The exact inverse of :func:`encode_region_signatures`."""
-    if record is None:
-        return None
-    return {
-        "layout": record.get("layout") or {},
-        "scopes": {
-            scope_key: {
-                str(name): bytes.fromhex(str(sig)) for name, sig in by_name.items()
-            }
-            for scope_key, by_name in (  # type: ignore[union-attr]
-                record.get("scopes") or {}
-            ).items()
-        },
-    }
+        try:
+            router.import_state(self.state)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint state does not fit this router ({exc!r})"
+            ) from exc
 
 
 def save_checkpoint(router: GlobalRouter, path: str) -> None:
@@ -202,8 +170,8 @@ def _save_checkpoint(router: GlobalRouter, path: str) -> None:
     signatures: Optional[Dict[str, str]] = None
     if state["cache_signatures"] is not None:
         signatures = {
-            str(index): sig.hex()
-            for index, sig in state["cache_signatures"].items()  # type: ignore[union-attr]
+            name: sig.hex()
+            for name, sig in state["cache_signatures"].items()  # type: ignore[union-attr]
         }
     document = {
         "format": CHECKPOINT_FORMAT,
@@ -220,9 +188,6 @@ def _save_checkpoint(router: GlobalRouter, path: str) -> None:
             "edge_prices": encode_array(state["edge_prices"]),  # type: ignore[arg-type]
             "delay_weights": state["delay_weights"],
             "cache_signatures": signatures,
-            "region_cache_signatures": encode_region_signatures(
-                state.get("region_cache_signatures")  # type: ignore[arg-type]
-            ),
         },
     }
     directory = os.path.dirname(os.path.abspath(path))
@@ -257,17 +222,11 @@ def _load_checkpoint(path: str) -> Checkpoint:
     if document.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path!r} is not a {CHECKPOINT_FORMAT} file")
     if document.get("version") != CHECKPOINT_VERSION:
-        if document.get("version") == 1:
-            raise CheckpointError(
-                f"{path!r} is a version 1 checkpoint, which predates the "
-                "per-region replay-memo sections (region_cache_signatures); "
-                f"this build reads version {CHECKPOINT_VERSION} -- re-run "
-                "the flow and write a fresh checkpoint"
-            )
         raise CheckpointError(
             f"{path!r} has unsupported checkpoint version "
-            f"{document.get('version')!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
+            f"{document.get('version')!r} (this build reads version "
+            f"{CHECKPOINT_VERSION}: name-keyed cache signatures, trees as "
+            "records); re-run the flow and write a fresh checkpoint"
         )
     # Every shape assumption below is guarded: a truncated or hand-edited
     # document must surface as a CheckpointError naming the file, never as
@@ -278,8 +237,8 @@ def _load_checkpoint(path: str) -> Checkpoint:
         signatures = None
         if raw_state.get("cache_signatures") is not None:
             signatures = {
-                int(index): bytes.fromhex(sig)
-                for index, sig in raw_state["cache_signatures"].items()
+                str(name): bytes.fromhex(sig)
+                for name, sig in raw_state["cache_signatures"].items()
             }
         state = {
             "rounds_completed": int(raw_state["rounds_completed"]),
@@ -292,9 +251,6 @@ def _load_checkpoint(path: str) -> Checkpoint:
             "edge_prices": decode_array(raw_state["edge_prices"]),
             "delay_weights": raw_state["delay_weights"],
             "cache_signatures": signatures,
-            "region_cache_signatures": decode_region_signatures(
-                raw_state.get("region_cache_signatures")
-            ),
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(

@@ -38,6 +38,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Tuple, cast
 
 from repro import obs
+from repro.engine.cache import reroute_stats
 from repro.flowparams import build_flow, config_kwargs, validate_params
 from repro.instances.chips import build_chip
 from repro.router.router import GlobalRouter
@@ -632,8 +633,8 @@ class ServeDaemon:
             payload["interior_nets"] = list(stats.interior_nets)
             payload["seam_nets"] = stats.seam_nets
             payload["region_backend"] = router.engine.region_executor.backend
-        if router.engine.cache is not None:
-            stats = router.engine.cache.stats
+        if config.engine.reroute_cache:
+            stats = reroute_stats(router.engine.round_reports)
             payload["cache"] = {"hits": stats.hits, "lookups": stats.lookups}
         return payload
 

@@ -28,16 +28,16 @@ translated sub-netlist, engine config).  A round of a scope is always
     ``apply_outcome(runner.route(make_task(...)))``
 
 -- ``make_task`` gathers the dynamic state (usage, prices, sink weights,
-trees, replay memo) onto the subgraph, a
+trees, replay memo, re-route signatures) onto the subgraph, a
 :class:`~repro.shard.executor._RegionRunner` built from the spec routes it,
-``apply_outcome`` installs trees and log signatures on the global graph.
+``apply_outcome`` installs trees and log signatures on the global graph and
+keeps the outcome's re-route signatures for the next round's task.
 The scope owns one runner in the parent process (inline map, seam scopes,
 retry of a lost pool task); the pool ships the same task
-to a worker runner built from the same spec.  The one distinction is the
-spec's ``stateless`` entry, set for region scopes of a pooled coordinator
-(``shard_workers > 1``): they route cache-free and invalidate the lazily
-built memo cache per task, so a region is never a function of which
-process routed it last.
+to a worker runner built from the same spec.  A round is a function of its
+task alone -- the scope, not an engine, holds the re-route cache's state
+between rounds -- so a region is never a function of which process routed
+it last, and ``reroute_cache`` works identically on every region backend.
 
 Because a region's prism is itself a grid graph, per-net work that scales
 with the edge count (instance construction, cost vector materialisation,
@@ -55,10 +55,11 @@ are name-keyed and usage quanta are exact binary fractions, this
 reproduces the unsharded router at ``cost_refresh_interval >= num_nets``
 bit for bit -- the verification harness for the shard machinery.
 
-The coordinator is stateless between rounds beyond the shared map and the
-global trees list, so checkpoint/resume through :class:`GlobalRouter` works
-unchanged.  Replay memo logs (ECO sessions, see
-:class:`repro.engine.cache.RoundMemo`) are carried through every pass:
+Between rounds the coordinator keeps the shared map, the global trees list
+and the re-route signatures (:meth:`ShardCoordinator.export_signatures`),
+which is what :class:`GlobalRouter` checkpoints.  Replay memo logs (ECO
+sessions, see :class:`repro.engine.cache.RoundMemo`) are carried through
+every pass:
 ``route_round`` receives the round's global memo, each scope (region
 interiors, seam super-region scopes, the global seam engine) localises its
 slice -- signatures are only comparable between identical scopes, and a
@@ -151,13 +152,7 @@ class _SubgraphScope:
         box: BoundingBox,
         nets: List[int],
         label: str,
-        stateless: bool = False,
     ) -> None:
-        """``stateless`` marks region scopes whose rounds may execute on the
-        region pool: they route cache-free and keep no signature across
-        rounds, so every runner of the scope -- here or in any worker --
-        is a pure function of the task.  Seam scopes always route in the
-        parent process and keep the configured cache."""
         #: The scope's identity in tasks, outcomes, spans and checkpoints.
         self.key = label
         self.box = box
@@ -183,10 +178,7 @@ class _SubgraphScope:
         # Scope subproblems are small and already run inside one round-start
         # snapshot; a process pool per scope would cost more in priming than
         # it returns, so scope engines always execute serially (the global
-        # seam pass still uses the configured backend).  A re-route cache on
-        # a pooled scope would carry state across rounds inside whichever
-        # worker routed it last, making the region a function of pool
-        # scheduling history.
+        # seam pass still uses the configured backend).
         self._spec: Dict[str, object] = {
             "graph": self.sub_graph,
             "netlist": self.sub_netlist,
@@ -196,11 +188,16 @@ class _SubgraphScope:
                 backend="serial",
                 num_workers=None,
                 scheduling="window",
-                reroute_cache=coordinator.config.reroute_cache and not stateless,
             ),
-            "stateless": stateless,
         }
         self.runner = _RegionRunner(self._spec, coordinator.runner_shared)
+        #: The re-route cache's state between rounds -- the signature each
+        #: net was last routed under, aligned with ``interior`` -- carried
+        #: from one round's outcome into the next round's task (``None``
+        #: when the flow runs cache-free).
+        self.signatures: Optional[Tuple[Optional[bytes], ...]] = (
+            (None,) * len(nets) if coordinator.config.reroute_cache else None
+        )
 
     @property
     def engine(self) -> RoutingEngine:
@@ -326,6 +323,7 @@ class _SubgraphScope:
             trees=tuple(self._current_record(graph, trees[g]) for g in self.interior),
             replay=replay,
             capture_log=log_round is not None,
+            signatures=self.signatures,
         )
 
     def apply_outcome(
@@ -336,11 +334,12 @@ class _SubgraphScope:
         log_round: Optional[RoundMemo] = None,
     ) -> None:
         """Install a routed round: trees back onto the global graph, lookup
-        signatures into the round's global log.  *Only* signatures -- memo
-        trees are recorded globally by the router after the round.  The
-        scope-local usage delta (``outcome.delta``) is the coordinator's to
-        scatter."""
+        signatures into the round's global log, re-route signatures for the
+        next task.  *Only* signatures -- memo trees are recorded globally by
+        the router after the round.  The scope-local usage delta
+        (``outcome.delta``) is the coordinator's to scatter."""
         graph = coordinator.graph
+        self.signatures = outcome.signatures
         for global_index, record in zip(self.interior, outcome.trees):
             trees[global_index] = self._tree_to_global(graph, record)
         if log_round is not None and outcome.log_signatures is not None:
@@ -368,38 +367,15 @@ class _SubgraphScope:
         self.apply_outcome(coordinator, trees, outcome, log_round=log_round)
         return outcome
 
-    # ------------------------------------------------------- checkpointing
-    def cache_signatures_by_name(self) -> Optional[Dict[str, bytes]]:
-        """The scope engine's stored re-route signatures keyed by net name
-        (``None`` when the scope routes cache-free)."""
-        if self.engine.cache is None:
-            return None
-        return {
-            self.sub_netlist.nets[local_index].name: signature
-            for local_index, signature in self.engine.cache.export_signatures().items()
-        }
-
-    def load_cache_signatures_by_name(self, by_name: Dict[str, bytes]) -> None:
-        """Restore checkpointed signatures into the scope engine's cache
-        (no-op for cache-free scopes; unknown names are ignored)."""
-        if self.engine.cache is None:
-            return
-        self.engine.cache.load_signatures(
-            {
-                local_index: by_name[net.name]
-                for local_index, net in enumerate(self.sub_netlist.nets)
-                if net.name in by_name
-            }
-        )
-
 
 class ShardCoordinator:
     """Routes rounds as K independent region passes plus a seam stitch pass.
 
     Implements the engine interface :class:`GlobalRouter` consumes
-    (``route_round`` / ``close`` / ``cache`` / ``round_reports``), so the
-    router, checkpointing, the CLI, and the serve daemon all work unchanged
-    with ``GlobalRouterConfig.shards > 1``.
+    (``route_round`` / ``close`` / ``round_reports`` /
+    ``last_round_timings`` / ``export_signatures`` / ``load_signatures``),
+    so the router, checkpointing, the CLI, and the serve daemon all work
+    unchanged with ``GlobalRouterConfig.shards > 1``.
     """
 
     def __init__(
@@ -441,10 +417,6 @@ class ShardCoordinator:
         self.classification: NetClassification = self.partition.classify_nets(
             netlist, halo=halo
         )
-        #: The engine-interface cache slot.  Scope engines keep private
-        #: caches (serial region backend only); there is no global
-        #: signature store to checkpoint, so this stays ``None``.
-        self.cache = None
         self.round_reports: List[RoundReport] = []
         #: Walltime split of the most recent round (see :meth:`route_round`):
         #: ``{"regions": {key: seconds}, "interior_seconds", "seam_seconds",
@@ -452,9 +424,6 @@ class ShardCoordinator:
         #: router's per-round time-series; empty before the first round.
         self.last_round_timings: Dict[str, object] = {}
         self._closed = False
-        #: Whether the interior pass runs on a process pool; region scopes
-        #: are then built ``stateless`` (see :class:`_SubgraphScope`).
-        self.parallel_regions = workers is not None and workers > 1
         #: What every scope runner of this flow shares; with the per-region
         #: specs it is the payload priming region-pool workers.
         self.runner_shared: Dict[str, object] = {
@@ -483,7 +452,6 @@ class ShardCoordinator:
                     full_box if parity else self.partition.regions[region_index].box,
                     interior,
                     f"parity{region_index}" if parity else f"region{region_index}",
-                    stateless=self.parallel_regions,
                 )
             )
 
@@ -732,69 +700,28 @@ class ShardCoordinator:
         return report
 
     # ------------------------------------------------------- checkpointing
-    def export_cache_signatures(self) -> Optional[Dict[str, object]]:
-        """The per-scope re-route signature sections of a checkpoint.
+    def export_signatures(self) -> Optional[Dict[str, bytes]]:
+        """The flow's stored re-route signatures keyed by net name (``None``
+        when it runs cache-free).  One flat map is lossless: a net belongs
+        to exactly one scope, fast-path layouts are part of the checkpoint
+        fingerprint, and parity signatures are scope-independent."""
+        by_name = self.seam_engine.export_signatures()
+        if by_name is not None:
+            for scope in self.regions + self.seam_scopes:
+                for net, signature in zip(scope.sub_netlist.nets, scope.signatures):
+                    if signature is not None:
+                        by_name[net.name] = signature
+        return by_name
 
-        Returns ``None`` when no scope holds a cache (``reroute_cache`` off,
-        or every scope routes cache-free); otherwise a document of the shape
-        ``{"layout": {"shards": K, "parity": bool}, "scopes": {scope_key:
-        {net_name: signature_bytes}}}``.  Signatures are keyed by net *name*
-        -- the same convention as RNG streams and replay memos -- so a
-        restore can redistribute them across a different decomposition.
-        """
-        scopes: Dict[str, Dict[str, bytes]] = {}
+    def load_signatures(self, by_name: Dict[str, bytes]) -> None:
+        """Restore :meth:`export_signatures` (no-op when cache-free; names
+        this flow does not have are ignored)."""
+        if not self.config.reroute_cache:
+            return
+        self.seam_engine.load_signatures(by_name)
         for scope in self.regions + self.seam_scopes:
-            section = scope.cache_signatures_by_name()
-            if section is not None:
-                scopes[scope.key] = section
-        if self.seam_engine.cache is not None:
-            scopes["seam"] = {
-                self.netlist.nets[net_index].name: signature
-                for net_index, signature in (
-                    self.seam_engine.cache.export_signatures().items()
-                )
-            }
-        if not scopes:
-            return None
-        return {
-            "layout": {"shards": self.partition.num_regions, "parity": self.parity},
-            "scopes": scopes,
-        }
-
-    def load_cache_signatures(self, sections: Dict[str, object]) -> None:
-        """Restore checkpointed signature sections into the scope caches.
-
-        When the checkpoint's shard layout matches this coordinator's, each
-        scope restores exactly its own section.  Under a different layout
-        the sections are flattened by net name and every scope picks out its
-        nets -- exact in the parity regime (parity signatures are
-        scope-independent), and merely conservative on the fast path, where
-        a foreign-prism signature can only produce a cache miss, never a
-        wrong tree.
-        """
-        layout = sections.get("layout") or {}
-        scopes: Dict[str, Dict[str, bytes]] = (  # type: ignore[assignment]
-            sections.get("scopes") or {}
-        )
-        exact = (
-            layout.get("shards") == self.partition.num_regions
-            and layout.get("parity") == self.parity
-        )
-        flat: Dict[str, bytes] = {}
-        for section in scopes.values():
-            flat.update(section)
-        for scope in self.regions + self.seam_scopes:
-            source = scopes.get(scope.key) if exact else None
-            scope.load_cache_signatures_by_name(source if source is not None else flat)
-        if self.seam_engine.cache is not None:
-            source = scopes.get("seam") if exact else None
-            by_name = source if source is not None else flat
-            self.seam_engine.cache.load_signatures(
-                {
-                    net_index: by_name[self.netlist.nets[net_index].name]
-                    for net_index in self._global_seam
-                    if self.netlist.nets[net_index].name in by_name
-                }
+            scope.signatures = tuple(
+                by_name.get(net.name) for net in scope.sub_netlist.nets
             )
 
     def region_worker_payload(self) -> Dict[str, object]:

@@ -17,12 +17,12 @@ In the parent a region routes on its scope's own runner; a pool worker
 builds its runners from the pickled read-only payload (the specs --
 subgraphs, sub-netlists, engine configs -- plus the oracle and bifurcation
 model, see :func:`region_worker`), and per round only the task travels
-(start usage and gathered prices as arrays, trees and replay memos as plain
-tuples -- the one transport).  Scopes of a pooled coordinator are
-``stateless`` (no re-route cache, memo cache invalidated per task), so it
-does not matter which process routes which region in which round: a task
-lost with its worker is routed by the scope's own runner in the parent, and
-when no pool can be started the regions simply route in-process.
+(start usage and gathered prices as arrays, trees, replay memos and the
+re-route cache's signatures as plain tuples -- the one transport).  A round
+is a pure function of its task, signatures included, so it does not matter
+which process routes which region in which round: a task lost with its
+worker is routed by the scope's own runner in the parent, and when no pool
+can be started the regions simply route in-process.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ class RegionTask:
     nets without a usable memo), aligned like ``trees``; ``capture_log``
     asks the runner to record this round's lookup signatures into the
     outcome.  Both default to the memo-free ordinary round.
+
+    ``signatures`` is the re-route cache's inter-round state: the signature
+    each net was last routed under (``None`` for a net never routed),
+    aligned like ``trees``; ``None`` when the flow runs cache-free.
     """
 
     key: str
@@ -69,6 +73,7 @@ class RegionTask:
     trees: Tuple[TreeRecord, ...]
     replay: Optional[Tuple[Optional[Tuple[bytes, TreeRecord]], ...]] = None
     capture_log: bool = False
+    signatures: Optional[Tuple[Optional[bytes], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,9 @@ class RegionOutcome:
     (monotonic) round time, which is what the coordinator's per-region
     telemetry reports.
     ``log_signatures`` holds the round's lookup signatures (aligned like
-    ``trees``) when the task asked for them with ``capture_log``.
+    ``trees``) when the task asked for them with ``capture_log``;
+    ``signatures`` the re-route cache's state after the round, the next
+    task's ``signatures`` (``None`` when the flow runs cache-free).
     """
 
     key: str
@@ -90,6 +97,7 @@ class RegionOutcome:
     delta: np.ndarray
     report: Tuple[int, int, int, int, float]
     log_signatures: Optional[Tuple[Optional[bytes], ...]] = None
+    signatures: Optional[Tuple[Optional[bytes], ...]] = None
 
 
 class _TaskPrices:
@@ -111,10 +119,9 @@ class _RegionRunner:
     The same class routes a scope wherever the executor puts the round: in
     the parent (the scope's own runner -- inline map, seam scopes, retry
     of a lost pool task) or in a pool worker (a runner rebuilt from the
-    same spec).  ``spec["stateless"]`` is the one
-    distinction: a scope whose rounds may run on the pool routes cache-free
-    and invalidates the lazily built memo cache per task, so it does not
-    matter which process routes which round.
+    same spec).  Everything a round depends on arrives in the task -- the
+    re-route cache is loaded from ``task.signatures`` and shipped back in
+    the outcome -- so every runner of a scope returns the same outcome.
     """
 
     def __init__(self, spec: Dict[str, object], shared: Dict[str, object]) -> None:
@@ -122,7 +129,6 @@ class _RegionRunner:
         ``oracle``, ``bifurcation``, ``seed``, ``overflow_penalty`` and
         ``threshold``."""
         self.graph: RoutingGraph = spec["graph"]  # type: ignore[assignment]
-        self.stateless = bool(spec["stateless"])
         self.congestion = CongestionMap(
             self.graph,
             overflow_penalty=shared["overflow_penalty"],  # type: ignore[arg-type]
@@ -147,24 +153,23 @@ class _RegionRunner:
         self.prices.weights = task.weights
         replay_memo = self._replay_memo(task)
         log_memo = RoundMemo() if task.capture_log else None
-        if replay_memo is not None or log_memo is not None:
-            # Memo rounds need the signature machinery, which a stateless
-            # engine (configured cache-free) builds lazily; invalidating per
-            # task keeps the runner a pure function of the task -- no
-            # signature survives into the next round.
-            cache = self.engine.ensure_cache()
-            if self.stateless:
-                cache.invalidate()
+        cache = self.engine.cache
+        if cache is not None:
+            cache.load_signatures(
+                {i: s for i, s in enumerate(task.signatures or ()) if s is not None}
+            )
         trees = [decode_tree(self.graph, record) for record in task.trees]
         self.engine.route_round(
             task.round_index, trees, replay_round=replay_memo, log_round=log_memo
         )
         last = self.engine.round_reports[-1]
-        log_signatures = None
+        indices = range(len(trees))
+        log_signatures = signatures = None
         if log_memo is not None:
-            log_signatures = tuple(
-                log_memo.signatures.get(index) for index in range(len(trees))
-            )
+            log_signatures = tuple(log_memo.signatures.get(i) for i in indices)
+        if cache is not None:
+            stored = cache.export_signatures()
+            signatures = tuple(stored.get(i) for i in indices)
         return RegionOutcome(
             key=task.key,
             trees=tuple(encode_tree(tree) for tree in trees),
@@ -172,6 +177,7 @@ class _RegionRunner:
             report=(last.num_batches, last.nets_routed, last.nets_cached,
                     last.nets_replayed, last.walltime_seconds),
             log_signatures=log_signatures,
+            signatures=signatures,
         )
 
     def _replay_memo(self, task: RegionTask) -> Optional[RoundMemo]:

@@ -4,7 +4,10 @@ The loader's contract (see DESIGN.md, "Recovery contract"): a checkpoint
 that cannot be restored -- truncated, corrupt, empty, wrong format, wrong
 version -- always surfaces as :class:`CheckpointError` naming the path,
 never as a raw ``JSONDecodeError``/``KeyError``/``ValueError`` out of the
-decoding internals.  ``try_resume_router`` additionally degrades any such
+decoding internals.  A structurally valid checkpoint whose state does not
+fit the router (a net short, a tree index off the graph) is refused by
+``Checkpoint.restore`` the same way, before the router is touched.
+``try_resume_router`` additionally degrades any such
 error to a warned fresh start, which is what lets a restarted daemon
 re-adopt a job whose checkpoint died with the machine.
 """
@@ -17,6 +20,7 @@ import pytest
 from repro.core.cost_distance import CostDistanceSolver
 from repro.grid.graph import build_grid_graph
 from repro.instances.generator import NetlistGeneratorConfig, generate_netlist
+from repro.router.metrics import PARITY_FIELDS
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -113,6 +117,35 @@ class TestCorruptionMatrix:
             json.dump(document, handle)
         self._assert_clear_error(checkpoint_path)
 
+    #: Structurally valid documents whose state does not fit the router:
+    #: each edit used to leak ``ValueError`` / ``KeyError`` out of
+    #: ``restore`` -- or, for the edge index, restore "successfully" and die
+    #: in the next round with ``IndexError``.
+    MISFITS = {
+        "trees_one_short": lambda state: state["trees"].pop(),
+        "delay_weight_row_of_wrong_arity": lambda state: state["delay_weights"][0].append(1.0),
+        "tree_record_missing_a_field": lambda state: state["trees"][0].pop(),
+        "tree_edge_index_off_the_graph": lambda state: state["trees"][0][2].append(10**9),
+    }
+
+    @staticmethod
+    def _misfit(checkpoint_path, name):
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        TestCorruptionMatrix.MISFITS[name](document["state"])
+        with open(checkpoint_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+
+    @pytest.mark.parametrize("name", sorted(MISFITS))
+    def test_state_that_does_not_fit_is_refused_untouched(self, checkpoint_path, name):
+        self._misfit(checkpoint_path, name)
+        router = make_router()
+        with pytest.raises(CheckpointError, match="does not fit this router"):
+            resume_router(router, checkpoint_path)
+        assert router.rounds_completed == 0
+        assert not router.congestion.usage.any()
+        assert router.trees == [None] * router.netlist.num_nets
+
     def test_missing_file_is_not_an_error_on_resume(self, tmp_path):
         router = make_router()
         assert resume_router(router, str(tmp_path / "never-written.ckpt")) is False
@@ -139,6 +172,22 @@ class TestTryResume:
         messages = [rec.getMessage() for rec in caplog.records]
         assert any("ignoring unusable checkpoint" in m for m in messages)
 
+    @pytest.mark.parametrize("name", sorted(TestCorruptionMatrix.MISFITS))
+    def test_misfit_checkpoint_degrades_to_fresh_start(self, checkpoint_path, name):
+        """The refused restore leaves the router exactly as built, so the
+        flow it then runs is the uninterrupted one."""
+        TestCorruptionMatrix._misfit(checkpoint_path, name)
+        reference = make_router()
+        expected = reference.run()
+        router = make_router()
+        assert try_resume_router(router, checkpoint_path) is False
+        assert router.rounds_completed == 0
+        assert not router.congestion.usage.any()
+        result = router.run()
+        for field in PARITY_FIELDS:
+            assert getattr(result, field) == getattr(expected, field), field
+        assert [t.edges for t in router.trees] == [t.edges for t in reference.trees]
+
     def test_missing_checkpoint_is_silent(self, tmp_path, caplog):
         import logging
 
@@ -161,7 +210,7 @@ class TestAtomicWriteCrash:
     def test_orphaned_tmp_file_is_ignored(self, tmp_path):
         # Simulate the crash window: tmp present, final path absent.
         tmp_file = tmp_path / ".checkpoint-abc123"
-        tmp_file.write_text('{"format": "repro-checkpoint", "version": 2, "trunc')
+        tmp_file.write_text('{"format": "repro-checkpoint", "version": 3, "trunc')
         final = str(tmp_path / "run.ckpt")
         router = make_router()
         assert resume_router(router, final) is False

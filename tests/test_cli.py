@@ -40,6 +40,11 @@ class TestMain:
         assert "c1" in captured.out and "ACE4" in captured.out
         assert "re-route cache" in captured.err
 
+    def test_sharded_cache_route_reports_its_cache(self, capsys):
+        """The stderr line used to be silently missing for ``--shards K``."""
+        assert main(["--chip", "c1", "--net-scale", "0.4", "--cache", "--shards", "2"]) == 0
+        assert "re-route cache: 1/18 hits" in capsys.readouterr().err
+
     def test_smoke_route_json(self, capsys):
         assert main(["--chip", "c1", "--net-scale", "0.1", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)

@@ -18,11 +18,12 @@ rejected ``shards > 1``).  This battery locks down their composition:
 * memo remapping survives an ECO that removes a *seam* net (seam scope
   membership changes across the ECO) -- only interior removal was covered
   before,
-* checkpoints carry the new per-region memo sections: same-K resumes
-  restore the scope caches, parity-regime checkpoints resume under a
-  *different* ``shards``/``shard_workers`` (including back to 1/1)
-  bit-identically, and version-1 checkpoints are rejected with a clear
-  error instead of restored with silently dropped state,
+* checkpoints carry the re-route signatures as one name-keyed map: same-K
+  resumes restore the scope caches under either region placement,
+  parity-regime checkpoints resume under a *different*
+  ``shards``/``shard_workers`` (including back to 1/1) bit-identically, and
+  older-version checkpoints are rejected with a clear error instead of
+  restored with silently dropped state,
 * the PR-2 "sessions require shards=1" guard is gone from the codebase.
 
 Like ``tests/test_shard_parallel.py``, the randomized sweeps run a bounded
@@ -73,6 +74,14 @@ def random_design(seed, num_nets=20, nx=12, ny=12, layers=4):
         name=f"rand{seed}",
     )
     return graph, netlist
+
+
+def cached_design():
+    """c1 x 0.4: unlike the random designs, its prices settle enough for the
+    re-route cache to hit in rounds 3 and 4."""
+    from repro.instances.chips import CHIP_SUITE, build_chip
+
+    return build_chip(CHIP_SUITE[0].scaled(0.4))
 
 
 def tree_key(trees):
@@ -332,21 +341,37 @@ class TestSeamScopeMembershipChanges:
 
 
 class TestShardedSessionCheckpoints:
-    """The checkpoint schema's per-region memo sections (format version 2)."""
+    """The checkpoint's name-keyed re-route signatures (format version 3).
 
-    def test_same_layout_resume_restores_scope_caches(self, tmp_path):
+    The cache tests route :func:`cached_design` for four rounds and
+    checkpoint after the second: its last two rounds hit the cache under
+    every layout, so equal per-round counts prove the signatures came back.
+    """
+
+    @pytest.mark.parametrize(
+        "written_workers,resumed_workers", [(None, None), (2, 2), (2, None), (None, 2)]
+    )
+    def test_same_layout_resume_restores_scope_caches(
+        self, tmp_path, written_workers, resumed_workers
+    ):
         """A fast-path sharded run with the re-route cache checkpoints its
-        per-scope signatures and resumes bit-identically -- including the
-        cache state, so the resumed rounds skip exactly like the
-        uninterrupted ones."""
+        signatures and resumes bit-identically -- including the cache state,
+        so the resumed rounds skip exactly like the uninterrupted ones --
+        wherever the regions ran before and run after the checkpoint."""
         from repro.engine.engine import EngineConfig
 
-        graph, netlist = random_design(101)
-        config = GlobalRouterConfig(
-            num_rounds=3, shards=4,
-            engine=EngineConfig(reroute_cache=True, cache_scope="global"),
-        )
-        uninterrupted = GlobalRouter(graph, netlist, CostDistanceSolver(), config)
+        graph, netlist = cached_design()
+
+        def router_for(workers):
+            return GlobalRouter(
+                graph, netlist, CostDistanceSolver(),
+                GlobalRouterConfig(
+                    num_rounds=4, shards=4, shard_workers=workers,
+                    engine=EngineConfig(reroute_cache=True, cache_scope="global"),
+                ),
+            )
+
+        uninterrupted = router_for(None)
         expected = uninterrupted.run()
 
         path = str(tmp_path / "shard.ckpt")
@@ -355,25 +380,23 @@ class TestShardedSessionCheckpoints:
             if round_index == 1:
                 save_checkpoint(router, path)
 
-        first = GlobalRouter(graph, netlist, CostDistanceSolver(), config)
-        first.run(on_round_end=hook)
+        router_for(written_workers).run(on_round_end=hook)
 
-        checkpoint = load_checkpoint(path)
-        sections = checkpoint.state["region_cache_signatures"]
-        assert sections is not None
-        assert sections["layout"] == {"shards": 4, "parity": False}
-        assert any(by_name for by_name in sections["scopes"].values())
+        signatures = load_checkpoint(path).state["cache_signatures"]
+        interior = {
+            netlist.nets[i].name
+            for region in uninterrupted.engine.regions
+            for i in region.interior
+        }
+        assert interior and interior <= set(signatures)
 
-        resumed = GlobalRouter(graph, netlist, CostDistanceSolver(), config)
+        resumed = router_for(resumed_workers)
         assert resume_router(resumed, path)
         assert resumed.rounds_completed == 2
-        # The scope caches came back before any round ran.
-        restored = [
-            len(region.engine.cache)
-            for region in resumed.engine.regions
-            if region.engine.cache is not None
-        ]
-        assert restored and any(count > 0 for count in restored)
+        # The scopes hold their signatures again before any round runs.
+        assert all(
+            None not in region.signatures for region in resumed.engine.regions
+        )
         result = resumed.run()
         for field in PARITY_FIELDS:
             assert getattr(result, field) == getattr(expected, field), field
@@ -389,25 +412,34 @@ class TestShardedSessionCheckpoints:
             for r in uninterrupted.engine.round_reports[-len(resumed_counts):]
         ]
         assert resumed_counts == uninterrupted_counts
+        assert sum(cached for _, cached in resumed_counts) > 0
 
+    @pytest.mark.parametrize("cache", [False, True])
     @pytest.mark.parametrize(
-        "resume_shards,resume_workers", [(2, 1), (4, 1), (1, 1)]
+        "written_layout,resumed_layout",
+        [((4, 2), (2, 1)), ((4, 2), (4, 1)), ((4, 2), (1, 1)), ((1, 1), (4, 1))],
     )
     def test_parity_checkpoint_resumes_across_layouts(
-        self, tmp_path, resume_shards, resume_workers
+        self, tmp_path, written_layout, resumed_layout, cache
     ):
-        """A parity-regime checkpoint written under shards=4, workers=2
-        resumes under a different decomposition -- including back to the
-        plain unsharded engine (1/1) -- bit-identically."""
-        graph, netlist = random_design(101)
+        """A parity-regime checkpoint written under (shards, workers) resumes
+        under a different decomposition -- including back to, and from, the
+        plain unsharded engine (1/1) -- bit-identically; with the re-route
+        cache on, the flat name-keyed signatures restore into whichever
+        engine resumes (parity signatures are scope-independent), so the
+        resumed round also skips the nets the unsharded reference skips."""
+        from repro.engine.engine import EngineConfig
+
+        graph, netlist = cached_design()
 
         def config_for(shards, workers):
             return GlobalRouterConfig(
-                num_rounds=3,
+                num_rounds=4,
                 cost_refresh_interval=10**9,
                 shards=shards,
                 shard_parity=shards > 1,
                 shard_workers=None if workers == 1 else workers,
+                engine=EngineConfig(reroute_cache=cache, cache_scope="global"),
             )
 
         reference = GlobalRouter(
@@ -421,12 +453,11 @@ class TestShardedSessionCheckpoints:
             if round_index == 1:
                 save_checkpoint(router, path)
 
-        writer = GlobalRouter(graph, netlist, CostDistanceSolver(), config_for(4, 2))
+        writer = GlobalRouter(graph, netlist, CostDistanceSolver(), config_for(*written_layout))
         writer.run(on_round_end=hook)
 
         resumed = GlobalRouter(
-            graph, netlist, CostDistanceSolver(),
-            config_for(resume_shards, resume_workers),
+            graph, netlist, CostDistanceSolver(), config_for(*resumed_layout)
         )
         assert resume_router(resumed, path)
         assert resumed.rounds_completed == 2
@@ -434,6 +465,9 @@ class TestShardedSessionCheckpoints:
         for field in PARITY_FIELDS:
             assert getattr(result, field) == getattr(expected, field), field
         assert tree_key(resumed.trees) == tree_key(reference.trees)
+        last, want = resumed.engine.round_reports[-1], reference.engine.round_reports[-1]
+        assert (last.nets_routed, last.nets_cached) == (want.nets_routed, want.nets_cached)
+        assert (want.nets_cached > 0) == cache
 
     @pytest.mark.parametrize("written,resumed", [(4, 1), (1, 4), (4, 2)])
     def test_fast_path_checkpoint_rejected_under_another_layout(
@@ -506,9 +540,12 @@ class TestShardedSessionCheckpoints:
         with pytest.raises(CheckpointError, match="shard_layout"):
             resume_router(fast, str(path))
 
-    def test_version1_checkpoint_rejected_with_clear_error(self, tmp_path):
-        """Old-version checkpoints lack the region memo sections; they must
-        be rejected with a clear error, not restored into garbage."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version1_checkpoint_rejected_with_clear_error(self, tmp_path, version):
+        """Older-version checkpoints (index-keyed and per-scope signature
+        sections, dict trees) must be rejected with a clear error naming
+        the version, not restored into garbage; ``try_resume_router``
+        degrades that to a fresh start."""
         graph, netlist = random_design(101)
         router = GlobalRouter(
             graph, netlist, CostDistanceSolver(),
@@ -518,11 +555,21 @@ class TestShardedSessionCheckpoints:
         path = tmp_path / "old.ckpt"
         save_checkpoint(router, str(path))
         document = json.loads(path.read_text())
-        document["version"] = 1
-        document["state"].pop("region_cache_signatures", None)
+        document["version"] = version
         path.write_text(json.dumps(document))
-        with pytest.raises(CheckpointError, match="version 1.*replay-memo"):
+        with pytest.raises(
+            CheckpointError, match=f"unsupported checkpoint version {version} .*version 3"
+        ):
             load_checkpoint(str(path))
+        fresh = GlobalRouter(
+            graph, netlist, CostDistanceSolver(),
+            GlobalRouterConfig(num_rounds=1, shards=2),
+        )
+        assert not try_resume_router(fresh, str(path))
+        assert fresh.rounds_completed == 0
+        assert tree_key(fresh.trees) == [None] * netlist.num_nets
+        fresh.run()
+        assert tree_key(fresh.trees) == tree_key(router.trees)
 
 
 class TestOldGuardsGone:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost_distance import CostDistanceSolver
+from repro.engine.cache import reroute_stats
 from repro.engine.engine import EngineConfig
 from repro.engine.rng import (
     derive_net_rng_for_name,
@@ -472,6 +473,17 @@ class TestOneShardingPathOnePoolLifecycle:
         "_owns_" "executor",
         "_WORKER_" "STATE",
         "_REGION_" "STATE",
+        # A round is a function of its task (PR 21): the cache-free fork of
+        # pooled region scopes and the per-scope checkpoint sections.
+        "state" "less",
+        "ensure_" "cache",
+        "parallel_" "regions",
+        "region_cache_" "signatures",
+        "_restore_cache_" "signatures",
+        "code_region_" "signatures",
+        "export_cache_" "signatures",
+        "load_cache_" "signatures",
+        "cache_signatures_" "by_name",
     )
 
     @staticmethod
@@ -563,21 +575,27 @@ class TestServeShardJobs:
     def test_sharded_route_job_matches_in_process_router(self, daemon, shard_workers):
         """A sharded daemon job *is* `route --shards K`: the same shard
         coordinator, bit-identical to an in-process router, with or
-        without the region pool."""
+        without the region pool -- and with ``cache`` it reports the
+        re-route cache like an unsharded job does."""
         host, port = daemon.address
         client = ServeClient(host, port)
         client.wait_until_up()
-        params = dict(chip="c1", net_scale=0.4, rounds=2, shards=4)
+        params = dict(chip="c1", net_scale=0.4, rounds=2, shards=4, cache=True)
         if shard_workers is not None:
             params["shard_workers"] = shard_workers
         record = client.wait(client.submit_route(**params), timeout=300)
         assert record["status"] == "done", record
         payload = record["result"]
         graph, netlist = build_chip(CHIP_SUITE[0].scaled(0.4))
-        router, want = run_router(graph, netlist, num_rounds=2, shards=4)
+        router, want = run_router(
+            graph, netlist, num_rounds=2, shards=4, engine=EngineConfig(reroute_cache=True)
+        )
         got = RoutingResult.from_dict(payload["result"])
         for field in PARITY_FIELDS:
             assert getattr(got, field) == getattr(want, field), field
+        cache = reroute_stats(router.engine.round_reports)
+        assert payload["cache"] == {"hits": cache.hits, "lookups": cache.lookups}
+        assert cache.hits > 0 and cache.lookups == 18
         stats = router.engine.stats
         assert payload["shards"] == stats.num_regions == 4
         assert payload["interior_nets"] == list(stats.interior_nets)

@@ -276,10 +276,43 @@ class TestTraceIsSingleProcess:
         assert names == other_names
 
 
+def cached_flow(shards, cache_scope, workers=None, fault=None, rounds=4):
+    """c1 x 0.4 with the re-route cache on: the router after its run, and
+    the ``engine.*`` counters the run booked."""
+    from repro import faults, obs
+    from repro.engine.engine import EngineConfig
+
+    graph, netlist = build_chip(CHIP_SUITE[0].scaled(0.4))
+    if fault is not None:
+        faults.install_plan(fault)
+    try:
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            router, _ = run_router(
+                graph, netlist, num_rounds=rounds, shards=shards, shard_workers=workers,
+                engine=EngineConfig(reroute_cache=True, cache_scope=cache_scope),
+            )
+    finally:
+        faults.clear_plan()
+    counters = registry.snapshot()["counters"]
+    names = ("engine.oracle_calls", "engine.nets_cached")
+    return router, {name: counters.get(name, 0) for name in names}
+
+
+def round_counts(router):
+    return [(r.nets_routed, r.nets_cached, r.nets_replayed) for r in router.engine.round_reports]
+
+
+def outcome_key(outcome):
+    """Every field of a ``RegionOutcome`` but the walltime, comparable."""
+    return (
+        outcome.key, outcome.trees, outcome.delta.tobytes(), outcome.report[:4],
+        outcome.log_signatures, outcome.signatures,
+    )
+
+
 class TestScopeCaches:
-    """The re-route cache of region scope engines follows the region
-    backend: alive under the serial loop (PR-3 behavior), disabled under
-    the pool (workers must be round-stateless)."""
+    """The re-route cache's signatures travel in the task, so the cache
+    works -- and counts -- identically wherever a region's round runs."""
 
     def test_serial_regions_keep_reroute_cache(self):
         from repro.engine.engine import EngineConfig
@@ -297,30 +330,97 @@ class TestScopeCaches:
         # The cache is a pure memoization: results match running without it.
         assert_bit_identical(nocache_router, nocache, cached_router, cached)
 
-    def test_parallel_regions_run_cache_free(self):
-        from repro.engine.engine import EngineConfig
+    @pytest.mark.parametrize(
+        "fault", [None, "kill-region-worker:round=2", "drop-outcome:round=1"]
+    )
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("cache_scope", ["bbox", "global"])
+    def test_cache_is_placement_independent(self, cache_scope, shards, fault):
+        """Round reports, engine counters and trees of a cached sharded flow
+        do not depend on where the regions ran -- serial loop, region pool,
+        or the parent's retry of a task lost with its worker.  (Region
+        scopes of a pooled coordinator used to route cache-free: c1 x 0.4,
+        2 shards gave (18,0),(17,1),(16,2),(14,4) serial against
+        (18,0),(18,0),(17,1),(17,1) pooled.)"""
+        serial, serial_counters = cached_flow(shards, cache_scope)
+        pooled, pooled_counters = cached_flow(shards, cache_scope, workers=2, fault=fault)
+        assert pooled.engine.region_executor.pool.used
+        assert round_counts(pooled) == round_counts(serial)
+        assert sum(cached for _, cached, _ in round_counts(serial)) > 0
+        if fault != "drop-outcome:round=1":
+            # A dropped outcome was computed twice -- by the worker, whose
+            # counters were already merged, and again here -- and the
+            # process-wide counters say so; a lost task is booked once.
+            assert pooled_counters == serial_counters
+        assert tree_key(pooled.trees) == tree_key(serial.trees)
 
-        graph, netlist = random_design(15, num_nets=16)
+    def test_cache_stats_derive_from_round_reports(self):
+        """``reroute_stats`` -- what the CLI and the daemon report -- equals
+        the cache's own counters where one cache sees the whole flow."""
+        from repro.engine.cache import reroute_stats
+
+        router, _ = cached_flow(1, "bbox")
+        stats = reroute_stats(router.engine.round_reports)
+        assert stats == router.engine.cache.stats
+        assert stats.hits > 0 and stats.lookups == 3 * router.netlist.num_nets
+        sharded, _ = cached_flow(4, "bbox", workers=2)
+        assert reroute_stats(sharded.engine.round_reports).lookups == stats.lookups
+
+    def test_region_runner_route_is_pure(self):
+        """``_RegionRunner.route(task)`` is a function of the task alone:
+        a fresh runner, a runner that just routed another round's task and
+        a pool worker all return the outcome the flow recorded."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.engine.engine import EngineConfig
+        from repro.engine.executor import WorkerPool
+        from repro.shard.executor import _RegionRunner, region_worker
+
+        graph, netlist = build_chip(CHIP_SUITE[0].scaled(0.4))
         router = GlobalRouter(
             graph, netlist, CostDistanceSolver(),
             GlobalRouterConfig(
-                num_rounds=1, shards=4, shard_workers=2,
-                engine=EngineConfig(reroute_cache=True, cache_scope="global"),
+                num_rounds=4, shards=2, engine=EngineConfig(reroute_cache=True)
             ),
         )
+        coordinator = router.engine
+        recorded = {}
+        for region in coordinator.regions:
+            def recording(task, _route=region.runner.route):
+                outcome = _route(task)
+                recorded[task.key, task.round_index] = (task, outcome_key(outcome))
+                return outcome
+
+            region.runner.route = recording
+        router.run(record_log=True)
+        assert any(task.signatures != outcome[5] for task, outcome in recorded.values())
+
+        specs = {region.key: region.worker_spec() for region in coordinator.regions}
+
+        def fresh_route(task):
+            return _RegionRunner(specs[task.key], coordinator.runner_shared).route(task)
+
+        pool = WorkerPool("region-process", "purity test routes inline", workers=2)
         try:
-            assert router.engine.parallel_regions
-            assert all(
-                region.engine.cache is None for region in router.engine.regions
-            )
-            # Seam scopes never enter the pool, so they keep the cache.
-            assert router.engine.seam_scopes, "design should have seam scopes"
-            assert all(
-                scope.engine.cache is not None
-                for scope in router.engine.seam_scopes
-            )
+            @settings(max_examples=20, deadline=None)
+            @given(st.lists(st.sampled_from(sorted(recorded)), min_size=2, max_size=4))
+            def check(picks):
+                tasks = [recorded[pick][0] for pick in picks]
+                expected = [recorded[pick][1] for pick in picks]
+                assert [outcome_key(fresh_route(task)) for task in tasks] == expected
+                # One runner per region, reused from task to task.
+                used = region_worker(coordinator.region_worker_payload())
+                assert [outcome_key(used(task)) for task in tasks] == expected
+                shipped = pool.map(
+                    tasks, coordinator.region_worker_payload, region_worker, fresh_route
+                )
+                assert [outcome_key(outcome) for outcome in shipped] == expected
+
+            check()
+            assert pool.used
         finally:
-            router.engine.close()
+            pool.close()
 
 
 class TestTeardown:
