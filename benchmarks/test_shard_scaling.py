@@ -37,10 +37,15 @@ the sharded flow must reproduce the unsharded metrics bit for bit.  The
 pool *speedup* is only asserted on hosts with >= 4 cores and a live pool;
 on 2-3 cores the pool must merely not cost time, on a single core it can
 only add overhead, and in sandboxes without process pools the backend
-degrades to the serial loop by design.
+degrades to the serial loop by design.  A shared host's vCPUs do not always
+run two processes side by side, so the test measures that overlap itself
+(:func:`host_overlap`) and asserts either floor only when the host overlaps
+at least :data:`MIN_HOST_OVERLAP`; otherwise it records the ratio.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -74,6 +79,26 @@ POOL_SPEEDUP_FLOOR = 1.2
 #: the floor there is "not actively costing time", the same 0.85 the
 #: serial-shard ratio uses.
 POOL_WASH_FLOOR = 0.85
+#: The pool floors need a host whose two vCPUs actually overlap: two
+#: processes running :data:`BURN` side by side must finish at least this
+#: many times faster than the same two burns back to back (2.0 is ideal;
+#: a shared 2-vCPU host measured 0.9-1.5 within one hour).
+MIN_HOST_OVERLAP = 1.3
+#: ~0.25 s of pure-Python arithmetic, run in a fresh interpreter.
+BURN = "total = 0\nfor i in range(3_000_000):\n    total += i * i\n"
+
+
+def host_overlap() -> float:
+    """Two burns back to back over the same two burns in parallel
+    processes: ~2.0 on two idle cores, ~1.0 when they overlap nothing."""
+    command = [sys.executable, "-c", BURN]
+    started = time.perf_counter()
+    subprocess.run(command, check=True, timeout=60)
+    single = time.perf_counter() - started
+    started = time.perf_counter()
+    burns = [subprocess.Popen(command) for _ in range(2)]
+    assert [burn.wait(timeout=60) for burn in burns] == [0, 0]
+    return 2.0 * single / (time.perf_counter() - started)
 
 
 def shard_scale() -> float:
@@ -118,7 +143,9 @@ def test_shard_scaling_and_seam_quality(benchmark):
                     best[mode] = (router, result, walltime)
         return best
 
+    overlap_before = host_overlap()
     best = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    overlap = min(overlap_before, host_overlap())
     base_router, base, base_time = best["1-shard"]
     shard_router, sharded, shard_time = best[f"{NUM_SHARDS}-shard"]
     pool_router, pooled, pool_time = best[f"{NUM_SHARDS}-shard-{NUM_WORKERS}w"]
@@ -129,6 +156,8 @@ def test_shard_scaling_and_seam_quality(benchmark):
     pool_executor = pool_router.engine.region_executor
     pool_live = pool_executor.pool.used
     cores = os.cpu_count() or 1
+    pool_floor = POOL_SPEEDUP_FLOOR if cores >= 4 else POOL_WASH_FLOOR
+    assert_pool = pool_live and cores >= 2 and overlap >= MIN_HOST_OVERLAP
 
     lines = [
         f"Shard scaling on the large synthetic chip "
@@ -144,6 +173,12 @@ def test_shard_scaling_and_seam_quality(benchmark):
         f"{stacked_speedup:.2f}x stacked over 1-shard "
         f"({NUM_WORKERS} workers, {cores} cores, "
         f"{'process pool' if pool_live else 'degraded to serial loop'})",
+        f"  host overlap:   {overlap:.2f}x for two processes "
+        + (
+            f"(pool floor {pool_floor:.2f}x asserted)"
+            if assert_pool
+            else f"(pool floor not asserted: needs a live pool and >= {MIN_HOST_OVERLAP}x)"
+        ),
         f"  partition:      interior {list(stats.interior_nets)}, "
         f"seam {stats.seam_nets} ({stats.scoped_seam_nets} scoped to "
         f"super-regions, {stats.global_seam_nets} global)",
@@ -166,6 +201,7 @@ def test_shard_scaling_and_seam_quality(benchmark):
     benchmark.extra_info["pool_walltime"] = round(pool_time, 3)
     benchmark.extra_info["cores"] = cores
     benchmark.extra_info["pool_live"] = pool_live
+    benchmark.extra_info["host_overlap"] = round(overlap, 3)
     benchmark.extra_info["seam_wl_delta"] = sharded.wire_length - base.wire_length
     benchmark.extra_info["seam_overflow_delta"] = sharded.overflow - base.overflow
 
@@ -187,10 +223,10 @@ def test_shard_scaling_and_seam_quality(benchmark):
     # if the subgraph path starts actively costing time.
     assert speedup >= 0.85, f"shard walltime regressed vs base: {speedup:.2f}x"
     # The region pool must stack on top of that where it can (a live pool
-    # with cores to spare), and must not cost time where it measured a wash.
-    if pool_live and cores >= 2:
-        floor = POOL_SPEEDUP_FLOOR if cores >= 4 else POOL_WASH_FLOOR
-        assert pool_speedup >= floor, (
+    # with cores that overlap), and must not cost time where it measured a
+    # wash.
+    if assert_pool:
+        assert pool_speedup >= pool_floor, (
             f"region-pool speedup collapsed: {pool_speedup:.2f}x "
             f"({NUM_WORKERS} workers on {cores} cores)"
         )

@@ -421,7 +421,8 @@ class _Solve:
         """Run the searches until every terminal is connected; returns the
         numbers of queue pops and of node labels."""
         discount = self.config.discount_components
-        adjacency = self.graph.adjacency
+        incident = self.graph.incident
+        neighbours = self.graph.neighbours
         cost = self.cost
         delay = self.delay
         root_node = self.root_node
@@ -499,7 +500,7 @@ class _Solve:
             weight = search.weight
             rate = search.rate
             parent = search.parent
-            for edge, other in adjacency[node]:
+            for edge, other in zip(incident[node], neighbours[node]):
                 if other in permanent:
                     continue
                 if own_edges and edge in own_edges:

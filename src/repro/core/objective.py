@@ -68,7 +68,7 @@ def prune_dangling_branches(tree: EmbeddedTree) -> EmbeddedTree:
     only add congestion cost, so pruning them never hurts the objective.
     """
     terminals: Set[int] = {tree.root, *tree.sinks}
-    adj = tree.adjacency()
+    adj = tree.incidence()
     degree = {node: len(incident) for node, incident in adj.items()}
     removed: Set[int] = set()
     # Iteratively peel non-terminal leaves.

@@ -70,7 +70,8 @@ def dijkstra(
             key = d0 + (future_cost(node) if future_cost else 0.0)
             heap.push(node, key)
 
-    adjacency = graph.adjacency
+    incident = graph.incident
+    neighbours = graph.neighbours
     pops = 0
     while heap:
         _, node = heap.pop()
@@ -83,7 +84,7 @@ def dijkstra(
             remaining.discard(node)
             if not remaining:
                 break
-        for edge, other in adjacency[node]:
+        for edge, other in zip(incident[node], neighbours[node]):
             if other in dist:
                 continue
             if node_filter is not None and not node_filter(other):

@@ -97,8 +97,8 @@ class EmbeddedTree:
             nodes.add(int(self.graph.edge_v[e]))
         return nodes
 
-    def adjacency(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Adjacency ``node -> [(edge, other_node), ...]`` restricted to the tree."""
+    def incidence(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Incidence ``node -> [(edge, other_node), ...]`` restricted to the tree."""
         adj: Dict[int, List[Tuple[int, int]]] = {}
         for e in self.edges:
             u = int(self.graph.edge_u[e])
@@ -119,7 +119,7 @@ class EmbeddedTree:
             If the edge set is not connected from the root or contains a
             cycle (i.e. it is not a tree containing all terminals).
         """
-        adj = self.adjacency()
+        adj = self.incidence()
         parent_node: Dict[int, int] = {}
         parent_edge: Dict[int, int] = {}
         children: Dict[int, List[int]] = {self.root: []}
@@ -186,7 +186,7 @@ class EmbeddedTree:
 
     def num_branch_nodes(self) -> int:
         """Number of tree nodes with degree at least 3 (branching points)."""
-        adj = self.adjacency()
+        adj = self.incidence()
         return sum(1 for node, incident in adj.items() if len(incident) >= 3)
 
     # ----------------------------------------------------------- validation

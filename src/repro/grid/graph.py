@@ -16,8 +16,9 @@ The congestion-dependent cost ``c(e)`` used by the Steiner algorithms is a
 numpy array produced by :class:`repro.grid.congestion.CongestionMap` (or any
 pricing scheme); the graph itself only stores the static attributes.
 
-The graph is stored in flat parallel arrays plus one adjacency list per node
-so Dijkstra-style searches stay reasonably fast in pure Python.
+The graph is stored in flat parallel edge arrays plus two aligned tuples per
+node -- incident edge indices and opposite endpoints, in ascending edge order
+-- so Dijkstra-style searches stay reasonably fast in pure Python.
 """
 
 from __future__ import annotations
@@ -89,6 +90,32 @@ def _inside_box(ux, uy, vx, vy, xlo: int, ylo: int, xhi: int, yhi: int) -> np.nd
     )
 
 
+def _adjacency(
+    num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+    """``(incident, neighbours)``: per node, the incident edge indices in
+    ascending order and the opposite endpoints, aligned.
+
+    A stable argsort of the interleaved half-edges ``u0, v0, u1, v1, ...``
+    by endpoint keeps each node's edges in the order an append loop over
+    the edges would produce (part of the pop-order contract).  All int
+    objects are drawn from one ``range`` list, so each value exists once.
+    """
+    ends = np.empty(2 * len(edge_u), dtype=np.int64)
+    ends[0::2] = edge_u
+    ends[1::2] = edge_v
+    order = np.argsort(ends, kind="stable")
+    ints = list(range(max(num_nodes, len(edge_u))))
+    edges = list(map(ints.__getitem__, (order >> 1).tolist()))
+    others = list(map(ints.__getitem__, ends[order ^ 1].tolist()))
+    bounds = np.cumsum(np.bincount(ends, minlength=num_nodes)).tolist()
+    spans = list(zip([0] + bounds[:-1], bounds))
+    return (
+        tuple(tuple(edges[a:b]) for a, b in spans),
+        tuple(tuple(others[a:b]) for a, b in spans),
+    )
+
+
 def _retained(memo: Dict, live: Collection[BoundingBox]) -> Dict:
     """``memo`` without the entries whose box is not in ``live``."""
     live = set(live)
@@ -99,15 +126,13 @@ def _retained(memo: Dict, live: Collection[BoundingBox]) -> Dict:
 class Prism:
     """The scaffolding of one sub-prism of a graph (see
     :meth:`RoutingGraph.prism`): what :func:`extract_prism` builds plus the
-    edge maps in both directions as plain lists (per-tree translation
-    indexes them edge by edge)."""
+    edge maps in both directions (int64, read-only)."""
 
     sub_graph: "RoutingGraph"
-    #: Sub-edge index -> edge of the parent graph (sorted, int64, read-only).
+    #: Sub-edge index -> edge of the parent graph (sorted).
     edge_to_global: np.ndarray = field(repr=False)
-    edge_to_global_list: List[int] = field(repr=False)
     #: Parent edge -> sub-edge index, ``-1`` outside the prism.
-    edge_to_local_list: List[int] = field(repr=False)
+    edge_to_local: np.ndarray = field(repr=False)
 
 
 class RoutingGraph:
@@ -116,7 +141,10 @@ class RoutingGraph:
     Use :func:`build_grid_graph` to construct one; the constructor is
     considered internal.
 
-    A built graph is immutable, and it owns two memos keyed by a planar
+    A built graph is immutable: frozen edge arrays, and per node the
+    aligned tuples ``incident[node]`` (edge indices, ascending) and
+    ``neighbours[node]`` (opposite endpoints), derived from the arrays and
+    rebuilt rather than pickled.  It owns two memos keyed by a planar
     box: :meth:`prism` (sub-graph + edge maps of the shard layer's scopes)
     and :meth:`box_edges` (the edge set of a net's signature region).  Both
     die with the graph and never travel: pickling a graph (region worker
@@ -152,8 +180,10 @@ class RoutingGraph:
         self.edge_base_cost = np.empty(0, dtype=np.float64)
         self.edge_capacity = np.empty(0, dtype=np.float64)
         self.edge_is_via = np.empty(0, dtype=bool)
-        # adjacency[node] -> list of (edge_index, other_node)
-        self.adjacency: List[List[Tuple[int, int]]] = []
+        # Per node: incident edge indices (ascending) and opposite
+        # endpoints, aligned; set by _seal().
+        self.incident: Tuple[Tuple[int, ...], ...] = ()
+        self.neighbours: Tuple[Tuple[int, ...], ...] = ()
         self._reset_memos()
         if build:
             self._build()
@@ -164,20 +194,22 @@ class RoutingGraph:
         # Planar (x, y) of both endpoints of every edge, built on first use.
         self._edge_planar: Optional[Tuple[np.ndarray, ...]] = None
 
-    def _freeze(self) -> None:
+    def _seal(self) -> None:
+        """Freeze the edge arrays and derive the adjacency from them."""
         for name in EDGE_ARRAYS:
             getattr(self, name).setflags(write=False)
+        self.incident, self.neighbours = _adjacency(self.num_nodes, self.edge_u, self.edge_v)
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        for memo in ("_prisms", "_box_edges", "_edge_planar"):
-            del state[memo]
+        for derived in ("_prisms", "_box_edges", "_edge_planar", "incident", "neighbours"):
+            del state[derived]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self._reset_memos()
-        self._freeze()  # numpy does not pickle the writeable flag
+        self._seal()  # numpy does not pickle the writeable flag
 
     # ------------------------------------------------------------ indexing
     def node_index(self, x: int, y: int, layer: int) -> int:
@@ -230,8 +262,9 @@ class RoutingGraph:
             yield self.edge(i)
 
     def neighbors(self, node: int) -> List[Tuple[int, int]]:
-        """``[(edge_index, other_node), ...]`` incident to ``node``."""
-        return self.adjacency[node]
+        """``[(edge_index, other_node), ...]`` incident to ``node`` (a fresh
+        list; the search loops read :attr:`incident` and :attr:`neighbours`)."""
+        return list(zip(self.incident[node], self.neighbours[node]))
 
     def other_endpoint(self, edge_index: int, node: int) -> int:
         """The endpoint of ``edge_index`` that is not ``node``."""
@@ -301,90 +334,52 @@ class RoutingGraph:
         cached = self._prisms.get(box)
         if cached is None:
             sub_graph, edge_to_global = extract_prism(self, box.xlo, box.ylo, box.xhi, box.yhi)
-            edge_to_global.setflags(write=False)
             edge_to_local = np.full(self.num_edges, -1, dtype=np.int64)
             edge_to_local[edge_to_global] = np.arange(len(edge_to_global), dtype=np.int64)
-            cached = Prism(
-                sub_graph, edge_to_global, edge_to_global.tolist(), edge_to_local.tolist()
-            )
+            edge_to_global.setflags(write=False)
+            edge_to_local.setflags(write=False)
+            cached = Prism(sub_graph, edge_to_global, edge_to_local)
             self._prisms[box] = cached
         return cached
 
     # -------------------------------------------------------------- build
     def _build(self) -> None:
-        edge_u: List[int] = []
-        edge_v: List[int] = []
-        edge_layer: List[int] = []
-        edge_wire_type: List[int] = []
-        edge_length: List[float] = []
-        edge_delay: List[float] = []
-        edge_base_cost: List[float] = []
-        edge_capacity: List[float] = []
-        edge_is_via: List[bool] = []
-
-        def add_edge(u, v, layer, wire_type, length, delay, base_cost, capacity, is_via):
-            edge_u.append(u)
-            edge_v.append(v)
-            edge_layer.append(layer)
-            edge_wire_type.append(wire_type)
-            edge_length.append(length)
-            edge_delay.append(delay)
-            edge_base_cost.append(base_cost)
-            edge_capacity.append(capacity)
-            edge_is_via.append(is_via)
-
+        nx, ny, tiles = self.nx, self.ny, self.nx * self.ny
         dm = self.delay_model
-        # Routing edges along each layer's preferred direction.
+        # One run of edges per (layer, wire type) and per via level, each in
+        # y-major, then x order: (tails, heads, *per-edge scalars) in
+        # EDGE_ARRAYS order.
+        runs = []
         for layer in self.stack:
             z = layer.index
+            if layer.direction == "H":
+                tails = (np.arange(ny)[:, None] * nx + np.arange(nx - 1)).ravel() + z * tiles
+                heads = tails + 1
+            else:
+                tails = np.arange((ny - 1) * nx) + z * tiles
+                heads = tails + nx
+            capacity = float(layer.tracks_per_tile)
             for wt_index, wire_type in enumerate(layer.wire_types):
                 delay = dm.wire_delay(z, wire_type.name, 1.0)
-                base_cost = wire_type.track_usage
-                capacity = float(layer.tracks_per_tile)
-                if layer.direction == "H":
-                    for y in range(self.ny):
-                        for x in range(self.nx - 1):
-                            add_edge(
-                                self.node_index(x, y, z),
-                                self.node_index(x + 1, y, z),
-                                z, wt_index, 1.0, delay, base_cost, capacity, False,
-                            )
-                else:
-                    for y in range(self.ny - 1):
-                        for x in range(self.nx):
-                            add_edge(
-                                self.node_index(x, y, z),
-                                self.node_index(x, y + 1, z),
-                                z, wt_index, 1.0, delay, base_cost, capacity, False,
-                            )
+                runs.append(
+                    (tails, heads, z, wt_index, 1.0, delay, wire_type.track_usage, capacity, False)
+                )
         # Via edges between adjacent layers.
         for z in range(self.num_layers - 1):
+            tails = np.arange(tiles) + z * tiles
             via_delay = dm.via_delay(z)
-            for y in range(self.ny):
-                for x in range(self.nx):
-                    add_edge(
-                        self.node_index(x, y, z),
-                        self.node_index(x, y, z + 1),
-                        z, -1, 0.0, via_delay, VIA_BASE_COST, VIA_CAPACITY, True,
-                    )
+            runs.append(
+                (tails, tails + tiles, z, -1, 0.0, via_delay, VIA_BASE_COST, VIA_CAPACITY, True)
+            )
 
-        self.edge_u = np.asarray(edge_u, dtype=np.int32)
-        self.edge_v = np.asarray(edge_v, dtype=np.int32)
-        self.edge_layer = np.asarray(edge_layer, dtype=np.int16)
-        self.edge_wire_type = np.asarray(edge_wire_type, dtype=np.int16)
-        self.edge_length = np.asarray(edge_length, dtype=np.float64)
-        self.edge_delay = np.asarray(edge_delay, dtype=np.float64)
-        self.edge_base_cost = np.asarray(edge_base_cost, dtype=np.float64)
-        self.edge_capacity = np.asarray(edge_capacity, dtype=np.float64)
-        self.edge_is_via = np.asarray(edge_is_via, dtype=bool)
-        self._freeze()
-
-        self.adjacency = [[] for _ in range(self.num_nodes)]
-        for e in range(len(edge_u)):
-            u = edge_u[e]
-            v = edge_v[e]
-            self.adjacency[u].append((e, v))
-            self.adjacency[v].append((e, u))
+        columns = list(zip(*runs))
+        self.edge_u = np.concatenate(columns[0]).astype(np.int32)
+        self.edge_v = np.concatenate(columns[1]).astype(np.int32)
+        counts = [len(tails) for tails in columns[0]]
+        for name, values in zip(EDGE_ARRAYS[2:], columns[2:]):
+            dtype = getattr(self, name).dtype
+            setattr(self, name, np.repeat(np.asarray(values, dtype=dtype), counts))
+        self._seal()
 
     # -------------------------------------------------------------- repr
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -434,12 +429,7 @@ def extract_prism(
     sub.edge_base_cost = graph.edge_base_cost[inside].copy()
     sub.edge_capacity = graph.edge_capacity[inside].copy()
     sub.edge_is_via = graph.edge_is_via[inside].copy()
-    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(sub.num_nodes)]
-    for e, (a, b) in enumerate(zip(sub_u.tolist(), sub_v.tolist())):
-        adjacency[a].append((e, b))
-        adjacency[b].append((e, a))
-    sub.adjacency = adjacency
-    sub._freeze()
+    sub._seal()
     return sub, edge_to_global
 
 

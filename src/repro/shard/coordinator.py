@@ -164,8 +164,7 @@ class _SubgraphScope:
         prism = coordinator.graph.prism(box)
         self.sub_graph = prism.sub_graph
         self.edge_to_global = prism.edge_to_global
-        self._edge_to_global_list = prism.edge_to_global_list
-        self._edge_to_local_list = prism.edge_to_local_list
+        self._edge_to_local = prism.edge_to_local
         # The sub-netlist keeps the parent's design name and the nets their
         # own names, so instance labels and name-keyed RNG streams line up
         # with the unsharded flow.
@@ -232,14 +231,13 @@ class _SubgraphScope:
         """``tree`` as a record on this scope's subgraph, or ``None`` when
         it uses edges outside the prism (e.g. a replay memo recorded while
         the net belonged to a different scope)."""
-        mapping = self._edge_to_local_list
-        edges = tuple(mapping[int(e)] for e in tree.edges)
-        if any(e < 0 for e in edges):
+        edges = self._edge_to_local[tree.edges_array()]
+        if (edges < 0).any():
             return None
         return (
             self._node_to_local(graph, tree.root),
             tuple(self._node_to_local(graph, s) for s in tree.sinks),
-            edges,
+            tuple(edges.tolist()),
             tree.method,
         )
 
@@ -284,12 +282,11 @@ class _SubgraphScope:
         if record is None:
             return None
         root, sinks, edges, method = record
-        mapping = self._edge_to_global_list
         return EmbeddedTree(
             graph,
             self._node_to_global(graph, root),
             tuple(self._node_to_global(graph, s) for s in sinks),
-            tuple(mapping[e] for e in edges),
+            tuple(self.edge_to_global[np.asarray(edges, dtype=np.int64)].tolist()),
             method,
         )
 

@@ -389,7 +389,7 @@ class TestRerouteCache:
         # Bump an edge in the opposite grid corner, above the global minimum
         # so the A*-potential extra does not change either.
         corner_node = small_graph.node_index(9, 9, 0)
-        edge_index = small_graph.adjacency[corner_node][0][0]
+        edge_index = small_graph.incident[corner_node][0]
         changed[edge_index] += 3.0
         assert cache.signature(0, 0, [5], [0.2], changed, BifurcationModel()) == sig
 
@@ -397,7 +397,7 @@ class TestRerouteCache:
         costs = small_graph.base_cost_array()
         sig = cache.signature(0, 0, [5], [0.2], costs, BifurcationModel())
         changed = costs.copy()
-        edge_index = small_graph.adjacency[0][0][0]  # incident to node 0
+        edge_index = small_graph.incident[0][0]  # incident to node 0
         changed[edge_index] += 3.0
         assert cache.signature(0, 0, [5], [0.2], changed, BifurcationModel()) != sig
 
@@ -415,7 +415,7 @@ class TestRerouteCache:
         costs = small_graph.base_cost_array()
         # Pick an edge outside box 0 and include it as a tree edge.
         corner_node = small_graph.node_index(9, 9, 0)
-        edge_index = small_graph.adjacency[corner_node][0][0]
+        edge_index = small_graph.incident[corner_node][0]
         sig = cache.signature(
             0, 0, [5], [0.2], costs, BifurcationModel(), tree_edges=[edge_index]
         )
@@ -451,7 +451,7 @@ class TestRerouteCache:
         cache.store(1, far)
         # Re-route "another net" through the corner of box 0: push an edge
         # incident to node 0 far over its congestion threshold.
-        edge_near_origin = small_graph.adjacency[0][0][0]
+        edge_near_origin = small_graph.incident[0][0]
         capacity = float(small_graph.edge_capacity[edge_near_origin])
         congestion.apply_tree_delta(None, [edge_near_origin] * int(2 * capacity + 2))
         changed = congestion.edge_costs()
