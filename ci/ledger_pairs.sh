@@ -6,14 +6,17 @@
 # the same slow and fast phases of the host.  Per side and pair one
 # `python -m benchmarks.ledger run --out` (one untraced run plus the traced
 # pass per workload; a failed check fails the script), then `compare` per
-# pair, then per end-to-end metric the pairs won, both medians and the
-# parent's quartiles.
+# pair, then per end-to-end metric the pairs won, both medians, the
+# parent's quartiles and the verdict under the metric's BENCHMARK.json bound:
+# `unresolved` when the parent's inter-quartile distance over its median
+# exceeds the bound, `beyond bound` when the change's median is worse than
+# the parent's by more than the bound, `ok` otherwise.
 #
 # Usage: ci/ledger_pairs.sh PARENT_REF [--workload W] [--pairs N]
 #                           [--seed-base S] [--seconds T]
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,13p' "$0"; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,16p' "$0"; exit 2; }
 PARENT_REF="$1"; shift
 WORKLOAD=(); PAIRS=10; SEED_BASE=100; SECONDS_ARG=()
 while [ $# -gt 0 ]; do
@@ -97,11 +100,18 @@ for workload in sides["parent"][0]["workloads"]:
         q1, q3 = quartiles(old)
         a, b = statistics.median(old), statistics.median(new)
         apart = abs(b - a) > q3 - q1
+        scale = abs(a) or 1.0
+        verdicts = []
+        if (q3 - q1) / scale > metric["bound"]:
+            verdicts.append("unresolved")
+        if sign * (b - a) / scale > metric["bound"]:
+            verdicts.append("beyond bound")
         print(
             f"  {metric['name']:<16} wins {wins:>2} losses {losses:>2} ties {pairs - wins - losses:>2}"
-            f"  median {a:>12.4f} -> {b:>12.4f} {metric['unit']:<6} {(b - a) / abs(a):+8.2%}"
+            f"  median {a:>12.4f} -> {b:>12.4f} {metric['unit']:<6} {(b - a) / scale:+8.2%}"
             f"  parent quartiles {q1:.4f} .. {q3:.4f}"
             f"  {'apart' if apart else 'within'} the parent's inter-quartile distance"
+            f"  bound {metric['bound']:.0%}: {', '.join(verdicts) or 'ok'}"
         )
     for metric in spec["per_layer"]:
         name = metric["name"]

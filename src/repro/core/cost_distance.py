@@ -60,6 +60,11 @@ __all__ = [
 #: Identifier of the root component in merge records.
 ROOT_ID = -1
 
+#: How :class:`_Solve` reads ``c(e)`` and ``d(e)``: in place, as fast as a
+#: list and with no Python float per edge.  ``repro.grid.reference`` swaps
+#: in ``np.ndarray.tolist``, the per-net conversion this replaced.
+_read_edge_vector = memoryview
+
 
 @dataclass(frozen=True)
 class CostDistanceConfig:
@@ -295,17 +300,13 @@ class _Solve:
         self.config = config
         self.rng = rng
         graph = self.graph = instance.graph
-        # One batch routes many nets against one cost vector; the context
-        # (when attached and covering these exact arrays) shares the O(edges)
-        # list conversions and the future-cost estimator across the batch.
+        # A context covering these exact arrays shares the future-cost
+        # estimator across the batch.
         ctx = instance.context
-        if ctx is not None and ctx.covers(instance.cost, instance.delay):
-            self.cost = ctx.cost_list()
-            self.delay = ctx.delay_list()
-        else:
+        if ctx is not None and not ctx.covers(instance.cost, instance.delay):
             ctx = None
-            self.cost = instance.cost.tolist()
-            self.delay = instance.delay.tolist()
+        self.cost = _read_edge_vector(instance.cost)
+        self.delay = _read_edge_vector(instance.delay)
         self.bif = instance.bifurcation
         self.root_node = instance.root
 

@@ -1,21 +1,18 @@
 """Batch-level oracle cost context.
 
 One re-route batch prices a single cost vector against one congestion
-snapshot and then routes every net of the batch against it.  Historically
-each net re-derived the per-batch artefacts on its own:
+snapshot and then routes every net of the batch against it.
+:class:`OracleCostContext` hoists the per-batch artefacts of that vector --
+the :class:`~repro.core.future_cost.FutureCostEstimator` (an O(edges)
+min-scan, plus landmark Dijkstras when enabled), the global cost floor and
+the validity scans of :meth:`~repro.core.instance.SteinerInstance.__post_init__`
+-- out of the per-net path.  The cost-distance kernel reads ``cost`` and
+``delay`` in place, so no router path materialises lists or chains contexts.
 
-* ``instance.cost.tolist()`` / ``instance.delay.tolist()`` inside the
-  cost-distance solver (two O(edges) conversions per net),
-* a fresh :class:`~repro.core.future_cost.FutureCostEstimator` (an
-  O(edges) min-scan per net, plus landmark Dijkstras when enabled), and
-* the non-negativity validation scans in
-  :meth:`~repro.core.instance.SteinerInstance.__post_init__`.
-
-:class:`OracleCostContext` hoists all of these to batch level: the engine
-(or an executor worker) builds one context per (costs, delay) pair and the
-per-net fast paths activate only under an *identity* check (``cost is
-ctx.cost``), so a context can never be silently applied to the wrong
-vector.  Every derived value is computed lazily, at most once, and is
+The engine (or an executor worker) builds one context per (costs, delay)
+pair and the per-net fast paths activate only under an *identity* check
+(``cost is ctx.cost``), so a context can never be silently applied to the
+wrong vector.  Every derived value is computed lazily, at most once, and is
 bit-identical to what the per-net path would have produced -- the context
 is a pure cache, never a semantic change.
 """
@@ -26,6 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.instance import require_finite_non_negative
 from repro.grid.graph import RoutingGraph
 
 __all__ = ["OracleCostContext"]
@@ -63,13 +61,14 @@ class OracleCostContext:
 
     # -------------------------------------------------------------- caches
     def cost_list(self) -> List[float]:
-        """``cost.tolist()``, computed once per batch."""
+        """``cost.tolist()``, once per context.  No router path calls it; it
+        stays because ``benchmarks/ledger/micro.py`` times it (``build_ms``)."""
         if self._cost_list is None:
             self._cost_list = self.cost.tolist()
         return self._cost_list
 
     def delay_list(self) -> List[float]:
-        """``delay.tolist()``, computed once per batch."""
+        """``delay.tolist()``, once per context; kept beside :meth:`cost_list`."""
         if self.delay is None:
             raise ValueError("context has no delay vector")
         if self._delay_list is None:
@@ -115,10 +114,11 @@ class OracleCostContext:
     def inherit(self, prev: "OracleCostContext") -> None:
         """Seed memoised values from the previous batch's context.
 
-        Consecutive batches of one engine round share the delay vector (same
-        object) and differ in cost only on the edges the previous batch's
-        trees touched, so the expensive ``tolist`` materialisations can be
-        carried forward instead of rebuilt:
+        No router path chains contexts; this stays because the ledger's
+        micro-benchmark times it (``core.costctx.inherit_ms``).  Consecutive
+        batches of one engine round share the delay vector (same object)
+        and differ in cost only on the edges the previous batch's trees
+        touched, so the ``tolist`` materialisations can be carried forward:
 
         * the delay list is shared outright when ``prev`` memoised it for
           the identical array (read-only by contract), and
@@ -141,16 +141,17 @@ class OracleCostContext:
                 self._cost_list = patched
 
     def validate(self) -> None:
-        """The instance non-negativity scans, run once per batch.
+        """The instance validity scans, run once per batch.
 
         Raises the same ``ValueError`` as
-        :meth:`SteinerInstance.__post_init__` would for a negative cost or
-        delay entry.
+        :meth:`SteinerInstance.__post_init__` would for a negative, NaN or
+        infinite cost or delay entry.
         """
         if self._validated:
             return
-        if np.any(self.cost < 0) or (self.delay is not None and np.any(self.delay < 0)):
-            raise ValueError("edge costs and delays must be non-negative")
+        require_finite_non_negative("edge costs", self.cost)
+        if self.delay is not None:
+            require_finite_non_negative("edge delays", self.delay)
         self._validated = True
 
     # -------------------------------------------------------------- guards

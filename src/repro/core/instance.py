@@ -26,7 +26,14 @@ from repro.grid.graph import RoutingGraph
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.costctx import OracleCostContext
 
-__all__ = ["SteinerInstance", "instance_signature"]
+__all__ = ["SteinerInstance", "instance_signature", "require_finite_non_negative"]
+
+
+def require_finite_non_negative(name: str, values: np.ndarray) -> None:
+    """Refuse a vector with a negative, NaN or infinite entry, by name
+    (``min`` propagates NaN, so two reductions catch all three)."""
+    if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
+        raise ValueError(f"{name} must be finite and non-negative")
 
 
 def instance_signature(
@@ -97,8 +104,8 @@ class SteinerInstance:
         Optional identifier used in reports.
     context:
         Optional :class:`~repro.core.costctx.OracleCostContext` sharing
-        batch-level artefacts (list conversions, future-cost estimators,
-        validation) across every net routed against the same cost vector.
+        batch-level artefacts (future-cost estimators, validation) across
+        every net routed against the same cost vector.
         Only consulted when its arrays are identical (``is``) to this
         instance's ``cost``/``delay``; it never changes results.
     """
@@ -116,8 +123,8 @@ class SteinerInstance:
     def __post_init__(self) -> None:
         self.sinks = list(self.sinks)
         self.weights = [float(w) for w in self.weights]
-        self.cost = np.asarray(self.cost, dtype=np.float64)
-        self.delay = np.asarray(self.delay, dtype=np.float64)
+        self.cost = np.ascontiguousarray(self.cost, dtype=np.float64)
+        self.delay = np.ascontiguousarray(self.delay, dtype=np.float64)
         if len(self.sinks) != len(self.weights):
             raise ValueError("sinks and weights must have the same length")
         if len(self.cost) != self.graph.num_edges or len(self.delay) != self.graph.num_edges:
@@ -128,10 +135,9 @@ class SteinerInstance:
             ctx.validate()
         else:
             self.context = None
-            if np.any(self.cost < 0) or np.any(self.delay < 0):
-                raise ValueError("edge costs and delays must be non-negative")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("sink delay weights must be non-negative")
+            require_finite_non_negative("edge costs", self.cost)
+            require_finite_non_negative("edge delays", self.delay)
+        require_finite_non_negative("sink delay weights", np.asarray(self.weights))
         nodes = [self.root] + self.sinks
         for node in nodes:
             if not 0 <= node < self.graph.num_nodes:

@@ -220,9 +220,9 @@ class RoutingEngine:
                 report.num_batches += 1
                 snapshot = self.congestion.snapshot()
                 costs = snapshot.edge_costs(self.prices.edge_prices)
-                # One shared cost context per batch: list conversions,
-                # future-cost estimator, and validation amortise over every
-                # net routed against this vector (None in reference mode).
+                # One shared cost context per batch: the future-cost
+                # estimator and validation amortise over every net routed
+                # against this vector (None in reference mode).
                 context = self.executor.make_context(costs)
                 if context is not None:
                     costs = context.cost

@@ -418,7 +418,6 @@ class BatchExecutor:
         #: shard coordinator's teardown guarantees) assert on it.
         self.closed = False
         self._delay = graph.delay_array()
-        self._last_context: Optional[OracleCostContext] = None
 
     @property
     def backend(self) -> str:
@@ -435,9 +434,9 @@ class BatchExecutor:
         """Route every task against ``costs``; returns trees by net index.
 
         ``context``, when given, shares the batch-level cost artefacts
-        (list conversions, future-cost estimator, validation) across the
-        nets routed in this process; one is built when omitted (workers
-        always build their own, one per chunk).
+        (future-cost estimator, validation) across the nets routed in this
+        process; one is built when omitted (workers always build their
+        own, one per chunk).
         """
         tasks = list(tasks)
         if not tasks:
@@ -462,15 +461,10 @@ class BatchExecutor:
 
     def make_context(self, costs: np.ndarray) -> Optional[OracleCostContext]:
         """One :class:`OracleCostContext` for a batch routed against
-        ``costs``.  Consecutive contexts inherit each other's memoised
-        list materialisations (see :meth:`OracleCostContext.inherit`).
-        The reference-kernel benchmark harness patches this to return
-        ``None``, which reverts every consumer to the per-net slow paths."""
-        context = OracleCostContext(self.graph, costs, delay=self._delay)
-        if self._last_context is not None:
-            context.inherit(self._last_context)
-        self._last_context = context
-        return context
+        ``costs``.  The reference-kernel benchmark harness patches this to
+        return ``None``, which reverts every consumer to the per-net slow
+        paths."""
+        return OracleCostContext(self.graph, costs, delay=self._delay)
 
     def close(self) -> None:
         """Release the worker pool.  Idempotent."""
@@ -499,8 +493,8 @@ class BatchExecutor:
         aligned with the chunk."""
         costs, tasks = chunk
         if context is None:
-            # The whole chunk shares one cost vector, so the per-net list
-            # conversions / estimator / validation amortise.
+            # The whole chunk shares one cost vector, so the per-net
+            # estimator / validation amortise.
             context = self.make_context(costs)
         if context is not None:
             # The context's (contiguous) array is the canonical batch vector:

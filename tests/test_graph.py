@@ -447,3 +447,22 @@ class TestMemoryCeiling:
         # graph alone add ~14 MiB, for the prisms ~41 MiB, list edge maps
         # ~20 MiB: each crosses the ceiling.
         assert retained_mib < 80.0, retained_mib
+
+    def test_one_routed_round_on_four_shards(self):
+        """The route itself: the kernel reads each batch's cost and delay
+        arrays in place, so no scope holds O(edges) Python float lists."""
+        graph, netlist = large_chip(1.0)
+        config = GlobalRouterConfig(num_rounds=1, dbif=0.0, shards=4)
+        router = GlobalRouter(graph, netlist, CostDistanceSolver(), config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            router.run()
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        # Peak: 35.1 MiB with per-batch cost/delay lists chained from
+        # context to context, 10.6 MiB with memoryview reads (Python 3.11,
+        # numpy 2).  Per-net or per-context ``tolist()`` without the chain
+        # peaks at 14.9 MiB: it crosses the ceiling too.
+        assert peak_mib < 12.75, peak_mib

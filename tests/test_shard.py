@@ -490,6 +490,8 @@ class TestOneShardingPathOnePoolLifecycle:
         "." "adjacency",
         "edge_to_global_" "list",
         "edge_to_local_" "list",
+        # The kernel reads the batch arrays in place: no context chain.
+        "_last_context",
     )
 
     @staticmethod

@@ -8,10 +8,12 @@ two plain arrays.  These tests drive the
 vectorized kernel head-to-head against the retained scalar reference in
 :mod:`repro.grid.reference` with exact float equality, plus regression
 tests for the bugfixes that rode along (atomic ``remove_usage``, ``ace``
-percent validation before the empty-input return, copy-free ndarray input).
+percent validation before the empty-input return, copy-free ndarray input,
+NaN and infinite costs, delays and weights refused by name).
 """
 
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bifurcation import BifurcationModel
-from repro.core.cost_distance import CostDistanceSolver
+from repro.core.cost_distance import CostDistanceConfig, CostDistanceSolver
 from repro.core.costctx import OracleCostContext
 from repro.core.future_cost import FutureCostEstimator
+from repro.core.instance import SteinerInstance
 from repro.engine.cache import RerouteCache
 from repro.engine.engine import EngineConfig
 from repro.engine.scheduler import BoundingBox
@@ -32,6 +35,7 @@ from repro.grid.graph import build_grid_graph
 from repro.router.netlist import Net, Netlist, Pin, Stage
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.shard.executor import RegionTask
+from tests.test_cost_distance import kernel_digests
 
 
 # ---------------------------------------------------------------- parity
@@ -186,6 +190,43 @@ class TestOracleCostContext:
         ctx = OracleCostContext(small_graph, small_graph.base_cost_array())
         assert ctx.cost_list() is ctx.cost_list()
 
+    def test_kernel_reads_the_context_arrays_in_place(self, small_graph):
+        """Zero-copy: the kernel's vectors are views of the batch buffers,
+        and no O(edges) Python list hangs off its state."""
+        from repro.core.cost_distance import _initial_terminals, _Solve
+
+        ctx = OracleCostContext(small_graph, small_graph.base_cost_array() * 1.5,
+                                small_graph.delay_array())
+        inst = SteinerInstance(small_graph, 0, [45, 99, 250], [0.2, 0.7, 1.1],
+                               ctx.cost, ctx.delay, context=ctx)
+        assert inst.context is ctx
+        state = _Solve(inst, CostDistanceConfig(), random.Random(0), *_initial_terminals(inst))
+        assert state.cost.obj is ctx.cost and state.delay.obj is ctx.delay
+        assert not [
+            name for name in _Solve.__slots__
+            if isinstance(getattr(state, name), list)
+            and len(getattr(state, name)) == small_graph.num_edges
+        ]
+
+
+class TestNonFiniteInputsRefused:
+    """NaN passed the old ``< 0`` scans and +inf blocked edges, so either
+    surfaced as a 'disconnected routing graph' from the search; both are
+    now refused by name, with and without a batch context."""
+
+    @pytest.mark.parametrize("with_context", [False, True], ids=["per-net", "context"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("what", ["edge costs", "edge delays", "sink delay weights"])
+    def test_refused_by_name(self, what, bad, with_context):
+        graph = build_grid_graph(6, 6, 2)
+        cost, delay, weights = graph.base_cost_array(), graph.delay_array(), [0.5, 0.5]
+        {"edge costs": cost, "edge delays": delay, "sink delay weights": weights}[what][1] = bad
+        context = OracleCostContext(graph, cost, delay) if with_context else None
+        if context is not None:
+            cost, delay = context.cost, context.delay
+        with pytest.raises(ValueError, match=f"{what} must be finite and non-negative"):
+            SteinerInstance(graph, 0, [7, 29], weights, cost, delay, context=context)
+
 
 # ------------------------------------------------------------ digests
 _PURITY_GRAPH = build_grid_graph(24, 24, 6)  # 7296 edges: two digest chunks
@@ -310,16 +351,31 @@ class TestReferenceKernelParity:
         assert fast == slow
 
     def test_install_reference_kernel_restores_patches(self):
+        from repro.core import cost_distance
         from repro.engine.executor import BatchExecutor
 
         add = CongestionMap.add_usage
         remove = CongestionMap.remove_usage
         make_context = BatchExecutor.make_context
+        reader = cost_distance._read_edge_vector
         with reference.install_reference_kernel():
             assert CongestionMap.add_usage is not add
+            assert cost_distance._read_edge_vector is np.ndarray.tolist
         assert CongestionMap.add_usage is add
         assert CongestionMap.remove_usage is remove
         assert BatchExecutor.make_context is make_context
+        assert cost_distance._read_edge_vector is reader is memoryview
+
+    def test_list_kernel_and_in_place_kernel_identical(self):
+        """The reference reads ``c(e)``/``d(e)`` through per-net lists, the
+        kernel through memoryviews: same doubles, so the same trees, label,
+        iteration and merge counts bit for bit (c1 without, c2 with a
+        context)."""
+        configs = ["default", "plain"]
+        in_place = kernel_digests(configs)
+        with reference.install_reference_kernel():
+            lists = kernel_digests(configs)
+        assert in_place == lists
 
 
 # ------------------------------------------------- region-state transport
