@@ -27,11 +27,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.core.bifurcation import BifurcationModel
-from repro.core.instance import SteinerInstance
 from repro.core.oracle import SteinerOracle
 from repro.core.tree import EmbeddedTree
 from repro.engine.cache import RerouteCache, RoundMemo
@@ -67,11 +64,6 @@ class EngineConfig:
         Batch formation policy: ``"window"`` (cost-refresh windows,
         reproduces the legacy serial loop) or ``"bbox"`` (conflict-free
         bounding-box batches with per-batch cost refresh).
-    max_batch_size:
-        Upper bound on ``bbox`` batch sizes (``None`` = unbounded).
-    bbox_halo:
-        Tiles added around each net's pin bounding box for conflict tests
-        and cache regions.
     reroute_cache:
         Enables the incremental re-route cache.
     cache_scope:
@@ -82,8 +74,6 @@ class EngineConfig:
     backend: str = "serial"
     num_workers: Optional[int] = None
     scheduling: str = "window"
-    max_batch_size: Optional[int] = None
-    bbox_halo: int = 2
     reroute_cache: bool = False
     cache_scope: str = "bbox"
 
@@ -97,12 +87,8 @@ class EngineConfig:
             raise ValueError(f"unknown scheduling policy {self.scheduling!r}")
         if self.cache_scope not in CACHE_SCOPES:
             raise ValueError(f"unknown cache scope {self.cache_scope!r}")
-        if self.bbox_halo < 0:
-            raise ValueError("bbox_halo must be non-negative")
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be positive")
-        if self.max_batch_size is not None and self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
 
 
 @dataclass
@@ -155,7 +141,7 @@ class RoutingEngine:
         self.cost_refresh_interval = cost_refresh_interval
         self.config = config or EngineConfig()
         self.net_indices = None if net_indices is None else list(net_indices)
-        self.scheduler = NetScheduler(graph, netlist, halo=self.config.bbox_halo)
+        self.scheduler = NetScheduler(graph, netlist)
         self.executor = BatchExecutor(
             graph,
             oracle,
@@ -174,7 +160,6 @@ class RoutingEngine:
             net_indices=self.net_indices,
             policy=self.config.scheduling,
             window_size=self.cost_refresh_interval,
-            max_batch_size=self.config.max_batch_size,
         )
         self.round_reports: List[RoundReport] = []
         #: The sharded engine's per-round walltime split; always empty here.
@@ -185,14 +170,10 @@ class RoutingEngine:
         self,
         round_index: int,
         trees: List[Optional[EmbeddedTree]],
-        record: bool = False,
         replay_round: Optional[RoundMemo] = None,
         log_round: Optional[RoundMemo] = None,
-    ) -> List[SteinerInstance]:
+    ) -> None:
         """Route every net once, updating ``trees`` and the congestion map.
-
-        Returns the Steiner instances generated for the round when
-        ``record`` is true (in batch order), or an empty list otherwise.
 
         ``replay_round`` / ``log_round`` drive memoised replays (see
         :class:`~repro.engine.cache.RoundMemo`): when ``replay_round`` is
@@ -206,10 +187,6 @@ class RoutingEngine:
             raise ValueError("replay/memo rounds require reroute_cache=True")
         report = RoundReport(round_index=round_index)
         started = time.monotonic()
-        collected: List[SteinerInstance] = []
-        # Only the record path needs a private delay copy (and only when no
-        # batch context supplies the executor's shared one).
-        record_delay = self.graph.delay_array() if record else None
         for batch in self._batches:
             with obs.span(
                 "batch",
@@ -240,10 +217,6 @@ class RoutingEngine:
                 signatures: Dict[int, bytes] = {}
                 for net_index in batch.nets:
                     task = self._make_task(net_index)
-                    if record:
-                        collected.append(
-                            self._record_instance(task, costs, record_delay, context)
-                        )
                     if self.cache is not None:
                         old_tree = trees[net_index]
                         sig = self.cache.signature(
@@ -328,11 +301,6 @@ class RoutingEngine:
         obs.inc("engine.nets_cached", report.nets_cached)
         obs.inc("engine.nets_replayed", report.nets_replayed)
         obs.observe("engine.round_seconds", report.walltime_seconds)
-        return collected
-
-    def scheduled_nets(self) -> List[int]:
-        """The engine's net indices in scheduled (batch) order."""
-        return [net for batch in self._batches for net in batch.nets]
 
     def export_signatures(self) -> Optional[Dict[str, bytes]]:
         """The stored re-route signatures keyed by net name, like RNG
@@ -346,7 +314,8 @@ class RoutingEngine:
         """Restore :meth:`export_signatures` (no-op when cache-free; names
         this engine does not route are ignored)."""
         if self.cache is not None:
-            names = ((i, self.netlist.nets[i].name) for i in self.scheduled_nets())
+            nets = self.netlist.nets
+            names = ((i, nets[i].name) for batch in self._batches for i in batch.nets)
             self.cache.load_signatures(
                 {i: by_name[name] for i, name in names if name in by_name}
             )
@@ -388,21 +357,4 @@ class RoutingEngine:
             weights=tuple(self.prices.weights_of(net_index)),
             name=f"{self.netlist.name}/{net_name}",
             net_name=net_name,
-        )
-
-    def _record_instance(
-        self,
-        task: NetTask,
-        costs: np.ndarray,
-        delay: Optional[np.ndarray],
-        context=None,
-    ) -> SteinerInstance:
-        # Recorded instances travel (pickling, persistence), so they do not
-        # carry the batch context -- only its shared delay array.
-        if context is not None and context.delay is not None:
-            delay = context.delay
-        elif delay is None:  # pragma: no cover - defensive
-            delay = self.graph.delay_array()
-        return SteinerInstance.from_payload(
-            self.graph, task.payload(costs, self.bifurcation), delay=delay
         )

@@ -43,7 +43,11 @@ if TYPE_CHECKING:  # circular at runtime: repro.router imports repro.engine
 
 # BoundingBox moved to repro.grid.geometry (the shard partitioner needs it
 # below the engine layer); re-exported here for compatibility.
-__all__ = ["BoundingBox", "NetBatch", "NetScheduler"]
+__all__ = ["BBOX_HALO", "BoundingBox", "NetBatch", "NetScheduler"]
+
+#: Tiles added around each net's pin bounding box for the engine's conflict
+#: tests and cache regions.
+BBOX_HALO = 2
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class NetScheduler:
         assumption hold in practice.
     """
 
-    def __init__(self, graph: RoutingGraph, netlist: "Netlist", halo: int = 2) -> None:
+    def __init__(self, graph: RoutingGraph, netlist: "Netlist", halo: int = BBOX_HALO) -> None:
         if halo < 0:
             raise ValueError("halo must be non-negative")
         self.graph = graph
@@ -104,7 +108,6 @@ class NetScheduler:
         net_indices: Optional[Sequence[int]] = None,
         policy: str = "window",
         window_size: int = 8,
-        max_batch_size: Optional[int] = None,
     ) -> List[NetBatch]:
         """Partition ``net_indices`` (default: all nets) into batches.
 
@@ -118,7 +121,7 @@ class NetScheduler:
         if policy == "window":
             batches = self._schedule_window(nets, window_size)
         elif policy == "bbox":
-            batches = self._schedule_bbox(nets, max_batch_size)
+            batches = self._schedule_bbox(nets)
         else:
             raise ValueError(f"unknown scheduling policy {policy!r}")
         return batches
@@ -131,24 +134,17 @@ class NetScheduler:
             for batch_index, start in enumerate(range(0, len(nets), window_size))
         ]
 
-    def _schedule_bbox(self, nets: List[int], max_batch_size: Optional[int]) -> List[NetBatch]:
-        if max_batch_size is not None and max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
+    def _schedule_bbox(self, nets: List[int]) -> List[NetBatch]:
         # Greedy colouring in net order: place each net into the first batch
-        # that has room and contains no conflicting net.  Deterministic, and
-        # keeps batch contents close to the serial routing order so the
-        # price-update dynamics stay comparable.
+        # that contains no conflicting net.  Deterministic, and keeps batch
+        # contents close to the serial routing order so the price-update
+        # dynamics stay comparable.
         members: List[List[int]] = []
         for net in nets:
-            placed = False
             for batch in members:
-                if max_batch_size is not None and len(batch) >= max_batch_size:
-                    continue
-                if any(self.conflict(net, other) for other in batch):
-                    continue
-                batch.append(net)
-                placed = True
-                break
-            if not placed:
+                if not any(self.conflict(net, other) for other in batch):
+                    batch.append(net)
+                    break
+            else:
                 members.append([net])
         return [NetBatch(i, tuple(batch)) for i, batch in enumerate(members)]

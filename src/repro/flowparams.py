@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -86,7 +87,7 @@ def _choice(options: Iterable[str]) -> Kind:
 POSITIVE_INT = Kind("a positive integer", (int,), lambda value: value >= 1)
 NON_NEGATIVE_INT = Kind("a non-negative integer", (int,), lambda value: value >= 0)
 INTEGER = Kind("an integer", (int,))
-POSITIVE_FLOAT = Kind("a positive number", (int, float), lambda value: value > 0)
+POSITIVE_FLOAT = Kind("a positive number", (int, float), lambda value: 0 < value < math.inf)
 BOOL = Kind("true or false", (bool,))
 TEXT = Kind("a string", (str,))
 ECO_OPS = Kind(
@@ -220,11 +221,10 @@ JOB_PARAMS: Dict[str, Tuple[str, ...]] = {
     "eco": ("session", "ops", "shards", "shard_workers", "shard_halo"),
 }
 #: Config attributes a result (hence a checkpoint resume) does not depend
-#: on: the table's neutral fields plus the two no job param reaches
+#: on: the table's neutral fields plus the one no job param reaches
 #: (``tests/test_flowparams.py`` holds ``router_fingerprint`` to the rest).
 RESULT_NEUTRAL = frozenset(
-    {field.attr for field in FIELDS.values() if field.neutral}
-    | {"shard_start_method", "record_instances"}
+    {field.attr for field in FIELDS.values() if field.neutral} | {"shard_start_method"}
 )
 
 

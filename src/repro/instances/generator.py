@@ -11,9 +11,7 @@ Two generators are provided:
   tree instances "as they appear during timing-constrained global routing":
   congestion cost vectors with hot spots and mostly-small Lagrangean delay
   weights with a few critical sinks.  These drive the apples-to-apples
-  comparison of Tables I/II without having to run the full router first
-  (the router can also record its real instances via
-  ``GlobalRouterConfig.record_instances``).
+  comparison of Tables I/II without having to run the full router first.
 """
 
 from __future__ import annotations

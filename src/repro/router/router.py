@@ -12,10 +12,7 @@ Steiner oracle in (Held et al., TCAD 2018, simplified):
 4. repeat for a configured number of rounds.
 
 The Steiner oracle is pluggable (``L1``, ``SL``, ``PD`` or ``CD``), which is
-exactly the comparison of paper Tables IV and V.  The router can also record
-every cost-distance Steiner instance it generates, providing the
-"identical instances" used for the apples-to-apples comparison of Tables I
-and II.
+exactly the comparison of paper Tables IV and V.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from repro.grid.congestion import CongestionMap
 from repro.grid.graph import RoutingGraph
 from repro.router.metrics import RoutingResult
 from repro.router.netlist import Netlist
-from repro.router.resource_sharing import ResourceSharingConfig, ResourceSharingPrices
+from repro.router.resource_sharing import ResourceSharingPrices
 from repro.timing.sta import TimingReport
 
 __all__ = ["GlobalRouterConfig", "GlobalRouter"]
@@ -53,22 +50,17 @@ class GlobalRouterConfig:
     Attributes
     ----------
     num_rounds:
-        Number of resource-sharing rounds (route + price update).
+        Number of resource-sharing rounds (route + price update; the price
+        rules are the default
+        :class:`~repro.router.resource_sharing.ResourceSharingConfig`).
     dbif:
         Bifurcation penalty.  ``None`` derives it from the repeater-chain
         model of the graph's layer stack; ``0.0`` disables penalties (the
-        setting of Tables I and IV).
-    eta:
-        Bifurcation split parameter.
+        setting of Tables I and IV).  The split parameter ``eta`` is the
+        :class:`~repro.core.bifurcation.BifurcationModel` default.
     cost_refresh_interval:
         Number of nets routed between refreshes of the congestion cost
         vector within one round.
-    resource_sharing:
-        Price-update parameters.
-    record_instances:
-        When true, every Steiner instance generated in the final round is
-        kept in :attr:`GlobalRouter.collected_instances` for the
-        instance-level comparison of Tables I/II.
     seed:
         Seed for the oracle's randomised choices.  Every net gets a private
         RNG stream derived from ``(seed, net name)`` (see
@@ -113,10 +105,7 @@ class GlobalRouterConfig:
 
     num_rounds: int = 2
     dbif: Optional[float] = 0.0
-    eta: float = 0.25
     cost_refresh_interval: int = 8
-    resource_sharing: ResourceSharingConfig = field(default_factory=ResourceSharingConfig)
-    record_instances: bool = False
     seed: int = 0
     engine: EngineConfig = field(default_factory=EngineConfig)
     shards: int = 1
@@ -152,11 +141,7 @@ class GlobalRouter:
         self.oracle = oracle
         self.config = config or GlobalRouterConfig()
         self.congestion = CongestionMap(graph)
-        self.prices = ResourceSharingPrices(
-            graph,
-            [net.num_sinks for net in netlist.nets],
-            self.config.resource_sharing,
-        )
+        self.prices = ResourceSharingPrices(graph, [net.num_sinks for net in netlist.nets])
         self.bifurcation = self._make_bifurcation()
         if self.config.shards > 1:
             # Imported lazily: the shard layer sits above the engine and
@@ -193,7 +178,6 @@ class GlobalRouter:
                 start_method=self.config.shard_start_method,
             )
         self.trees: List[Optional[EmbeddedTree]] = [None] * netlist.num_nets
-        self.collected_instances: List[SteinerInstance] = []
         self.timing_report: Optional[TimingReport] = None
         #: Per-round telemetry samples (always on; observe-only, so recorded
         #: and unrecorded runs stay bit-identical).  The serve layer reads
@@ -249,9 +233,9 @@ class GlobalRouter:
                 with obs.span(
                     "round", round=round_index, final=final_round
                 ) as round_span:
-                    self._route_round(
+                    self.engine.route_round(
                         round_index,
-                        record=final_round and self.config.record_instances,
+                        self.trees,
                         replay_round=replay_round,
                         log_round=log_round,
                     )
@@ -326,8 +310,8 @@ class GlobalRouter:
         :meth:`import_state`; :mod:`repro.serve.checkpoint` handles the
         on-disk encoding.  Trees are :data:`~repro.core.tree.TreeRecord` s,
         ``cache_signatures`` the engine's name-keyed re-route signatures
-        (``None`` when it runs cache-free).  The replay log and collected
-        instances are intentionally excluded -- they are derived artifacts.
+        (``None`` when it runs cache-free).  The replay log is intentionally
+        excluded -- it is a derived artifact.
         """
         return {
             "rounds_completed": self.rounds_completed,
@@ -398,28 +382,10 @@ class GlobalRouter:
         dbif = self.config.dbif
         if dbif is None:
             dbif = self.graph.delay_model.bifurcation_penalty()
-        return BifurcationModel(dbif=dbif, eta=self.config.eta)
+        return BifurcationModel(dbif=dbif)
 
     def _current_costs(self) -> np.ndarray:
         return self.prices.edge_costs(self.congestion)
-
-    def _route_round(
-        self,
-        round_index: int,
-        record: bool,
-        replay_round: Optional[RoundMemo] = None,
-        log_round: Optional[RoundMemo] = None,
-    ) -> None:
-        """Route every net once, delegating batching and execution to the engine."""
-        recorded = self.engine.route_round(
-            round_index,
-            self.trees,
-            record=record,
-            replay_round=replay_round,
-            log_round=log_round,
-        )
-        if record:
-            self.collected_instances.extend(recorded)
 
     def _net_delays(self) -> Dict[int, List[float]]:
         """Per-sink delays of every routed net (for the STA)."""

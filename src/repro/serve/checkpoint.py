@@ -28,6 +28,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import obs
+from repro.engine.scheduler import BBOX_HALO
 from repro.router.router import GlobalRouter
 
 __all__ = [
@@ -87,7 +88,7 @@ def router_fingerprint(router: GlobalRouter) -> Dict[str, object]:
     under every layout and keep ``None``, like an unsharded run.
     """
     config = router.config
-    sharing = config.resource_sharing
+    sharing = router.prices.config
     fast_path = config.shards > 1 and not config.shard_parity
     return {
         "netlist": router.netlist.name,
@@ -98,7 +99,10 @@ def router_fingerprint(router: GlobalRouter) -> Dict[str, object]:
         "seed": config.seed,
         "num_rounds": config.num_rounds,
         "dbif": config.dbif,
-        "eta": config.eta,
+        # eta, the price rules, the bbox batch cap (None) and the bbox halo
+        # are fixed by the flow; they keep their slots, read from what the
+        # router uses, so that checkpoints of older configs still resume.
+        "eta": router.bifurcation.eta,
         "cost_refresh_interval": config.cost_refresh_interval,
         "resource_sharing": [
             sharing.edge_price_strength,
@@ -107,11 +111,7 @@ def router_fingerprint(router: GlobalRouter) -> Dict[str, object]:
             sharing.critical_delay_weight,
             sharing.weight_smoothing,
         ],
-        "scheduling": [
-            config.engine.scheduling,
-            config.engine.max_batch_size,
-            config.engine.bbox_halo,
-        ],
+        "scheduling": [config.engine.scheduling, None, BBOX_HALO],
         "cache": [config.engine.reroute_cache, config.engine.cache_scope],
         "shard_layout": [config.shards, config.shard_halo] if fast_path else None,
     }

@@ -84,7 +84,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.bifurcation import BifurcationModel
-from repro.core.instance import SteinerInstance
 from repro.core.oracle import SteinerOracle
 from repro.core.tree import EmbeddedTree, TreeRecord
 from repro.engine.cache import RoundMemo
@@ -528,10 +527,9 @@ class ShardCoordinator:
         self,
         round_index: int,
         trees: List[Optional[EmbeddedTree]],
-        record: bool = False,
         replay_round: Optional[RoundMemo] = None,
         log_round: Optional[RoundMemo] = None,
-    ) -> List[SteinerInstance]:
+    ) -> None:
         """Route every net once: interior passes, stitch, seam pass.
 
         ``replay_round`` / ``log_round`` are the round's *global* replay and
@@ -546,8 +544,6 @@ class ShardCoordinator:
             raise ValueError("replay/memo rounds require reroute_cache=True")
         started = time.monotonic()
         snapshot = self.congestion.snapshot()
-        round_costs = snapshot.edge_costs(self.prices.edge_prices) if record else None
-        collected: List[SteinerInstance] = []
         # Interior pass: all regions route against the round-start snapshot,
         # serially or on the region executor's process pool -- either way the
         # outcomes come back aligned with ``self.regions``.
@@ -556,9 +552,6 @@ class ShardCoordinator:
             replay_round=replay_round, log_round=log_round,
         )
         interior_elapsed = time.monotonic() - started
-        if record:
-            for region in self.regions:
-                collected.extend(self._record_scope(region, round_costs))
         # Stitch: scatter every region's usage delta onto the shared map
         # through the region's edge map, in fixed region order so the
         # floating-point sums are identical across region backends.
@@ -573,17 +566,12 @@ class ShardCoordinator:
                     replay_round=replay_round, log_round=log_round,
                 )
                 self.congestion.usage[scope.edge_to_global] += outcome.delta
-            if record:
-                collected.extend(self._record_scope(scope, round_costs))
         if self.parity:
             self._seam_congestion.restore(snapshot)
         seam_started = time.monotonic()
         with obs.span("seam", round=round_index, nets=len(self._global_seam)):
-            collected.extend(
-                self.seam_engine.route_round(
-                    round_index, trees, record=record,
-                    replay_round=replay_round, log_round=log_round,
-                )
+            self.seam_engine.route_round(
+                round_index, trees, replay_round=replay_round, log_round=log_round
             )
         seam_elapsed = time.monotonic() - seam_started
         if self.parity:
@@ -616,7 +604,6 @@ class ShardCoordinator:
                 round_index, started, [outcome.report for outcome in outcomes]
             )
         )
-        return collected
 
     def close(self) -> None:
         """Release every sub-engine and the region pool (idempotent).
@@ -646,33 +633,6 @@ class ShardCoordinator:
         self.close()
 
     # ------------------------------------------------------------ internals
-    def _record_scope(
-        self, scope: _SubgraphScope, costs: np.ndarray
-    ) -> List[SteinerInstance]:
-        """Global-graph instances of a scope's nets, in scheduled order.
-
-        Recording is done here rather than inside the scope engines, which
-        would record subgraph-indexed instances.  All recorded instances
-        carry the round-start cost vector.
-        """
-        delay = self.graph.delay_array()
-        instances = []
-        for net_index in (scope.interior[i] for i in scope.engine.scheduled_nets()):
-            root, sinks = self.netlist.net_terminals(self.graph, net_index)
-            instances.append(
-                SteinerInstance(
-                    graph=self.graph,
-                    root=root,
-                    sinks=sinks,
-                    weights=self.prices.weights_of(net_index),
-                    cost=costs,
-                    delay=delay,
-                    bifurcation=self.bifurcation,
-                    name=f"{self.netlist.name}/{self.netlist.nets[net_index].name}",
-                )
-            )
-        return instances
-
     def _aggregate_report(
         self,
         round_index: int,

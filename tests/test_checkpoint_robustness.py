@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.core.cost_distance import CostDistanceSolver
+from repro.flowparams import build_flow
 from repro.grid.graph import build_grid_graph
 from repro.instances.generator import NetlistGeneratorConfig, generate_netlist
 from repro.router.metrics import PARITY_FIELDS
@@ -29,6 +30,7 @@ from repro.serve.checkpoint import (
     checkpoint_every_hook,
     load_checkpoint,
     resume_router,
+    router_fingerprint,
     save_checkpoint,
     try_resume_router,
 )
@@ -268,3 +270,40 @@ class TestCheckpointEveryHook:
             document = json.load(handle)
         assert document["format"] == CHECKPOINT_FORMAT
         assert document["version"] == CHECKPOINT_VERSION
+
+
+class TestFingerprintCompatibility:
+    """The fingerprint dict is the resume key of every v3 checkpoint already
+    on disk: removing a config option must not change it.  Options that
+    became constants (eta, the price rules, the bbox batch cap and halo)
+    keep their slots with the values the router uses."""
+
+    COMMON = {
+        "netlist": "ckpt31",
+        "num_nets": 10,
+        "grid": [10, 10, 3],
+        "num_edges": 470,
+        "oracle": "CD",
+        "seed": 0,
+        "num_rounds": 2,
+        "dbif": 0.0,
+        "eta": 0.25,
+        "cost_refresh_interval": 8,
+        "resource_sharing": [1.5, 64.0, 0.15, 2.0, 0.7],
+        "scheduling": ["window", None, 2],
+    }
+
+    def test_default_unsharded_config(self):
+        router = make_router()
+        expected = dict(self.COMMON, cache=[False, "bbox"], shard_layout=None)
+        assert router_fingerprint(router) == expected
+
+    def test_four_shard_cached_config(self):
+        base = make_router()
+        config = build_flow({"shards": 4, "cache": True})[2]
+        router = GlobalRouter(base.graph, base.netlist, CostDistanceSolver(), config)
+        try:
+            expected = dict(self.COMMON, cache=[True, "bbox"], shard_layout=[4, 0])
+            assert router_fingerprint(router) == expected
+        finally:
+            router.engine.close()

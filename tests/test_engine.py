@@ -46,16 +46,14 @@ def result_key(result):
     )
 
 
-def run_router(graph_dims, engine_config, num_rounds=2, record=False):
+def run_router(graph_dims, engine_config, num_rounds=2):
     graph = build_grid_graph(*graph_dims)
     netlist = tiny_netlist()
     router = GlobalRouter(
         graph,
         netlist,
         CostDistanceSolver(),
-        GlobalRouterConfig(
-            num_rounds=num_rounds, record_instances=record, engine=engine_config
-        ),
+        GlobalRouterConfig(num_rounds=num_rounds, engine=engine_config),
     )
     return router, router.run()
 
@@ -118,10 +116,6 @@ class TestScheduler:
         assert not sched.conflict(0, 3)
         first = sched.schedule(policy="bbox")[0]
         assert 0 in first.nets and 3 in first.nets
-
-    def test_max_batch_size_respected(self, sched):
-        for batch in sched.schedule(policy="bbox", max_batch_size=1):
-            assert len(batch) == 1
 
     def test_halo_expands_conflicts(self):
         graph = build_grid_graph(10, 10, 4)
@@ -614,11 +608,7 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(cache_scope="nope")
         with pytest.raises(ValueError):
-            EngineConfig(bbox_halo=-1)
-        with pytest.raises(ValueError):
             EngineConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            EngineConfig(max_batch_size=0)
 
     def test_unknown_backend_rejected_at_router_construction(self):
         graph = build_grid_graph(10, 10, 4)
@@ -694,17 +684,21 @@ class TestEngineIntegration:
             router = GlobalRouter(graph, tiny_netlist(), oracle, config)
             assert router.engine.cache.scope == expected_scope, oracle.name
 
-    def test_record_instances_through_engine(self):
-        router, _ = run_router(self.DIMS, EngineConfig(), record=True)
-        assert len(router.collected_instances) == 4
-        for instance in router.collected_instances:
-            assert instance.graph is router.graph
-
-    def test_record_instances_with_cache(self):
-        router, _ = run_router(
-            self.DIMS, EngineConfig(reroute_cache=True), record=True
+    @pytest.mark.parametrize("reroute_cache", [False, True])
+    def test_route_round_fills_trees_in_place(self, reroute_cache):
+        """A round writes every net's tree into the caller's list and
+        returns nothing."""
+        graph = build_grid_graph(*self.DIMS)
+        netlist = tiny_netlist()
+        router = GlobalRouter(
+            graph, netlist, CostDistanceSolver(),
+            GlobalRouterConfig(engine=EngineConfig(reroute_cache=reroute_cache)),
         )
-        assert len(router.collected_instances) == 4
+        with router.engine:
+            assert router.engine.route_round(0, router.trees) is None
+        for net, tree in zip(netlist.nets, router.trees):
+            assert tree is not None and tree.graph is graph
+            assert len(tree.sinks) == len(net.sinks)
 
     def test_route_single_net_uses_stable_rng(self):
         graph = build_grid_graph(*self.DIMS)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import build_parser as build_route_parser
+from repro.core.bifurcation import BifurcationModel
 from repro.engine.engine import EngineConfig
 from repro.flowparams import (
     FIELDS,
@@ -20,6 +21,7 @@ from repro.flowparams import (
     flow_params,
     validate_params,
 )
+from repro.router.resource_sharing import ResourceSharingConfig
 from repro.router.router import GlobalRouterConfig
 from repro.serve.checkpoint import router_fingerprint
 from repro.serve.cli import build_parser as build_serve_parser
@@ -144,12 +146,26 @@ def test_every_config_field_is_fingerprinted_or_declared_result_neutral():
         netlist=SimpleNamespace(name="n", num_nets=1),
         graph=SimpleNamespace(nx=1, ny=1, num_layers=1, num_edges=1),
         oracle=SimpleNamespace(name="CD"),
+        bifurcation=BifurcationModel(),
+        prices=SimpleNamespace(config=ResourceSharingConfig()),
     )
     router_fingerprint(router)
     fields = {f.name for f in dataclasses.fields(GlobalRouterConfig)}
     fields |= {"engine." + f.name for f in dataclasses.fields(EngineConfig)}
     assert fields - seen == RESULT_NEUTRAL
     assert {FIELDS[name].attr for name in ("backend", "workers", "shard_workers")} <= RESULT_NEUTRAL
+
+
+def test_option_inventory():
+    """The flow's settable options, by name: adding or removing a knob is a
+    deliberate edit of this test."""
+    assert {f.name for f in dataclasses.fields(EngineConfig)} == {
+        "backend", "num_workers", "scheduling", "reroute_cache", "cache_scope",
+    }
+    assert {f.name for f in dataclasses.fields(GlobalRouterConfig)} == {
+        "num_rounds", "dbif", "cost_refresh_interval", "seed", "engine", "shards",
+        "shard_parity", "shard_halo", "shard_workers", "shard_start_method",
+    }
 
 
 class TestValidation:
@@ -169,6 +185,8 @@ class TestValidation:
             ({"shard_halo": -1}, "shard_halo must be a non-negative integer, got -1"),
             ({"net_scale": True}, "net_scale must be a positive number, got True"),
             ({"net_scale": 0}, "net_scale must be a positive number, got 0"),
+            # JSON ``Infinity``: used to pass here and die later in ChipSpec.scaled.
+            (json.loads('{"net_scale": Infinity}'), "net_scale must be a positive number, got inf"),
             ({"seed": 1.0}, "seed must be an integer, got 1.0"),
             ({"oracle": "XX"}, "unknown oracle 'XX'; choose from CD, L1, PD, SL"),
             ({"session": 7}, "session must be a string, got 7"),
@@ -209,11 +227,16 @@ class TestParsersAgree:
         assert flow_params(submit)["shard_parity"] is True
 
     def test_submit_rejects_a_mistyped_choice_before_any_socket(self, capsys):
-        for argv in (["--oracle", "XX"], ["--backend", "thread"], ["--cache-scope", "die"]):
+        for argv, message in (
+            (["--oracle", "XX"], "invalid choice"),
+            (["--backend", "thread"], "invalid choice"),
+            (["--cache-scope", "die"], "invalid choice"),
+            (["--net-scale", "inf"], "must be a positive number, got 'inf'"),
+        ):
             with pytest.raises(SystemExit) as raised:
                 build_serve_parser().parse_args(["submit", "--port", "1"] + argv)
             assert raised.value.code == 2
-            assert "invalid choice" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     def test_submit_sends_no_null_and_keeps_shard_fields_at_one_shard(self):
         argv = ["submit", "--shard-halo", "2", "--shard-workers", "2"]

@@ -181,20 +181,6 @@ class TestGlobalRouter:
         row = format_result_row(result)
         assert "tiny" in row and "CD" in row and "ACE4" in row
 
-    def test_record_instances(self):
-        graph = build_grid_graph(10, 10, 4)
-        netlist = tiny_netlist()
-        router = GlobalRouter(
-            graph,
-            netlist,
-            CostDistanceSolver(),
-            GlobalRouterConfig(num_rounds=2, record_instances=True),
-        )
-        router.run()
-        assert len(router.collected_instances) == netlist.num_nets
-        for instance in router.collected_instances:
-            assert instance.graph is graph
-
     def test_route_single_net(self):
         graph = build_grid_graph(10, 10, 4)
         netlist = tiny_netlist()

@@ -242,22 +242,21 @@ class TestShardFastPath:
         assert report.nets_rerouted + report.nets_reused == 2 * session.num_nets
 
     @pytest.mark.parametrize("shard_parity", [False, True])
-    def test_record_instances_covers_every_net(self, shard_parity):
+    def test_round_routes_every_net_in_place(self, shard_parity):
+        """One sharded round (interior, stitch, seam) writes a tree for
+        every net into the caller's list and returns nothing."""
         graph, netlist = smoke_design(0.4)
         router = GlobalRouter(
             graph, netlist, CostDistanceSolver(),
             GlobalRouterConfig(
-                num_rounds=2, shards=4, record_instances=True,
-                shard_parity=shard_parity,
+                num_rounds=1, shards=4, shard_parity=shard_parity,
             ),
         )
-        router.run()
-        assert len(router.collected_instances) == netlist.num_nets
-        recorded = sorted(instance.name for instance in router.collected_instances)
-        expected = sorted(
-            f"{netlist.name}/{net.name}" for net in netlist.nets
-        )
-        assert recorded == expected
+        with router.engine:
+            assert router.engine.route_round(0, router.trees) is None
+        for net, tree in zip(netlist.nets, router.trees):
+            assert tree is not None and tree.graph is graph
+            assert len(tree.sinks) == len(net.sinks)
 
 
 def scopes_of(router):
@@ -492,6 +491,15 @@ class TestOneShardingPathOnePoolLifecycle:
         "edge_to_local_" "list",
         # The kernel reads the batch arrays in place: no context chain.
         "_last_context",
+        # Knob audit, round two: flow options with one value in use and the
+        # router's instance recorder.
+        "max_batch_" "size",
+        "bbox_" "halo",
+        "record_" "instances",
+        "collected_" "instances",
+        "_record_" "instance",
+        "_record_" "scope",
+        "record_" "delay",
     )
 
     @staticmethod
