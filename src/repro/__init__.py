@@ -22,15 +22,15 @@ Typical usage::
     print(evaluate_tree(instance, tree).total)
 
 Nets are routed through the batch-routing engine (:mod:`repro.engine`),
-which schedules them into congestion-snapshot batches, executes each batch
-on a pluggable backend (in-process ``serial`` or ``multiprocessing``-based
-``process``), and can skip unchanged nets in later rip-up rounds via an
-incremental re-route cache::
+which schedules them into congestion-snapshot batches, routes each batch
+in-process or -- when its predicted work pays for it -- on a
+``multiprocessing`` worker pool, and can skip unchanged nets in later
+rip-up rounds via an incremental re-route cache::
 
     from repro import EngineConfig, GlobalRouterConfig
 
     config = GlobalRouterConfig(
-        engine=EngineConfig(backend="process", reroute_cache=True)
+        engine=EngineConfig(num_workers=1, reroute_cache=True)
     )
 
 See ``DESIGN.md`` (repository root) for the package and subsystem

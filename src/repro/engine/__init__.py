@@ -9,21 +9,21 @@ oracles:
 * :mod:`repro.engine.executor` -- :class:`WorkerPool`, the one task map
   (pure tasks inline or on ``multiprocessing`` workers, results in task
   order), and :class:`BatchExecutor`, which routes a batch through it:
-  ``serial`` in-process or ``process`` pooled, bit-identical trees thanks to
-  per-net RNG streams.
+  inline, or in sink-balanced chunks on the pool when the batch's predicted
+  work pays for it -- bit-identical trees thanks to per-net RNG streams.
 * :mod:`repro.engine.cache` -- the incremental re-route cache that skips
   nets whose instance signature did not change since their last routing.
 * :mod:`repro.engine.engine` -- the :class:`RoutingEngine` façade the
   :class:`repro.router.router.GlobalRouter` delegates to, configured by
   :class:`EngineConfig`.
-* :mod:`repro.engine.rng` -- the stable per-net RNG derivation shared by all
-  backends.
+* :mod:`repro.engine.rng` -- the stable per-net RNG derivation shared by
+  every placement.
 """
 
 from repro.engine.cache import CacheStats, RerouteCache
 from repro.engine.engine import EngineConfig, RoundReport, RoutingEngine
 from repro.engine.executor import (
-    EXECUTOR_BACKENDS,
+    POOL_BREAK_EVEN,
     BatchExecutor,
     NetTask,
     WorkerPool,
@@ -45,7 +45,7 @@ __all__ = [
     "NetTask",
     "BatchExecutor",
     "WorkerPool",
-    "EXECUTOR_BACKENDS",
+    "POOL_BREAK_EVEN",
     "CacheStats",
     "RerouteCache",
     "EngineConfig",

@@ -6,17 +6,17 @@ price/timing logic (:mod:`repro.router`) and the Steiner oracles
 
 * a :class:`~repro.engine.scheduler.NetScheduler` that partitions each
   rip-up-and-re-route round into batches sharing a congestion snapshot,
-* a :class:`~repro.engine.executor.BatchExecutor` backend (``serial`` or
-  ``process``) that routes each batch, and
+* a :class:`~repro.engine.executor.BatchExecutor` that routes each batch
+  inline or on its worker pool, as the batch's predicted work decides, and
 * optionally a :class:`~repro.engine.cache.RerouteCache` that skips nets
   whose instance signature is unchanged since their last routing.
 
 Determinism contract: for a fixed :class:`EngineConfig` scheduling policy,
-every backend -- and every cache setting under the ``global`` cache scope --
-produces bit-identical trees, because each net's tree is a pure function of
-its (snapshot-derived) Steiner instance and its private RNG stream.  The
-default configuration (``serial`` backend, ``window`` scheduling, cache off)
-keeps the historical serial loop's batching and cost-refresh structure;
+every placement and worker count -- and every cache setting under the
+``global`` cache scope -- produces bit-identical trees, because each net's
+tree is a pure function of its (snapshot-derived) Steiner instance and its
+private RNG stream.  The default configuration (``window`` scheduling, cache
+off) keeps the historical serial loop's batching and cost-refresh structure;
 routed trees differ from pre-engine releases only through the per-net RNG
 streams that replaced the old shared-per-round RNG (:mod:`repro.engine.rng`).
 """
@@ -32,7 +32,7 @@ from repro.core.bifurcation import BifurcationModel
 from repro.core.oracle import SteinerOracle
 from repro.core.tree import EmbeddedTree
 from repro.engine.cache import RerouteCache, RoundMemo
-from repro.engine.executor import EXECUTOR_BACKENDS, BatchExecutor, NetTask
+from repro.engine.executor import BatchExecutor, NetTask
 from repro.engine.scheduler import NetBatch, NetScheduler
 from repro.grid.congestion import CongestionMap
 from repro.grid.graph import RoutingGraph
@@ -55,11 +55,11 @@ class EngineConfig:
 
     Attributes
     ----------
-    backend:
-        Executor backend: ``"serial"`` (in-process, default) or
-        ``"process"`` (multiprocessing pool).
     num_workers:
-        Worker count for the ``process`` backend; ``None`` auto-sizes.
+        Size of the batch pool.  ``None`` (default): the usable CPUs;
+        ``1``: no pool, every batch inline.  A pool of two or more workers
+        takes only the batches whose predicted work reaches
+        :data:`~repro.engine.executor.POOL_BREAK_EVEN`.
     scheduling:
         Batch formation policy: ``"window"`` (cost-refresh windows,
         reproduces the legacy serial loop) or ``"bbox"`` (conflict-free
@@ -71,18 +71,12 @@ class EngineConfig:
         ``"global"`` (digest the full cost vector, exact).
     """
 
-    backend: str = "serial"
     num_workers: Optional[int] = None
     scheduling: str = "window"
     reroute_cache: bool = False
     cache_scope: str = "bbox"
 
     def __post_init__(self) -> None:
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown executor backend {self.backend!r}; "
-                f"available: {sorted(EXECUTOR_BACKENDS)}"
-            )
         if self.scheduling not in SCHEDULING_POLICIES:
             raise ValueError(f"unknown scheduling policy {self.scheduling!r}")
         if self.cache_scope not in CACHE_SCOPES:
@@ -100,6 +94,7 @@ class RoundReport:
     nets_routed: int = 0
     nets_cached: int = 0
     nets_replayed: int = 0
+    batches_pooled: int = 0
     walltime_seconds: float = 0.0
 
 
@@ -127,8 +122,7 @@ class RoutingEngine:
     ) -> None:
         """``net_indices`` restricts the engine to a subset of the netlist
         (the shard coordinator's global seam engine); ``start_method`` pins
-        the ``multiprocessing`` start method of the ``process`` backend's
-        pool."""
+        the ``multiprocessing`` start method of the batch pool."""
         if cost_refresh_interval < 1:
             raise ValueError("cost_refresh_interval must be positive")
         self.graph = graph
@@ -147,7 +141,7 @@ class RoutingEngine:
             oracle,
             bifurcation,
             seed,
-            workers=self.config.num_workers if self.config.backend == "process" else 1,
+            workers=self.config.num_workers,
             start_method=start_method,
         )
         self.cache: Optional[RerouteCache] = None
@@ -257,7 +251,12 @@ class RoutingEngine:
                             report.nets_cached += 1
                             continue
                     tasks.append(task)
-                routed = self.executor.route_batch(costs, tasks, context) if tasks else {}
+                # Placement by the predicted work of the nets that reach the
+                # oracle (cache hits and replays above cost nothing).
+                work = sum(self.scheduler.net_work(task.net_index) for task in tasks)
+                pooled = self.executor.pools(len(tasks), work)
+                report.batches_pooled += pooled
+                routed = self.executor.route_batch(costs, tasks, context, pooled)
                 tasks_by_index = {task.net_index: task for task in tasks}
                 for net_index in batch.nets:
                     new_tree = routed.get(net_index)
@@ -289,7 +288,7 @@ class RoutingEngine:
                                 cost_digest=cost_digest,
                             )
                         self.cache.store(net_index, sig)
-                batch_span.set(routed=len(routed))
+                batch_span.set(routed=len(routed), work=work, pooled=pooled)
         report.walltime_seconds = time.monotonic() - started
         self.round_reports.append(report)
         # Engine counters book into whatever registry is active here: the
@@ -300,6 +299,7 @@ class RoutingEngine:
         obs.inc("engine.oracle_calls", report.nets_routed)
         obs.inc("engine.nets_cached", report.nets_cached)
         obs.inc("engine.nets_replayed", report.nets_replayed)
+        obs.inc("engine.batches_pooled", report.batches_pooled)
         obs.observe("engine.round_seconds", report.walltime_seconds)
 
     def export_signatures(self) -> Optional[Dict[str, bytes]]:
@@ -319,6 +319,11 @@ class RoutingEngine:
             self.cache.load_signatures(
                 {i: by_name[name] for i, name in names if name in by_name}
             )
+
+    @property
+    def backend(self) -> str:
+        """Where batches ran: ``"process"`` once one was pooled."""
+        return self.executor.backend
 
     def close(self) -> None:
         """Release executor resources (idempotent)."""

@@ -6,13 +6,15 @@ give me the results in task order" is one idea, stated once:
 
 * :class:`BatchExecutor` (this module) routes one batch of nets.  A batch
   (see :mod:`repro.engine.scheduler`) shares one frozen congestion cost
-  vector; the executor cuts it into one contiguous chunk of
-  :class:`NetTask` s per worker and maps the chunks.  Pool workers hold a
-  plain serial ``BatchExecutor`` built from the pickled payload (routing
-  graph, oracle, bifurcation model, seed) and run the same per-net loop as
-  the parent; the cost vector is pickled once per chunk rather than once per
-  net, and trees come back as graph-free
-  :data:`~repro.core.tree.TreeRecord` s.
+  vector; the engine decides per batch whether it runs inline or on the
+  pool (:meth:`BatchExecutor.pools`), and a pooled batch is cut into one
+  sink-balanced chunk of :class:`NetTask` s per worker
+  (:func:`balanced_chunks`).  Pool workers hold a plain inline
+  ``BatchExecutor`` built from the pickled payload (routing graph, oracle,
+  bifurcation model, seed) and run the same per-net loop as the parent;
+  the cost vector is pickled once per chunk rather than once per net, and
+  trees come back as graph-free :data:`~repro.core.tree.TreeRecord` s, each
+  with its solve time.
 * the shard layer's :class:`~repro.shard.executor.RegionExecutor` routes
   the K regions of one round.
 
@@ -42,11 +44,25 @@ from repro.core.tree import EmbeddedTree, TreeRecord, decode_tree, encode_tree
 from repro.engine.rng import derive_net_rng_for_name
 from repro.grid.graph import RoutingGraph
 
-__all__ = ["NetTask", "BatchExecutor", "WorkerPool", "EXECUTOR_BACKENDS", "batch_worker"]
+__all__ = [
+    "NetTask",
+    "BatchExecutor",
+    "WorkerPool",
+    "POOL_BREAK_EVEN",
+    "balanced_chunks",
+    "batch_worker",
+]
 
-#: The values of ``EngineConfig.backend``: route batches in-process, or map
-#: them over a :class:`WorkerPool`.
-EXECUTOR_BACKENDS = ("serial", "process")
+#: The predicted work (:meth:`~repro.engine.scheduler.NetScheduler.net_work`
+#: summed over the nets a batch routes) from which an executor with a pool of
+#: two or more workers maps the batch over it.  Below it the pool's per-batch cost -- the
+#: cost vector pickled per chunk, trees shipped back, the slowest chunk
+#: waited for -- outweighs the overlap.  Measured, not tuned per run: see
+#: DESIGN.md "Measured decisions".
+POOL_BREAK_EVEN = 4_000
+
+#: Seconds between a pool worker's checks that its parent is still alive.
+PARENT_POLL_SECONDS = 0.25
 
 #: Worker side of the process boundary: the route callable this pool worker
 #: built from its payload (set once by :func:`_worker_init`).
@@ -57,11 +73,42 @@ def _worker_init(payload_bytes: bytes, build: Callable) -> None:
     """The one pool initializer: unpickle the read-only payload and build
     the worker's route callable from it.  Trace writing and event publishing
     are the parent's alone -- a forked worker inherits the parent's tracer
-    (file handle, span-id counter) and bus, so both are dropped here."""
+    (file handle, span-id counter) and bus, so both are dropped here.
+
+    A worker also exits once the process that started the pool is gone: a
+    parent that dies hard (``os._exit``, SIGKILL) never terminates its pool,
+    and the orphans would otherwise wait on the task queue forever."""
     global _worker_route
+    import multiprocessing
+
     obs.drop_tracing()
     obs.configure_bus(None)
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(multiprocessing.parent_process().pid, os.getppid()),
+        name="parent-watch",
+        daemon=True,
+    ).start()
     _worker_route = build(pickle.loads(payload_bytes))
+
+
+def _exit_with_parent(creator: int, parent: int) -> None:
+    """Poll until the pool's creator is gone, then exit without cleanup:
+    there is nobody left to hand results to.  Gone means this process was
+    re-parented (``parent`` is the creator, or the fork server it forked
+    this worker through, which exits with the creator) or the creator's pid
+    no longer exists (it died before this worker started)."""
+    while os.getppid() == parent and _exists(creator):
+        time.sleep(PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
+def _exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except OSError:  # no such process, or a reused pid another user owns
+        return False
+    return True
 
 
 def _worker_call(task):
@@ -382,17 +429,32 @@ class NetTask:
         }
 
 
+def balanced_chunks(tasks: Sequence[NetTask], count: int) -> List[List[int]]:
+    """Split ``tasks`` into ``count`` chunks of task positions by LPT on sink
+    count: largest net first, each into the least-loaded chunk (ties: the
+    earlier batch position, the lower chunk).  Each chunk lists its
+    positions in batch order; empty chunks are dropped."""
+    loads = [0] * count
+    chunks: List[List[int]] = [[] for _ in range(count)]
+    for position in sorted(range(len(tasks)), key=lambda i: (-len(tasks[i].sinks), i)):
+        target = min(range(count), key=lambda c: (loads[c], c))
+        chunks[target].append(position)
+        loads[target] += len(tasks[position].sinks)
+    return [sorted(chunk) for chunk in chunks if chunk]
+
+
 class BatchExecutor:
     """Routes one batch of nets against a frozen cost vector.
 
-    ``workers=1`` (the ``serial`` backend, default) routes in-process, net
-    by net -- equivalent to the historical router loop.  Any other value
-    (the ``process`` backend; ``None`` auto-sizes) maps one contiguous chunk
-    of the batch per worker over a :class:`WorkerPool`, whose workers hold a
-    serial ``BatchExecutor`` of their own (:func:`batch_worker`) and run the
-    same :meth:`_route_chunk`.  A batch that cannot use the pool -- a single
-    net, no startable pool -- routes in-process; every placement produces
-    bit-identical trees.
+    A batch runs inline -- in-process, net by net, the historical router
+    loop -- or, when :meth:`pools` says so, as one sink-balanced chunk per
+    worker mapped over a :class:`WorkerPool`, whose workers hold an inline
+    ``BatchExecutor`` of their own (:func:`batch_worker`) and run the same
+    :meth:`_route_chunk`.  ``workers`` only sizes the pool (``None``: the
+    usable CPUs; ``1``: no pool, every batch inline); whatever its size, a
+    pool takes only the batches whose predicted work reaches
+    :data:`POOL_BREAK_EVEN`.  A batch placed on a pool that cannot start
+    routes in-process; every placement produces bit-identical trees.
     """
 
     def __init__(
@@ -410,7 +472,7 @@ class BatchExecutor:
         self.seed = seed
         self.pool = WorkerPool(
             backend="process",
-            degrade_message="the process backend degrades to in-process serial routing",
+            degrade_message="the batch pool degrades to in-process routing",
             workers=workers,
             start_method=start_method,
         )
@@ -421,42 +483,63 @@ class BatchExecutor:
 
     @property
     def backend(self) -> str:
-        """Backend name for result reporting: where batches may run."""
-        return "process" if self.pool.workers > 1 else "serial"
+        """Where batches ran, for result reporting: ``"process"`` once a
+        batch was routed on a live pool, else ``"serial"``."""
+        return "process" if self.pool.used else "serial"
 
     # ------------------------------------------------------------------ API
+    def pools(self, num_tasks: int, work: int) -> bool:
+        """The placement rule: whether a batch of ``num_tasks`` nets with
+        predicted ``work`` goes to the pool: at least two nets, at least two
+        workers, and work from the break-even on."""
+        return num_tasks >= 2 and self.pool.workers >= 2 and work >= POOL_BREAK_EVEN
+
     def route_batch(
         self,
         costs: np.ndarray,
         tasks: Sequence[NetTask],
         context: Optional[OracleCostContext] = None,
+        pooled: bool = False,
     ) -> Dict[int, EmbeddedTree]:
-        """Route every task against ``costs``; returns trees by net index.
+        """Route every task against ``costs``, on the pool when ``pooled``;
+        returns trees by net index.
 
         ``context``, when given, shares the batch-level cost artefacts
         (future-cost estimator, validation) across the nets routed in this
         process; one is built when omitted (workers always build their
-        own, one per chunk).
+        own, one per chunk).  Under an active tracer one ``net`` event per
+        task is emitted here, in task order, wherever the net was solved.
         """
         tasks = list(tasks)
         if not tasks:
             return {}
-        # One contiguous chunk per worker.
-        count = min(self.pool.workers, len(tasks))
-        bounds = [len(tasks) * i // count for i in range(count + 1)]
-        chunks = [(costs, tasks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        if pooled:
+            chunks = balanced_chunks(tasks, min(self.pool.workers, len(tasks)))
+        else:
+            chunks = [list(range(len(tasks)))]
         records = self.pool.map(
-            chunks,
+            [(costs, [tasks[i] for i in chunk]) for chunk in chunks],
             self._worker_payload,
             batch_worker,
             lambda chunk: self._route_chunk(chunk, context),
             fault=("kill-pool-worker", faults.current_round()),
         )
-        # Chunks are contiguous and in order, so the records line up with ``tasks``.
-        flat = [record for chunk_records in records for record in chunk_records]
+        # Back from chunk order to task order (positions are unique).
+        positions = [position for chunk in chunks for position in chunk]
+        flat = [solve for chunk_records in records for solve in chunk_records]
+        solved = [solve for _position, solve in sorted(zip(positions, flat))]
+        if obs.get_tracer() is not None:
+            for task, (record, seconds) in zip(tasks, solved):
+                obs.event(
+                    "net",
+                    net=task.name or task.rng_name,
+                    sinks=len(task.sinks),
+                    method=record[3],
+                    seconds=seconds,
+                )
         return {
             task.net_index: decode_tree(self.graph, record)
-            for task, record in zip(tasks, flat)
+            for task, (record, _seconds) in zip(tasks, solved)
         }
 
     def make_context(self, costs: np.ndarray) -> Optional[OracleCostContext]:
@@ -480,17 +563,17 @@ class BatchExecutor:
     # ------------------------------------------------------------ internals
     def _worker_payload(self) -> Tuple[RoutingGraph, SteinerOracle, BifurcationModel, int]:
         """The read-only state priming pool workers: the constructor
-        arguments of their serial executor."""
+        arguments of their inline executor."""
         return (self.graph, self.oracle, self.bifurcation, self.seed)
 
     def _route_chunk(
         self,
         chunk: Tuple[np.ndarray, List[NetTask]],
         context: Optional[OracleCostContext] = None,
-    ) -> List[TreeRecord]:
+    ) -> List[Tuple[TreeRecord, float]]:
         """The map task on both sides of the process boundary: route one
-        chunk's nets in this process (the only per-net loop), records
-        aligned with the chunk."""
+        chunk's nets in this process (the only per-net loop); returns each
+        net's tree record and solve seconds, aligned with the chunk."""
         costs, tasks = chunk
         if context is None:
             # The whole chunk shares one cost vector, so the per-net
@@ -500,14 +583,14 @@ class BatchExecutor:
             # The context's (contiguous) array is the canonical batch vector:
             # routing against it keeps the instance/context identity check hot.
             costs = context.cost
-        return [encode_tree(self._route_one(costs, task, context)) for task in tasks]
+        return [self._route_one(costs, task, context) for task in tasks]
 
     def _route_one(
         self,
         costs: np.ndarray,
         task: NetTask,
         context: Optional[OracleCostContext],
-    ) -> EmbeddedTree:
+    ) -> Tuple[TreeRecord, float]:
         instance = SteinerInstance.from_payload(
             self.graph,
             task.payload(costs, self.bifurcation),
@@ -518,23 +601,12 @@ class BatchExecutor:
         plan = faults.get_plan()
         if plan is not None:
             plan.sleep("slow-oracle")
-        if obs.get_tracer() is None:
-            return self.oracle.build(instance, rng)
-        # Per-net events exist only under an active tracer; the timing calls
-        # and record writes would otherwise tax the innermost loop for nothing.
         started = time.monotonic()
         tree = self.oracle.build(instance, rng)
-        obs.event(
-            "net",
-            net=task.name or task.rng_name,
-            sinks=len(task.sinks),
-            method=tree.method,
-            seconds=time.monotonic() - started,
-        )
-        return tree
+        return encode_tree(tree), time.monotonic() - started
 
 
 def batch_worker(payload) -> Callable:
     """The pool's worker factory (module level: children locate it under
-    every start method): a serial executor built from the payload."""
+    every start method): an inline executor built from the payload."""
     return BatchExecutor(*payload)._route_chunk

@@ -28,6 +28,11 @@ Two policies are provided:
 
 Both policies are fully deterministic: batch membership and order depend only
 on the netlist, the graph, and the scheduler parameters.
+
+The scheduler also predicts each net's oracle work, its sinks times the
+tiles of its halo-expanded box (:meth:`NetScheduler.net_work`): a static
+property of the input that tracks the solve time closely, from which the
+engine decides whether a batch is worth a worker pool.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ class NetScheduler:
             self._pin_box(net_index).expanded(halo, graph.nx, graph.ny)
             for net_index in range(netlist.num_nets)
         ]
+        self._work: List[int] = [
+            net.num_sinks * box.area() for net, box in zip(netlist.nets, self._boxes)
+        ]
 
     def _pin_box(self, net_index: int) -> BoundingBox:
         pins = self.netlist.nets[net_index].pins()
@@ -97,6 +105,12 @@ class NetScheduler:
     def net_box(self, net_index: int) -> BoundingBox:
         """The halo-expanded planar bounding box of one net."""
         return self._boxes[net_index]
+
+    def net_work(self, net_index: int) -> int:
+        """The predicted oracle work of one net: its sink count times the
+        tiles of its halo-expanded box (one search per sink, each over
+        roughly that region)."""
+        return self._work[net_index]
 
     def conflict(self, a: int, b: int) -> bool:
         """Whether nets ``a`` and ``b`` may compete for routing resources."""

@@ -31,7 +31,6 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequen
 from repro import faults, obs
 from repro.core.oracle import SteinerOracle
 from repro.engine.engine import CACHE_SCOPES, SCHEDULING_POLICIES, EngineConfig
-from repro.engine.executor import EXECUTOR_BACKENDS
 from repro.instances.chips import CHIP_SUITE, ChipSpec
 from repro.router.oracles import ORACLES, make_oracle
 from repro.router.router import GlobalRouterConfig
@@ -140,12 +139,11 @@ FIELDS: Dict[str, FlowField] = {
     ),
     "rounds": FlowField(POSITIVE_INT, "resource-sharing rounds", "num_rounds"),
     "seed": FlowField(INTEGER, "routing seed", "seed"),
-    "backend": FlowField(
-        _choice(EXECUTOR_BACKENDS), "engine executor backend", "engine.backend", neutral=True
-    ),
     "workers": FlowField(
         POSITIVE_INT,
-        "worker processes for the process backend (default: auto)",
+        "engine batch pool size (default: the usable CPUs; 1 = every batch in-process); "
+        "a pool takes only the batches whose predicted work pays for it "
+        "(results are bit-identical either way)",
         "engine.num_workers",
         neutral=True,
     ),

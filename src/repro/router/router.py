@@ -65,10 +65,10 @@ class GlobalRouterConfig:
         Seed for the oracle's randomised choices.  Every net gets a private
         RNG stream derived from ``(seed, net name)`` (see
         :mod:`repro.engine.rng`), so trees are independent of routing order
-        and of net indices, and identical across engine backends.
+        and of net indices, and identical wherever a batch runs.
     engine:
-        Configuration of the batch-routing engine: executor backend
-        (``serial`` / ``process``), scheduling policy, and re-route cache.
+        Configuration of the batch-routing engine: batch pool size,
+        scheduling policy, and re-route cache.
     shards:
         Number of rectangular regions for multi-region (divide-and-conquer)
         routing.  ``1`` (default) keeps the classic single-region flow;
@@ -95,10 +95,10 @@ class GlobalRouterConfig:
         :mod:`repro.shard.executor`).  All values produce bit-identical
         results -- regions are independent by construction and their deltas
         are stitched in fixed region order -- so this knob, like the engine
-        backend, is excluded from checkpoint fingerprints.
+        pool size, is excluded from checkpoint fingerprints.
     shard_start_method:
         ``multiprocessing`` start method of the flow's worker pools -- the
-        shard layer's region pool and the engine's ``process`` backend
+        shard layer's region pool and the engine's batch pool
         (``"fork"`` / ``"spawn"`` / ``"forkserver"``); ``None`` prefers
         ``fork`` where available.
     """

@@ -80,9 +80,9 @@ def router_fingerprint(router: GlobalRouter) -> Dict[str, object]:
 
     Covers every configuration knob the remaining rounds depend on --
     bit-for-bit resume is only guaranteed when all of them match.  The
-    executor backend and worker count are deliberately *excluded*: all
-    backends produce identical trees (the engine's determinism contract),
-    so a run checkpointed under ``serial`` may resume under ``process``.
+    engine's worker count is deliberately *excluded*: inline and pooled
+    batches produce identical trees (the engine's determinism contract),
+    so a run checkpointed under one ``num_workers`` may resume under any.
     The shard layout is part of the identity only on the fast path, whose
     trees depend on it; parity-regime flows reproduce the unsharded router
     under every layout and keep ``None``, like an unsharded run.

@@ -150,7 +150,7 @@ class ServeDaemon:
         :attr:`address` after construction).
     job_workers:
         Concurrent routing jobs (each may itself fan out over a process
-        pool when its engine backend says so).
+        pool when its engine places a batch there).
     state_dir:
         Optional directory for job persistence across daemon restarts.
     """
@@ -616,7 +616,7 @@ class ServeDaemon:
             return {
                 "result": result.as_dict(),
                 "session": session_name,
-                "backend": session.config.engine.backend,
+                "backend": session.router.engine.backend,
             }
         router = GlobalRouter(graph, netlist, oracle, config)
         if checkpoint_path is not None:
@@ -625,7 +625,7 @@ class ServeDaemon:
         payload: Dict[str, object] = {
             "result": result.as_dict(),
             "session": None,
-            "backend": config.engine.backend,
+            "backend": router.engine.backend,
         }
         if config.shards > 1:
             stats = router.engine.stats

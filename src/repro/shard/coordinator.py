@@ -175,18 +175,13 @@ class _SubgraphScope:
         )
         # Scope subproblems are small and already run inside one round-start
         # snapshot; a process pool per scope would cost more in priming than
-        # it returns, so scope engines always execute serially (the global
-        # seam pass still uses the configured backend).
+        # it returns, so scope engines always route inline (the global seam
+        # engine places its batches like any engine).
         self._spec: Dict[str, object] = {
             "graph": self.sub_graph,
             "netlist": self.sub_netlist,
             "cost_refresh_interval": max(1, len(nets)),
-            "config": replace(
-                coordinator.config,
-                backend="serial",
-                num_workers=None,
-                scheduling="window",
-            ),
+            "config": replace(coordinator.config, num_workers=1, scheduling="window"),
         }
         self.runner = _RegionRunner(self._spec, coordinator.runner_shared)
         #: The re-route cache's state between rounds -- the signature each
@@ -605,6 +600,12 @@ class ShardCoordinator:
             )
         )
 
+    @property
+    def backend(self) -> str:
+        """Where engine batches ran: scope engines route inline, so only the
+        global seam engine can have pooled one."""
+        return self.seam_engine.backend
+
     def close(self) -> None:
         """Release every sub-engine and the region pool (idempotent).
 
@@ -653,6 +654,7 @@ class ShardCoordinator:
             report.nets_routed += last.nets_routed
             report.nets_cached += last.nets_cached
             report.nets_replayed += last.nets_replayed
+            report.batches_pooled += last.batches_pooled
         report.walltime_seconds = time.monotonic() - started
         return report
 

@@ -25,6 +25,7 @@ from repro import faults
 from repro.core.cost_distance import CostDistanceSolver
 from repro.engine.engine import EngineConfig
 from repro import obs
+from repro.engine import executor as executor_module
 from repro.engine.executor import BatchExecutor, WorkerPool, batch_worker
 from repro.grid.graph import build_grid_graph
 from repro.instances.generator import NetlistGeneratorConfig, generate_netlist
@@ -82,17 +83,19 @@ class TestFaultParityBattery:
     @pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-    def test_killed_worker_changes_nothing(self, seed, shards, fault_round):
+    def test_killed_worker_changes_nothing(self, seed, shards, fault_round, monkeypatch):
         graph, netlist = random_design(seed)
         if shards == 1:
-            # K=1 exercises the engine's batch pool (kill-pool-worker).
+            # K=1 exercises the engine's batch pool (kill-pool-worker), on
+            # every multi-net batch of the small design.
+            monkeypatch.setattr(executor_module, "POOL_BREAK_EVEN", 0)
             clean_router, clean = run_router(graph, netlist, num_rounds=3)
             faults.install_plan(f"kill-pool-worker:round={fault_round}")
             chaos_router, chaos = run_router(
                 graph,
                 netlist,
                 num_rounds=3,
-                engine=EngineConfig(backend="process", num_workers=2),
+                engine=EngineConfig(num_workers=2),
             )
         else:
             # K>1 exercises the shard layer's region pool.
@@ -116,7 +119,7 @@ class TestFaultParityBattery:
         )
         assert_bit_identical(clean_router, clean, chaos_router, chaos)
 
-    def test_slow_oracle_changes_nothing(self):
+    def test_slow_oracle_changes_nothing(self, pool_every_batch):
         graph, netlist = random_design(17, num_nets=12, nx=10, ny=10)
         clean_router, clean = run_router(graph, netlist, num_rounds=2)
         faults.install_plan("slow-oracle:ms=1")
@@ -124,7 +127,7 @@ class TestFaultParityBattery:
             graph,
             netlist,
             num_rounds=2,
-            engine=EngineConfig(backend="process", num_workers=2),
+            engine=EngineConfig(num_workers=2),
         )
         assert_bit_identical(clean_router, clean, chaos_router, chaos)
 
@@ -141,7 +144,7 @@ class TestKillThenResume:
     @pytest.mark.slow
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-    def test_kill_checkpoint_resume_parity(self, tmp_path, seed, shards):
+    def test_kill_checkpoint_resume_parity(self, tmp_path, seed, shards, monkeypatch):
         graph, netlist = random_design(seed)
         rounds = 3
         interrupt_after = 1  # 0-based round whose checkpoint the resume uses
@@ -150,8 +153,9 @@ class TestKillThenResume:
         if shards == 1:
             clean_router, clean = run_router(graph, netlist, num_rounds=rounds)
             fault = "kill-pool-worker:round=2"
+            monkeypatch.setattr(executor_module, "POOL_BREAK_EVEN", 0)
             chaos_config = dict(
-                num_rounds=rounds, engine=EngineConfig(backend="process", num_workers=2)
+                num_rounds=rounds, engine=EngineConfig(num_workers=2)
             )
         else:
             clean_router, clean = run_router(

@@ -13,7 +13,7 @@ class TestParser:
         args = build_parser().parse_args([])
         assert args.chip == "c1"
         assert args.oracle == "CD"
-        assert args.backend == "serial"
+        assert args.workers is None  # auto: the engine places each batch
         assert not args.cache
 
     def test_rejects_unknown_chip(self):

@@ -1,6 +1,7 @@
 """Tests for the batch-routing engine (scheduler, executors, cache, façade)."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.core.cost_distance import CostDistanceSolver
 from repro.core.instance import SteinerInstance, instance_signature
 from repro.engine.cache import RerouteCache
 from repro.engine.engine import EngineConfig
-from repro.engine.executor import EXECUTOR_BACKENDS, BatchExecutor, NetTask
+from repro.engine.executor import POOL_BREAK_EVEN, BatchExecutor, NetTask, balanced_chunks
 from repro.engine.rng import NET_STREAM_STRIDE, derive_net_rng, net_stream_seed
 from repro.engine.scheduler import BoundingBox, NetScheduler
 from repro.grid.congestion import CongestionMap
@@ -161,7 +162,8 @@ class TestExecutors:
             graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         ) as process:
             expected = serial.route_batch(costs, tasks)
-            actual = process.route_batch(costs, tasks)
+            actual = process.route_batch(costs, tasks, pooled=True)
+            assert process.pool.used
         assert sorted(actual) == sorted(expected)
         for net_index, tree in expected.items():
             assert actual[net_index].edges == tree.edges
@@ -174,42 +176,38 @@ class TestExecutors:
         process = BatchExecutor(
             graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         )
-        trees = process.route_batch(costs, tasks[:1])
+        assert not process.pools(1, 10 * POOL_BREAK_EVEN)
+        trees = process.route_batch(costs, tasks[:1], pooled=True)
         assert not process.pool.used  # inline fast path, no pool spawned
         assert len(trees) == 1
         process.close()
 
-    def test_backend_selection(self, setup):
-        graph, *_ = setup
+    def test_backend_reports_where_batches_ran(self, setup, pool_every_batch):
+        graph, tasks, costs = setup
         oracle = CostDistanceSolver()
-        assert EXECUTOR_BACKENDS == ("serial", "process")
-        assert BatchExecutor(graph, oracle, BifurcationModel(), 0).backend == "serial"
-        assert (
-            BatchExecutor(graph, oracle, BifurcationModel(), 0, workers=3).backend
-            == "process"
-        )
+        with BatchExecutor(graph, oracle, BifurcationModel(), 0, workers=3) as process:
+            assert process.backend == "serial"  # nothing pooled yet
+            process.route_batch(costs, tasks, pooled=False)
+            assert process.backend == "serial"
+            process.route_batch(costs, tasks, pooled=True)
+            assert process.backend == "process"
         with pytest.raises(ValueError, match="positive"):
             BatchExecutor(graph, oracle, BifurcationModel(), 0, workers=0)
-        with pytest.raises(ValueError, match="thread"):
-            EngineConfig(backend="thread")
         netlist = tiny_netlist()
-        for backend, workers, expected in (
-            ("serial", 4, "serial"),  # num_workers is a process-backend knob
-            ("process", 2, "process"),
-        ):
+        for workers, expected in ((1, "serial"), (2, "process")):
             router = GlobalRouter(
                 graph, netlist, oracle,
-                GlobalRouterConfig(engine=EngineConfig(backend=backend, num_workers=workers)),
+                GlobalRouterConfig(engine=EngineConfig(num_workers=workers)),
             )
-            assert router.engine.executor.backend == expected
-            router.engine.close()
+            router.run()
+            assert router.engine.backend == expected
 
     def test_close_is_idempotent(self, setup):
         graph, tasks, costs = setup
         process = BatchExecutor(
             graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         )
-        process.route_batch(costs, tasks)
+        process.route_batch(costs, tasks, pooled=True)
         process.close()
         process.close()
 
@@ -230,7 +228,7 @@ class TestExecutors:
             graph, CostDistanceSolver(), BifurcationModel(), 0, workers=2
         ) as process:
             with caplog.at_level(logging.WARNING, logger="repro.obs.pool"):
-                actual = process.route_batch(costs, tasks)
+                actual = process.route_batch(costs, tasks, pooled=True)
             degradations = [
                 rec
                 for rec in caplog.records
@@ -241,11 +239,158 @@ class TestExecutors:
             caplog.clear()
             # The degradation is remembered: no second record, same trees.
             with caplog.at_level(logging.WARNING, logger="repro.obs.pool"):
-                again = process.route_batch(costs, tasks)
+                again = process.route_batch(costs, tasks, pooled=True)
             assert not [r for r in caplog.records if r.name == "repro.obs.pool"]
         for net_index, tree in expected.items():
             assert actual[net_index].edges == tree.edges
             assert again[net_index].edges == tree.edges
+
+
+def _sinks_task(position, sinks):
+    return NetTask(position, 0, tuple(range(1, sinks + 1)), (0.0,) * sinks, f"t/{position}")
+
+
+class TestPlacement:
+    """Where a batch runs: the rule of ``BatchExecutor.pools`` and the
+    sink-balanced chunks of a pooled batch."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return build_grid_graph(6, 6, 2)
+
+    def executor(self, graph, workers, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0, workers=workers)
+
+    def test_auto_pools_from_the_break_even(self, graph, monkeypatch):
+        auto = self.executor(graph, None, 2, monkeypatch)
+        assert auto.pool.workers == 2
+        assert not auto.pools(8, POOL_BREAK_EVEN - 1)
+        assert auto.pools(8, POOL_BREAK_EVEN)
+        assert not auto.pools(1, 10 * POOL_BREAK_EVEN)  # one net: nothing to overlap
+
+    def test_auto_on_one_cpu_stays_inline(self, graph, monkeypatch):
+        auto = self.executor(graph, None, 1, monkeypatch)
+        assert auto.pool.workers == 1
+        assert not auto.pools(8, 10 * POOL_BREAK_EVEN)
+
+    def test_one_worker_never_pools(self, graph, monkeypatch):
+        inline = self.executor(graph, 1, 8, monkeypatch)
+        assert not inline.pools(8, 10 * POOL_BREAK_EVEN)
+
+    def test_explicit_pool_size_keeps_the_rule(self, graph, monkeypatch):
+        """``workers=k`` only sizes the pool (on any CPU count): small
+        batches still stay inline."""
+        sized = self.executor(graph, 4, 1, monkeypatch)
+        assert sized.pool.workers == 4
+        assert not sized.pools(8, POOL_BREAK_EVEN - 1)
+        assert sized.pools(2, POOL_BREAK_EVEN)
+        assert not sized.pools(1, 10 * POOL_BREAK_EVEN)
+
+    def test_lpt_chunks_balance_sinks(self):
+        tasks = [_sinks_task(i, sinks) for i, sinks in enumerate((9, 8, 1, 1, 1, 1, 1, 1, 1))]
+        chunks = balanced_chunks(tasks, 2)
+        # Largest first into the least-loaded chunk; ties: the lower chunk.
+        assert chunks == [[0, 3, 5, 7], [1, 2, 4, 6, 8]]
+        loads = [sum(len(tasks[i].sinks) for i in chunk) for chunk in chunks]
+        assert loads == [12, 12]  # contiguous halves: [19, 5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=30), st.integers(1, 6))
+    def test_lpt_chunks_partition_the_batch(self, sinks, count):
+        tasks = [_sinks_task(i, n) for i, n in enumerate(sinks)]
+        chunks = balanced_chunks(tasks, count)
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(len(tasks)))
+        assert all(chunk == sorted(chunk) for chunk in chunks)
+        assert len(chunks) == min(count, len(tasks))
+        loads = [sum(sinks[i] for i in chunk) for chunk in chunks]
+        # LPT: no chunk exceeds the least-loaded one by more than one net.
+        assert max(loads) - min(loads) <= max(sinks)
+
+    def test_pooled_chunks_route_the_inline_trees(self):
+        netlist = tiny_netlist()
+        graph = build_grid_graph(10, 10, 4)
+        tasks = []
+        for i in range(netlist.num_nets):
+            root, sinks = netlist.net_terminals(graph, i)
+            tasks.append(NetTask(i, root, tuple(sinks), tuple([0.2] * len(sinks)), f"t/{i}"))
+        costs = graph.base_cost_array()
+        inline = BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0, workers=1)
+        with BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0, workers=3) as pool:
+            pooled = pool.route_batch(costs, tasks, pooled=True)
+        expected = inline.route_batch(costs, tasks)
+        assert {i: t.edges for i, t in pooled.items()} == {i: t.edges for i, t in expected.items()}
+
+
+class TestMixedPlacement:
+    """c1 with a break-even at its median batch work: some batches pool,
+    some stay inline, and every worker setting routes the same bits."""
+
+    @staticmethod
+    def route(engine, monkeypatch, tmp_path=None):
+        from repro import obs
+        from repro.core.tree import encode_tree
+        from repro.engine import executor as executor_module
+        from repro.instances.chips import CHIP_SUITE, build_chip
+        from repro.router.metrics import PARITY_FIELDS
+
+        graph, netlist = build_chip(CHIP_SUITE[0])
+        scheduler = NetScheduler(graph, netlist)
+        works = sorted(
+            sum(scheduler.net_work(net) for net in batch.nets)
+            for batch in scheduler.schedule(window_size=8)
+        )
+        monkeypatch.setattr(executor_module, "POOL_BREAK_EVEN", works[len(works) // 2])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        registry = obs.MetricsRegistry()
+        if tmp_path is not None:
+            obs.configure_tracing(str(tmp_path / "trace.jsonl"))
+        try:
+            with obs.use_registry(registry):
+                router = GlobalRouter(
+                    graph, netlist, CostDistanceSolver(),
+                    GlobalRouterConfig(num_rounds=2, dbif=None, engine=engine),
+                )
+                result = router.run()
+        finally:
+            if tmp_path is not None:
+                obs.close_tracing()
+        return (
+            [getattr(result, f) for f in PARITY_FIELDS],
+            [encode_tree(tree) for tree in router.trees],
+            router,
+            registry.snapshot()["counters"],
+        )
+
+    def test_default_one_and_two_workers_route_the_same_bits(self, monkeypatch):
+        default, default_trees, router, counters = self.route(EngineConfig(), monkeypatch)
+        pooled = sum(r.batches_pooled for r in router.engine.round_reports)
+        batches = sum(r.num_batches for r in router.engine.round_reports)
+        assert 0 < pooled < batches
+        assert counters["engine.batches_pooled"] == pooled
+        assert router.engine.backend == "process"
+        for workers, expected_pooled in ((1, 0), (2, pooled)):
+            metrics, trees, other, _ = self.route(EngineConfig(num_workers=workers), monkeypatch)
+            assert metrics == default and trees == default_trees, workers
+            assert sum(r.batches_pooled for r in other.engine.round_reports) == expected_pooled
+
+    def test_pooled_solves_stay_visible_in_the_trace(self, monkeypatch, tmp_path):
+        from repro.obs.summary import load_trace
+
+        _, _, router, counters = self.route(EngineConfig(), monkeypatch, tmp_path)
+        records = load_trace(str(tmp_path / "trace.jsonl"))
+        spans = {r["span_id"]: r for r in records if r["type"] == "span"}
+        batches = [span for span in spans.values() if span["name"] == "batch"]
+        assert {span["attrs"]["pooled"] for span in batches} == {True, False}
+        nets = [r for r in records if r["type"] == "event" and r["name"] == "net"]
+        # One event per oracle call, pooled or not, each under its batch span.
+        assert len(nets) == counters["engine.oracle_calls"] == 2 * router.netlist.num_nets
+        assert all(spans[event["parent_id"]]["name"] == "batch" for event in nets)
+        assert all(event["attrs"]["seconds"] > 0 for event in nets)
+        pooled_nets = [
+            event for event in nets if spans[event["parent_id"]]["attrs"]["pooled"]
+        ]
+        assert pooled_nets
 
 
 class TestCongestionSnapshot:
@@ -610,15 +755,10 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(num_workers=0)
 
-    def test_unknown_backend_rejected_at_router_construction(self):
-        graph = build_grid_graph(10, 10, 4)
-        with pytest.raises(ValueError):
-            GlobalRouter(
-                graph,
-                tiny_netlist(),
-                CostDistanceSolver(),
-                GlobalRouterConfig(engine=EngineConfig(backend="gpu")),
-            )
+    def test_backend_option_is_gone(self):
+        """Where a batch runs is the engine's decision, not an option."""
+        with pytest.raises(TypeError, match="backend"):
+            EngineConfig(backend="process")  # type: ignore[call-arg]
 
 
 class TestEngineIntegration:
@@ -626,7 +766,7 @@ class TestEngineIntegration:
 
     @pytest.fixture(scope="class")
     def serial_result(self):
-        return run_router(self.DIMS, EngineConfig())
+        return run_router(self.DIMS, EngineConfig(num_workers=1))
 
     def test_serial_baseline_routes_everything(self, serial_result):
         router, result = serial_result
@@ -635,12 +775,11 @@ class TestEngineIntegration:
         reports = router.engine.round_reports
         assert [r.nets_routed for r in reports] == [4, 4]
 
-    def test_process_backend_parity(self, serial_result):
+    def test_pooled_parity(self, serial_result, pool_every_batch):
         _, expected = serial_result
-        _, actual = run_router(
-            self.DIMS, EngineConfig(backend="process", num_workers=2)
-        )
+        router, actual = run_router(self.DIMS, EngineConfig(num_workers=2))
         assert result_key(actual) == result_key(expected)
+        assert router.engine.backend == "process"
 
     def test_cache_parity_and_hits(self, serial_result):
         _, expected = serial_result
@@ -659,11 +798,11 @@ class TestEngineIntegration:
         )
         assert result_key(actual) == result_key(expected)
 
-    def test_bbox_scheduling_backend_parity(self):
-        _, serial = run_router(self.DIMS, EngineConfig(scheduling="bbox"))
+    def test_bbox_scheduling_backend_parity(self, pool_every_batch):
+        _, serial = run_router(self.DIMS, EngineConfig(scheduling="bbox", num_workers=1))
         _, process = run_router(
             self.DIMS,
-            EngineConfig(scheduling="bbox", backend="process", num_workers=2),
+            EngineConfig(scheduling="bbox", num_workers=2),
         )
         assert result_key(serial) == result_key(process)
 

@@ -77,7 +77,6 @@ FLAG_STRATEGIES = {
     "oracle": _choices("oracle"),
     "rounds": st.integers(1, 9),
     "seed": st.integers(-(2**31), 2**31),
-    "backend": _choices("backend"),
     "workers": st.integers(1, 8),
     "scheduling": _choices("scheduling"),
     "cache": st.booleans(),
@@ -153,14 +152,14 @@ def test_every_config_field_is_fingerprinted_or_declared_result_neutral():
     fields = {f.name for f in dataclasses.fields(GlobalRouterConfig)}
     fields |= {"engine." + f.name for f in dataclasses.fields(EngineConfig)}
     assert fields - seen == RESULT_NEUTRAL
-    assert {FIELDS[name].attr for name in ("backend", "workers", "shard_workers")} <= RESULT_NEUTRAL
+    assert {FIELDS[name].attr for name in ("workers", "shard_workers")} <= RESULT_NEUTRAL
 
 
 def test_option_inventory():
     """The flow's settable options, by name: adding or removing a knob is a
     deliberate edit of this test."""
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {
-        "backend", "num_workers", "scheduling", "reroute_cache", "cache_scope",
+        "num_workers", "scheduling", "reroute_cache", "cache_scope",
     }
     assert {f.name for f in dataclasses.fields(GlobalRouterConfig)} == {
         "num_rounds", "dbif", "cost_refresh_interval", "seed", "engine", "shards",
@@ -229,7 +228,8 @@ class TestParsersAgree:
     def test_submit_rejects_a_mistyped_choice_before_any_socket(self, capsys):
         for argv, message in (
             (["--oracle", "XX"], "invalid choice"),
-            (["--backend", "thread"], "invalid choice"),
+            # Where batches run is the engine's decision, not an option.
+            (["--backend", "process"], "unrecognized arguments: --backend"),
             (["--cache-scope", "die"], "invalid choice"),
             (["--net-scale", "inf"], "must be a positive number, got 'inf'"),
         ):
@@ -266,7 +266,8 @@ class TestDaemonRefusesAtSubmit:
             ({"rounds": 2.9}, "rounds must be a positive integer, got 2.9"),  # routed 2
             ({"rounds": True}, "rounds must be a positive integer, got True"),  # routed 1
             # failed late with a bare "TypeError: '<' not supported ..."
-            ({"backend": "process", "workers": "2"}, "workers must be a positive integer"),
+            ({"workers": "2"}, "workers must be a positive integer"),
+            ({"backend": "process"}, "unknown route param 'backend'"),
         ],
     )
     def test_route_job(self, client, params, message):

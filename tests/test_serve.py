@@ -188,13 +188,13 @@ class TestCheckpoint:
         )
         with pytest.raises(CheckpointError, match="scheduling"):
             load_checkpoint(path).restore(different_scheduling)
-        # ... while the executor backend may change freely: every backend
-        # produces identical trees.
-        different_backend = make_router(
-            num_rounds=2, engine=EngineConfig(backend="process", num_workers=2)
+        # ... while the worker count may change freely: inline and pooled
+        # batches produce identical trees.
+        different_workers = make_router(
+            num_rounds=2, engine=EngineConfig(num_workers=2)
         )
-        load_checkpoint(path).restore(different_backend)
-        assert different_backend.rounds_completed == 2
+        load_checkpoint(path).restore(different_workers)
+        assert different_workers.rounds_completed == 2
 
     def test_unreadable_checkpoints_rejected(self, tmp_path):
         missing = str(tmp_path / "nope.ckpt")
@@ -521,14 +521,19 @@ class TestDaemon:
         assert payload["nets_reused"] > 0
         assert client.sessions()[0]["generation"] == 2
 
-    def test_process_backend_pool_never_forks_the_daemon(self, daemon, client):
+    def test_batch_pool_never_forks_the_daemon(self, daemon, client, monkeypatch):
         """The daemon is multi-threaded, so the start-method pin it sets on
         every job must reach the engine's batch pool too, not only the
         region pool -- and the pooled job routes the serial job's bits."""
+        from repro.engine import executor
+
         params = dict(chip="c1", net_scale=0.3, rounds=2)
         serial = client.wait(client.submit_route(session="serial", **params), timeout=300.0)
+        # c1's batches are far below the break-even: lower it so the pooled
+        # job's batches really run on its pool.
+        monkeypatch.setattr(executor, "POOL_BREAK_EVEN", 0)
         pooled = client.wait(
-            client.submit_route(session="pooled", backend="process", workers=2, **params),
+            client.submit_route(session="pooled", workers=2, **params),
             timeout=300.0,
         )
         assert serial["status"] == pooled["status"] == JobState.DONE
@@ -536,7 +541,7 @@ class TestDaemon:
         pool = daemon.sessions["pooled"].router.engine.executor.pool
         assert pool.workers == 2
         assert pool.start_method in ("forkserver", "spawn")
-        assert daemon.sessions["serial"].router.engine.executor.pool.workers == 1
+        assert serial["result"]["backend"] == "serial"  # c1 batches stay inline
         want = RoutingResult.from_dict(serial["result"]["result"])
         got = RoutingResult.from_dict(pooled["result"]["result"])
         for field in PARITY_FIELDS:

@@ -500,6 +500,9 @@ class TestOneShardingPathOnePoolLifecycle:
         "_record_" "instance",
         "_record_" "scope",
         "record_" "delay",
+        # The engine places each batch itself: no backend option.
+        "EXECUTOR_" "BACKENDS",
+        "config." "backend",
     )
 
     @staticmethod
@@ -622,8 +625,10 @@ class TestServeShardJobs:
         else:
             assert payload["region_backend"] in ("process", "serial")
 
-    def test_shard_job_pool_with_process_backend_degrades_nested_pools(self, daemon):
-        """backend=process plus a region pool: pool workers are daemonic
+    def test_shard_job_pool_with_batch_pool_degrades_nested_pools(
+        self, daemon, pool_every_batch
+    ):
+        """workers=2 plus a region pool: pool workers are daemonic
         and could not start engine pools of their own, so region engines
         run serial inside them (the seam pass keeps the engine pool); the
         job must finish, with the bits of the all-serial flow."""
@@ -632,7 +637,7 @@ class TestServeShardJobs:
         client.wait_until_up()
         job_id = client.submit_route(
             chip="c1", net_scale=0.3, rounds=1, shards=4,
-            shard_workers=2, backend="process",
+            shard_workers=2, workers=2,
         )
         record = client.wait(job_id, timeout=300)
         assert record["status"] == "done", record

@@ -9,6 +9,11 @@ histogram sample per task -- everything a registry snapshot can carry.
 
 import logging
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.cost_distance import CostDistanceSolver
-from repro.engine.executor import WorkerPool
+from repro.engine.executor import PARENT_POLL_SECONDS, WorkerPool
 from repro.grid.graph import build_grid_graph
 from repro.instances.generator import NetlistGeneratorConfig, generate_netlist
 from repro.router.router import GlobalRouter, GlobalRouterConfig
@@ -132,6 +137,77 @@ class TestWorkerPoolMap:
         pool.close()
         assert not pool.active
         assert pool.used == started  # ``used`` survives close
+
+
+ORPHAN_SCRIPT = """
+import multiprocessing, os, sys, threading, time
+from repro.engine.executor import WorkerPool
+
+
+def build(payload):
+    def route(task):
+        time.sleep(task)  # a long chunk, still running when the parent dies
+        return os.getpid()
+
+    return route
+
+
+if __name__ == "__main__":
+    pool = WorkerPool("toy", "no pool here", workers=2, start_method=sys.argv[1])
+    if not pool.start(lambda: None, build, 2):
+        sys.exit(3)
+    work = threading.Thread(
+        target=pool.map, args=([600, 600], lambda: None, build, os.getpid), daemon=True
+    )
+    work.start()
+    time.sleep(1.0)  # both tasks dispatched
+    print(" ".join(str(child.pid) for child in multiprocessing.active_children()), flush=True)
+    os._exit(13)  # a hard crash: no close(), no atexit, no finalizers
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie is not: it ran its exit)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+@pytest.mark.parametrize(
+    "start_method",
+    [m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()],
+)
+def test_workers_exit_when_the_parent_dies_hard(tmp_path, start_method):
+    """A parent that dies without closing its pool (``os._exit``, SIGKILL)
+    leaves no worker behind: each notices within a bounded time and exits,
+    even mid-task (an orphan would otherwise finish its chunk, or -- idle,
+    its task queue held open by a sibling pool's inherited descriptors --
+    wait forever)."""
+    script = tmp_path / "orphan.py"
+    script.write_text(ORPHAN_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # Files, not pipes: a surviving worker would hold a pipe open forever.
+    out, err = tmp_path / "pids", tmp_path / "stderr"
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        crashed = subprocess.run(
+            [sys.executable, str(script), start_method],
+            stdout=stdout, stderr=stderr, env=env, timeout=120,
+        )
+    workers = [int(pid) for pid in out.read_text().split()]
+    try:
+        assert crashed.returncode == 13, err.read_text()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10 * PARENT_POLL_SECONDS + 5.0
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        for pid in workers:  # never leak a survivor past the test
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def random_design(seed, num_nets):
