@@ -152,7 +152,8 @@ class ServeDaemon:
         Concurrent routing jobs (each may itself fan out over a process
         pool when its engine places a batch there).
     state_dir:
-        Optional directory for job persistence across daemon restarts.
+        Optional directory for job persistence across daemon restarts:
+        the job table ``jobs.sqlite3`` and the jobs' auto-checkpoints.
     """
 
     def __init__(
@@ -240,6 +241,7 @@ class ServeDaemon:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
         self._pool.shutdown(wait=True, cancel_futures=True)
+        self.store.close()
         if self._owns_global_bus and obs.get_bus() is self.bus:
             obs.configure_bus(None)
 
@@ -381,8 +383,11 @@ class ServeDaemon:
 
     def _op_shutdown(self, request: Dict[str, object]) -> Dict[str, object]:
         # Respond first, then tear down from a separate thread so the
-        # handler's socket write is not racing the server close.
-        threading.Thread(target=self.shutdown, name="repro-serve-stop").start()
+        # handler's socket write is not racing the server close.  Not a
+        # daemon thread (the default for a handler thread's child): the
+        # process must not exit before the job pool drains and the store
+        # closes.
+        threading.Thread(target=self.shutdown, name="repro-serve-stop", daemon=False).start()
         return {"ok": True, "stopping": True}
 
     # ------------------------------------------------------------- watching

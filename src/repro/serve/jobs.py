@@ -3,26 +3,38 @@
 A :class:`Job` is one unit of routing work (a full route or an ECO delta)
 travelling through ``queued -> running -> done | failed | cancelled``.  The
 :class:`JobStore` is thread-safe (the daemon mutates it from its worker pool
-and reads it from socket handler threads) and optionally *persistent*: given
-a state directory it mirrors every job to one JSON file, so a restarted
-daemon still answers ``status``/``result`` for jobs of previous lifetimes.
+and reads it from socket handler threads) and keeps every job as one row of
+an SQLite table: in ``<state_dir>/jobs.sqlite3`` when given a state
+directory, so a restarted daemon still answers ``status``/``result`` for
+jobs of previous lifetimes, in memory otherwise.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-__all__ = ["HISTORY_LIMIT", "JobState", "Job", "JobStore", "JobCancelled"]
+from repro import obs
+
+__all__ = ["DB_NAME", "HISTORY_LIMIT", "JobState", "Job", "JobStore", "JobCancelled"]
 
 #: Per-job bound on retained round-history samples (drop-oldest), matching
 #: the router's own RoundSeries bound in spirit: generous for real flows,
 #: finite for persistence.
 HISTORY_LIMIT = 256
+
+#: The job table's file name inside a state directory.
+DB_NAME = "jobs.sqlite3"
+
+#: SQLite page cache per store, in KiB.  The table is written far more
+#: often than it is read back, so a small fixed cache costs nothing; the
+#: 2 MiB default shows in the daemon's peak RSS.
+_CACHE_KIB = 256
 
 
 class JobCancelled(Exception):
@@ -107,18 +119,29 @@ class Job:
             progress=record.get("progress"),  # type: ignore[arg-type]
             result=record.get("result"),  # type: ignore[arg-type]
             error=record.get("error"),  # type: ignore[arg-type]
-            history=list(record.get("history") or []),  # type: ignore[arg-type]
+            history=[
+                dict(sample) for sample in record.get("history") or []  # type: ignore[union-attr]
+            ],
         )
 
 
 class JobStore:
-    """Thread-safe registry of jobs with optional JSON persistence.
+    """Thread-safe registry of jobs, one SQLite row per job.
+
+    Every transition is one ``INSERT OR REPLACE`` of the job's row, made
+    under the store lock before the new state can be read, so whatever a
+    reader sees is already committed.  Only jobs still queued or running
+    stay in memory as :class:`Job` objects; ``get``, ``snapshot`` and
+    ``history`` of a finished job read its row and return a detached copy.
 
     Parameters
     ----------
     state_dir:
-        When given, every job is mirrored to ``<state_dir>/<job_id>.json``
-        on each state change, and existing files are loaded on startup.
+        When given, the table lives in ``<state_dir>/jobs.sqlite3`` (WAL
+        journal, ``synchronous=NORMAL``: a committed transition survives a
+        killed daemon, a power loss can lose the last commits but never
+        tears a record) and is loaded on startup.  Without one it lives in
+        memory.  Per-job ``.json`` files of older daemons are not read.
     adopt:
         What happens to jobs found in a non-terminal state (interrupted
         by a daemon crash or shutdown).  ``False`` (default) marks them
@@ -132,14 +155,45 @@ class JobStore:
 
     def __init__(self, state_dir: Optional[str] = None, adopt: bool = False) -> None:
         self._lock = threading.Lock()
-        self._jobs: Dict[str, Job] = {}
+        #: The queued and running jobs; finished ones live only in the table.
+        self._live: Dict[str, Job] = {}
+        self._counts: Dict[str, int] = {}
         self._counter = 0
         self.state_dir = state_dir
         #: Ids of interrupted jobs re-queued by ``adopt=True``, in id order.
         self.adopted_jobs: List[str] = []
+        path = ":memory:"
         if state_dir:
             os.makedirs(state_dir, exist_ok=True)
-            self._load_existing(state_dir, adopt)
+            path = os.path.join(state_dir, DB_NAME)
+        self._db = _connect(path)
+        try:
+            self._load(adopt)
+        except sqlite3.DatabaseError as exc:
+            self._db.close()
+            if isinstance(exc, sqlite3.OperationalError):
+                raise  # locked, unwritable, ...: a valid file is never moved aside
+            aside = f"{path}.corrupt-{time.strftime('%Y%m%d-%H%M%S')}"
+            for suffix in ("", "-wal", "-shm"):
+                if os.path.exists(path + suffix):
+                    os.replace(path + suffix, aside + suffix)
+            obs.get_logger("serve").warning(
+                "job database %s is not a database (%s); moved it to %s and started empty",
+                path,
+                exc,
+                aside,
+            )
+            self._live.clear()
+            self._counts.clear()
+            self._counter = 0
+            self.adopted_jobs.clear()
+            self._db = _connect(path)
+            self._load(adopt)
+
+    def close(self) -> None:
+        """Release the database connection (idempotent)."""
+        with self._lock:
+            self._db.close()
 
     # ----------------------------------------------------------- lifecycle
     def submit(self, kind: str, params: Dict[str, object]) -> Job:
@@ -147,8 +201,9 @@ class JobStore:
         with self._lock:
             self._counter += 1
             job = Job(job_id=f"job-{self._counter:05d}", kind=kind, params=params)
-            self._jobs[job.job_id] = job
-            self._persist(job)
+            self._write(job)
+            self._live[job.job_id] = job
+            self._count(job.status, 1)
             return job
 
     def mark_running(self, job_id: str) -> None:
@@ -176,23 +231,19 @@ class JobStore:
         :data:`HISTORY_LIMIT` (drop-oldest).
         """
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._live.get(job_id)
             if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            if job.status in JobState.TERMINAL:
+                self._finished(job_id)  # raises for unknown ids
                 return  # late sample after done/failed/cancelled: dropped
             job.history.append(dict(sample))
             if len(job.history) > HISTORY_LIMIT:
                 del job.history[: len(job.history) - HISTORY_LIMIT]
-            self._persist(job)
+            self._write(job)
 
     def history(self, job_id: str) -> List[Dict[str, object]]:
         """Detached copies of a job's round samples, oldest first."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            return [dict(sample) for sample in job.history]
+            return [dict(sample) for sample in self._lookup(job_id).history]
 
     def mark_done(self, job_id: str, result: Dict[str, object]) -> None:
         self._transition(
@@ -207,49 +258,38 @@ class JobStore:
 
     # ------------------------------------------------------------- queries
     def get(self, job_id: str) -> Job:
+        """The live job while it is queued or running, a detached copy of
+        its row once it has finished."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            return job
+            return self._lookup(job_id)
 
     def snapshot(self, job_id: str, with_result: bool = True) -> Dict[str, object]:
         """A consistent ``as_dict`` view taken under the store lock, so a
         reader can never observe a terminal status with its payload still
         missing."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            return job.as_dict(with_result=with_result)
+            return self._lookup(job_id).as_dict(with_result=with_result)
 
     def list(self) -> List[Job]:
         with self._lock:
-            return sorted(self._jobs.values(), key=lambda job: job.job_id)
+            return list(self._all())
 
     def snapshots(self, with_result: bool = False) -> List[Dict[str, object]]:
         """Consistent ``as_dict`` views of every job, in id order."""
         with self._lock:
-            return [
-                job.as_dict(with_result=with_result)
-                for job in sorted(self._jobs.values(), key=lambda job: job.job_id)
-            ]
+            return [job.as_dict(with_result=with_result) for job in self._all()]
 
     def counts(self) -> Dict[str, int]:
         """Number of jobs per state (for ping/health responses)."""
         with self._lock:
-            counts: Dict[str, int] = {}
-            for job in self._jobs.values():
-                counts[job.status] = counts.get(job.status, 0) + 1
-            return counts
+            return dict(self._counts)
 
     # ------------------------------------------------------------ internals
     def _transition(self, job_id: str, status: str, **fields: object) -> None:
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._live.get(job_id)
             if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            if job.status in JobState.TERMINAL:
+                self._finished(job_id)  # raises for unknown ids
                 return  # a finished job never changes state again
             # Payload fields land before the status flips so that even an
             # unlocked reader never sees "done" without its result.
@@ -257,33 +297,82 @@ class JobStore:
                 setattr(job, name, value)
             if status in JobState.TERMINAL and job.started_monotonic is not None:
                 job.duration_seconds = time.monotonic() - job.started_monotonic
-            job.status = status
-            self._persist(job)
+            previous, job.status = job.status, status
+            try:
+                self._write(job)
+            except BaseException:
+                job.status = previous  # a transition that did not commit did not happen
+                raise
+            self._count(previous, -1)
+            self._count(status, 1)
+            if status in JobState.TERMINAL:
+                del self._live[job_id]
 
-    def _persist(self, job: Job) -> None:
-        if not self.state_dir:
-            return
-        path = os.path.join(self.state_dir, f"{job.job_id}.json")
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(job.as_dict(with_history=True), handle)
-        os.replace(tmp_path, path)
+    def _write(self, job: Job) -> None:
+        """Commit ``job``'s row (the caller holds the lock)."""
+        started = time.perf_counter()
+        self._db.execute(
+            "INSERT OR REPLACE INTO jobs (job_id, status, record) VALUES (?, ?, ?)",
+            (job.job_id, job.status, json.dumps(job.as_dict(with_history=True))),
+        )
+        obs.observe("serve.store.write_ms", (time.perf_counter() - started) * 1e3)
+
+    def _count(self, status: str, delta: int) -> None:
+        count = self._counts.get(status, 0) + delta
+        if count:
+            self._counts[status] = count
+        else:
+            del self._counts[status]
+
+    def _lookup(self, job_id: str) -> Job:
+        job = self._live.get(job_id)
+        return job if job is not None else self._finished(job_id)
+
+    def _finished(self, job_id: str) -> Job:
+        """A detached copy of a finished job's row."""
+        row = self._db.execute(
+            "SELECT record FROM jobs WHERE job_id = ?", (job_id,)
+        ).fetchone()
+        job = _decode(job_id, row[0]) if row is not None else None
+        if job is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        return job
+
+    def _all(self) -> Iterator[Job]:
+        """Every job in id order: live objects, detached finished ones."""
+        for job_id, record in self._db.execute(
+            "SELECT job_id, record FROM jobs ORDER BY job_id"
+        ):
+            job = self._live.get(job_id) or _decode(job_id, record)
+            if job is not None:
+                yield job
 
     @staticmethod
     def _adoptable(job: Job) -> bool:
         """Whether an interrupted job can simply be re-run (see ``adopt``)."""
         return job.kind == "route"
 
-    def _load_existing(self, state_dir: str, adopt: bool = False) -> None:
-        for entry in sorted(os.listdir(state_dir)):
-            if not entry.endswith(".json"):
+    def _load(self, adopt: bool) -> None:
+        """Set the connection up and read every row once; rewrite only the
+        interrupted jobs, which are re-queued (``adopt``) or failed."""
+        for pragma in ("journal_mode=WAL", "synchronous=NORMAL", f"cache_size=-{_CACHE_KIB}"):
+            self._db.execute(f"PRAGMA {pragma}")
+        self._db.execute(
+            "CREATE TABLE IF NOT EXISTS jobs "
+            "(job_id TEXT PRIMARY KEY, status TEXT NOT NULL, record TEXT NOT NULL)"
+        )
+        interrupted: List[Job] = []
+        for job_id, record in self._db.execute(
+            "SELECT job_id, record FROM jobs ORDER BY job_id"
+        ):
+            self._counter = max(self._counter, _job_number(str(job_id)))
+            job = _decode(job_id, record)
+            if job is None:
+                # Unreadable leftovers never block a restart.
+                obs.get_logger("serve").warning(
+                    "skipping job row %r: its record is not a job", job_id
+                )
                 continue
-            path = os.path.join(state_dir, entry)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    job = Job.from_dict(json.load(handle))
-            except (OSError, json.JSONDecodeError, KeyError, ValueError):
-                continue  # unreadable leftovers never block a restart
             if job.status not in JobState.TERMINAL:
                 if adopt and self._adoptable(job):
                     job.status = JobState.QUEUED
@@ -293,15 +382,37 @@ class JobStore:
                     job.finished_at = None
                     job.duration_seconds = None
                     self.adopted_jobs.append(job.job_id)
+                    self._live[job.job_id] = job
                 else:
                     job.status = JobState.FAILED
                     job.error = "interrupted by daemon shutdown"
                     job.finished_at = job.finished_at or time.time()
-            self._jobs[job.job_id] = job
-            try:
-                number = int(job.job_id.rsplit("-", 1)[-1])
-            except ValueError:
-                number = 0
-            self._counter = max(self._counter, number)
-        for job in self._jobs.values():
-            self._persist(job)
+                interrupted.append(job)
+            self._count(job.status, 1)
+        for job in interrupted:
+            self._write(job)
+
+
+def _connect(path: str) -> sqlite3.Connection:
+    """The store's one connection, in autocommit mode: each statement is
+    its own transaction.  Every use is serialised by the store lock."""
+    return sqlite3.connect(path, check_same_thread=False, isolation_level=None)
+
+
+def _decode(job_id: str, record: str) -> Optional[Job]:
+    """The job a row holds, or ``None`` when its record is not one."""
+    try:
+        payload = json.loads(record)
+        if not isinstance(payload, dict):
+            return None
+        job = Job.from_dict(payload)
+    except (TypeError, ValueError, KeyError):
+        return None
+    return job if job.job_id == job_id else None
+
+
+def _job_number(job_id: str) -> int:
+    try:
+        return int(job_id.rsplit("-", 1)[-1])
+    except ValueError:
+        return 0

@@ -18,6 +18,8 @@ The randomized sweep runs a bounded subset by default and is widened by
 
 import json
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -34,6 +36,7 @@ from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.serve.checkpoint import checkpoint_hook, try_resume_router
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
+from repro.serve.jobs import DB_NAME
 
 #: Wide-sweep opt-in (nightly-style): more seeds, more fault rounds.
 SWEEP = os.environ.get("REPRO_TEST_SWEEP") == "1"
@@ -307,13 +310,17 @@ class TestDaemonReadoption:
         return job_id, job["result"]["result"]
 
     def _mark_interrupted(self, state_dir, job_id):
-        path = os.path.join(state_dir, f"{job_id}.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-        record["status"] = "running"
-        record["result"] = None
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
+        with closing(sqlite3.connect(os.path.join(state_dir, DB_NAME))) as db, db:
+            (text,) = db.execute(
+                "SELECT record FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+            record = json.loads(text)
+            record["status"] = "running"
+            record["result"] = None
+            db.execute(
+                "UPDATE jobs SET status = ?, record = ? WHERE job_id = ?",
+                ("running", json.dumps(record), job_id),
+            )
 
     def test_readopted_job_reaches_same_result(self, tmp_path):
         # shards=2: sharded daemon jobs run the shard coordinator, so they
