@@ -1,21 +1,16 @@
-"""Engine scaling: inline vs. pooled vs. auto-placed vs. cached batch routing.
+"""Engine scaling: plain vs. cached batch routing.
 
 Routes the smoke chip (``c1``) of the synthetic suite through the
-:class:`repro.engine.engine.RoutingEngine` in four modes -- every batch
-inline (``num_workers=1``), every multi-net batch on a 2-worker pool (the
-pool's break-even lowered to zero), the default per-batch placement, and
-inline with the incremental re-route cache
--- and records the walltime of each.  Walltimes are reported for inspection
-only (no regression gating: pure-Python multiprocessing break-even depends
-on the machine and on net count); what *is* asserted is the engine's
-determinism contract: every mode must reproduce identical ``RoutingResult``
-metrics bit for bit at ``seed=0``.
+:class:`repro.engine.engine.RoutingEngine` in two modes -- plain, and with
+the incremental re-route cache -- and records the walltime of each.
+Walltimes are reported for inspection only (no regression gating); what
+*is* asserted is the engine's determinism contract: both modes must
+reproduce identical ``RoutingResult`` metrics bit for bit at ``seed=0``.
 """
 
 import pytest
 
 from repro.core.cost_distance import CostDistanceSolver
-from repro.engine import executor
 from repro.engine.engine import EngineConfig
 from repro.instances.chips import CHIP_SUITE, build_chip, smoke_chip
 from repro.router.metrics import format_result_row
@@ -23,16 +18,13 @@ from repro.router.router import GlobalRouter, GlobalRouterConfig
 
 from benchmarks.conftest import bench_scale, write_result
 
-#: Engine modes recorded by the scaling benchmark, each with the pool
-#: break-even it runs under (``None``: the shipped one).  The cached mode uses the
+#: Engine modes recorded by the scaling benchmark.  The cached mode uses the
 #: exact (full-cost-digest) cache scope: parity with the serial baseline is
 #: *guaranteed* under it, whereas the default ``bbox`` scope is a (very good)
 #: heuristic that is not contractually bit-exact.
 ENGINE_MODES = (
-    ("serial", EngineConfig(num_workers=1), None),
-    ("parallel", EngineConfig(num_workers=2), 0),
-    ("auto", EngineConfig(), None),
-    ("cached", EngineConfig(num_workers=1, reroute_cache=True, cache_scope="global"), None),
+    ("serial", EngineConfig()),
+    ("cached", EngineConfig(reroute_cache=True, cache_scope="global")),
 )
 
 #: Metric fields that must agree bit for bit across engine modes.
@@ -60,15 +52,9 @@ def route_smoke_chip(engine_config, num_rounds=3, seed=0):
 
 
 @pytest.mark.benchmark(group="engine_scaling")
-def test_engine_scaling_and_parity(benchmark, monkeypatch):
+def test_engine_scaling_and_parity(benchmark):
     def run_all():
-        rows = {}
-        for mode, engine_config, break_even in ENGINE_MODES:
-            with monkeypatch.context() as patch:
-                if break_even is not None:
-                    patch.setattr(executor, "POOL_BREAK_EVEN", break_even)
-                rows[mode] = route_smoke_chip(engine_config)
-        return rows
+        return {mode: route_smoke_chip(engine_config) for mode, engine_config in ENGINE_MODES}
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
@@ -90,14 +76,13 @@ def test_engine_scaling_and_parity(benchmark, monkeypatch):
             benchmark.extra_info["cache_lookups"] = stats.lookups
     write_result("engine_scaling", "\n".join(lines))
 
-    # Determinism contract: every mode reproduces the serial metrics exactly.
+    # Determinism contract: the cached mode reproduces the serial metrics exactly.
     _, serial = rows["serial"]
-    for mode in ("parallel", "auto", "cached"):
-        _, other = rows[mode]
-        for field in PARITY_FIELDS:
-            assert getattr(other, field) == getattr(serial, field), (
-                f"{mode} mode diverged from serial on {field}"
-            )
+    _, cached = rows["cached"]
+    for field in PARITY_FIELDS:
+        assert getattr(cached, field) == getattr(serial, field), (
+            f"cached mode diverged from serial on {field}"
+        )
 
     # The cache must actually fire in later rip-up rounds.
     cached_router, _ = rows["cached"][0], rows["cached"][1]

@@ -68,8 +68,8 @@ def scenario_engine_modes() -> List[Dict[str, object]]:
     graph, netlist = build_chip(smoke_chip(bench_scale()))
     records = []
     for name, engine in (
-        ("engine_serial", EngineConfig(num_workers=1)),
-        ("engine_cached", EngineConfig(num_workers=1, reroute_cache=True, cache_scope="global")),
+        ("engine_serial", EngineConfig()),
+        ("engine_cached", EngineConfig(reroute_cache=True, cache_scope="global")),
     ):
         started = time.perf_counter()
         router = GlobalRouter(

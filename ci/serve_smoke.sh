@@ -29,3 +29,9 @@ python -m repro result --port "$PORT" "$JOB2" --wait --timeout 600
 python -m repro eco --port "$PORT" --session smoke-sharded --wait \
   --ops '[{"op": "move_pin", "net": "n1", "pin": "n1:s0", "x": 3, "y": 1}]'
 python -m repro status --port "$PORT" --all
+# The daemon's kernel runs the compiled search loop, not the Python fallback.
+python -m repro health --port "$PORT" | python -c '
+import json, sys
+health = json.load(sys.stdin)
+assert health["search_loop"] == "compiled", health
+print("search loop:", health["search_loop"])'

@@ -16,6 +16,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The compiled search loop's source, built on first import.
+    package_data={"repro.core": ["_search.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},

@@ -23,14 +23,13 @@ Typical usage::
 
 Nets are routed through the batch-routing engine (:mod:`repro.engine`),
 which schedules them into congestion-snapshot batches, routes each batch
-in-process or -- when its predicted work pays for it -- on a
-``multiprocessing`` worker pool, and can skip unchanged nets in later
-rip-up rounds via an incremental re-route cache::
+in-process, and can skip unchanged nets in later rip-up rounds via an
+incremental re-route cache::
 
     from repro import EngineConfig, GlobalRouterConfig
 
     config = GlobalRouterConfig(
-        engine=EngineConfig(num_workers=1, reroute_cache=True)
+        engine=EngineConfig(reroute_cache=True)
     )
 
 See ``DESIGN.md`` (repository root) for the package and subsystem

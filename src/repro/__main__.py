@@ -121,8 +121,7 @@ def _route(args: argparse.Namespace) -> int:
     engine = config.engine
     print(
         f"routing {spec.name}: {netlist.num_nets} nets on {graph} "
-        f"[oracle={oracle.name} workers={engine.num_workers or 'auto'} "
-        f"scheduling={engine.scheduling}"
+        f"[oracle={oracle.name} scheduling={engine.scheduling}"
         f"{' cache' if engine.reroute_cache else ''}"
         f"{f' shards={config.shards}' if config.shards > 1 else ''}"
         f"{f' shard-workers={config.shard_workers}' if config.shard_workers else ''}]",
@@ -150,12 +149,6 @@ def _route(args: argparse.Namespace) -> int:
             )
         on_round_end = checkpoint_every_hook(args.checkpoint, args.checkpoint_every or 1)
     result = router.run(on_round_end=on_round_end)
-    pooled = sum(report.batches_pooled for report in router.engine.round_reports)
-    batches = sum(report.num_batches for report in router.engine.round_reports)
-    print(
-        f"engine: {pooled}/{batches} batches pooled [backend={router.engine.backend}]",
-        file=sys.stderr,
-    )
     if args.json:
         print(json.dumps(result.as_dict(), indent=2, default=float))
     else:

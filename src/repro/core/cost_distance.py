@@ -20,8 +20,10 @@ Enhancements of Section III (all individually switchable via
   places Steiner vertices at the points where paths enter existing trees.
 * **B. Two-level heap** -- one binary heap per active search plus a top-level
   heap over the sub-heap minima.
-* **C. Goal-oriented search** -- A* potentials from L1 / landmark lower
-  bounds on connection cost and delay.
+* **C. Goal-oriented search** -- an A* potential ``l1 * (min cost + w(u) *
+  fastest delay)`` per tile of L1 distance to the nearest target (the root
+  and every active terminal).  Landmarks (``num_landmarks``) feed only the
+  placement of D, never the search.
 * **D. Better Steiner vertex embedding** -- instead of the random endpoint,
   the new Steiner vertex is placed on the freshly added path at the position
   minimising an estimate of the cost of extending the path to the root.
@@ -31,6 +33,12 @@ Enhancements of Section III (all individually switchable via
 The plain configuration (:meth:`CostDistanceConfig.plain`) disables all
 enhancements and matches the analysed algorithm, which carries the
 ``O(log t)`` approximation guarantee.
+
+The search loop -- pops, relaxations and the two-level heap -- runs as C
+(``_search.c``, see :mod:`repro.core._search`) whenever it could be built;
+:meth:`_Solve.run` is its specification and the fallback, and the flat
+queue of ``use_two_level_heap=False`` always runs in Python.  Both loops
+produce the same pops, labels and trees.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core import _search
 from repro.core.future_cost import FutureCostEstimator
 from repro.core.heap import AddressableBinaryHeap, TwoLevelHeap
 from repro.core.instance import SteinerInstance
@@ -59,11 +68,6 @@ __all__ = [
 
 #: Identifier of the root component in merge records.
 ROOT_ID = -1
-
-#: How :class:`_Solve` reads ``c(e)`` and ``d(e)``: in place, as fast as a
-#: list and with no Python float per edge.  ``repro.grid.reference`` swaps
-#: in ``np.ndarray.tolist``, the per-net conversion this replaced.
-_read_edge_vector = memoryview
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,10 @@ def _axis_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return axis, gaps
 
 
-def _target_l1(nx: int, ny: int, targets: Sequence[int]) -> List[float]:
+def _target_l1(nx: int, ny: int, targets: Sequence[int]) -> np.ndarray:
     """Per planar tile (index ``y * nx + x``) the L1 distance to the set of
-    target tiles: the exact nearest-target distance for up to 8 targets, the
-    distance to their bounding box beyond.
+    target tiles, as a contiguous float64 array: the exact nearest-target
+    distance for up to 8 targets, the distance to their bounding box beyond.
 
     Value for value what ``FutureCostEstimator.nearest_target_l1`` returns
     (pinned by ``tests/test_cost_distance.py::TestPotentialParity``).
@@ -250,7 +254,7 @@ def _target_l1(nx: int, ny: int, targets: Sequence[int]) -> List[float]:
         dx = np.maximum(np.maximum(x_min - x_axis, x_axis - x_max), 0.0)
         dy = np.maximum(np.maximum(y_min - y_axis, y_axis - y_max), 0.0)
         l1 = dy[:, None] + dx[None, :]
-    return l1.ravel().tolist()
+    return np.ascontiguousarray(l1.ravel())
 
 
 class _Solve:
@@ -259,6 +263,11 @@ class _Solve:
     One object instead of a nest of closures: the bookkeeping methods read
     and write its slots, and :meth:`run` -- the hot loop -- binds what it
     touches per pop to locals.
+
+    With the compiled loop (``loop`` set), the per-search labels and the
+    queue live in C: ``loop`` is the queue, the ``_Search`` objects keep
+    only node, weight, component and rate, and :meth:`run_compiled`
+    replaces :meth:`run`.
     """
 
     __slots__ = (
@@ -282,6 +291,7 @@ class _Solve:
         "root_comp",
         "active",
         "queue",
+        "loop",
         "total_active_weight",
         "tree_edges",
         "tree_edge_set",
@@ -305,8 +315,8 @@ class _Solve:
         ctx = instance.context
         if ctx is not None and not ctx.covers(instance.cost, instance.delay):
             ctx = None
-        self.cost = _read_edge_vector(instance.cost)
-        self.delay = _read_edge_vector(instance.delay)
+        self.cost = memoryview(instance.cost)
+        self.delay = memoryview(instance.delay)
         self.bif = instance.bifurcation
         self.root_node = instance.root
 
@@ -334,7 +344,13 @@ class _Solve:
             self.pot_delay_rate = estimator.fastest_delay_per_tile
         else:
             self.pot_cost_rate = self.pot_delay_rate = 0.0
-        self.l1: List[float] = [0.0] * self.planar_tiles
+        self.l1: Sequence[float] = [0.0] * self.planar_tiles
+        lib = _search.LIB if config.use_two_level_heap else None
+        self.loop: Optional[_search.SearchLoop] = None
+        if lib is not None:
+            self.loop = _search.SearchLoop(
+                lib, graph, instance.cost, instance.delay, config.discount_components
+            )
 
         # ---- component bookkeeping ----
         # ``comp_nodes`` values stay Python sets filled in this exact order:
@@ -355,7 +371,12 @@ class _Solve:
         self.root_comp = self.new_component(ROOT_ID, self.root_node)
 
         self.active: Dict[int, _Search] = {}
-        self.queue = TwoLevelHeap() if config.use_two_level_heap else _FlatQueue()
+        if self.loop is not None:
+            self.queue = self.loop
+        elif config.use_two_level_heap:
+            self.queue = TwoLevelHeap()
+        else:
+            self.queue = _FlatQueue()
         self.total_active_weight = 0.0
         self.tree_edges: List[int] = []
         self.tree_edge_set: Set[int] = set()
@@ -377,6 +398,8 @@ class _Solve:
         self.comp_owner[comp_id] = owner
         self.node_comp[node] = comp_id
         self.comp_delay[comp_id] = {node: 0.0}
+        if self.loop is not None:
+            self.loop.set_component((node,), comp_id)
         return comp_id
 
     def refresh_targets(self) -> None:
@@ -386,7 +409,12 @@ class _Solve:
         tiles = self.planar_tiles
         targets = [self.root_node % tiles]
         targets.extend(search.node % tiles for search in self.active.values())
-        self.l1 = _target_l1(self.graph.nx, self.graph.ny, targets)
+        l1 = _target_l1(self.graph.nx, self.graph.ny, targets)
+        if self.loop is None:
+            self.l1 = l1.tolist()
+        else:
+            self.l1 = l1
+            self.loop.set_l1(l1)
 
     def connection_key(self, search: _Search, comp: int, node: int, dist: float) -> float:
         """Full key of a connection candidate: path distance, delay from
@@ -410,27 +438,76 @@ class _Solve:
 
     def start_search(self, tid: int) -> None:
         search = self.active[tid]
-        self.queue.add_search(tid)
-        self.queue.push(tid, search.node, self.l1[search.node % self.planar_tiles] * search.rate)
+        key = self.l1[search.node % self.planar_tiles] * search.rate
+        if self.loop is None:
+            self.queue.add_search(tid)
+            self.queue.push(tid, search.node, key)
+        else:
+            # A live search's component edges never change (a merge only
+            # grows components whose searches it ends), so C takes them once.
+            own_edges = self.comp_edges[search.comp] if self.config.discount_components else ()
+            self.loop.start_search(
+                tid, search.node, search.comp, search.weight, search.rate, float(key), own_edges
+            )
 
     def deactivate(self, tid: int) -> None:
         self.active.pop(tid, None)
         self.queue.remove_search(tid)
 
+    def offer_connection(
+        self, tid: int, search: _Search, comp: int, node: int, dist: float
+    ) -> None:
+        """Search ``tid`` settled ``node`` of another component ``comp`` at
+        ``dist``: queue the connection candidate ``("c", node)`` if it is one."""
+        owner = self.comp_owner.get(comp)
+        if owner == ROOT_ID or owner in self.active:
+            if self.config.discount_components:
+                # Enhancement III-A: reaching any vertex of another
+                # component counts as a connection to it.
+                connect = True
+            elif owner == ROOT_ID:
+                connect = node == self.root_node
+            else:
+                connect = node == self.active[owner].node
+            if connect:
+                self.queue.push(tid, ("c", node), self.connection_key(search, comp, node, dist))
+
+    def try_connection(
+        self, tid: int, search: _Search, key: float, node: int, dist: Optional[float]
+    ) -> None:
+        """The connection candidate ``("c", node)`` of search ``tid`` left
+        the queue at ``key`` (``dist``: the node's label if settled): merge,
+        re-queue it under a larger fresh key, or drop it as stale."""
+        comp = self.node_comp.get(node)
+        if comp is None or comp == search.comp:
+            return
+        owner = self.comp_owner.get(comp)
+        if owner is None or (owner != ROOT_ID and owner not in self.active):
+            return
+        if dist is None:
+            return
+        fresh_key = self.connection_key(search, comp, node, dist)
+        if fresh_key > key + 1e-9:
+            self.queue.push(tid, ("c", node), fresh_key)
+            return
+        self.merge(tid, owner, node)
+
     # ------------------------------------------------------------ main loop
     def run(self) -> Tuple[int, int]:
         """Run the searches until every terminal is connected; returns the
-        numbers of queue pops and of node labels."""
+        numbers of queue pops and of node labels.
+
+        The specification of the compiled loop (:meth:`run_compiled`)."""
+        if self.loop is not None:
+            return self.run_compiled()
         discount = self.config.discount_components
         incident = self.graph.incident
         neighbours = self.graph.neighbours
         cost = self.cost
         delay = self.delay
-        root_node = self.root_node
         planar_tiles = self.planar_tiles
         active = self.active
         node_comp = self.node_comp
-        comp_owner = self.comp_owner
         comp_edges = self.comp_edges
         pop = self.queue.pop
         push = self.queue.push
@@ -455,20 +532,8 @@ class _Solve:
             if isinstance(item, tuple):
                 # Connection candidate ('c', node).
                 node = item[1]
-                comp = node_comp.get(node)
-                if comp is None or comp == search.comp:
-                    continue
-                owner = comp_owner.get(comp)
-                if owner is None or (owner != ROOT_ID and owner not in active):
-                    continue
-                dist = search.tentative.get(node)
-                if dist is None or node not in search.permanent:
-                    continue
-                fresh_key = self.connection_key(search, comp, node, dist)
-                if fresh_key > key + 1e-9:
-                    push(tid, item, fresh_key)
-                    continue
-                self.merge(tid, owner, node)
+                dist = search.tentative.get(node) if node in search.permanent else None
+                self.try_connection(tid, search, key, node, dist)
                 l1 = self.l1
                 continue
 
@@ -484,18 +549,7 @@ class _Solve:
 
             comp = node_comp.get(node)
             if comp is not None and comp != search.comp:
-                owner = comp_owner.get(comp)
-                if owner == ROOT_ID or owner in active:
-                    if discount:
-                        # Enhancement III-A: reaching any vertex of another
-                        # component counts as a connection to it.
-                        connect = True
-                    elif owner == ROOT_ID:
-                        connect = node == root_node
-                    else:
-                        connect = node == active[owner].node
-                    if connect:
-                        push(tid, ("c", node), self.connection_key(search, comp, node, dist))
+                self.offer_connection(tid, search, comp, node, dist)
 
             own_edges = comp_edges.get(search.comp) if discount else None
             weight = search.weight
@@ -516,6 +570,55 @@ class _Solve:
 
         return num_pops, num_labels
 
+    def run_compiled(self) -> Tuple[int, int]:
+        """:meth:`run` with the pops, labels and relaxations in C: the loop
+        stops only where Python decides -- a settled node of another
+        component, a popped connection candidate."""
+        loop = self.loop
+        event = loop.event
+        active = self.active
+        node_comp = self.node_comp
+        while active:
+            kind = loop.next_event()
+            tid = event.search
+            node = event.node
+            search = active[tid]
+            if kind == _search.SETTLED:
+                comp = node_comp.get(node)
+                if comp is not None and comp != search.comp:
+                    self.offer_connection(tid, search, comp, node, event.dist)
+            else:
+                dist = event.dist if event.permanent else None
+                self.try_connection(tid, search, event.key, node, dist)
+        return loop.counts()
+
+    def path_to(self, tid: int, node: int) -> Tuple[List[int], List[int]]:
+        """Nodes (seed first) and edges of search ``tid``'s path to ``node``."""
+        if self.loop is not None:
+            return self.loop.path(tid, node)
+        parent = self.active[tid].parent
+        rev_edges: List[int] = []
+        rev_nodes: List[int] = [node]
+        while node in parent:
+            edge = parent[node]
+            rev_edges.append(edge)
+            node = self.graph.other_endpoint(edge, node)
+            rev_nodes.append(node)
+        return rev_nodes[::-1], rev_edges[::-1]
+
+    def settled_on(self, nodes: List[int], comp: int) -> List[Tuple[int, int, float]]:
+        """``(node, tid, dist)`` per node of ``nodes`` (outer) and live
+        search outside ``comp`` (inner, in activation order) that has
+        settled the node at ``dist``."""
+        if self.loop is not None:
+            return self.loop.settled_on(nodes, list(self.active), comp)
+        return [
+            (p, tid, search.tentative[p])
+            for p in nodes
+            for tid, search in self.active.items()
+            if search.comp != comp and p in search.permanent
+        ]
+
     # ---------------------------------------------------------------- merge
     def merge(self, source_tid: int, owner: int, meeting_node: int) -> None:
         """Perform one merge (one iteration of Algorithm 1)."""
@@ -527,17 +630,7 @@ class _Solve:
         node_comp = self.node_comp
         source = active[source_tid]
 
-        # Backtrack the connecting path (meeting node -> search seed).
-        rev_edges: List[int] = []
-        rev_nodes: List[int] = [meeting_node]
-        node = meeting_node
-        while node in source.parent:
-            edge = source.parent[node]
-            rev_edges.append(edge)
-            node = graph.other_endpoint(edge, node)
-            rev_nodes.append(node)
-        path_nodes = list(reversed(rev_nodes))  # seed -> meeting node
-        path_edges = list(reversed(rev_edges))
+        path_nodes, path_edges = self.path_to(source_tid, meeting_node)
 
         # Add new edges to the global tree, skipping anything that would
         # close a cycle (paths may touch nodes that already belong to the
@@ -559,9 +652,10 @@ class _Solve:
             big, small = src_comp, dst_comp
         else:
             big, small = dst_comp, src_comp
-        for n in comp_nodes[small]:
+        moved = comp_nodes.pop(small)
+        for n in moved:
             node_comp[n] = big
-        comp_nodes[big].update(comp_nodes.pop(small))
+        comp_nodes[big].update(moved)
         comp_edges[big].update(comp_edges.pop(small))
         self.comp_owner.pop(small, None)
         self.comp_delay.pop(small, None)
@@ -575,6 +669,8 @@ class _Solve:
         comp_edges[big].update(path_edges)
         for n in new_path_nodes:
             node_comp[n] = big
+        if self.loop is not None:
+            self.loop.set_component([*moved, *new_path_nodes], big)
 
         steiner_node: Optional[int] = None
         if is_root_merge:
@@ -620,11 +716,9 @@ class _Solve:
 
         # Let other searches that already labeled the freshly added path
         # nodes compete for a connection to the new component.
-        for p in new_path_nodes:
-            for other_tid, other in active.items():
-                if other.comp != big and p in other.permanent:
-                    key = self.connection_key(other, big, p, other.tentative[p])
-                    self.queue.push(other_tid, ("c", p), key)
+        for p, other_tid, dist in self.settled_on(new_path_nodes, big):
+            key = self.connection_key(active[other_tid], big, p, dist)
+            self.queue.push(other_tid, ("c", p), key)
 
         self.merges.append(
             MergeRecord(

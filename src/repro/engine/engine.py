@@ -7,12 +7,12 @@ price/timing logic (:mod:`repro.router`) and the Steiner oracles
 * a :class:`~repro.engine.scheduler.NetScheduler` that partitions each
   rip-up-and-re-route round into batches sharing a congestion snapshot,
 * a :class:`~repro.engine.executor.BatchExecutor` that routes each batch
-  inline or on its worker pool, as the batch's predicted work decides, and
+  in-process, net by net, and
 * optionally a :class:`~repro.engine.cache.RerouteCache` that skips nets
   whose instance signature is unchanged since their last routing.
 
 Determinism contract: for a fixed :class:`EngineConfig` scheduling policy,
-every placement and worker count -- and every cache setting under the
+every placement -- and every cache setting under the
 ``global`` cache scope -- produces bit-identical trees, because each net's
 tree is a pure function of its (snapshot-derived) Steiner instance and its
 private RNG stream.  The default configuration (``window`` scheduling, cache
@@ -55,11 +55,6 @@ class EngineConfig:
 
     Attributes
     ----------
-    num_workers:
-        Size of the batch pool.  ``None`` (default): the usable CPUs;
-        ``1``: no pool, every batch inline.  A pool of two or more workers
-        takes only the batches whose predicted work reaches
-        :data:`~repro.engine.executor.POOL_BREAK_EVEN`.
     scheduling:
         Batch formation policy: ``"window"`` (cost-refresh windows,
         reproduces the legacy serial loop) or ``"bbox"`` (conflict-free
@@ -71,7 +66,6 @@ class EngineConfig:
         ``"global"`` (digest the full cost vector, exact).
     """
 
-    num_workers: Optional[int] = None
     scheduling: str = "window"
     reroute_cache: bool = False
     cache_scope: str = "bbox"
@@ -81,8 +75,6 @@ class EngineConfig:
             raise ValueError(f"unknown scheduling policy {self.scheduling!r}")
         if self.cache_scope not in CACHE_SCOPES:
             raise ValueError(f"unknown cache scope {self.cache_scope!r}")
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError("num_workers must be positive")
 
 
 @dataclass
@@ -94,7 +86,6 @@ class RoundReport:
     nets_routed: int = 0
     nets_cached: int = 0
     nets_replayed: int = 0
-    batches_pooled: int = 0
     walltime_seconds: float = 0.0
 
 
@@ -118,11 +109,9 @@ class RoutingEngine:
         cost_refresh_interval: int,
         config: Optional[EngineConfig] = None,
         net_indices: Optional[Sequence[int]] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         """``net_indices`` restricts the engine to a subset of the netlist
-        (the shard coordinator's global seam engine); ``start_method`` pins
-        the ``multiprocessing`` start method of the batch pool."""
+        (the shard coordinator's global seam engine)."""
         if cost_refresh_interval < 1:
             raise ValueError("cost_refresh_interval must be positive")
         self.graph = graph
@@ -136,14 +125,7 @@ class RoutingEngine:
         self.config = config or EngineConfig()
         self.net_indices = None if net_indices is None else list(net_indices)
         self.scheduler = NetScheduler(graph, netlist)
-        self.executor = BatchExecutor(
-            graph,
-            oracle,
-            bifurcation,
-            seed,
-            workers=self.config.num_workers,
-            start_method=start_method,
-        )
+        self.executor = BatchExecutor(graph, oracle, bifurcation, seed)
         self.cache: Optional[RerouteCache] = None
         if self.config.reroute_cache:
             self.cache = self._make_cache()
@@ -251,12 +233,7 @@ class RoutingEngine:
                             report.nets_cached += 1
                             continue
                     tasks.append(task)
-                # Placement by the predicted work of the nets that reach the
-                # oracle (cache hits and replays above cost nothing).
-                work = sum(self.scheduler.net_work(task.net_index) for task in tasks)
-                pooled = self.executor.pools(len(tasks), work)
-                report.batches_pooled += pooled
-                routed = self.executor.route_batch(costs, tasks, context, pooled)
+                routed = self.executor.route_batch(costs, tasks, context)
                 tasks_by_index = {task.net_index: task for task in tasks}
                 for net_index in batch.nets:
                     new_tree = routed.get(net_index)
@@ -288,7 +265,7 @@ class RoutingEngine:
                                 cost_digest=cost_digest,
                             )
                         self.cache.store(net_index, sig)
-                batch_span.set(routed=len(routed), work=work, pooled=pooled)
+                batch_span.set(routed=len(routed))
         report.walltime_seconds = time.monotonic() - started
         self.round_reports.append(report)
         # Engine counters book into whatever registry is active here: the
@@ -299,7 +276,6 @@ class RoutingEngine:
         obs.inc("engine.oracle_calls", report.nets_routed)
         obs.inc("engine.nets_cached", report.nets_cached)
         obs.inc("engine.nets_replayed", report.nets_replayed)
-        obs.inc("engine.batches_pooled", report.batches_pooled)
         obs.observe("engine.round_seconds", report.walltime_seconds)
 
     def export_signatures(self) -> Optional[Dict[str, bytes]]:
@@ -320,14 +296,10 @@ class RoutingEngine:
                 {i: by_name[name] for i, name in names if name in by_name}
             )
 
-    @property
-    def backend(self) -> str:
-        """Where batches ran: ``"process"`` once one was pooled."""
-        return self.executor.backend
-
     def close(self) -> None:
-        """Release executor resources (idempotent)."""
-        self.executor.close()
+        """Nothing to release: batches run in this process.  (The shard
+        coordinator, the other engine behind a router, closes its region
+        pool here.)"""
 
     def __enter__(self) -> "RoutingEngine":
         return self

@@ -2,26 +2,16 @@
 
 "Run these independent, pure tasks -- here or on worker processes -- and
 give me the results in task order" is one idea, stated once:
-:class:`WorkerPool`.  Its two users differ only in what a task is:
+:class:`WorkerPool`.  Its user is the shard layer's
+:class:`~repro.shard.executor.RegionExecutor`, which routes the K regions
+of one round.
 
-* :class:`BatchExecutor` (this module) routes one batch of nets.  A batch
-  (see :mod:`repro.engine.scheduler`) shares one frozen congestion cost
-  vector; the engine decides per batch whether it runs inline or on the
-  pool (:meth:`BatchExecutor.pools`), and a pooled batch is cut into one
-  sink-balanced chunk of :class:`NetTask` s per worker
-  (:func:`balanced_chunks`).  Pool workers hold a plain inline
-  ``BatchExecutor`` built from the pickled payload (routing graph, oracle,
-  bifurcation model, seed) and run the same per-net loop as the parent;
-  the cost vector is pickled once per chunk rather than once per net, and
-  trees come back as graph-free :data:`~repro.core.tree.TreeRecord` s, each
-  with its solve time.
-* the shard layer's :class:`~repro.shard.executor.RegionExecutor` routes
-  the K regions of one round.
-
-Because each net carries its own deterministically derived RNG stream
-(:mod:`repro.engine.rng`), a task is a pure function of its inputs and every
-placement -- inline, pooled, degraded, retried after a worker death --
-produces bit-identical trees.
+:class:`BatchExecutor` (this module) routes one batch of nets in-process,
+net by net.  A batch (see :mod:`repro.engine.scheduler`) shares one frozen
+congestion cost vector.  Because each net carries its own deterministically
+derived RNG stream (:mod:`repro.engine.rng`), a net's tree is a pure
+function of its inputs, wherever the batch runs: in the router's process, in
+a region worker, or again after a worker death.
 """
 
 from __future__ import annotations
@@ -31,7 +21,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,18 +38,7 @@ __all__ = [
     "NetTask",
     "BatchExecutor",
     "WorkerPool",
-    "POOL_BREAK_EVEN",
-    "balanced_chunks",
-    "batch_worker",
 ]
-
-#: The predicted work (:meth:`~repro.engine.scheduler.NetScheduler.net_work`
-#: summed over the nets a batch routes) from which an executor with a pool of
-#: two or more workers maps the batch over it.  Below it the pool's per-batch cost -- the
-#: cost vector pickled per chunk, trees shipped back, the slowest chunk
-#: waited for -- outweighs the overlap.  Measured, not tuned per run: see
-#: DESIGN.md "Measured decisions".
-POOL_BREAK_EVEN = 4_000
 
 #: Seconds between a pool worker's checks that its parent is still alive.
 PARENT_POLL_SECONDS = 0.25
@@ -239,7 +218,7 @@ class WorkerPool:
         except (ImportError, OSError, PermissionError, RuntimeError, AssertionError) as exc:
             # AssertionError is what the stdlib raises for daemonic nesting
             # ("daemonic processes are not allowed to have children") -- e.g.
-            # a region worker whose engine asks for its own process pool.
+            # a pool started from inside another pool's worker.
             # Degrading is exactly right there.
             obs.log_pool_degradation(
                 self.backend, self.start_method, exc, self.degrade_message
@@ -396,7 +375,7 @@ class WorkerPool:
 
 @dataclass(frozen=True)
 class NetTask:
-    """Everything a worker needs to route one net (cheap to pickle).
+    """Everything the executor needs to route one net.
 
     ``net_name`` is the net's own (netlist-unique) name; it keys the net's
     private RNG stream, so a net keeps its stream when routed at a shifted
@@ -429,33 +408,9 @@ class NetTask:
         }
 
 
-def balanced_chunks(tasks: Sequence[NetTask], count: int) -> List[List[int]]:
-    """Split ``tasks`` into ``count`` chunks of task positions by LPT on sink
-    count: largest net first, each into the least-loaded chunk (ties: the
-    earlier batch position, the lower chunk).  Each chunk lists its
-    positions in batch order; empty chunks are dropped."""
-    loads = [0] * count
-    chunks: List[List[int]] = [[] for _ in range(count)]
-    for position in sorted(range(len(tasks)), key=lambda i: (-len(tasks[i].sinks), i)):
-        target = min(range(count), key=lambda c: (loads[c], c))
-        chunks[target].append(position)
-        loads[target] += len(tasks[position].sinks)
-    return [sorted(chunk) for chunk in chunks if chunk]
-
-
 class BatchExecutor:
-    """Routes one batch of nets against a frozen cost vector.
-
-    A batch runs inline -- in-process, net by net, the historical router
-    loop -- or, when :meth:`pools` says so, as one sink-balanced chunk per
-    worker mapped over a :class:`WorkerPool`, whose workers hold an inline
-    ``BatchExecutor`` of their own (:func:`batch_worker`) and run the same
-    :meth:`_route_chunk`.  ``workers`` only sizes the pool (``None``: the
-    usable CPUs; ``1``: no pool, every batch inline); whatever its size, a
-    pool takes only the batches whose predicted work reaches
-    :data:`POOL_BREAK_EVEN`.  A batch placed on a pool that cannot start
-    routes in-process; every placement produces bit-identical trees.
-    """
+    """Routes one batch of nets against a frozen cost vector: in-process,
+    net by net, the historical router loop."""
 
     def __init__(
         self,
@@ -463,71 +418,39 @@ class BatchExecutor:
         oracle: SteinerOracle,
         bifurcation: BifurcationModel,
         seed: int,
-        workers: Optional[int] = 1,
-        start_method: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.oracle = oracle
         self.bifurcation = bifurcation
         self.seed = seed
-        self.pool = WorkerPool(
-            backend="process",
-            degrade_message="the batch pool degrades to in-process routing",
-            workers=workers,
-            start_method=start_method,
-        )
-        #: Flips to ``True`` on :meth:`close`; lifecycle tests (and the
-        #: shard coordinator's teardown guarantees) assert on it.
-        self.closed = False
         self._delay = graph.delay_array()
 
-    @property
-    def backend(self) -> str:
-        """Where batches ran, for result reporting: ``"process"`` once a
-        batch was routed on a live pool, else ``"serial"``."""
-        return "process" if self.pool.used else "serial"
-
     # ------------------------------------------------------------------ API
-    def pools(self, num_tasks: int, work: int) -> bool:
-        """The placement rule: whether a batch of ``num_tasks`` nets with
-        predicted ``work`` goes to the pool: at least two nets, at least two
-        workers, and work from the break-even on."""
-        return num_tasks >= 2 and self.pool.workers >= 2 and work >= POOL_BREAK_EVEN
-
     def route_batch(
         self,
         costs: np.ndarray,
         tasks: Sequence[NetTask],
         context: Optional[OracleCostContext] = None,
-        pooled: bool = False,
     ) -> Dict[int, EmbeddedTree]:
-        """Route every task against ``costs``, on the pool when ``pooled``;
-        returns trees by net index.
+        """Route every task against ``costs``; returns trees by net index.
 
         ``context``, when given, shares the batch-level cost artefacts
-        (future-cost estimator, validation) across the nets routed in this
-        process; one is built when omitted (workers always build their
-        own, one per chunk).  Under an active tracer one ``net`` event per
-        task is emitted here, in task order, wherever the net was solved.
+        (future-cost estimator, validation) across the batch's nets; one is
+        built when omitted.  Under an active tracer one ``net`` event per
+        task is emitted, in task order.
         """
         tasks = list(tasks)
         if not tasks:
             return {}
-        if pooled:
-            chunks = balanced_chunks(tasks, min(self.pool.workers, len(tasks)))
-        else:
-            chunks = [list(range(len(tasks)))]
-        records = self.pool.map(
-            [(costs, [tasks[i] for i in chunk]) for chunk in chunks],
-            self._worker_payload,
-            batch_worker,
-            lambda chunk: self._route_chunk(chunk, context),
-            fault=("kill-pool-worker", faults.current_round()),
-        )
-        # Back from chunk order to task order (positions are unique).
-        positions = [position for chunk in chunks for position in chunk]
-        flat = [solve for chunk_records in records for solve in chunk_records]
-        solved = [solve for _position, solve in sorted(zip(positions, flat))]
+        if context is None:
+            # The whole batch shares one cost vector, so the per-net
+            # estimator / validation amortise.
+            context = self.make_context(costs)
+        if context is not None:
+            # The context's (contiguous) array is the canonical batch vector:
+            # routing against it keeps the instance/context identity check hot.
+            costs = context.cost
+        solved = [self._route_one(costs, task, context) for task in tasks]
         if obs.get_tracer() is not None:
             for task, (record, seconds) in zip(tasks, solved):
                 obs.event(
@@ -549,48 +472,15 @@ class BatchExecutor:
         paths."""
         return OracleCostContext(self.graph, costs, delay=self._delay)
 
-    def close(self) -> None:
-        """Release the worker pool.  Idempotent."""
-        self.pool.close()
-        self.closed = True
-
-    def __enter__(self) -> "BatchExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------ internals
-    def _worker_payload(self) -> Tuple[RoutingGraph, SteinerOracle, BifurcationModel, int]:
-        """The read-only state priming pool workers: the constructor
-        arguments of their inline executor."""
-        return (self.graph, self.oracle, self.bifurcation, self.seed)
-
-    def _route_chunk(
-        self,
-        chunk: Tuple[np.ndarray, List[NetTask]],
-        context: Optional[OracleCostContext] = None,
-    ) -> List[Tuple[TreeRecord, float]]:
-        """The map task on both sides of the process boundary: route one
-        chunk's nets in this process (the only per-net loop); returns each
-        net's tree record and solve seconds, aligned with the chunk."""
-        costs, tasks = chunk
-        if context is None:
-            # The whole chunk shares one cost vector, so the per-net
-            # estimator / validation amortise.
-            context = self.make_context(costs)
-        if context is not None:
-            # The context's (contiguous) array is the canonical batch vector:
-            # routing against it keeps the instance/context identity check hot.
-            costs = context.cost
-        return [self._route_one(costs, task, context) for task in tasks]
-
     def _route_one(
         self,
         costs: np.ndarray,
         task: NetTask,
         context: Optional[OracleCostContext],
     ) -> Tuple[TreeRecord, float]:
+        """One net's tree, as a graph-free record (plain ints and tuples),
+        and its solve seconds."""
         instance = SteinerInstance.from_payload(
             self.graph,
             task.payload(costs, self.bifurcation),
@@ -604,9 +494,3 @@ class BatchExecutor:
         started = time.monotonic()
         tree = self.oracle.build(instance, rng)
         return encode_tree(tree), time.monotonic() - started
-
-
-def batch_worker(payload) -> Callable:
-    """The pool's worker factory (module level: children locate it under
-    every start method): an inline executor built from the payload."""
-    return BatchExecutor(*payload)._route_chunk

@@ -13,8 +13,8 @@ private stream when other nets are inserted or removed around it (ECO
 ``remove_net`` index shifts) and when it is routed as part of a sub-netlist
 (the shard layer's per-region netlists).  With one independent stream per
 net, a net's tree is a pure function of its Steiner instance and
-``(seed, name)``, so inline and pooled batches of
-:mod:`repro.engine.executor` produce bit-identical trees, the re-route cache
+``(seed, name)``, so a batch of :mod:`repro.engine.executor` produces
+bit-identical trees wherever it runs (serial, or in a region worker), the re-route cache
 of :mod:`repro.engine.cache` can prove that re-solving an unchanged instance
 would reproduce the cached tree, and the replay memos of
 :mod:`repro.serve.session` survive net-index shifts.

@@ -22,8 +22,6 @@ multiple specs separated by ``;`` or whitespace; ``round`` arguments are
 
     kill-region-worker[:round=N]   SIGKILL one region-pool worker as round
                                    N dispatches (parent-side, one-shot)
-    kill-pool-worker[:round=N]     SIGKILL one engine-pool worker as a
-                                   batch of round N dispatches (one-shot)
     drop-outcome[:round=N]         discard one region outcome after a
                                    clean pool round (one-shot; exercises
                                    the in-process re-execution path alone)
@@ -80,7 +78,6 @@ CRASH_EXIT_CODE = 13
 #: ``kind -> allowed argument names`` of the fault vocabulary.
 FAULT_KINDS: Dict[str, frozenset] = {
     "kill-region-worker": frozenset({"round"}),
-    "kill-pool-worker": frozenset({"round"}),
     "drop-outcome": frozenset({"round"}),
     "slow-oracle": frozenset({"ms"}),
     "crash-run": frozenset({"round"}),

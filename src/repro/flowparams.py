@@ -139,14 +139,6 @@ FIELDS: Dict[str, FlowField] = {
     ),
     "rounds": FlowField(POSITIVE_INT, "resource-sharing rounds", "num_rounds"),
     "seed": FlowField(INTEGER, "routing seed", "seed"),
-    "workers": FlowField(
-        POSITIVE_INT,
-        "engine batch pool size (default: the usable CPUs; 1 = every batch in-process); "
-        "a pool takes only the batches whose predicted work pays for it "
-        "(results are bit-identical either way)",
-        "engine.num_workers",
-        neutral=True,
-    ),
     "scheduling": FlowField(
         _choice(SCHEDULING_POLICIES), "net batching policy", "engine.scheduling"
     ),
@@ -325,7 +317,7 @@ def add_process_arguments(parser: argparse.ArgumentParser, tracing: bool = True)
         default=None,
         metavar="SPEC",
         help="inject a fault for chaos testing (serve: daemon-wide; soak: into the chaos run), "
-        "e.g. 'kill-region-worker:round=2', 'kill-pool-worker', 'slow-oracle:ms=20', "
+        "e.g. 'kill-region-worker:round=2', 'slow-oracle:ms=20', "
         "'drop-outcome', 'crash-run:round=1'; repeatable (see repro.faults)",
     )
 

@@ -92,9 +92,11 @@ def _inside_box(ux, uy, vx, vy, xlo: int, ylo: int, xhi: int, yhi: int) -> np.nd
 
 def _adjacency(
     num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
-    """``(incident, neighbours)``: per node, the incident edge indices in
-    ascending order and the opposite endpoints, aligned.
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...], Tuple[np.ndarray, ...]]:
+    """``(incident, neighbours, csr)``: per node, the incident edge indices
+    in ascending order and the opposite endpoints, aligned -- as tuples and
+    as the int32 CSR arrays ``(start, edge, other)`` of the compiled search
+    loop (node ``n``'s half-edges are ``start[n]:start[n + 1]``).
 
     A stable argsort of the interleaved half-edges ``u0, v0, u1, v1, ...``
     by endpoint keeps each node's edges in the order an append loop over
@@ -105,14 +107,22 @@ def _adjacency(
     ends[0::2] = edge_u
     ends[1::2] = edge_v
     order = np.argsort(ends, kind="stable")
+    edge_array = (order >> 1).astype(np.int32)
+    other_array = ends[order ^ 1].astype(np.int32)
+    counts = np.cumsum(np.bincount(ends, minlength=num_nodes))
+    start = np.zeros(num_nodes + 1, dtype=np.int32)
+    start[1:] = counts
+    for array in (start, edge_array, other_array):
+        array.setflags(write=False)
     ints = list(range(max(num_nodes, len(edge_u))))
-    edges = list(map(ints.__getitem__, (order >> 1).tolist()))
-    others = list(map(ints.__getitem__, ends[order ^ 1].tolist()))
-    bounds = np.cumsum(np.bincount(ends, minlength=num_nodes)).tolist()
+    edges = list(map(ints.__getitem__, edge_array.tolist()))
+    others = list(map(ints.__getitem__, other_array.tolist()))
+    bounds = counts.tolist()
     spans = list(zip([0] + bounds[:-1], bounds))
     return (
         tuple(tuple(edges[a:b]) for a, b in spans),
         tuple(tuple(others[a:b]) for a, b in spans),
+        (start, edge_array, other_array),
     )
 
 
@@ -143,8 +153,9 @@ class RoutingGraph:
 
     A built graph is immutable: frozen edge arrays, and per node the
     aligned tuples ``incident[node]`` (edge indices, ascending) and
-    ``neighbours[node]`` (opposite endpoints), derived from the arrays and
-    rebuilt rather than pickled.  It owns two memos keyed by a planar
+    ``neighbours[node]`` (opposite endpoints), with the same adjacency as
+    the int32 CSR arrays ``csr`` -- all derived from the arrays and rebuilt
+    rather than pickled.  It owns two memos keyed by a planar
     box: :meth:`prism` (sub-graph + edge maps of the shard layer's scopes)
     and :meth:`box_edges` (the edge set of a net's signature region).  Both
     die with the graph and never travel: pickling a graph (region worker
@@ -181,9 +192,10 @@ class RoutingGraph:
         self.edge_capacity = np.empty(0, dtype=np.float64)
         self.edge_is_via = np.empty(0, dtype=bool)
         # Per node: incident edge indices (ascending) and opposite
-        # endpoints, aligned; set by _seal().
+        # endpoints, aligned, and the same as CSR arrays; set by _seal().
         self.incident: Tuple[Tuple[int, ...], ...] = ()
         self.neighbours: Tuple[Tuple[int, ...], ...] = ()
+        self.csr: Tuple[np.ndarray, ...] = ()
         self._reset_memos()
         if build:
             self._build()
@@ -198,11 +210,13 @@ class RoutingGraph:
         """Freeze the edge arrays and derive the adjacency from them."""
         for name in EDGE_ARRAYS:
             getattr(self, name).setflags(write=False)
-        self.incident, self.neighbours = _adjacency(self.num_nodes, self.edge_u, self.edge_v)
+        self.incident, self.neighbours, self.csr = _adjacency(
+            self.num_nodes, self.edge_u, self.edge_v
+        )
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        for derived in ("_prisms", "_box_edges", "_edge_planar", "incident", "neighbours"):
+        for derived in ("_prisms", "_box_edges", "_edge_planar", "incident", "neighbours", "csr"):
             del state[derived]
         return state
 

@@ -128,20 +128,21 @@ def install_reference_kernel() -> Iterator[None]:
     * ``BatchExecutor.make_context`` to return ``None``, reverting every
       solver/executor consumer to its per-net slow path (per-net
       estimator, per-net validation scans), and
-    * the cost-distance kernel's edge-vector reader to ``ndarray.tolist``:
-      the per-net list conversion its in-place memoryview reads replaced.
+    * the cost-distance search loop to its Python specification
+      (``_search.LIB = None``): solves started in the block run
+      ``_Solve.run`` instead of the compiled loop.
 
     Results are bit-identical with and without the patches (that is the
     vectorization's acceptance bar); only the walltime differs.  Used by
     the ``kernel_speedup`` benchmark scenario and the parity battery.
     """
-    from repro.core import cost_distance
+    from repro.core import _search
     from repro.engine.executor import BatchExecutor
 
     saved_add = CongestionMap.add_usage
     saved_remove = CongestionMap.remove_usage
     saved_make_context = BatchExecutor.make_context
-    saved_reader = cost_distance._read_edge_vector
+    saved_lib = _search.LIB
 
     def _add(self, edge_indices, amount=None):
         scalar_add_usage(self, edge_indices, amount)
@@ -153,10 +154,10 @@ def install_reference_kernel() -> Iterator[None]:
         CongestionMap.add_usage = _add
         CongestionMap.remove_usage = _remove
         BatchExecutor.make_context = lambda self, costs: None
-        cost_distance._read_edge_vector = np.ndarray.tolist
+        _search.LIB = None
         yield
     finally:
         CongestionMap.add_usage = saved_add
         CongestionMap.remove_usage = saved_remove
         BatchExecutor.make_context = saved_make_context
-        cost_distance._read_edge_vector = saved_reader
+        _search.LIB = saved_lib

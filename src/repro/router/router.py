@@ -67,8 +67,8 @@ class GlobalRouterConfig:
         :mod:`repro.engine.rng`), so trees are independent of routing order
         and of net indices, and identical wherever a batch runs.
     engine:
-        Configuration of the batch-routing engine: batch pool size,
-        scheduling policy, and re-route cache.
+        Configuration of the batch-routing engine: scheduling policy and
+        re-route cache.
     shards:
         Number of rectangular regions for multi-region (divide-and-conquer)
         routing.  ``1`` (default) keeps the classic single-region flow;
@@ -94,11 +94,10 @@ class GlobalRouterConfig:
         in-process; ``> 1`` fans them out over a process pool (see
         :mod:`repro.shard.executor`).  All values produce bit-identical
         results -- regions are independent by construction and their deltas
-        are stitched in fixed region order -- so this knob, like the engine
-        pool size, is excluded from checkpoint fingerprints.
+        are stitched in fixed region order -- so this knob is excluded from
+        checkpoint fingerprints.
     shard_start_method:
-        ``multiprocessing`` start method of the flow's worker pools -- the
-        shard layer's region pool and the engine's batch pool
+        ``multiprocessing`` start method of the shard layer's region pool
         (``"fork"`` / ``"spawn"`` / ``"forkserver"``); ``None`` prefers
         ``fork`` where available.
     """
@@ -175,7 +174,6 @@ class GlobalRouter:
                 seed=self.config.seed,
                 cost_refresh_interval=self.config.cost_refresh_interval,
                 config=self.config.engine,
-                start_method=self.config.shard_start_method,
             )
         self.trees: List[Optional[EmbeddedTree]] = [None] * netlist.num_nets
         self.timing_report: Optional[TimingReport] = None

@@ -38,6 +38,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Tuple, cast
 
 from repro import obs
+from repro.core import _search
 from repro.engine.cache import reroute_stats
 from repro.flowparams import build_flow, config_kwargs, validate_params
 from repro.instances.chips import build_chip
@@ -149,8 +150,8 @@ class ServeDaemon:
         Bind address; ``port=0`` picks an ephemeral port (see
         :attr:`address` after construction).
     job_workers:
-        Concurrent routing jobs (each may itself fan out over a process
-        pool when its engine places a batch there).
+        Concurrent routing jobs (a sharded job may itself fan out over a
+        region pool).
     state_dir:
         Optional directory for job persistence across daemon restarts:
         the job table ``jobs.sqlite3`` and the jobs' auto-checkpoints.
@@ -343,7 +344,8 @@ class ServeDaemon:
         return {"ok": True, "job_id": job_id, "history": self.store.history(job_id)}
 
     def _op_health(self, request: Dict[str, object]) -> Dict[str, object]:
-        """The daemon heartbeat: uptime, queue depth, bus and pool state."""
+        """The daemon heartbeat: uptime, queue depth, bus and pool state,
+        and which search loop the kernel runs (``compiled`` / ``python``)."""
         counts = self.store.counts()
         counters = obs.default_registry().snapshot().get("counters", {})
         pool_degradations = {
@@ -364,6 +366,7 @@ class ServeDaemon:
             "events_published": self.bus.published,
             "events_dropped": counters.get("bus.dropped", 0),  # type: ignore[union-attr]
             "pool_degradations": pool_degradations,
+            "search_loop": _search.loop_name(),
             "event_schema": obs.EVENT_SCHEMA_VERSION,
             "trace_schema": obs.TRACE_SCHEMA_VERSION,
         }
@@ -621,7 +624,6 @@ class ServeDaemon:
             return {
                 "result": result.as_dict(),
                 "session": session_name,
-                "backend": session.router.engine.backend,
             }
         router = GlobalRouter(graph, netlist, oracle, config)
         if checkpoint_path is not None:
@@ -630,7 +632,6 @@ class ServeDaemon:
         payload: Dict[str, object] = {
             "result": result.as_dict(),
             "session": None,
-            "backend": router.engine.backend,
         }
         if config.shards > 1:
             stats = router.engine.stats

@@ -173,15 +173,11 @@ class _SubgraphScope:
             stages=[],
             clock_period=coordinator.netlist.clock_period,
         )
-        # Scope subproblems are small and already run inside one round-start
-        # snapshot; a process pool per scope would cost more in priming than
-        # it returns, so scope engines always route inline (the global seam
-        # engine places its batches like any engine).
         self._spec: Dict[str, object] = {
             "graph": self.sub_graph,
             "netlist": self.sub_netlist,
             "cost_refresh_interval": max(1, len(nets)),
-            "config": replace(coordinator.config, num_workers=1, scheduling="window"),
+            "config": replace(coordinator.config, scheduling="window"),
         }
         self.runner = _RegionRunner(self._spec, coordinator.runner_shared)
         #: The re-route cache's state between rounds -- the signature each
@@ -389,8 +385,8 @@ class ShardCoordinator:
         """``workers`` places the interior pass: ``None``/``1`` routes the K
         regions serially in-process, ``> 1`` maps them over a process pool
         of that size (see :mod:`repro.shard.executor`); ``start_method``
-        pins the ``multiprocessing`` start method of that pool and of the
-        seam engine's.  Every placement is bit-identical.
+        pins the ``multiprocessing`` start method of that pool.  Every
+        placement is bit-identical.
         """
         if shards < 1:
             raise ValueError("shards must be at least 1")
@@ -502,7 +498,6 @@ class ShardCoordinator:
             ),
             config=seam_config,
             net_indices=global_seam,
-            start_method=start_method,
         )
 
     # ------------------------------------------------------------- queries
@@ -600,32 +595,14 @@ class ShardCoordinator:
             )
         )
 
-    @property
-    def backend(self) -> str:
-        """Where engine batches ran: scope engines route inline, so only the
-        global seam engine can have pooled one."""
-        return self.seam_engine.backend
-
     def close(self) -> None:
-        """Release every sub-engine and the region pool (idempotent).
-
-        Runs every release even when one raises -- a round that failed
-        mid-flight must not leak the remaining engines or either worker
-        pool -- and re-raises the first error afterwards.
-        """
+        """Release the region pool (idempotent; also after a round that
+        failed mid-flight).  The scope and seam engines route in this
+        process and hold nothing to release."""
         if self._closed:
             return
         self._closed = True
-        closers = [scope.engine.close for scope in self.regions + self.seam_scopes]
-        closers.extend([self.seam_engine.close, self.region_executor.close])
-        errors: List[BaseException] = []
-        for closer in closers:
-            try:
-                closer()
-            except BaseException as exc:  # release everything before raising
-                errors.append(exc)
-        if errors:
-            raise errors[0]
+        self.region_executor.close()
 
     def __enter__(self) -> "ShardCoordinator":
         return self
@@ -654,7 +631,6 @@ class ShardCoordinator:
             report.nets_routed += last.nets_routed
             report.nets_cached += last.nets_cached
             report.nets_replayed += last.nets_replayed
-            report.batches_pooled += last.batches_pooled
         report.walltime_seconds = time.monotonic() - started
         return report
 

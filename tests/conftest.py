@@ -52,12 +52,3 @@ def instance_factory(small_graph):
         return make_instance(small_graph, num_sinks, seed=seed, dbif=dbif, eta=eta)
 
     return factory
-
-
-@pytest.fixture
-def pool_every_batch(monkeypatch):
-    """Lower the engine's pool break-even to zero, so that a batch pool of
-    two or more workers takes every multi-net batch, however small."""
-    from repro.engine import executor
-
-    monkeypatch.setattr(executor, "POOL_BREAK_EVEN", 0)

@@ -2,7 +2,7 @@
 
 The recovery contract under test (see DESIGN.md, "Recovery contract"):
 
-* a killed engine-pool or region-pool worker costs walltime, never
+* a killed region-pool worker costs walltime, never
   correctness -- its lost tasks re-execute (fresh worker or in-process)
   on their original name-keyed RNG streams, so the merged round is
   bit-identical to the unfaulted run;
@@ -25,10 +25,8 @@ import pytest
 
 from repro import faults
 from repro.core.cost_distance import CostDistanceSolver
-from repro.engine.engine import EngineConfig
 from repro import obs
-from repro.engine import executor as executor_module
-from repro.engine.executor import BatchExecutor, WorkerPool, batch_worker
+from repro.engine.executor import WorkerPool
 from repro.grid.graph import build_grid_graph
 from repro.instances.generator import NetlistGeneratorConfig, generate_netlist
 from repro.router.metrics import PARITY_FIELDS
@@ -79,36 +77,20 @@ def assert_bit_identical(router_a, result_a, router_b, result_b):
 
 
 class TestFaultParityBattery:
-    """seeds x K in {1, 2, 4} x fault rounds: killed workers and dropped
+    """seeds x K in {2, 4} x fault rounds: killed workers and dropped
     outcomes leave PARITY_FIELDS and the per-net trees bit-identical."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("fault_round", FAULT_ROUNDS)
-    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("shards", [2, 4])
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-    def test_killed_worker_changes_nothing(self, seed, shards, fault_round, monkeypatch):
+    def test_killed_worker_changes_nothing(self, seed, shards, fault_round):
         graph, netlist = random_design(seed)
-        if shards == 1:
-            # K=1 exercises the engine's batch pool (kill-pool-worker), on
-            # every multi-net batch of the small design.
-            monkeypatch.setattr(executor_module, "POOL_BREAK_EVEN", 0)
-            clean_router, clean = run_router(graph, netlist, num_rounds=3)
-            faults.install_plan(f"kill-pool-worker:round={fault_round}")
-            chaos_router, chaos = run_router(
-                graph,
-                netlist,
-                num_rounds=3,
-                engine=EngineConfig(num_workers=2),
-            )
-        else:
-            # K>1 exercises the shard layer's region pool.
-            clean_router, clean = run_router(
-                graph, netlist, num_rounds=3, shards=shards
-            )
-            faults.install_plan(f"kill-region-worker:round={fault_round}")
-            chaos_router, chaos = run_router(
-                graph, netlist, num_rounds=3, shards=shards, shard_workers=2
-            )
+        clean_router, clean = run_router(graph, netlist, num_rounds=3, shards=shards)
+        faults.install_plan(f"kill-region-worker:round={fault_round}")
+        chaos_router, chaos = run_router(
+            graph, netlist, num_rounds=3, shards=shards, shard_workers=2
+        )
         assert_bit_identical(clean_router, clean, chaos_router, chaos)
 
     @pytest.mark.slow
@@ -122,15 +104,12 @@ class TestFaultParityBattery:
         )
         assert_bit_identical(clean_router, clean, chaos_router, chaos)
 
-    def test_slow_oracle_changes_nothing(self, pool_every_batch):
+    def test_slow_oracle_changes_nothing(self):
         graph, netlist = random_design(17, num_nets=12, nx=10, ny=10)
-        clean_router, clean = run_router(graph, netlist, num_rounds=2)
-        faults.install_plan("slow-oracle:ms=1")
+        clean_router, clean = run_router(graph, netlist, num_rounds=2, shards=2)
+        faults.install_plan("slow-oracle:ms=1")  # honoured inside region workers too
         chaos_router, chaos = run_router(
-            graph,
-            netlist,
-            num_rounds=2,
-            engine=EngineConfig(num_workers=2),
+            graph, netlist, num_rounds=2, shards=2, shard_workers=2
         )
         assert_bit_identical(clean_router, clean, chaos_router, chaos)
 
@@ -145,27 +124,17 @@ class TestKillThenResume:
     land bit-identical to the unfaulted straight-through run."""
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("shards", [2, 4])
     @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-    def test_kill_checkpoint_resume_parity(self, tmp_path, seed, shards, monkeypatch):
+    def test_kill_checkpoint_resume_parity(self, tmp_path, seed, shards):
         graph, netlist = random_design(seed)
         rounds = 3
         interrupt_after = 1  # 0-based round whose checkpoint the resume uses
         path = str(tmp_path / f"chaos-{seed}-{shards}.ckpt")
 
-        if shards == 1:
-            clean_router, clean = run_router(graph, netlist, num_rounds=rounds)
-            fault = "kill-pool-worker:round=2"
-            monkeypatch.setattr(executor_module, "POOL_BREAK_EVEN", 0)
-            chaos_config = dict(
-                num_rounds=rounds, engine=EngineConfig(num_workers=2)
-            )
-        else:
-            clean_router, clean = run_router(
-                graph, netlist, num_rounds=rounds, shards=shards
-            )
-            fault = "kill-region-worker:round=2"
-            chaos_config = dict(num_rounds=rounds, shards=shards, shard_workers=2)
+        clean_router, clean = run_router(graph, netlist, num_rounds=rounds, shards=shards)
+        fault = "kill-region-worker:round=2"
+        chaos_config = dict(num_rounds=rounds, shards=shards, shard_workers=2)
 
         save = checkpoint_hook(path)
 
@@ -222,11 +191,11 @@ class TestRecoveryMachinery:
         try:
             # The fault of this choke point kills every worker, not just one.
             monkeypatch.setattr(faults, "kill_pool_worker", kill_all)
-            faults.install_plan("kill-pool-worker")
+            faults.install_plan("kill-region-worker")
             retried = counter("recovery.tasks_retried.process")
             discarded = counter("recovery.pools_discarded")
             with caplog.at_level(logging.WARNING, logger="repro.engine"):
-                results = run([1, 2, 3], fault=("kill-pool-worker", None))
+                results = run([1, 2, 3], fault=("kill-region-worker", None))
             assert results == [1, 4, 9]
             # The deaths were observed (the lost tasks went through the
             # inline ``route``) and the broken pool was discarded ...
@@ -240,21 +209,6 @@ class TestRecoveryMachinery:
         finally:
             pool.close()
         assert not pool.active
-
-    def test_engine_executor_double_close(self):
-        from repro.core.bifurcation import BifurcationModel
-
-        executor = BatchExecutor(
-            build_grid_graph(6, 6, 2),
-            CostDistanceSolver(),
-            BifurcationModel(dbif=0.0, eta=0.25),
-            seed=0,
-            workers=2,
-        )
-        executor.pool.start(executor._worker_payload, batch_worker, 2)
-        executor.close()
-        executor.close()  # idempotent
-        assert executor.closed and not executor.pool.active
 
     def test_region_executor_double_close_after_fault(self):
         """Close (twice) after a faulted round: no hang, no error."""

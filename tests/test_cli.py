@@ -13,7 +13,7 @@ class TestParser:
         args = build_parser().parse_args([])
         assert args.chip == "c1"
         assert args.oracle == "CD"
-        assert args.workers is None  # auto: the engine places each batch
+        assert not hasattr(args, "workers")  # batches run in-process
         assert not args.cache
 
     def test_rejects_unknown_chip(self):
@@ -96,7 +96,7 @@ class TestMain:
         [
             (["--rounds", "0"], "must be a positive"),
             (["submit", "--rounds", "0"], "must be a positive"),
-            (["submit", "--workers", "0"], "must be a positive"),
+            (["submit", "--shard-workers", "0"], "must be a positive"),
             (["submit", "--net-scale", "0"], "must be a positive"),
             (["serve", "--job-workers", "0"], "must be a positive"),
             (["soak", "--rounds", "0"], "must be a positive"),

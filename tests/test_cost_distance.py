@@ -309,7 +309,7 @@ class TestPotentialParity:
                 rng.randrange(graph.num_nodes) for _ in range(rng.randint(*num_targets))
             ]
             tiles = graph.nx * graph.ny
-            l1 = _target_l1(graph.nx, graph.ny, [t % tiles for t in targets])
+            l1 = _target_l1(graph.nx, graph.ny, [t % tiles for t in targets]).tolist()
             assert len(l1) == graph.nx * graph.ny
             for node in range(graph.num_nodes):
                 value = l1[node % len(l1)]
@@ -438,6 +438,19 @@ class TestKernelGolden:
         assert current.keys() == golden.keys()
         for key, rows in golden.items():
             assert current[key] == rows, key
+
+    def test_two_level_rows_match_under_the_python_loop(self, monkeypatch):
+        """The two-level rows run the compiled loop wherever it was built;
+        its specification, the Python loop, must route them alike."""
+        from repro.core import _search
+
+        monkeypatch.setattr(_search, "LIB", None)
+        golden = json.loads(_GOLDEN_PATH.read_text())
+        names = [name for name, config in _GOLDEN_CONFIGS.items() if config.use_two_level_heap]
+        current = kernel_digests(names)
+        assert len(current) == 4 * len(names) == 24
+        for key, rows in current.items():
+            assert rows == golden[key], key
 
 
 class TestFlatQueueIgnoresHashSeed:

@@ -28,8 +28,8 @@ class TestParsing:
         assert plan.specs == [FaultSpec(kind="kill-region-worker", round=2)]
 
     def test_round_is_optional(self):
-        plan = parse_fault_plan("kill-pool-worker")
-        assert plan.specs == [FaultSpec(kind="kill-pool-worker", round=None)]
+        plan = parse_fault_plan("kill-region-worker")
+        assert plan.specs == [FaultSpec(kind="kill-region-worker", round=None)]
 
     def test_multiple_specs_semicolon_and_whitespace(self):
         plan = parse_fault_plan("drop-outcome:round=1; slow-oracle:ms=5")
@@ -44,17 +44,21 @@ class TestParsing:
         with pytest.raises(FaultError, match="unknown fault"):
             parse_fault_plan("explode-everything")
 
+    def test_batch_pool_kill_is_gone_with_the_batch_pool(self):
+        with pytest.raises(FaultError, match="unknown fault"):
+            parse_fault_plan("kill-pool-worker:round=2")
+
     def test_unknown_argument_rejected(self):
         with pytest.raises(FaultError, match="does not take"):
-            parse_fault_plan("kill-pool-worker:ms=5")
+            parse_fault_plan("kill-region-worker:ms=5")
 
     def test_malformed_argument_rejected(self):
         with pytest.raises(FaultError, match="malformed"):
-            parse_fault_plan("kill-pool-worker:round")
+            parse_fault_plan("kill-region-worker:round")
 
     def test_rounds_are_one_based(self):
         with pytest.raises(FaultError, match="1-based"):
-            parse_fault_plan("kill-pool-worker:round=0")
+            parse_fault_plan("kill-region-worker:round=0")
 
     def test_slow_oracle_requires_ms(self):
         with pytest.raises(FaultError, match="requires ms"):
@@ -79,12 +83,12 @@ class TestShould:
         assert not plan.should("kill-region-worker", round_index=0)
 
     def test_unscoped_fault_fires_at_first_opportunity(self):
-        plan = parse_fault_plan("kill-pool-worker")
-        assert plan.should("kill-pool-worker", round_index=None)
-        assert not plan.should("kill-pool-worker", round_index=None)
+        plan = parse_fault_plan("kill-region-worker")
+        assert plan.should("kill-region-worker", round_index=None)
+        assert not plan.should("kill-region-worker", round_index=None)
 
     def test_kind_mismatch_never_fires(self):
-        plan = parse_fault_plan("kill-pool-worker")
+        plan = parse_fault_plan("drop-outcome")
         assert not plan.should("kill-region-worker", round_index=0)
 
     def test_firing_increments_counters(self):
@@ -106,7 +110,7 @@ class TestDelay:
         assert plan.delay_ms("slow-oracle") == 3.0  # continuous, never latches
 
     def test_delay_defaults_to_zero(self):
-        plan = parse_fault_plan("kill-pool-worker")
+        plan = parse_fault_plan("kill-region-worker")
         assert plan.delay_ms("slow-oracle") == 0.0
         plan.sleep("slow-oracle")  # no-op, no error
 
@@ -126,9 +130,9 @@ class TestInstallation:
         assert faults.get_plan() is None
 
     def test_install_plan_from_text(self):
-        plan = faults.install_plan("kill-pool-worker:round=1")
+        plan = faults.install_plan("kill-region-worker:round=1")
         assert faults.get_plan() is plan
-        assert os.environ[ENV_VAR] == "kill-pool-worker:round=1"
+        assert os.environ[ENV_VAR] == "kill-region-worker:round=1"
 
     def test_install_plan_object(self):
         plan = FaultPlan([FaultSpec(kind="drop-outcome", round=3)])
@@ -136,7 +140,7 @@ class TestInstallation:
         assert os.environ[ENV_VAR] == "drop-outcome:round=3"
 
     def test_clear_plan_removes_env_mirror(self):
-        faults.install_plan("kill-pool-worker")
+        faults.install_plan("kill-region-worker")
         faults.clear_plan()
         assert faults.get_plan() is None
         assert ENV_VAR not in os.environ

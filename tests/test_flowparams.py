@@ -77,7 +77,6 @@ FLAG_STRATEGIES = {
     "oracle": _choices("oracle"),
     "rounds": st.integers(1, 9),
     "seed": st.integers(-(2**31), 2**31),
-    "workers": st.integers(1, 8),
     "scheduling": _choices("scheduling"),
     "cache": st.booleans(),
     "cache_scope": _choices("cache_scope"),
@@ -152,14 +151,14 @@ def test_every_config_field_is_fingerprinted_or_declared_result_neutral():
     fields = {f.name for f in dataclasses.fields(GlobalRouterConfig)}
     fields |= {"engine." + f.name for f in dataclasses.fields(EngineConfig)}
     assert fields - seen == RESULT_NEUTRAL
-    assert {FIELDS[name].attr for name in ("workers", "shard_workers")} <= RESULT_NEUTRAL
+    assert FIELDS["shard_workers"].attr in RESULT_NEUTRAL
 
 
 def test_option_inventory():
     """The flow's settable options, by name: adding or removing a knob is a
     deliberate edit of this test."""
     assert {f.name for f in dataclasses.fields(EngineConfig)} == {
-        "num_workers", "scheduling", "reroute_cache", "cache_scope",
+        "scheduling", "reroute_cache", "cache_scope",
     }
     assert {f.name for f in dataclasses.fields(GlobalRouterConfig)} == {
         "num_rounds", "dbif", "cost_refresh_interval", "seed", "engine", "shards",
@@ -180,7 +179,7 @@ class TestValidation:
             ({"rounds": "2"}, "rounds must be a positive integer, got '2'"),
             ({"rounds": [1]}, r"rounds must be a positive integer, got \[1\]"),
             ({"rounds": None}, "rounds must be a positive integer, got None"),
-            ({"workers": "2"}, "workers must be a positive integer, got '2'"),
+            ({"workers": 2}, "unknown route param 'workers'"),
             ({"shard_halo": -1}, "shard_halo must be a non-negative integer, got -1"),
             ({"net_scale": True}, "net_scale must be a positive number, got True"),
             ({"net_scale": 0}, "net_scale must be a positive number, got 0"),
@@ -198,7 +197,7 @@ class TestValidation:
             build_flow(params)
 
     def test_null_means_unset_only_where_the_default_is_none(self):
-        unset = {"workers", "shard_workers", "checkpoint_every", "trace", "session"}
+        unset = {"shard_workers", "checkpoint_every", "trace", "session"}
         for name in JOB_PARAMS["route"]:
             if name in unset:
                 validate_params("route", {name: None})
@@ -230,6 +229,7 @@ class TestParsersAgree:
             (["--oracle", "XX"], "invalid choice"),
             # Where batches run is the engine's decision, not an option.
             (["--backend", "process"], "unrecognized arguments: --backend"),
+            (["--workers", "2"], "unrecognized arguments: --workers"),
             (["--cache-scope", "die"], "invalid choice"),
             (["--net-scale", "inf"], "must be a positive number, got 'inf'"),
         ):
@@ -237,6 +237,16 @@ class TestParsersAgree:
                 build_serve_parser().parse_args(["submit", "--port", "1"] + argv)
             assert raised.value.code == 2
             assert message in capsys.readouterr().err
+
+    def test_route_and_soak_refuse_the_batch_pool_size(self, capsys):
+        """Batches run in-process: no parser takes ``--workers``."""
+        from repro.serve.soak import build_parser as build_soak_parser
+
+        for parser in (build_route_parser(), build_soak_parser()):
+            with pytest.raises(SystemExit) as raised:
+                parser.parse_args(["--workers", "2"])
+            assert raised.value.code == 2
+            assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_submit_sends_no_null_and_keeps_shard_fields_at_one_shard(self):
         argv = ["submit", "--shard-halo", "2", "--shard-workers", "2"]
@@ -265,8 +275,7 @@ class TestDaemonRefusesAtSubmit:
             ({"cache": "false"}, "cache must be true or false"),  # turned the cache on
             ({"rounds": 2.9}, "rounds must be a positive integer, got 2.9"),  # routed 2
             ({"rounds": True}, "rounds must be a positive integer, got True"),  # routed 1
-            # failed late with a bare "TypeError: '<' not supported ..."
-            ({"workers": "2"}, "workers must be a positive integer"),
+            ({"workers": 2}, "unknown route param 'workers'"),
             ({"backend": "process"}, "unknown route param 'backend'"),
         ],
     )

@@ -6,6 +6,7 @@ from typing import Dict, Generic, Hashable, Tuple, TypeVar
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import _search
 from repro.core.heap import AddressableBinaryHeap, TwoLevelHeap
 
 from benchmarks.ledger.micro import heap_sequence
@@ -281,30 +282,51 @@ def _observe(heap):
     return len(heap), bool(heap), heap.min_key()
 
 
+def _heaps_under_test():
+    """``TwoLevelHeap`` and, where it was built, the compiled loop's heap
+    (driven through its exported push, pop and remove calls)."""
+    heaps = [TwoLevelHeap()]
+    if _search.LIB is not None:
+        heaps.append(_search.SearchLoop(_search.LIB))
+    return heaps
+
+
 def _replay(operations):
-    """Drive both heaps through ``operations``: every return value and every
-    observable must agree after every operation, and the drains must too."""
-    new, spec = TwoLevelHeap(), _ComposedTwoLevel()
+    """Drive the heaps under test and the spec through ``operations``: every
+    return value and every observable must agree after every operation, and
+    the drains must too."""
+    heaps, spec = _heaps_under_test(), _ComposedTwoLevel()
     for kind, search, item, key in operations:
         if kind == "pop":
             if spec:
-                assert new.pop() == spec.pop()
+                want = spec.pop()
+                for new in heaps:
+                    assert new.pop() == want
             else:
-                with pytest.raises(IndexError):
-                    new.pop()
+                for new in heaps:
+                    with pytest.raises(IndexError):
+                        new.pop()
         elif kind == "push":
-            assert new.push(search, item, key) is spec.push(search, item, key)
+            want = spec.push(search, item, key)
+            for new in heaps:
+                assert new.push(search, item, key) is want
         else:
-            getattr(new, kind)(search)
             getattr(spec, kind)(search)
-        assert _observe(new) == _observe(spec)
+            for new in heaps:
+                getattr(new, kind)(search)
+        for new in heaps:
+            assert _observe(new) == _observe(spec)
     while spec:
-        assert new.pop() == spec.pop()
-    assert _observe(new) == _observe(spec)
+        want = spec.pop()
+        for new in heaps:
+            assert new.pop() == want
+    for new in heaps:
+        assert _observe(new) == _observe(spec)
 
 
 class TestPopOrderSpec:
-    """``TwoLevelHeap`` against the composed heap it replaced."""
+    """``TwoLevelHeap`` and the compiled loop's heap against the composed
+    heap ``TwoLevelHeap`` replaced."""
 
     @given(st.lists(_HEAP_OPS, max_size=400))
     @settings(max_examples=200, deadline=None)

@@ -19,7 +19,7 @@ from repro.instances.eco import (
     apply_eco,
     parse_ops,
 )
-from repro.router.metrics import PARITY_FIELDS, RoutingResult
+from repro.router.metrics import RoutingResult
 from repro.router.netlist import Net, Netlist, Pin, Stage
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.serve.checkpoint import (
@@ -188,10 +188,11 @@ class TestCheckpoint:
         )
         with pytest.raises(CheckpointError, match="scheduling"):
             load_checkpoint(path).restore(different_scheduling)
-        # ... while the worker count may change freely: inline and pooled
-        # batches produce identical trees.
-        different_workers = make_router(
-            num_rounds=2, engine=EngineConfig(num_workers=2)
+        # ... while the region worker count may change freely: every
+        # placement produces identical trees.
+        different_workers = GlobalRouter(
+            build_grid_graph(10, 10, 4), tiny_netlist(), CostDistanceSolver(),
+            GlobalRouterConfig(num_rounds=2, shard_workers=2),
         )
         load_checkpoint(path).restore(different_workers)
         assert different_workers.rounds_completed == 2
@@ -501,6 +502,13 @@ class TestDaemon:
         # status omits the payload, result carries it
         assert "result" not in client.status(job_id)
 
+    def test_route_job_payload_names_no_engine_backend(self, client):
+        """Batches run in the job's thread: the payload no longer says where."""
+        job_id = client.submit_route(chip="c1", net_scale=0.1, rounds=1)
+        job = client.wait(job_id, timeout=300.0)
+        assert job["status"] == JobState.DONE
+        assert set(job["result"]) == {"result", "session"}
+
     def test_session_route_then_eco(self, client):
         job_id = client.submit_route(chip="c1", net_scale=0.1, rounds=2, session="s1")
         assert client.wait(job_id, timeout=300.0)["status"] == JobState.DONE
@@ -520,32 +528,6 @@ class TestDaemon:
         assert payload["touched"] == ["n0"]
         assert payload["nets_reused"] > 0
         assert client.sessions()[0]["generation"] == 2
-
-    def test_batch_pool_never_forks_the_daemon(self, daemon, client, monkeypatch):
-        """The daemon is multi-threaded, so the start-method pin it sets on
-        every job must reach the engine's batch pool too, not only the
-        region pool -- and the pooled job routes the serial job's bits."""
-        from repro.engine import executor
-
-        params = dict(chip="c1", net_scale=0.3, rounds=2)
-        serial = client.wait(client.submit_route(session="serial", **params), timeout=300.0)
-        # c1's batches are far below the break-even: lower it so the pooled
-        # job's batches really run on its pool.
-        monkeypatch.setattr(executor, "POOL_BREAK_EVEN", 0)
-        pooled = client.wait(
-            client.submit_route(session="pooled", workers=2, **params),
-            timeout=300.0,
-        )
-        assert serial["status"] == pooled["status"] == JobState.DONE
-        assert pooled["result"]["backend"] == "process"
-        pool = daemon.sessions["pooled"].router.engine.executor.pool
-        assert pool.workers == 2
-        assert pool.start_method in ("forkserver", "spawn")
-        assert serial["result"]["backend"] == "serial"  # c1 batches stay inline
-        want = RoutingResult.from_dict(serial["result"]["result"])
-        got = RoutingResult.from_dict(pooled["result"]["result"])
-        for field in PARITY_FIELDS:
-            assert getattr(got, field) == getattr(want, field), field
 
     def test_eco_against_unknown_session_fails(self, client):
         job_id = client.submit_eco("ghost", [{"op": "remove_net", "net": "n0"}])

@@ -503,6 +503,14 @@ class TestOneShardingPathOnePoolLifecycle:
         # The engine places each batch itself: no backend option.
         "EXECUTOR_" "BACKENDS",
         "config." "backend",
+        # Batches run in-process: the engine's batch pool and its placement
+        # rule are gone (the region pool is the one process pool).
+        "num_" "workers",
+        "POOL_BREAK_" "EVEN",
+        "balanced_" "chunks",
+        "batch_" "worker",
+        "batches_" "pooled",
+        "kill-pool-" "worker",
     )
 
     @staticmethod
@@ -624,29 +632,6 @@ class TestServeShardJobs:
             assert payload["region_backend"] == "serial"
         else:
             assert payload["region_backend"] in ("process", "serial")
-
-    def test_shard_job_pool_with_batch_pool_degrades_nested_pools(
-        self, daemon, pool_every_batch
-    ):
-        """workers=2 plus a region pool: pool workers are daemonic
-        and could not start engine pools of their own, so region engines
-        run serial inside them (the seam pass keeps the engine pool); the
-        job must finish, with the bits of the all-serial flow."""
-        host, port = daemon.address
-        client = ServeClient(host, port)
-        client.wait_until_up()
-        job_id = client.submit_route(
-            chip="c1", net_scale=0.3, rounds=1, shards=4,
-            shard_workers=2, workers=2,
-        )
-        record = client.wait(job_id, timeout=300)
-        assert record["status"] == "done", record
-        merged = RoutingResult.from_dict(record["result"]["result"])
-        assert merged.wire_length > 0
-        graph, netlist = build_chip(CHIP_SUITE[0].scaled(0.3))
-        _, want = run_router(graph, netlist, num_rounds=1, shards=4)
-        for field in PARITY_FIELDS:
-            assert getattr(merged, field) == getattr(want, field), field
 
     def test_shard_kind_is_rejected(self, daemon):
         """The daemon's own fan-out is gone; `shard` is not a job kind."""

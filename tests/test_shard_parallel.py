@@ -424,8 +424,8 @@ class TestScopeCaches:
 
 
 class TestTeardown:
-    """ShardCoordinator.close() must release every engine and both pools
-    even when a round raises mid-flight."""
+    """ShardCoordinator.close() must release the region pool even when a
+    round raises mid-flight."""
 
     def _failing_router(self, **config):
         graph, netlist = random_design(13, num_nets=16)
@@ -447,7 +447,6 @@ class TestTeardown:
         with pytest.raises(RuntimeError, match="injected region failure"):
             router.run()
         assert coordinator._closed
-        assert coordinator.seam_engine.executor.closed
         assert coordinator.region_executor.closed
 
     def test_close_releases_pool_when_a_round_fails_mid_flight(self):
@@ -473,7 +472,6 @@ class TestTeardown:
         assert coordinator.region_executor.closed
         assert coordinator.region_executor.pool.used  # live when the round failed
         assert not coordinator.region_executor.pool.active  # ...and released
-        assert coordinator.seam_engine.executor.closed
 
     def test_close_is_idempotent(self):
         router = self._failing_router(shard_workers=2)
