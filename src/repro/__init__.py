@@ -55,12 +55,10 @@ from repro.baselines.embedding import TopologyEmbedder
 from repro.router.netlist import Net, Netlist, Pin
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 from repro.engine import (
-    BatchExecutor,
     EngineConfig,
     NetScheduler,
     RerouteCache,
     RoutingEngine,
-    derive_net_rng,
     derive_net_rng_for_name,
 )
 from repro.grid.partition import RegionPartition, partition_grid
@@ -101,9 +99,7 @@ __all__ = [
     "EngineConfig",
     "RoutingEngine",
     "NetScheduler",
-    "BatchExecutor",
     "RerouteCache",
-    "derive_net_rng",
     "derive_net_rng_for_name",
     "RegionPartition",
     "partition_grid",

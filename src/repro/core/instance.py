@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -186,35 +186,6 @@ class SteinerInstance:
             self.bifurcation,
             region_edges=region_edges,
             extras=extras,
-        )
-
-    @classmethod
-    def from_payload(
-        cls,
-        graph: RoutingGraph,
-        payload: Dict[str, object],
-        delay: Optional[np.ndarray] = None,
-        context: Optional["OracleCostContext"] = None,
-    ) -> "SteinerInstance":
-        """Build an instance from a picklable, graph-free payload dict.
-
-        The payload carries the per-net, per-batch data (``root``,
-        ``sinks``, ``weights``, ``cost``, ``bifurcation``, optional
-        ``name``); the routing graph and the graph-static delay vector are
-        supplied by the caller, which lets executor workers hold them as
-        shared read-only state.  The production producer of these dicts is
-        :meth:`repro.engine.executor.NetTask.payload`.
-        """
-        return cls(
-            graph=graph,
-            root=payload["root"],  # type: ignore[arg-type]
-            sinks=list(payload["sinks"]),  # type: ignore[arg-type]
-            weights=list(payload["weights"]),  # type: ignore[arg-type]
-            cost=payload["cost"],  # type: ignore[arg-type]
-            delay=graph.delay_array() if delay is None else delay,
-            bifurcation=payload["bifurcation"],  # type: ignore[arg-type]
-            name=str(payload.get("name", "")),
-            context=context,
         )
 
     # ---------------------------------------------------------- derivation

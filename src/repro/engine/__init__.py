@@ -1,4 +1,4 @@
-"""Parallel batch-routing engine.
+"""The batch-routing engine.
 
 The execution layer between the resource-sharing router and the Steiner
 oracles:
@@ -8,30 +8,23 @@ oracles:
   windows, or conflict-free bounding-box batches).
 * :mod:`repro.engine.executor` -- :class:`WorkerPool`, the one task map
   (pure tasks inline or on ``multiprocessing`` workers, results in task
-  order; the shard layer's region pool), and :class:`BatchExecutor`, which
-  routes a batch in-process, net by net.
+  order; the shard layer's region pool).
 * :mod:`repro.engine.cache` -- the incremental re-route cache that skips
   nets whose instance signature did not change since their last routing.
-* :mod:`repro.engine.engine` -- the :class:`RoutingEngine` façade the
+* :mod:`repro.engine.engine` -- the :class:`RoutingEngine` the
   :class:`repro.router.router.GlobalRouter` delegates to, configured by
-  :class:`EngineConfig`.
+  :class:`EngineConfig`; it routes each batch in-process, net by net.
 * :mod:`repro.engine.rng` -- the stable per-net RNG derivation shared by
   every placement (serial, sharded, pooled regions).
 """
 
 from repro.engine.cache import CacheStats, RerouteCache
 from repro.engine.engine import EngineConfig, RoundReport, RoutingEngine
-from repro.engine.executor import (
-    BatchExecutor,
-    NetTask,
-    WorkerPool,
-)
+from repro.engine.executor import WorkerPool
 from repro.engine.rng import (
     NET_STREAM_STRIDE,
-    derive_net_rng,
     derive_net_rng_for_name,
     net_name_key,
-    net_stream_seed,
     net_stream_seed_for_name,
 )
 from repro.engine.scheduler import BoundingBox, NetBatch, NetScheduler
@@ -40,8 +33,6 @@ __all__ = [
     "BoundingBox",
     "NetBatch",
     "NetScheduler",
-    "NetTask",
-    "BatchExecutor",
     "WorkerPool",
     "CacheStats",
     "RerouteCache",
@@ -49,8 +40,6 @@ __all__ = [
     "RoundReport",
     "RoutingEngine",
     "NET_STREAM_STRIDE",
-    "net_stream_seed",
-    "derive_net_rng",
     "net_name_key",
     "net_stream_seed_for_name",
     "derive_net_rng_for_name",

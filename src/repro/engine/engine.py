@@ -6,10 +6,15 @@ price/timing logic (:mod:`repro.router`) and the Steiner oracles
 
 * a :class:`~repro.engine.scheduler.NetScheduler` that partitions each
   rip-up-and-re-route round into batches sharing a congestion snapshot,
-* a :class:`~repro.engine.executor.BatchExecutor` that routes each batch
-  in-process, net by net, and
+  and
 * optionally a :class:`~repro.engine.cache.RerouteCache` that skips nets
   whose instance signature is unchanged since their last routing.
+
+It routes each batch itself, in-process and net by net (the per-net oracle
+of the paper's Algorithm 1): one :class:`OracleCostContext` per batch, the
+instance of each net that reaches the oracle built once by
+:func:`net_instance`, one oracle call on the net's own RNG stream, and the
+returned tree installed as it is.
 
 Determinism contract: for a fixed :class:`EngineConfig` scheduling policy,
 every placement -- and every cache setting under the
@@ -25,14 +30,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
+import numpy as np
+
+from repro import faults, obs
 from repro.core.bifurcation import BifurcationModel
+from repro.core.costctx import OracleCostContext
+from repro.core.instance import SteinerInstance
 from repro.core.oracle import SteinerOracle
 from repro.core.tree import EmbeddedTree
 from repro.engine.cache import RerouteCache, RoundMemo
-from repro.engine.executor import BatchExecutor, NetTask
+from repro.engine.rng import derive_net_rng_for_name
 from repro.engine.scheduler import NetBatch, NetScheduler
 from repro.grid.congestion import CongestionMap
 from repro.grid.graph import RoutingGraph
@@ -41,7 +50,14 @@ if TYPE_CHECKING:  # circular at runtime: repro.router imports repro.engine
     from repro.router.netlist import Netlist
     from repro.router.resource_sharing import ResourceSharingPrices
 
-__all__ = ["CACHE_SCOPES", "SCHEDULING_POLICIES", "EngineConfig", "RoundReport", "RoutingEngine"]
+__all__ = [
+    "CACHE_SCOPES",
+    "SCHEDULING_POLICIES",
+    "EngineConfig",
+    "RoundReport",
+    "RoutingEngine",
+    "net_instance",
+]
 
 #: The values of :attr:`EngineConfig.scheduling` / :attr:`EngineConfig.cache_scope`
 #: (the flow-parameter table reads its choice sets from here).
@@ -125,7 +141,7 @@ class RoutingEngine:
         self.config = config or EngineConfig()
         self.net_indices = None if net_indices is None else list(net_indices)
         self.scheduler = NetScheduler(graph, netlist)
-        self.executor = BatchExecutor(graph, oracle, bifurcation, seed)
+        self._delay = graph.delay_array()
         self.cache: Optional[RerouteCache] = None
         if self.config.reroute_cache:
             self.cache = self._make_cache()
@@ -176,7 +192,7 @@ class RoutingEngine:
                 # One shared cost context per batch: the future-cost
                 # estimator and validation amortise over every net routed
                 # against this vector (None in reference mode).
-                context = self.executor.make_context(costs)
+                context = self.make_context(costs)
                 if context is not None:
                     costs = context.cost
                 # Signature ingredients that are constant across the batch: the
@@ -189,17 +205,19 @@ class RoutingEngine:
                         cost_digest = self.cache.global_cost_digest(costs)
                     else:
                         cost_floor = self.cache.global_cost_floor(costs)
-                tasks: List[NetTask] = []
+                # The nets that reach the oracle, with their instances (a
+                # cached or replayed net needs none).
+                pending: Dict[int, SteinerInstance] = {}
                 signatures: Dict[int, bytes] = {}
                 for net_index in batch.nets:
-                    task = self._make_task(net_index)
                     if self.cache is not None:
                         old_tree = trees[net_index]
+                        root, sinks = self.netlist.net_terminals(self.graph, net_index)
                         sig = self.cache.signature(
                             net_index,
-                            task.root,
-                            task.sinks,
-                            task.weights,
+                            root,
+                            sinks,
+                            self.prices.weights_of(net_index),
                             costs,
                             self.bifurcation,
                             tree_edges=old_tree.edges if old_tree is not None else (),
@@ -232,11 +250,32 @@ class RoutingEngine:
                             # exact same tree, so keep it (usage already booked).
                             report.nets_cached += 1
                             continue
-                    tasks.append(task)
-                routed = self.executor.route_batch(costs, tasks, context)
-                tasks_by_index = {task.net_index: task for task in tasks}
+                    pending[net_index] = net_instance(
+                        self.graph,
+                        self.netlist,
+                        self.prices,
+                        self.bifurcation,
+                        net_index,
+                        costs,
+                        self._delay,
+                        context,
+                    )
+                routed = {
+                    net_index: self._route_net(net_index, instance)
+                    for net_index, instance in pending.items()
+                }
+                if obs.get_tracer() is not None:
+                    for net_index, (tree, seconds) in routed.items():
+                        instance = pending[net_index]
+                        obs.event(
+                            "net",
+                            net=instance.name,
+                            sinks=instance.num_sinks,
+                            method=tree.method,
+                            seconds=seconds,
+                        )
                 for net_index in batch.nets:
-                    new_tree = routed.get(net_index)
+                    new_tree, _seconds = routed.get(net_index, (None, 0.0))
                     if new_tree is not None:
                         old_tree = trees[net_index]
                         self.congestion.apply_tree_delta(
@@ -252,12 +291,12 @@ class RoutingEngine:
                             # the entry can match next round's lookup (which will
                             # use this tree's edges) without an extra warm-up
                             # round after every re-route.
-                            task = tasks_by_index[net_index]
+                            instance = pending[net_index]
                             sig = self.cache.signature(
                                 net_index,
-                                task.root,
-                                task.sinks,
-                                task.weights,
+                                instance.root,
+                                instance.sinks,
+                                instance.weights,
                                 costs,
                                 self.bifurcation,
                                 tree_edges=new_tree.edges,
@@ -296,6 +335,13 @@ class RoutingEngine:
                 {i: by_name[name] for i, name in names if name in by_name}
             )
 
+    def make_context(self, costs: np.ndarray) -> Optional[OracleCostContext]:
+        """One :class:`OracleCostContext` for a batch routed against
+        ``costs``.  The reference-kernel benchmark harness patches this to
+        return ``None``, which reverts every consumer to the per-net slow
+        paths."""
+        return OracleCostContext(self.graph, costs, delay=self._delay)
+
     def close(self) -> None:
         """Nothing to release: batches run in this process.  (The shard
         coordinator, the other engine behind a router, closes its region
@@ -324,14 +370,40 @@ class RoutingEngine:
             scope=scope,
         )
 
-    def _make_task(self, net_index: int) -> NetTask:
-        root, sinks = self.netlist.net_terminals(self.graph, net_index)
-        net_name = self.netlist.nets[net_index].name
-        return NetTask(
-            net_index=net_index,
-            root=root,
-            sinks=tuple(sinks),
-            weights=tuple(self.prices.weights_of(net_index)),
-            name=f"{self.netlist.name}/{net_name}",
-            net_name=net_name,
-        )
+    def _route_net(self, net_index: int, instance: SteinerInstance) -> Tuple[EmbeddedTree, float]:
+        """The oracle's tree of one net on the net's own RNG stream, and its
+        solve seconds."""
+        rng = derive_net_rng_for_name(self.seed, self.netlist.nets[net_index].name)
+        plan = faults.get_plan()
+        if plan is not None:
+            plan.sleep("slow-oracle")
+        started = time.monotonic()
+        tree = self.oracle.build(instance, rng)
+        return tree, time.monotonic() - started
+
+
+def net_instance(
+    graph: RoutingGraph,
+    netlist: "Netlist",
+    prices: "ResourceSharingPrices",
+    bifurcation: BifurcationModel,
+    net_index: int,
+    costs: np.ndarray,
+    delay: np.ndarray,
+    context: Optional[OracleCostContext] = None,
+) -> SteinerInstance:
+    """The cost-distance Steiner instance of one net under ``costs`` and the
+    current sink delay weights: the one builder of the engine's batches and
+    of :meth:`~repro.router.router.GlobalRouter.build_instance`."""
+    root, sinks = netlist.net_terminals(graph, net_index)
+    return SteinerInstance(
+        graph=graph,
+        root=root,
+        sinks=sinks,
+        weights=prices.weights_of(net_index),
+        cost=costs,
+        delay=delay,
+        bifurcation=bifurcation,
+        name=f"{netlist.name}/{netlist.nets[net_index].name}",
+        context=context,
+    )

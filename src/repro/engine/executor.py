@@ -1,17 +1,12 @@
-"""The task map and the batch executor.
+"""The task map.
 
 "Run these independent, pure tasks -- here or on worker processes -- and
 give me the results in task order" is one idea, stated once:
 :class:`WorkerPool`.  Its user is the shard layer's
 :class:`~repro.shard.executor.RegionExecutor`, which routes the K regions
-of one round.
-
-:class:`BatchExecutor` (this module) routes one batch of nets in-process,
-net by net.  A batch (see :mod:`repro.engine.scheduler`) shares one frozen
-congestion cost vector.  Because each net carries its own deterministically
-derived RNG stream (:mod:`repro.engine.rng`), a net's tree is a pure
-function of its inputs, wherever the batch runs: in the router's process, in
-a region worker, or again after a worker death.
+of one round; the process boundary sits at the region subproblem, while the
+engine routes each batch of nets in-process
+(:meth:`~repro.engine.engine.RoutingEngine.route_round`).
 """
 
 from __future__ import annotations
@@ -20,25 +15,11 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro import faults, obs
-from repro.core.bifurcation import BifurcationModel
-from repro.core.costctx import OracleCostContext
-from repro.core.instance import SteinerInstance
-from repro.core.oracle import SteinerOracle
-from repro.core.tree import EmbeddedTree, TreeRecord, decode_tree, encode_tree
-from repro.engine.rng import derive_net_rng_for_name
-from repro.grid.graph import RoutingGraph
 
-__all__ = [
-    "NetTask",
-    "BatchExecutor",
-    "WorkerPool",
-]
+__all__ = ["WorkerPool"]
 
 #: Seconds between a pool worker's checks that its parent is still alive.
 PARENT_POLL_SECONDS = 0.25
@@ -117,10 +98,8 @@ class WorkerPool:
       construction -- pinning an unknown method raises :class:`ValueError`
       instead of silently falling back.  Unpinned pools prefer ``fork``
       (workers inherit ``sys.path``), then the platform default.
-    * **Size.**  ``workers`` defaults to the CPUs this process may use,
-      capped at 8 (pure-Python workloads stop scaling long before the core
-      count on big machines); a pool is never larger than the task count of
-      the call that starts it.
+    * **Size.**  ``workers`` (required, positive) caps the pool; a pool is
+      never larger than the task count of the call that starts it.
     * **Inline.**  With one worker, at most one task (nothing to overlap,
       skip the IPC) or no startable pool, the tasks run through ``route``
       in this process, in order.
@@ -150,19 +129,11 @@ class WorkerPool:
         self,
         backend: str,
         degrade_message: str,
-        workers: Optional[int] = None,
+        workers: int,
         start_method: Optional[str] = None,
     ) -> None:
-        if workers is not None and workers < 1:
+        if workers < 1:
             raise ValueError("workers must be positive")
-        if workers is None:
-            # What this process may run on, not what the machine has: an
-            # affinity mask (taskset, container CPU sets) can be narrower.
-            if hasattr(os, "sched_getaffinity"):
-                usable = len(os.sched_getaffinity(0))
-            else:  # pragma: no cover - non-Linux platforms
-                usable = os.cpu_count() or 2
-            workers = min(usable, 8)
         self.workers = workers
         self.backend = backend
         self.degrade_message = degrade_message
@@ -371,126 +342,3 @@ class WorkerPool:
         if pool is not None:
             pool.terminate()
             pool.join()
-
-
-@dataclass(frozen=True)
-class NetTask:
-    """Everything the executor needs to route one net.
-
-    ``net_name`` is the net's own (netlist-unique) name; it keys the net's
-    private RNG stream, so a net keeps its stream when routed at a shifted
-    index or inside a sub-netlist.  ``name`` is the fully qualified
-    ``design/net`` label used for instance reporting only.
-    """
-
-    net_index: int
-    root: int
-    sinks: Tuple[int, ...]
-    weights: Tuple[float, ...]
-    name: str = ""
-    net_name: str = ""
-
-    @property
-    def rng_name(self) -> str:
-        """The key of this net's RNG stream (falls back to the full label)."""
-        return self.net_name or self.name
-
-    def payload(self, costs: np.ndarray, bifurcation: BifurcationModel) -> dict:
-        """The :meth:`SteinerInstance.from_payload` dict of this task under a
-        batch cost vector (graph and delay are supplied by the executor)."""
-        return {
-            "root": self.root,
-            "sinks": self.sinks,
-            "weights": self.weights,
-            "cost": costs,
-            "bifurcation": bifurcation,
-            "name": self.name,
-        }
-
-
-class BatchExecutor:
-    """Routes one batch of nets against a frozen cost vector: in-process,
-    net by net, the historical router loop."""
-
-    def __init__(
-        self,
-        graph: RoutingGraph,
-        oracle: SteinerOracle,
-        bifurcation: BifurcationModel,
-        seed: int,
-    ) -> None:
-        self.graph = graph
-        self.oracle = oracle
-        self.bifurcation = bifurcation
-        self.seed = seed
-        self._delay = graph.delay_array()
-
-    # ------------------------------------------------------------------ API
-    def route_batch(
-        self,
-        costs: np.ndarray,
-        tasks: Sequence[NetTask],
-        context: Optional[OracleCostContext] = None,
-    ) -> Dict[int, EmbeddedTree]:
-        """Route every task against ``costs``; returns trees by net index.
-
-        ``context``, when given, shares the batch-level cost artefacts
-        (future-cost estimator, validation) across the batch's nets; one is
-        built when omitted.  Under an active tracer one ``net`` event per
-        task is emitted, in task order.
-        """
-        tasks = list(tasks)
-        if not tasks:
-            return {}
-        if context is None:
-            # The whole batch shares one cost vector, so the per-net
-            # estimator / validation amortise.
-            context = self.make_context(costs)
-        if context is not None:
-            # The context's (contiguous) array is the canonical batch vector:
-            # routing against it keeps the instance/context identity check hot.
-            costs = context.cost
-        solved = [self._route_one(costs, task, context) for task in tasks]
-        if obs.get_tracer() is not None:
-            for task, (record, seconds) in zip(tasks, solved):
-                obs.event(
-                    "net",
-                    net=task.name or task.rng_name,
-                    sinks=len(task.sinks),
-                    method=record[3],
-                    seconds=seconds,
-                )
-        return {
-            task.net_index: decode_tree(self.graph, record)
-            for task, (record, _seconds) in zip(tasks, solved)
-        }
-
-    def make_context(self, costs: np.ndarray) -> Optional[OracleCostContext]:
-        """One :class:`OracleCostContext` for a batch routed against
-        ``costs``.  The reference-kernel benchmark harness patches this to
-        return ``None``, which reverts every consumer to the per-net slow
-        paths."""
-        return OracleCostContext(self.graph, costs, delay=self._delay)
-
-    # ------------------------------------------------------------ internals
-    def _route_one(
-        self,
-        costs: np.ndarray,
-        task: NetTask,
-        context: Optional[OracleCostContext],
-    ) -> Tuple[TreeRecord, float]:
-        """One net's tree, as a graph-free record (plain ints and tuples),
-        and its solve seconds."""
-        instance = SteinerInstance.from_payload(
-            self.graph,
-            task.payload(costs, self.bifurcation),
-            delay=self._delay,
-            context=context,
-        )
-        rng = derive_net_rng_for_name(self.seed, task.rng_name)
-        plan = faults.get_plan()
-        if plan is not None:
-            plan.sleep("slow-oracle")
-        started = time.monotonic()
-        tree = self.oracle.build(instance, rng)
-        return encode_tree(tree), time.monotonic() - started

@@ -13,14 +13,11 @@ private stream when other nets are inserted or removed around it (ECO
 ``remove_net`` index shifts) and when it is routed as part of a sub-netlist
 (the shard layer's per-region netlists).  With one independent stream per
 net, a net's tree is a pure function of its Steiner instance and
-``(seed, name)``, so a batch of :mod:`repro.engine.executor` produces
-bit-identical trees wherever it runs (serial, or in a region worker), the re-route cache
-of :mod:`repro.engine.cache` can prove that re-solving an unchanged instance
-would reproduce the cached tree, and the replay memos of
-:mod:`repro.serve.session` survive net-index shifts.
-
-The index-keyed helpers are kept for callers that have no name (synthetic
-single-instance experiments); the router and engine always use names.
+``(seed, name)``, so a batch of :class:`~repro.engine.engine.RoutingEngine`
+produces bit-identical trees wherever it runs (serial, or in a region
+worker), the re-route cache of :mod:`repro.engine.cache` can prove that
+re-solving an unchanged instance would reproduce the cached tree, and the
+replay memos of :mod:`repro.serve.session` survive net-index shifts.
 """
 
 from __future__ import annotations
@@ -30,26 +27,14 @@ import random
 
 __all__ = [
     "NET_STREAM_STRIDE",
-    "net_stream_seed",
-    "derive_net_rng",
     "net_name_key",
     "net_stream_seed_for_name",
     "derive_net_rng_for_name",
 ]
 
-#: Multiplier separating per-net RNG streams; a prime much larger than any
-#: realistic net count so distinct ``(seed, net_index)`` pairs cannot collide.
+#: Multiplier separating the router seeds' blocks of per-net RNG streams
+#: (see :func:`net_stream_seed_for_name`).
 NET_STREAM_STRIDE = 1_000_003
-
-
-def net_stream_seed(seed: int, net_index: int) -> int:
-    """The integer seed of net ``net_index``'s private RNG stream."""
-    return seed * NET_STREAM_STRIDE + net_index
-
-
-def derive_net_rng(seed: int, net_index: int) -> random.Random:
-    """A fresh, independent RNG for one net's oracle call (index-keyed)."""
-    return random.Random(net_stream_seed(seed, net_index))
 
 
 def net_name_key(name: str) -> int:

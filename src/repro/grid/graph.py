@@ -16,9 +16,10 @@ The congestion-dependent cost ``c(e)`` used by the Steiner algorithms is a
 numpy array produced by :class:`repro.grid.congestion.CongestionMap` (or any
 pricing scheme); the graph itself only stores the static attributes.
 
-The graph is stored in flat parallel edge arrays plus two aligned tuples per
-node -- incident edge indices and opposite endpoints, in ascending edge order
--- so Dijkstra-style searches stay reasonably fast in pure Python.
+The graph is stored in flat parallel edge arrays plus the CSR adjacency the
+compiled search loop reads.  Two aligned tuples per node -- incident edge
+indices and opposite endpoints, in ascending edge order -- keep the pure
+Python searches reasonably fast; they are built on first read.
 """
 
 from __future__ import annotations
@@ -90,18 +91,14 @@ def _inside_box(ux, uy, vx, vy, xlo: int, ylo: int, xhi: int, yhi: int) -> np.nd
     )
 
 
-def _adjacency(
-    num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...], Tuple[np.ndarray, ...]]:
-    """``(incident, neighbours, csr)``: per node, the incident edge indices
-    in ascending order and the opposite endpoints, aligned -- as tuples and
-    as the int32 CSR arrays ``(start, edge, other)`` of the compiled search
-    loop (node ``n``'s half-edges are ``start[n]:start[n + 1]``).
+def _csr(num_nodes: int, edge_u: np.ndarray, edge_v: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The int32 CSR arrays ``(start, edge, other)`` of the adjacency: node
+    ``n``'s half-edges are ``start[n]:start[n + 1]``, each with its edge
+    index (ascending) and opposite endpoint.
 
     A stable argsort of the interleaved half-edges ``u0, v0, u1, v1, ...``
     by endpoint keeps each node's edges in the order an append loop over
-    the edges would produce (part of the pop-order contract).  All int
-    objects are drawn from one ``range`` list, so each value exists once.
+    the edges would produce (part of the pop-order contract).
     """
     ends = np.empty(2 * len(edge_u), dtype=np.int64)
     ends[0::2] = edge_u
@@ -109,20 +106,28 @@ def _adjacency(
     order = np.argsort(ends, kind="stable")
     edge_array = (order >> 1).astype(np.int32)
     other_array = ends[order ^ 1].astype(np.int32)
-    counts = np.cumsum(np.bincount(ends, minlength=num_nodes))
     start = np.zeros(num_nodes + 1, dtype=np.int32)
-    start[1:] = counts
+    start[1:] = np.cumsum(np.bincount(ends, minlength=num_nodes))
     for array in (start, edge_array, other_array):
         array.setflags(write=False)
-    ints = list(range(max(num_nodes, len(edge_u))))
+    return start, edge_array, other_array
+
+
+def _tuple_adjacency(
+    num_nodes: int, num_edges: int, csr: Tuple[np.ndarray, ...]
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+    """``(incident, neighbours)``: the CSR adjacency as per-node tuples of
+    edge indices and opposite endpoints, aligned.  All int objects are drawn
+    from one ``range`` list, so each value exists once."""
+    start, edge_array, other_array = csr
+    ints = list(range(max(num_nodes, num_edges)))
     edges = list(map(ints.__getitem__, edge_array.tolist()))
     others = list(map(ints.__getitem__, other_array.tolist()))
-    bounds = counts.tolist()
-    spans = list(zip([0] + bounds[:-1], bounds))
+    bounds = start.tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
     return (
         tuple(tuple(edges[a:b]) for a, b in spans),
         tuple(tuple(others[a:b]) for a, b in spans),
-        (start, edge_array, other_array),
     )
 
 
@@ -151,11 +156,13 @@ class RoutingGraph:
     Use :func:`build_grid_graph` to construct one; the constructor is
     considered internal.
 
-    A built graph is immutable: frozen edge arrays, and per node the
-    aligned tuples ``incident[node]`` (edge indices, ascending) and
-    ``neighbours[node]`` (opposite endpoints), with the same adjacency as
-    the int32 CSR arrays ``csr`` -- all derived from the arrays and rebuilt
-    rather than pickled.  It owns two memos keyed by a planar
+    A built graph is immutable: frozen edge arrays, the int32 CSR arrays
+    ``csr`` of the adjacency, and per node the aligned tuples
+    ``incident[node]`` (edge indices, ascending) and ``neighbours[node]``
+    (opposite endpoints) with the same adjacency -- all derived from the
+    arrays and rebuilt rather than pickled.  The compiled search loop reads
+    only ``csr``; the tuples serve the Python search loops and are built on
+    first read.  It owns two memos keyed by a planar
     box: :meth:`prism` (sub-graph + edge maps of the shard layer's scopes)
     and :meth:`box_edges` (the edge set of a net's signature region).  Both
     die with the graph and never travel: pickling a graph (region worker
@@ -191,11 +198,10 @@ class RoutingGraph:
         self.edge_base_cost = np.empty(0, dtype=np.float64)
         self.edge_capacity = np.empty(0, dtype=np.float64)
         self.edge_is_via = np.empty(0, dtype=bool)
-        # Per node: incident edge indices (ascending) and opposite
-        # endpoints, aligned, and the same as CSR arrays; set by _seal().
-        self.incident: Tuple[Tuple[int, ...], ...] = ()
-        self.neighbours: Tuple[Tuple[int, ...], ...] = ()
+        # The adjacency as CSR arrays, set by _seal(), and as per-node
+        # tuples, built on first read (see :attr:`incident`).
         self.csr: Tuple[np.ndarray, ...] = ()
+        self._tuples: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
         self._reset_memos()
         if build:
             self._build()
@@ -210,13 +216,32 @@ class RoutingGraph:
         """Freeze the edge arrays and derive the adjacency from them."""
         for name in EDGE_ARRAYS:
             getattr(self, name).setflags(write=False)
-        self.incident, self.neighbours, self.csr = _adjacency(
-            self.num_nodes, self.edge_u, self.edge_v
-        )
+        self.csr = _csr(self.num_nodes, self.edge_u, self.edge_v)
+        self._tuples = None
+
+    @property
+    def incident(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per node, the incident edge indices in ascending order."""
+        return self._tuple_pair()[0]
+
+    @property
+    def neighbours(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per node, the opposite endpoints, aligned with :attr:`incident`."""
+        return self._tuple_pair()[1]
+
+    def _tuple_pair(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        # One attribute holds both tuples, assigned whole: a concurrent
+        # first read sees nothing or the finished pair (and at worst builds
+        # it again).
+        pair = self._tuples
+        if pair is None:
+            pair = _tuple_adjacency(self.num_nodes, self.num_edges, self.csr)
+            self._tuples = pair
+        return pair
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        for derived in ("_prisms", "_box_edges", "_edge_planar", "incident", "neighbours", "csr"):
+        for derived in ("_prisms", "_box_edges", "_edge_planar", "_tuples", "csr"):
             del state[derived]
         return state
 

@@ -125,8 +125,8 @@ def install_reference_kernel() -> Iterator[None]:
     Patches three things for the duration of the ``with`` block:
 
     * ``CongestionMap.add_usage`` / ``remove_usage`` back to per-edge loops,
-    * ``BatchExecutor.make_context`` to return ``None``, reverting every
-      solver/executor consumer to its per-net slow path (per-net
+    * ``RoutingEngine.make_context`` to return ``None``, reverting every
+      solver/engine consumer to its per-net slow path (per-net
       estimator, per-net validation scans), and
     * the cost-distance search loop to its Python specification
       (``_search.LIB = None``): solves started in the block run
@@ -137,11 +137,11 @@ def install_reference_kernel() -> Iterator[None]:
     the ``kernel_speedup`` benchmark scenario and the parity battery.
     """
     from repro.core import _search
-    from repro.engine.executor import BatchExecutor
+    from repro.engine.engine import RoutingEngine
 
     saved_add = CongestionMap.add_usage
     saved_remove = CongestionMap.remove_usage
-    saved_make_context = BatchExecutor.make_context
+    saved_make_context = RoutingEngine.make_context
     saved_lib = _search.LIB
 
     def _add(self, edge_indices, amount=None):
@@ -153,11 +153,11 @@ def install_reference_kernel() -> Iterator[None]:
     try:
         CongestionMap.add_usage = _add
         CongestionMap.remove_usage = _remove
-        BatchExecutor.make_context = lambda self, costs: None
+        RoutingEngine.make_context = lambda self, costs: None
         _search.LIB = None
         yield
     finally:
         CongestionMap.add_usage = saved_add
         CongestionMap.remove_usage = saved_remove
-        BatchExecutor.make_context = saved_make_context
+        RoutingEngine.make_context = saved_make_context
         _search.LIB = saved_lib

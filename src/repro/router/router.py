@@ -31,7 +31,7 @@ from repro.core.objective import evaluate_tree
 from repro.core.oracle import SteinerOracle
 from repro.core.tree import EmbeddedTree, TreeRecord, decode_tree, encode_tree
 from repro.engine.cache import RoundMemo
-from repro.engine.engine import EngineConfig, RoutingEngine
+from repro.engine.engine import EngineConfig, RoutingEngine, net_instance
 from repro.engine.rng import derive_net_rng_for_name
 from repro.grid.congestion import CongestionMap
 from repro.grid.graph import RoutingGraph
@@ -286,17 +286,16 @@ class GlobalRouter:
         return tree
 
     def build_instance(self, net_index: int, costs: np.ndarray) -> SteinerInstance:
-        """Build the cost-distance Steiner instance of one net."""
-        root, sinks = self.netlist.net_terminals(self.graph, net_index)
-        return SteinerInstance(
-            graph=self.graph,
-            root=root,
-            sinks=sinks,
-            weights=self.prices.weights_of(net_index),
-            cost=costs,
-            delay=self.graph.delay_array(),
-            bifurcation=self.bifurcation,
-            name=f"{self.netlist.name}/{self.netlist.nets[net_index].name}",
+        """Build the cost-distance Steiner instance of one net (the engine's
+        builder, :func:`~repro.engine.engine.net_instance`)."""
+        return net_instance(
+            self.graph,
+            self.netlist,
+            self.prices,
+            self.bifurcation,
+            net_index,
+            costs,
+            self.graph.delay_array(),
         )
 
     # --------------------------------------------------------- checkpointing

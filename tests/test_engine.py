@@ -11,14 +11,15 @@ from repro.core.bifurcation import BifurcationModel
 from repro.core.cost_distance import CostDistanceSolver
 from repro.core.instance import SteinerInstance, instance_signature
 from repro.engine.cache import RerouteCache
-from repro.engine.engine import EngineConfig
-from repro.engine.executor import BatchExecutor, NetTask
-from repro.engine.rng import NET_STREAM_STRIDE, derive_net_rng, net_stream_seed
+from repro.engine.engine import EngineConfig, RoutingEngine, net_instance
+from repro.engine.rng import derive_net_rng_for_name
 from repro.engine.scheduler import BoundingBox, NetScheduler
 from repro.grid.congestion import CongestionMap
 from repro.grid.geometry import GridPoint
 from repro.grid.graph import build_grid_graph
 from repro.router.netlist import Net, Netlist, Pin, Stage
+from repro.router.oracles import ORACLES
+from repro.router.resource_sharing import ResourceSharingPrices
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 
 
@@ -56,19 +57,6 @@ def run_router(graph_dims, engine_config, num_rounds=2):
         GlobalRouterConfig(num_rounds=num_rounds, engine=engine_config),
     )
     return router, router.run()
-
-
-class TestRng:
-    def test_stable_formula(self):
-        assert net_stream_seed(3, 7) == 3 * NET_STREAM_STRIDE + 7
-
-    def test_streams_are_independent(self):
-        a = derive_net_rng(0, 1)
-        b = derive_net_rng(0, 2)
-        assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
-
-    def test_streams_are_reproducible(self):
-        assert derive_net_rng(5, 9).random() == derive_net_rng(5, 9).random()
 
 
 class TestBoundingBox:
@@ -132,50 +120,95 @@ class TestScheduler:
             NetScheduler(build_grid_graph(4, 4, 2), tiny_netlist(), halo=-1)
 
 
-class TestExecutors:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        graph = build_grid_graph(10, 10, 4)
+def make_engine(graph, netlist, oracle, seed=0, net_indices=None):
+    """A plain engine (one batch holds every net of ``tiny_netlist``) with
+    its own congestion map and prices, and the batch's cost vector."""
+    congestion = CongestionMap(graph)
+    prices = ResourceSharingPrices(graph, [net.num_sinks for net in netlist.nets])
+    engine = RoutingEngine(
+        graph, netlist, oracle, BifurcationModel(), congestion, prices, seed,
+        cost_refresh_interval=8, net_indices=net_indices,
+    )
+    return engine, congestion.edge_costs(prices.edge_prices)
+
+
+class TestRouteRound:
+    """The engine routes each batch itself, net by net."""
+
+    def test_routes_every_net(self, small_graph):
         netlist = tiny_netlist()
-        tasks = []
-        for i in range(netlist.num_nets):
-            root, sinks = netlist.net_terminals(graph, i)
-            tasks.append(
-                NetTask(i, root, tuple(sinks), tuple([0.2] * len(sinks)), f"t/{i}")
+        engine, _costs = make_engine(small_graph, netlist, CostDistanceSolver())
+        trees = [None] * netlist.num_nets
+        engine.route_round(0, trees)
+        assert engine.round_reports[-1].nets_routed == netlist.num_nets
+        for net_index, tree in enumerate(trees):
+            root, sinks = netlist.net_terminals(small_graph, net_index)
+            tree.validate(root, sinks)
+
+    def test_empty_batch_routes_nothing(self, small_graph):
+        class NoOracle(CostDistanceSolver):
+            def build(self, instance, rng=None):
+                raise AssertionError("no net to route")
+
+        netlist = tiny_netlist()
+        engine, _costs = make_engine(small_graph, netlist, NoOracle(), net_indices=[])
+        trees = [None] * netlist.num_nets
+        engine.route_round(0, trees)
+        assert trees == [None] * netlist.num_nets
+        assert not engine.congestion.usage.any()
+        assert engine.round_reports[-1].nets_routed == 0
+
+    def test_each_tree_is_the_oracle_call_on_its_own_stream(self, small_graph):
+        """Each tree equals a direct oracle call on the net's instance and
+        name-keyed RNG stream, whatever else the batch holds."""
+
+        class Recording(CostDistanceSolver):
+            streams = {}
+
+            def build(self, instance, rng=None):
+                self.streams[instance.name] = rng.getstate()
+                return super().build(instance, rng)
+
+        netlist = tiny_netlist()
+        oracle = Recording()
+        engine, costs = make_engine(small_graph, netlist, oracle, seed=7)
+        together = [None] * netlist.num_nets
+        engine.route_round(0, together)
+        assert oracle.streams == {
+            f"{netlist.name}/{net.name}": derive_net_rng_for_name(7, net.name).getstate()
+            for net in netlist.nets
+        }
+        for net_index, net in enumerate(netlist.nets):
+            instance = net_instance(
+                small_graph, netlist, engine.prices, engine.bifurcation, net_index,
+                costs, small_graph.delay_array(),
             )
-        costs = graph.base_cost_array()
-        return graph, tasks, costs
-
-    def test_serial_routes_all_tasks(self, setup):
-        graph, tasks, costs = setup
-        executor = BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
-        trees = executor.route_batch(costs, tasks)
-        assert sorted(trees) == [t.net_index for t in tasks]
-        for task in tasks:
-            trees[task.net_index].validate(task.root, list(task.sinks))
-
-    def test_empty_batch_routes_nothing(self, setup):
-        graph, _tasks, costs = setup
-        executor = BatchExecutor(graph, CostDistanceSolver(), BifurcationModel(), 0)
-        assert executor.route_batch(costs, []) == {}
-
-    def test_each_tree_is_the_oracle_call_on_its_own_stream(self, setup):
-        """A batch routes net by net: each tree equals a direct oracle call
-        on the net's instance and name-keyed RNG stream, whatever else the
-        batch holds."""
-        from repro.engine.rng import derive_net_rng_for_name
-
-        graph, tasks, costs = setup
-        oracle = CostDistanceSolver()
-        executor = BatchExecutor(graph, oracle, BifurcationModel(), 7)
-        together = executor.route_batch(costs, tasks)
-        for task in tasks:
-            instance = SteinerInstance.from_payload(
-                graph, task.payload(costs, BifurcationModel()), delay=graph.delay_array()
+            direct = oracle.build(instance, derive_net_rng_for_name(7, net.name))
+            alone_engine, _costs = make_engine(
+                small_graph, netlist, oracle, seed=7, net_indices=[net_index]
             )
-            direct = oracle.build(instance, derive_net_rng_for_name(7, task.rng_name))
-            alone = executor.route_batch(costs, [task])[task.net_index]
-            assert together[task.net_index].edges == tuple(direct.edges) == alone.edges
+            alone = [None] * netlist.num_nets
+            alone_engine.route_round(0, alone)
+            assert together[net_index].edges == direct.edges == alone[net_index].edges
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_every_oracle_installs_int_trees(self, name):
+        """The engine installs each oracle's tree as it is: an ``int`` root
+        and tuples of ``int`` sinks and edges, on the engine's graph (what a
+        TreeRecord round trip would have produced)."""
+        from repro.instances.chips import CHIP_SUITE, build_chip
+
+        graph, netlist = build_chip(CHIP_SUITE[0])
+        router = GlobalRouter(graph, netlist, ORACLES[name](), GlobalRouterConfig(num_rounds=1))
+        router.run()
+        assert all(tree is not None for tree in router.trees)
+        for tree in router.trees:
+            assert tree.graph is graph
+            assert type(tree.root) is int
+            assert type(tree.sinks) is tuple and type(tree.edges) is tuple
+            assert all(type(node) is int for node in tree.sinks)
+            assert all(type(edge) is int for edge in tree.edges)
+            assert tree.method == name
 
 
 class TestTrace:
@@ -247,28 +280,7 @@ class TestCongestionSnapshot:
         assert np.allclose(live.usage, before)
 
 
-class TestInstancePayload:
-    def test_task_payload_roundtrip(self, instance_factory):
-        """NetTask.payload (the production producer) feeds from_payload."""
-        instance = instance_factory(num_sinks=3, dbif=2.0)
-        task = NetTask(
-            0,
-            instance.root,
-            tuple(instance.sinks),
-            tuple(instance.weights),
-            instance.name,
-        )
-        rebuilt = SteinerInstance.from_payload(
-            instance.graph, task.payload(instance.cost, instance.bifurcation)
-        )
-        assert rebuilt.root == instance.root
-        assert rebuilt.sinks == instance.sinks
-        assert rebuilt.weights == instance.weights
-        assert np.array_equal(rebuilt.cost, instance.cost)
-        assert rebuilt.bifurcation == instance.bifurcation
-        assert rebuilt.name == instance.name
-        assert rebuilt.signature() == instance.signature()
-
+class TestInstanceSignature:
     def test_signature_sensitivity(self, instance_factory):
         instance = instance_factory(num_sinks=3)
         base = instance.signature()
@@ -291,35 +303,39 @@ class TestInstancePayload:
         inside[3] += 7.0
         assert instance.with_costs(inside).signature(region_edges=region) != base
 
-    def test_signature_stable_across_equivalent_payload_round_trips(
-        self, instance_factory
-    ):
-        """Equal-value payloads digest identically however they travelled:
-        list vs. tuple containers, float32 vs. float64 cost dtypes, and a
-        pickle round-trip (the process-backend wire format) all produce
-        the same signature."""
+    def test_signature_stable_across_equivalent_inputs(self, instance_factory):
+        """Equal-value instance inputs digest identically however they
+        travelled: list vs. tuple containers, a float32-rounded cost vector
+        and a pickle round trip all produce the same signature."""
         import pickle
 
         instance = instance_factory(num_sinks=3, dbif=2.0)
-        task = NetTask(
-            0, instance.root, tuple(instance.sinks), tuple(instance.weights)
+        graph = instance.graph
+
+        def signature(root, sinks, weights, cost, bifurcation):
+            return SteinerInstance(
+                graph, root, sinks, weights, cost, instance.delay, bifurcation
+            ).signature()
+
+        inputs = (
+            instance.root,
+            tuple(instance.sinks),
+            tuple(instance.weights),
+            instance.cost,
+            instance.bifurcation,
         )
-        payload = task.payload(instance.cost, instance.bifurcation)
-        base = SteinerInstance.from_payload(instance.graph, payload).signature()
+        base = signature(*inputs)
+        assert base == instance.signature()
 
-        listy = dict(payload)
-        listy["sinks"] = list(payload["sinks"])
-        listy["weights"] = list(payload["weights"])
-        assert SteinerInstance.from_payload(instance.graph, listy).signature() == base
+        root, sinks, weights, cost, bifurcation = inputs
+        assert signature(root, list(sinks), list(weights), cost, bifurcation) == base
 
-        downcast = dict(payload)
-        downcast["cost"] = payload["cost"].astype(np.float32).astype(np.float64)
-        assert (
-            SteinerInstance.from_payload(instance.graph, downcast).signature() == base
-        )
+        rounded = cost.astype(np.float32)
+        assert signature(root, sinks, weights, rounded, bifurcation) == base
+        assert signature(root, sinks, weights, rounded.astype(np.float64), bifurcation) == base
 
-        pickled = pickle.loads(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-        assert SteinerInstance.from_payload(instance.graph, pickled).signature() == base
+        pickled = pickle.loads(pickle.dumps(inputs, pickle.HIGHEST_PROTOCOL))
+        assert signature(*pickled) == base
 
 
 class TestRerouteCache:

@@ -2,6 +2,8 @@
 
 import gc
 import pickle
+import sys
+import threading
 import tracemalloc
 from typing import List
 
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import _search
 from repro.core.cost_distance import CostDistanceSolver
+from repro.engine.engine import EngineConfig
 from repro.grid.geometry import BoundingBox, GridPoint
 from repro.grid.graph import (
     EDGE_ARRAYS,
@@ -20,7 +24,7 @@ from repro.grid.graph import (
     extract_prism,
 )
 from repro.grid.layers import default_layer_stack
-from repro.instances.chips import CHIP_SUITE, large_chip
+from repro.instances.chips import CHIP_SUITE, build_chip, large_chip
 from repro.router.router import GlobalRouter, GlobalRouterConfig
 
 
@@ -383,9 +387,12 @@ class TestImmutability:
 
     def test_pickle_rebuilds_the_adjacency_instead_of_shipping_it(self):
         graph = build_grid_graph(5, 5, 3)
+        graph.incident  # build the tuples: they must not travel either
         state = graph.__getstate__()
-        assert "incident" not in state and "neighbours" not in state
+        assert "_tuples" not in state and "csr" not in state
         clone = pickle.loads(pickle.dumps(graph))
+        assert clone._tuples is None
+        assert all(np.array_equal(a, b) for a, b in zip(clone.csr, graph.csr))
         assert clone.incident == graph.incident
         assert clone.neighbours == graph.neighbours
         assert_adjacency_is_immutable(clone)
@@ -425,6 +432,58 @@ def assert_adjacency_is_immutable(graph):
             table[0][0] = 0
 
 
+class TestLazyTupleAdjacency:
+    """``incident`` / ``neighbours`` are built on first read; ``csr`` is
+    built with the graph."""
+
+    def test_built_on_first_read_from_the_csr(self):
+        graph = build_grid_graph(6, 5, 3)
+        assert graph._tuples is None
+        start, edge, other = graph.csr
+        incident, neighbours = graph.incident, graph.neighbours
+        assert graph.incident is incident and graph.neighbours is neighbours
+        for node in range(graph.num_nodes):
+            lo, hi = start[node], start[node + 1]
+            assert incident[node] == tuple(edge[lo:hi].tolist())
+            assert neighbours[node] == tuple(other[lo:hi].tolist())
+
+    def test_concurrent_first_reads_see_the_finished_tuples(self):
+        graph, fresh = build_grid_graph(24, 24, 6), build_grid_graph(24, 24, 6)
+        expected = (fresh.incident, fresh.neighbours)
+        barrier = threading.Barrier(4, timeout=30)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append((graph.incident, graph.neighbours))
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 4 and all(pair == expected for pair in seen)
+
+    @pytest.mark.skipif(_search.LIB is None, reason="no compiled search loop")
+    def test_a_compiled_cost_distance_route_never_builds_them(self):
+        """The compiled search loop reads ``csr`` only: neither the graph
+        nor any region or seam prism pays for the tuples."""
+        graph, netlist = build_chip(CHIP_SUITE[0])
+        config = GlobalRouterConfig(
+            num_rounds=2, dbif=None, shards=4, engine=EngineConfig(reroute_cache=True)
+        )
+        GlobalRouter(graph, netlist, CostDistanceSolver(), config).run()
+        assert graph._prisms
+        assert graph._tuples is None
+        assert all(prism.sub_graph._tuples is None for prism in graph._prisms.values())
+
+
 class TestMemoryCeiling:
     """Routing-graph storage is budgeted in tier-1: a return to per-edge
     Python objects (pair tuples, list edge maps) fails here."""
@@ -443,10 +502,11 @@ class TestMemoryCeiling:
         assert len(router.engine.regions) == 4
         # Retained: 143.9 MiB with per-node lists of (edge, other) tuples
         # and list edge maps, 69.0 MiB with aligned per-node tuples and
-        # int64 edge maps (Python 3.11, numpy 2).  Pair tuples for the
-        # graph alone add ~14 MiB, for the prisms ~41 MiB, list edge maps
-        # ~20 MiB: each crosses the ceiling.
-        assert retained_mib < 80.0, retained_mib
+        # int64 edge maps, 74.6 MiB with the CSR arrays added, 39.2 MiB
+        # with the tuples built on first read (Python 3.11, numpy 2).
+        # Eager tuples for the graph and its prisms add ~35 MiB, pair
+        # tuples or list edge maps more: each crosses the ceiling.
+        assert retained_mib < 50.0, retained_mib
 
     def test_one_routed_round_on_four_shards(self):
         """The route itself: the kernel reads each batch's cost and delay

@@ -511,6 +511,13 @@ class TestOneShardingPathOnePoolLifecycle:
         "batch_" "worker",
         "batches_" "pooled",
         "kill-pool-" "worker",
+        # The engine routes each net itself: no task, payload or record
+        # round trip on the batch path; no index-keyed RNG streams.
+        "Batch" "Executor",
+        "Net" "Task",
+        "from_" "payload",
+        "derive_net_" "rng(",
+        "net_stream_" "seed(",
     )
 
     @staticmethod
@@ -558,7 +565,7 @@ class TestOneShardingPathOnePoolLifecycle:
             tree = ast.parse(inspect.getsource(module))
             return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
 
-        assert classes(engine_executor) == {"WorkerPool", "NetTask", "BatchExecutor"}
+        assert classes(engine_executor) == {"WorkerPool"}
         assert classes(shard_executor) == {
             "RegionTask", "RegionOutcome", "_TaskPrices", "_RegionRunner", "RegionExecutor",
         }

@@ -351,20 +351,20 @@ class TestReferenceKernelParity:
 
     def test_install_reference_kernel_restores_patches(self):
         from repro.core import _search
-        from repro.engine.executor import BatchExecutor
+        from repro.engine.engine import RoutingEngine
 
         add = CongestionMap.add_usage
         remove = CongestionMap.remove_usage
-        make_context = BatchExecutor.make_context
+        make_context = RoutingEngine.make_context
         lib = _search.LIB
         with reference.install_reference_kernel():
             assert CongestionMap.add_usage is not add
             assert CongestionMap.remove_usage is not remove
-            assert BatchExecutor.make_context is not make_context
+            assert RoutingEngine.make_context is not make_context
             assert _search.loop_name() == "python"
         assert CongestionMap.add_usage is add
         assert CongestionMap.remove_usage is remove
-        assert BatchExecutor.make_context is make_context
+        assert RoutingEngine.make_context is make_context
         assert _search.LIB is lib
 
 

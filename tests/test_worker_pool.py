@@ -100,13 +100,7 @@ class TestWorkerPoolMap:
         finally:
             pool.close()
 
-    def test_default_size_counts_usable_cpus(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert make_pool(workers=None).workers == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
-        assert make_pool(workers=None).workers == 8
+    def test_refuses_a_non_positive_size_and_an_unknown_start_method(self):
         with pytest.raises(ValueError, match="positive"):
             make_pool(workers=0)
         with pytest.raises(ValueError, match="start method"):
