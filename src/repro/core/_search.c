@@ -3,24 +3,32 @@
  *
  * One Solve holds the state of one run of Algorithm 1 that the loop
  * touches per pop: every live search's labels (tentative distance, parent,
- * permanent flag), its sub-heap, its own component edges (III-A), the
- * node -> component map and the top heap of the two-level heap (III-B).
- * Everything else -- merges, connection keys, Steiner placement,
- * component delays and the A* targets -- stays in Python, which reads this
- * state through cd_path and cd_settled_on.
+ * permanent flag), its sub-heap, its own component edges (III-A), the top
+ * heap of the two-level heap (III-B), and per component node its component
+ * and its delay to the component's representative terminal.  Three merge
+ * steps run here too, each on Python's word: the component delays
+ * (cd_component_delays), the Steiner placement of III-D without landmarks
+ * (cd_best_steiner) and the per-tile A* target field (cd_set_targets).
+ * Every decision -- merges, owners, connection keys, the RNG placement --
+ * stays in Python, which reads this state through cd_path and
+ * cd_settled_on.
  *
- * The Python loop `_Solve.run` is the specification: the heap's sift loops
- * (sift-up stops at <=, sift-down prefers the left child on ties and stops
- * at >=), the pop-then-push of the top entry, remove_search's swap with the
- * last entry, the per-node ascending edge order and every float expression
- * are the same, so every pop, label and tree is the same.  Compile without
- * floating-point contraction (-ffp-contract=off): `a + b + w * d` must stay
- * two roundings apart from a fused multiply-add.
+ * The Python loop `_Solve.run` is the specification of the loop: the heap's
+ * sift loops (sift-up stops at <=, sift-down prefers the left child on ties
+ * and stops at >=), the pop-then-push of the top entry, remove_search's swap
+ * with the last entry, the per-node ascending edge order and every float
+ * expression are the same, so every pop, label and tree is the same.
+ * `_component_delays`, `_best_steiner_position` and `_target_l1` specify the
+ * merge steps, value for value.  Compile without floating-point contraction
+ * (-ffp-contract=off): `a + b + w * d` must stay two roundings apart from a
+ * fused multiply-add.
  *
- * Memory grows with the nodes a search touches, never with the graph: a
- * search's labels sit in an open-addressing table keyed by node.  There is
- * no global mutable state; concurrent solves in threads share nothing but
- * the read-only graph and cost arrays.
+ * Memory grows with the nodes a search touches and the nodes of the
+ * components, never with the graph (the target field, one double per planar
+ * tile, is Python's buffer): labels and component nodes sit in
+ * open-addressing tables keyed by node.  There is no global mutable state;
+ * concurrent solves in threads share nothing but the read-only graph and
+ * cost arrays.
  */
 
 #include <math.h>
@@ -120,6 +128,14 @@ static int map_put(IntMap *map, int32_t key, int32_t value)
     }
 }
 
+/* Drop every entry, keep the slots. */
+static void map_clear(IntMap *map)
+{
+    if (map->slots != NULL)
+        memset(map->slots, 0xFF, (size_t)(map->mask + 1) * sizeof(Slot));
+    map->count = 0;
+}
+
 static void map_free(IntMap *map)
 {
     free(map->slots);
@@ -155,14 +171,31 @@ typedef struct {
     IntMap own_edges; /* III-A: the edges of the search's component */
 } Search;
 
+/* A node of a component (or of a component's edge set). */
+typedef struct {
+    int32_t node;
+    int32_t comp;  /* EMPTY: none */
+    int32_t walk;  /* the last cd_component_delays walk that labelled it */
+    int32_t done;  /* settled in walk `walk` */
+    double delay;  /* to its component's representative (0.0 until reached) */
+    double label;  /* its tentative delay in walk `walk` */
+} Member;
+
 typedef struct {
     /* The routing graph in CSR form and the batch's arrays (borrowed). */
     const int32_t *start, *edge, *other;
     const double *cost, *delay;
-    const double *l1; /* per planar tile; NULL: all zero */
-    int32_t planar_tiles;
+    double *l1; /* per planar tile (borrowed, written by cd_set_targets); NULL: all zero */
+    int32_t nx, ny, planar_tiles;
     int32_t discount;
-    IntMap comp; /* node -> component */
+    IntMap member_index; /* node -> member */
+    Member *members;
+    int32_t num_members, member_capacity;
+    /* The scratch of cd_component_delays: its edge set and its heap. */
+    IntMap walk_edges;
+    double *walk_keys;
+    int32_t *walk_items;
+    int32_t walk_size, walk_capacity, walks;
     Search **searches; /* by search id */
     int32_t num_searches;
     /* The top heap over the sub-heap minima. */
@@ -179,9 +212,11 @@ typedef struct {
 typedef struct {
     double key;
     double dist;
+    double delay; /* the node's, to its component's representative */
     int32_t search;
     int32_t node;
     int32_t permanent;
+    int32_t comp; /* the node's component, EMPTY if none */
 } Event;
 
 static void search_free(Search *search)
@@ -254,6 +289,35 @@ static int32_t entry_of(Search *search, int32_t node, int create)
     entry->permanent = 0;
     entry->pos[0] = entry->pos[1] = EMPTY;
     entry->dist = INFINITY;
+    return index;
+}
+
+/* The member row of `node`, created outside every component if `create`
+ * and absent: EMPTY if absent, -2 out of memory. */
+static int32_t member_of(Solve *solve, int32_t node, int create)
+{
+    int32_t index = map_get(&solve->member_index, node);
+    if (index != EMPTY || !create)
+        return index;
+    if (solve->num_members == solve->member_capacity) {
+        int32_t capacity = solve->member_capacity ? 2 * solve->member_capacity : 16;
+        Member *grown = realloc(solve->members, (size_t)capacity * sizeof(Member));
+        if (grown == NULL)
+            return -2;
+        solve->members = grown;
+        solve->member_capacity = capacity;
+    }
+    index = solve->num_members;
+    if (map_put(&solve->member_index, node, index) < 0)
+        return -2;
+    solve->num_members++;
+    Member *member = &solve->members[index];
+    member->node = node;
+    member->comp = EMPTY;
+    member->walk = 0;
+    member->done = 0;
+    member->delay = 0.0;
+    member->label = INFINITY;
     return index;
 }
 
@@ -433,7 +497,7 @@ static int heap_pop(Solve *solve, double *out_key, int32_t *out_id, int32_t *out
 /* ---------------------------------------------------------------- API */
 
 Solve *cd_new(const int32_t *start, const int32_t *edge, const int32_t *other,
-              const double *cost, const double *delay, int32_t planar_tiles, int32_t discount)
+              const double *cost, const double *delay, int32_t nx, int32_t ny, int32_t discount)
 {
     Solve *solve = calloc(1, sizeof(Solve));
     if (solve == NULL)
@@ -443,7 +507,9 @@ Solve *cd_new(const int32_t *start, const int32_t *edge, const int32_t *other,
     solve->other = other;
     solve->cost = cost;
     solve->delay = delay;
-    solve->planar_tiles = planar_tiles;
+    solve->nx = nx;
+    solve->ny = ny;
+    solve->planar_tiles = nx * ny;
     solve->discount = discount;
     solve->pending_search = EMPTY;
     return solve;
@@ -456,23 +522,24 @@ void cd_free(Solve *solve)
     for (int32_t id = 0; id < solve->num_searches; id++)
         search_free(solve->searches[id]);
     free(solve->searches);
-    map_free(&solve->comp);
+    map_free(&solve->member_index);
+    free(solve->members);
+    map_free(&solve->walk_edges);
+    free(solve->walk_keys);
+    free(solve->walk_items);
     free(solve->top_keys);
     free(solve->top_items);
     free(solve);
 }
 
-void cd_set_l1(Solve *solve, const double *l1)
-{
-    solve->l1 = l1;
-}
-
-/* node_comp[node] = comp for each node. */
+/* node_comp[node] = comp for each node (a new member's delay is 0.0). */
 int cd_set_component(Solve *solve, const int32_t *nodes, int32_t count, int32_t comp)
 {
     for (int32_t i = 0; i < count; i++) {
-        if (map_put(&solve->comp, nodes[i], comp) < 0)
+        int32_t member = member_of(solve, nodes[i], 1);
+        if (member < 0)
             return -1;
+        solve->members[member].comp = comp;
     }
     return 0;
 }
@@ -619,11 +686,14 @@ int cd_run(Solve *solve, Event *event)
         Search *search = solve->searches[id];
         Entry *entry = &search->entries[item >> 1];
         if (item & 1) {
+            int32_t member = map_get(&solve->member_index, entry->node);
             event->key = key;
             event->dist = entry->dist;
+            event->delay = member == EMPTY ? 0.0 : solve->members[member].delay;
             event->search = id;
             event->node = entry->node;
             event->permanent = entry->permanent;
+            event->comp = member == EMPTY ? EMPTY : solve->members[member].comp;
             return EV_CONNECT;
         }
         if (entry->permanent)
@@ -632,16 +702,19 @@ int cd_run(Solve *solve, Event *event)
         solve->labels++;
         int32_t node = entry->node;
         double dist = entry->dist;
-        int32_t comp = map_get(&solve->comp, node);
-        if (comp != EMPTY && comp != search->comp) {
+        int32_t member = map_get(&solve->member_index, node);
+        if (member != EMPTY && solve->members[member].comp != EMPTY &&
+            solve->members[member].comp != search->comp) {
             solve->pending_search = id;
             solve->pending_node = node;
             solve->pending_dist = dist;
             event->key = key;
             event->dist = dist;
+            event->delay = solve->members[member].delay;
             event->search = id;
             event->node = node;
             event->permanent = 1;
+            event->comp = solve->members[member].comp;
             return EV_SETTLED;
         }
         if (relax(solve, id, search, node, dist) < 0)
@@ -680,15 +753,17 @@ int32_t cd_path(const Solve *solve, int32_t id, int32_t node, int32_t *nodes, in
 }
 
 /* For each node (outer) and each search of `ids` (inner, in order) whose
- * component is not `comp` and which has settled the node: the pair and the
- * node's distance.  Returns the number of pairs written (at most
- * num_nodes * num_ids). */
+ * component is not `comp` and which has settled the node: the pair, the
+ * node's distance and the node's member delay.  Writes the first
+ * `capacity` of them and returns how many there are. */
 int32_t cd_settled_on(const Solve *solve, const int32_t *nodes, int32_t num_nodes,
-                      const int32_t *ids, int32_t num_ids, int32_t comp, int32_t *out_nodes,
-                      int32_t *out_ids, double *out_dist)
+                      const int32_t *ids, int32_t num_ids, int32_t comp, int32_t capacity,
+                      int32_t *out_nodes, int32_t *out_ids, double *out_dist, double *out_delay)
 {
     int32_t count = 0;
     for (int32_t i = 0; i < num_nodes; i++) {
+        int32_t member = map_get(&solve->member_index, nodes[i]);
+        double delay = member == EMPTY ? 0.0 : solve->members[member].delay;
         for (int32_t j = 0; j < num_ids; j++) {
             const Search *search = search_find(solve, ids[j]);
             if (search == NULL || search->comp == comp)
@@ -696,11 +771,214 @@ int32_t cd_settled_on(const Solve *solve, const int32_t *nodes, int32_t num_node
             int32_t entry = map_get(&search->index, nodes[i]);
             if (entry == EMPTY || !search->entries[entry].permanent)
                 continue;
-            out_nodes[count] = nodes[i];
-            out_ids[count] = ids[j];
-            out_dist[count] = search->entries[entry].dist;
+            if (count < capacity) {
+                out_nodes[count] = nodes[i];
+                out_ids[count] = ids[j];
+                out_dist[count] = search->entries[entry].dist;
+                out_delay[count] = delay;
+            }
             count++;
         }
     }
     return count;
+}
+
+/* ------------------------------------------------------------ merge steps */
+
+static int walk_push(Solve *solve, double key, int32_t member)
+{
+    if (heap_reserve(&solve->walk_keys, &solve->walk_items, solve->walk_size,
+                     &solve->walk_capacity) < 0)
+        return -1;
+    double *keys = solve->walk_keys;
+    int32_t *items = solve->walk_items;
+    int32_t pos = solve->walk_size++;
+    while (pos > 0) {
+        int32_t parent = (pos - 1) >> 1;
+        if (keys[parent] <= key)
+            break;
+        keys[pos] = keys[parent];
+        items[pos] = items[parent];
+        pos = parent;
+    }
+    keys[pos] = key;
+    items[pos] = member;
+    return 0;
+}
+
+static void walk_pop(Solve *solve, double *out_key, int32_t *out_member)
+{
+    double *keys = solve->walk_keys;
+    int32_t *items = solve->walk_items;
+    *out_key = keys[0];
+    *out_member = items[0];
+    int32_t size = --solve->walk_size;
+    double key = keys[size];
+    int32_t item = items[size];
+    int32_t pos = 0, child = 1;
+    while (child < size) {
+        if (child + 1 < size && keys[child + 1] < keys[child])
+            child++;
+        if (keys[child] >= key)
+            break;
+        keys[pos] = keys[child];
+        items[pos] = items[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    keys[pos] = key;
+    items[pos] = item;
+}
+
+/* `_component_delays`: a Dijkstra over the component's `edges` from
+ * `representative`, writing each reached node's delay into the member
+ * table.  Only members of `comp` are written -- the edges may pass through
+ * another component's node, which keeps its own delay -- and a member of
+ * `comp` the walk does not reach reads 0.0.  Any tie order gives the same
+ * doubles: fl(a + d) is monotone in a.  0, or -1 out of memory. */
+int cd_component_delays(Solve *solve, const int32_t *edges, int32_t num_edges,
+                        int32_t representative, int32_t comp)
+{
+    map_clear(&solve->walk_edges);
+    for (int32_t i = 0; i < num_edges; i++) {
+        if (map_put(&solve->walk_edges, edges[i], 0) < 0)
+            return -1;
+    }
+    int32_t walk = ++solve->walks;
+    int32_t seed = member_of(solve, representative, 1);
+    if (seed < 0)
+        return -1;
+    solve->members[seed].walk = walk;
+    solve->members[seed].done = 0;
+    solve->members[seed].label = 0.0;
+    solve->walk_size = 0;
+    if (walk_push(solve, 0.0, seed) < 0)
+        return -1;
+    while (solve->walk_size) {
+        double dist;
+        int32_t member;
+        walk_pop(solve, &dist, &member);
+        if (solve->members[member].done)
+            continue;
+        solve->members[member].done = 1;
+        int32_t node = solve->members[member].node;
+        for (int32_t k = solve->start[node]; k < solve->start[node + 1]; k++) {
+            int32_t edge = solve->edge[k];
+            if (map_get(&solve->walk_edges, edge) == EMPTY)
+                continue;
+            int32_t other = member_of(solve, solve->other[k], 1);
+            if (other < 0)
+                return -1;
+            Member *next = &solve->members[other]; /* member_of may have moved the rows */
+            if (next->walk != walk) {
+                next->walk = walk;
+                next->done = 0;
+                next->label = INFINITY;
+            }
+            if (next->done)
+                continue;
+            double candidate = dist + solve->delay[edge];
+            if (candidate < next->label) {
+                next->label = candidate;
+                if (walk_push(solve, candidate, other) < 0)
+                    return -1;
+            }
+        }
+    }
+    for (int32_t i = 0; i < solve->num_members; i++) {
+        Member *member = &solve->members[i];
+        if (member->comp == comp)
+            member->delay = member->walk == walk ? member->label : 0.0;
+    }
+    return 0;
+}
+
+/* `_best_steiner_position` without landmarks (III-D): the index on the path
+ * (`length` edges, `length + 1` nodes, seed first) minimising
+ * `sw * d(P[u,s]) + tw * d(P[v,s])` plus the cheapest lower bound
+ * `l1 * min_cost + (sw + tw) * (l1 * fastest)` from the node to one of
+ * `roots`.  Python's evaluation order: the prefix is a running sum, and the
+ * first minimum wins. */
+int32_t cd_best_steiner(const Solve *solve, const int32_t *nodes, const int32_t *edges,
+                        int32_t length, const int32_t *roots, int32_t num_roots,
+                        double source_weight, double target_weight, double min_cost,
+                        double fastest)
+{
+    const int32_t nx = solve->nx, planar_tiles = solve->planar_tiles;
+    double total = 0.0;
+    for (int32_t i = 0; i < length; i++)
+        total = total + solve->delay[edges[i]];
+    const double combined = source_weight + target_weight;
+    double prefix = 0.0, best_value = 0.0;
+    int32_t best = 0;
+    for (int32_t i = 0; i <= length; i++) {
+        if (i > 0)
+            prefix = prefix + solve->delay[edges[i - 1]];
+        double value = source_weight * prefix + target_weight * (total - prefix);
+        int32_t tile = nodes[i] % planar_tiles;
+        int32_t x = tile % nx, y = tile / nx;
+        double remaining = 0.0; /* no roots: `remaining or 0.0` */
+        for (int32_t j = 0; j < num_roots; j++) {
+            int32_t root_tile = roots[j] % planar_tiles;
+            double l1 = (double)(abs(x - root_tile % nx) + abs(y - root_tile / nx));
+            double bound = l1 * min_cost;
+            bound = bound + combined * (l1 * fastest);
+            if (j == 0 || bound < remaining)
+                remaining = bound;
+        }
+        value = value + remaining;
+        if (i == 0 || value < best_value) {
+            best_value = value;
+            best = i;
+        }
+    }
+    return best;
+}
+
+/* `_target_l1` into `l1` (one double per planar tile, kept as the A*
+ * field): per tile the L1 distance to the nearest of up to 8 target tiles,
+ * to their bounding box beyond.  No targets: all zero. */
+void cd_set_targets(Solve *solve, double *l1, const int32_t *tiles, int32_t count)
+{
+    const int32_t nx = solve->nx, ny = solve->ny;
+    solve->l1 = l1;
+    if (count == 0) {
+        memset(l1, 0, (size_t)solve->planar_tiles * sizeof(double));
+        return;
+    }
+    if (count <= 8) {
+        int32_t tx[8], dy[8];
+        for (int32_t t = 0; t < count; t++)
+            tx[t] = tiles[t] % nx;
+        for (int32_t y = 0; y < ny; y++) {
+            for (int32_t t = 0; t < count; t++)
+                dy[t] = abs(y - tiles[t] / nx);
+            double *row = l1 + (size_t)y * nx;
+            for (int32_t x = 0; x < nx; x++) {
+                int32_t best = dy[0] + abs(x - tx[0]);
+                for (int32_t t = 1; t < count; t++) {
+                    int32_t d = dy[t] + abs(x - tx[t]);
+                    best = d < best ? d : best;
+                }
+                row[x] = (double)best;
+            }
+        }
+        return;
+    }
+    int32_t x_min = tiles[0] % nx, x_max = x_min, y_min = tiles[0] / nx, y_max = y_min;
+    for (int32_t t = 1; t < count; t++) {
+        int32_t x = tiles[t] % nx, y = tiles[t] / nx;
+        x_min = x < x_min ? x : x_min;
+        x_max = x > x_max ? x : x_max;
+        y_min = y < y_min ? y : y_min;
+        y_max = y > y_max ? y : y_max;
+    }
+    for (int32_t y = 0; y < ny; y++) {
+        int32_t dy = y < y_min ? y_min - y : (y > y_max ? y - y_max : 0);
+        double *row = l1 + (size_t)y * nx;
+        for (int32_t x = 0; x < nx; x++) {
+            int32_t dx = x < x_min ? x_min - x : (x > x_max ? x - x_max : 0);
+            row[x] = (double)(dy + dx);
+        }
+    }
 }

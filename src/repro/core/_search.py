@@ -18,6 +18,7 @@ calls, it has :class:`~repro.core.heap.TwoLevelHeap`'s interface
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
 import logging
@@ -27,7 +28,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,18 +50,20 @@ class Event(ctypes.Structure):
     _fields_ = [
         ("key", ctypes.c_double),
         ("dist", ctypes.c_double),
+        ("delay", ctypes.c_double),
         ("search", ctypes.c_int32),
         ("node", ctypes.c_int32),
         ("permanent", ctypes.c_int32),
+        ("comp", ctypes.c_int32),
     ]
 
 
-# Argument types: every array travels as its address (``ndarray.ctypes.data``).
+# Argument types: every array travels as its address (``ndarray.ctypes.data``
+# or ``array.buffer_info()[0]``).
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int32, ctypes.c_double
 _SIGNATURES = {
-    "cd_new": (_P, [_P, _P, _P, _P, _P, _I, _I]),
+    "cd_new": (_P, [_P, _P, _P, _P, _P, _I, _I, _I]),
     "cd_free": (None, [_P]),
-    "cd_set_l1": (None, [_P, _P]),
     "cd_set_component": (ctypes.c_int, [_P, _P, _I, _I]),
     "cd_add_search": (ctypes.c_int, [_P, _I]),
     "cd_start_search": (ctypes.c_int, [_P, _I, _I, _I, _F, _F, _F, _P, _I]),
@@ -72,7 +75,10 @@ _SIGNATURES = {
     "cd_counts": (None, [_P, _P, _P]),
     "cd_run": (ctypes.c_int, [_P, ctypes.POINTER(Event)]),
     "cd_path": (_I, [_P, _I, _I, _P, _P, _I]),
-    "cd_settled_on": (_I, [_P, _P, _I, _P, _I, _I, _P, _P, _P]),
+    "cd_settled_on": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _P]),
+    "cd_component_delays": (ctypes.c_int, [_P, _P, _I, _I, _I]),
+    "cd_best_steiner": (_I, [_P, _P, _P, _I, _P, _I, _F, _F, _F, _F]),
+    "cd_set_targets": (None, [_P, _P, _P, _I]),
 }
 
 
@@ -135,6 +141,8 @@ def load(compiler: str = "cc") -> Optional[ctypes.CDLL]:
     another host sharing the cache), means one build in a per-process
     temporary directory; ``None`` with one warning if that fails too."""
     try:
+        if array.array("i").itemsize != 4:  # _int32s hands C `int` arrays as int32_t
+            raise OSError("C int is not 32 bits wide")
         name = _library_name()
         cached = cache_dir() / name
         if not cached.exists() and shutil.which(compiler) is not None:
@@ -172,16 +180,35 @@ def _require(array: np.ndarray, dtype: type, size: int, name: str) -> None:
         raise ValueError(f"{name} must be a contiguous {np.dtype(dtype)} array of {size} entries")
 
 
-def _int32s(values: Sequence[int]) -> np.ndarray:
-    return np.fromiter(values, dtype=np.int32, count=len(values))
+def _int32s(values: Iterable[int]) -> array.array:
+    """``values`` as a C ``int32_t`` array: ``buffer_info()`` is its address
+    and length (cheaper than numpy for the short lists of a merge; a list
+    converts fastest)."""
+    return array.array("i", values if isinstance(values, list) else list(values))
+
+
+class _Columns:
+    """Output arrays that C fills up to ``capacity`` entries each."""
+
+    def __init__(self, capacity: int, *dtypes: type) -> None:
+        self.capacity = capacity
+        self.columns = tuple(np.empty(capacity, dtype=dtype) for dtype in dtypes)
+        self.addresses = tuple(column.ctypes.data for column in self.columns)
+
+
+#: Columns of ``cd_path`` (nodes, edges) and ``cd_settled_on`` (node,
+#: search, dist, delay).
+_PATH = (np.int32, np.int32)
+_PAIRS = (np.int32, np.int32, np.float64, np.float64)
 
 
 class SearchLoop:
     """The C state of one solve: labels, sub-heaps and top heap of every
-    live search, and the node -> component map the loop stops on.
+    live search, and per component node its component (which the loop
+    stops on) and its delay to the component's representative.
 
     Holds references to every array the C side borrows (graph CSR, cost,
-    delay, the current ``l1``), so they live as long as the state does.
+    delay, the target field ``l1``), so they live as long as the state does.
     """
 
     def __init__(
@@ -196,10 +223,10 @@ class SearchLoop:
         heap interface only) with the edge vectors ``cost`` and ``delay``."""
         self._handle = None
         csr: Tuple[Optional[np.ndarray], ...] = (None, None, None)
-        self._planar_tiles = 1
+        nx = ny = 1
         if graph is not None:
             csr = graph.csr
-            self._planar_tiles = graph.nx * graph.ny
+            nx, ny = graph.nx, graph.ny
             _require(csr[0], np.int32, graph.num_nodes + 1, "csr start")
             _require(csr[1], np.int32, 2 * graph.num_edges, "csr edge")
             _require(csr[2], np.int32, 2 * graph.num_edges, "csr other")
@@ -208,14 +235,17 @@ class SearchLoop:
         self._lib = lib
         self._borrowed = (csr, cost, delay)
         arrays = [_address(array) for array in (*csr, cost, delay)]
-        self._handle = lib.cd_new(*arrays, self._planar_tiles, int(discount))
+        self._handle = lib.cd_new(*arrays, nx, ny, int(discount))
         if not self._handle:
             raise MemoryError("cannot allocate the search state")
-        self._l1: Optional[np.ndarray] = None
+        #: The A* target field, per planar tile (see :meth:`set_targets`).
+        self.l1 = np.zeros(nx * ny, dtype=np.float64)
+        self._l1_address = self.l1.ctypes.data
         self.event = Event()
         self._event_ref = ctypes.byref(self.event)
-        self._path_nodes = np.empty(256, dtype=np.int32)
-        self._path_edges = np.empty(256, dtype=np.int32)
+        self._path = _Columns(256, *_PATH)
+        self._path_length = 0
+        self._pairs = _Columns(64, *_PAIRS)
 
     def close(self) -> None:
         """Free the C state (idempotent; also on garbage collection).  No
@@ -234,18 +264,54 @@ class SearchLoop:
         return status
 
     # -------------------------------------------------- kernel interface
-    def set_l1(self, l1: Optional[np.ndarray]) -> None:
-        """Per-tile L1 distances to the targets (float64, kept alive here);
-        ``None``: all zero."""
-        if l1 is not None:
-            _require(l1, np.float64, self._planar_tiles, "l1")
-        self._l1 = l1
-        self._lib.cd_set_l1(self._handle, _address(l1))
+    def set_targets(self, tiles: Sequence[int]) -> np.ndarray:
+        """Rewrite :attr:`l1` in place to the L1 distance from every planar
+        tile to the target ``tiles`` (``_target_l1``, value for value), and
+        let the potential read it from now on (before the first call: all
+        zero).  Returns :attr:`l1`."""
+        tiles = _int32s(tiles)
+        self._lib.cd_set_targets(self._handle, self._l1_address, *tiles.buffer_info())
+        return self.l1
 
     def set_component(self, nodes: Sequence[int], comp: int) -> None:
-        """``node_comp[n] = comp`` for every node of ``nodes``."""
-        array = _int32s(nodes)
-        self._check(self._lib.cd_set_component(self._handle, array.ctypes.data, len(array), comp))
+        """``node_comp[n] = comp`` for every node of ``nodes`` (a node new to
+        the table starts at delay 0.0)."""
+        nodes = _int32s(nodes)
+        self._check(self._lib.cd_set_component(self._handle, *nodes.buffer_info(), comp))
+
+    def component_delays(self, edges: Collection[int], representative: int, comp: int) -> None:
+        """Set the delay of every node of ``comp`` to ``representative``
+        along ``edges`` (``_component_delays``; 0.0 where no edge path
+        leads); nodes of other components on those edges keep theirs."""
+        edges = _int32s(edges)
+        status = self._lib.cd_component_delays(
+            self._handle, *edges.buffer_info(), representative, comp
+        )
+        self._check(status)
+
+    def best_steiner(
+        self,
+        roots: Sequence[int],
+        source_weight: float,
+        target_weight: float,
+        min_cost_per_tile: float,
+        fastest_delay_per_tile: float,
+    ) -> int:
+        """``_best_steiner_position`` without landmarks on the path of the
+        last :meth:`path` call, towards the sample ``roots``: the node."""
+        roots = _int32s(roots)
+        path = self._path
+        index = self._lib.cd_best_steiner(
+            self._handle,
+            *path.addresses,
+            self._path_length,
+            *roots.buffer_info(),
+            source_weight,
+            target_weight,
+            min_cost_per_tile,
+            fastest_delay_per_tile,
+        )
+        return int(path.columns[0][index])
 
     def start_search(
         self,
@@ -260,7 +326,7 @@ class SearchLoop:
         """Register search ``tid`` with its seed labelled 0 and queued."""
         edges = _int32s(own_edges)
         status = self._lib.cd_start_search(
-            self._handle, tid, node, comp, weight, rate, key, edges.ctypes.data, len(edges)
+            self._handle, tid, node, comp, weight, rate, key, *edges.buffer_info()
         )
         self._check(status)
 
@@ -289,38 +355,39 @@ class SearchLoop:
         """Nodes (seed first) and edges of search ``tid``'s parent path to
         ``node``."""
         while True:
-            nodes, edges = self._path_nodes, self._path_edges
-            length = self._lib.cd_path(
-                self._handle, tid, node, nodes.ctypes.data, edges.ctypes.data, len(nodes)
-            )
-            if length < len(nodes):
+            path = self._path
+            length = self._lib.cd_path(self._handle, tid, node, *path.addresses, path.capacity)
+            if length < path.capacity:
+                self._path_length = length
+                nodes, edges = path.columns
                 return nodes[: length + 1].tolist(), edges[:length].tolist()
-            self._path_nodes = np.empty(2 * (length + 1), dtype=np.int32)
-            self._path_edges = np.empty(2 * (length + 1), dtype=np.int32)
+            self._path = _Columns(2 * (length + 1), *_PATH)
 
     def settled_on(
         self, nodes: Sequence[int], tids: Sequence[int], comp: int
-    ) -> List[Tuple[int, int, float]]:
-        """``(node, tid, dist)`` for every node (outer) and search of
-        ``tids`` (inner, in order) outside ``comp`` that has settled it."""
-        node_array, tid_array = _int32s(nodes), _int32s(tids)
-        size = len(node_array) * len(tid_array)
-        out_nodes = np.empty(size, dtype=np.int32)
-        out_tids = np.empty(size, dtype=np.int32)
-        out_dist = np.empty(size, dtype=np.float64)
-        count = self._lib.cd_settled_on(
-            self._handle,
-            node_array.ctypes.data,
-            len(node_array),
-            tid_array.ctypes.data,
-            len(tid_array),
-            comp,
-            out_nodes.ctypes.data,
-            out_tids.ctypes.data,
-            out_dist.ctypes.data,
-        )
-        columns = (out_nodes[:count].tolist(), out_tids[:count].tolist())
-        return list(zip(*columns, out_dist[:count].tolist()))
+    ) -> List[Tuple[int, int, float, float]]:
+        """``(node, tid, dist, delay)`` for every node (outer) and search of
+        ``tids`` (inner, in order) outside ``comp`` that has settled it:
+        the node's distance and its delay to its component's representative.
+
+        The output buffers grow to the number of pairs found, never to
+        ``len(nodes) * len(tids)``."""
+        nodes, tids = _int32s(nodes), _int32s(tids)
+        while True:
+            pairs = self._pairs
+            count = self._lib.cd_settled_on(
+                self._handle,
+                *nodes.buffer_info(),
+                *tids.buffer_info(),
+                comp,
+                pairs.capacity,
+                *pairs.addresses,
+            )
+            if not count:  # most merges: skip four empty slices
+                return []
+            if count <= pairs.capacity:
+                return list(zip(*(column[:count].tolist() for column in pairs.columns)))
+            self._pairs = _Columns(2 * count, *_PAIRS)
 
     # --------------------------------------------- TwoLevelHeap interface
     def __len__(self) -> int:

@@ -35,9 +35,12 @@ enhancements and matches the analysed algorithm, which carries the
 ``O(log t)`` approximation guarantee.
 
 The search loop -- pops, relaxations and the two-level heap -- runs as C
-(``_search.c``, see :mod:`repro.core._search`) whenever it could be built;
-:meth:`_Solve.run` is its specification and the fallback, and the flat
-queue of ``use_two_level_heap=False`` always runs in Python.  Both loops
+(``_search.c``, see :mod:`repro.core._search`) whenever it could be built,
+and so do three steps of every merge: the component delays, the III-D
+placement without landmarks and the A* target field.  :meth:`_Solve.run`,
+:func:`_component_delays`, :func:`_best_steiner_position` and
+:func:`_target_l1` are their specification and the fallback; the flat
+queue of ``use_two_level_heap=False`` always runs in Python.  Both paths
 produce the same pops, labels and trees.
 """
 
@@ -366,7 +369,8 @@ class _Solve:
         # terminal, along the component's own edges.  Used so that a search
         # entering a component "anywhere" (enhancement III-A) still pays the
         # delay towards the component's terminal, as in the paper's
-        # per-end-component labels.
+        # per-end-component labels.  The compiled loop keeps it in C, one
+        # delay per node, and hands it over with every event instead.
         self.comp_delay: Dict[int, Dict[int, float]] = {}
         self.root_comp = self.new_component(ROOT_ID, self.root_node)
 
@@ -397,8 +401,9 @@ class _Solve:
         self.comp_edges[comp_id] = set()
         self.comp_owner[comp_id] = owner
         self.node_comp[node] = comp_id
-        self.comp_delay[comp_id] = {node: 0.0}
-        if self.loop is not None:
+        if self.loop is None:
+            self.comp_delay[comp_id] = {node: 0.0}
+        else:
             self.loop.set_component((node,), comp_id)
         return comp_id
 
@@ -409,15 +414,18 @@ class _Solve:
         tiles = self.planar_tiles
         targets = [self.root_node % tiles]
         targets.extend(search.node % tiles for search in self.active.values())
-        l1 = _target_l1(self.graph.nx, self.graph.ny, targets)
         if self.loop is None:
-            self.l1 = l1.tolist()
+            self.l1 = _target_l1(self.graph.nx, self.graph.ny, targets).tolist()
         else:
-            self.l1 = l1
-            self.loop.set_l1(l1)
+            self.l1 = self.loop.set_targets(targets)
 
-    def connection_key(self, search: _Search, comp: int, node: int, dist: float) -> float:
-        """Full key of a connection candidate: path distance, delay from
+    def node_delay(self, comp: int, node: int) -> float:
+        """Delay from ``node`` to the terminal of its component ``comp``
+        (the Python loop's table; the compiled loop's events carry it)."""
+        return self.comp_delay[comp].get(node, 0.0)
+
+    def connection_key(self, search: _Search, comp: int, delay: float, dist: float) -> float:
+        """Full key of a connection candidate: path distance, ``delay`` from
         the entry point to the target component's terminal, and the
         bifurcation merge penalty."""
         bif = self.bif
@@ -430,7 +438,7 @@ class _Solve:
             penalty = max(penalty, 0.0)
         else:
             penalty = bif.beta(w_u, self.active[owner].weight)
-        return dist + w_u * self.comp_delay[comp].get(node, 0.0) + penalty
+        return dist + w_u * delay + penalty
 
     def activate(self, tid: int, node: int, weight: float, comp: int) -> None:
         rate = self.pot_cost_rate + weight * self.pot_delay_rate
@@ -455,10 +463,18 @@ class _Solve:
         self.queue.remove_search(tid)
 
     def offer_connection(
-        self, tid: int, search: _Search, comp: int, node: int, dist: float
+        self,
+        tid: int,
+        search: _Search,
+        comp: int,
+        node: int,
+        dist: float,
+        delay: Optional[float] = None,
     ) -> None:
         """Search ``tid`` settled ``node`` of another component ``comp`` at
-        ``dist``: queue the connection candidate ``("c", node)`` if it is one."""
+        ``dist`` (``delay`` from it to that component's terminal, ``None``:
+        read :meth:`node_delay`): queue the connection candidate
+        ``("c", node)`` if it is one."""
         owner = self.comp_owner.get(comp)
         if owner == ROOT_ID or owner in self.active:
             if self.config.discount_components:
@@ -470,14 +486,24 @@ class _Solve:
             else:
                 connect = node == self.active[owner].node
             if connect:
-                self.queue.push(tid, ("c", node), self.connection_key(search, comp, node, dist))
+                if delay is None:
+                    delay = self.node_delay(comp, node)
+                self.queue.push(tid, ("c", node), self.connection_key(search, comp, delay, dist))
 
     def try_connection(
-        self, tid: int, search: _Search, key: float, node: int, dist: Optional[float]
+        self,
+        tid: int,
+        search: _Search,
+        key: float,
+        node: int,
+        dist: Optional[float],
+        delay: Optional[float] = None,
     ) -> None:
         """The connection candidate ``("c", node)`` of search ``tid`` left
-        the queue at ``key`` (``dist``: the node's label if settled): merge,
-        re-queue it under a larger fresh key, or drop it as stale."""
+        the queue at ``key`` (``dist``: the node's label if settled;
+        ``delay``: its delay to its component's terminal, ``None``: read
+        :meth:`node_delay`): merge, re-queue it under a larger fresh key, or
+        drop it as stale."""
         comp = self.node_comp.get(node)
         if comp is None or comp == search.comp:
             return
@@ -486,7 +512,9 @@ class _Solve:
             return
         if dist is None:
             return
-        fresh_key = self.connection_key(search, comp, node, dist)
+        if delay is None:
+            delay = self.node_delay(comp, node)
+        fresh_key = self.connection_key(search, comp, delay, dist)
         if fresh_key > key + 1e-9:
             self.queue.push(tid, ("c", node), fresh_key)
             return
@@ -577,19 +605,16 @@ class _Solve:
         loop = self.loop
         event = loop.event
         active = self.active
-        node_comp = self.node_comp
         while active:
             kind = loop.next_event()
             tid = event.search
-            node = event.node
             search = active[tid]
             if kind == _search.SETTLED:
-                comp = node_comp.get(node)
-                if comp is not None and comp != search.comp:
-                    self.offer_connection(tid, search, comp, node, event.dist)
+                # C stops only on a node of another component.
+                self.offer_connection(tid, search, event.comp, event.node, event.dist, event.delay)
             else:
                 dist = event.dist if event.permanent else None
-                self.try_connection(tid, search, event.key, node, dist)
+                self.try_connection(tid, search, event.key, event.node, dist, event.delay)
         return loop.counts()
 
     def path_to(self, tid: int, node: int) -> Tuple[List[int], List[int]]:
@@ -606,14 +631,15 @@ class _Solve:
             rev_nodes.append(node)
         return rev_nodes[::-1], rev_edges[::-1]
 
-    def settled_on(self, nodes: List[int], comp: int) -> List[Tuple[int, int, float]]:
-        """``(node, tid, dist)`` per node of ``nodes`` (outer) and live
-        search outside ``comp`` (inner, in activation order) that has
-        settled the node at ``dist``."""
+    def settled_on(self, nodes: List[int], comp: int) -> List[Tuple[int, int, float, float]]:
+        """``(node, tid, dist, delay)`` per node of ``nodes`` (outer, all of
+        component ``comp``) and live search outside ``comp`` (inner, in
+        activation order) that has settled the node at ``dist``; ``delay``
+        is the node's to the terminal of ``comp``."""
         if self.loop is not None:
             return self.loop.settled_on(nodes, list(self.active), comp)
         return [
-            (p, tid, search.tentative[p])
+            (p, tid, search.tentative[p], self.node_delay(comp, p))
             for p in nodes
             for tid, search in self.active.items()
             if search.comp != comp and p in search.permanent
@@ -658,7 +684,8 @@ class _Solve:
         comp_nodes[big].update(moved)
         comp_edges[big].update(comp_edges.pop(small))
         self.comp_owner.pop(small, None)
-        self.comp_delay.pop(small, None)
+        if self.loop is None:
+            self.comp_delay.pop(small, None)
         # Path nodes that are not yet owned by any component join the merged
         # component.  Nodes already owned by a *different* component (the
         # path may brush past the root tile or a third component) keep their
@@ -683,17 +710,28 @@ class _Solve:
             target = active[owner]
             target_weight = target.weight
             target_node = target.node
-            if config.improved_steiner_placement and self.estimator is not None:
-                steiner_node = _best_steiner_position(
-                    graph=graph,
-                    estimator=self.estimator,
-                    path_nodes=path_nodes,
-                    path_edges=path_edges,
-                    delay=self.delay,
-                    source_weight=source.weight,
-                    target_weight=target.weight,
-                    root_nodes=_root_target_sample(comp_nodes[self.root_comp], self.root_node),
-                )
+            estimator = self.estimator
+            if config.improved_steiner_placement and estimator is not None:
+                root_nodes = _root_target_sample(comp_nodes[self.root_comp], self.root_node)
+                if self.loop is not None and estimator.num_landmarks == 0:
+                    steiner_node = self.loop.best_steiner(
+                        root_nodes,
+                        source.weight,
+                        target.weight,
+                        estimator.min_cost_per_tile,
+                        estimator.fastest_delay_per_tile,
+                    )
+                else:
+                    steiner_node = _best_steiner_position(
+                        graph=graph,
+                        estimator=estimator,
+                        path_nodes=path_nodes,
+                        path_edges=path_edges,
+                        delay=self.delay,
+                        source_weight=source.weight,
+                        target_weight=target.weight,
+                        root_nodes=root_nodes,
+                    )
             else:
                 choices = [source.node, target.node]
                 weights = [source.weight, target.weight]
@@ -712,12 +750,17 @@ class _Solve:
 
         # Recompute the delay from every component node to the (new)
         # representative terminal along the component's own edges.
-        self.comp_delay[big] = _component_delays(graph, comp_edges[big], representative, self.delay)
+        if self.loop is None:
+            self.comp_delay[big] = _component_delays(
+                graph, comp_edges[big], representative, self.delay
+            )
+        else:
+            self.loop.component_delays(comp_edges[big], representative, big)
 
         # Let other searches that already labeled the freshly added path
         # nodes compete for a connection to the new component.
-        for p, other_tid, dist in self.settled_on(new_path_nodes, big):
-            key = self.connection_key(active[other_tid], big, p, dist)
+        for p, other_tid, dist, delay in self.settled_on(new_path_nodes, big):
+            key = self.connection_key(active[other_tid], big, delay, dist)
             self.queue.push(other_tid, ("c", p), key)
 
         self.merges.append(

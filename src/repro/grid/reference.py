@@ -128,9 +128,11 @@ def install_reference_kernel() -> Iterator[None]:
     * ``RoutingEngine.make_context`` to return ``None``, reverting every
       solver/engine consumer to its per-net slow path (per-net
       estimator, per-net validation scans), and
-    * the cost-distance search loop to its Python specification
-      (``_search.LIB = None``): solves started in the block run
-      ``_Solve.run`` instead of the compiled loop.
+    * the cost-distance search loop and the merge steps that run beside
+      it in C to their Python specification (``_search.LIB = None``):
+      solves started in the block run ``_Solve.run``,
+      ``_component_delays``, ``_best_steiner_position`` and
+      ``_target_l1`` instead of the compiled library.
 
     Results are bit-identical with and without the patches (that is the
     vectorization's acceptance bar); only the walltime differs.  Used by

@@ -21,9 +21,13 @@ from repro.core.bifurcation import BifurcationModel
 from repro.core.cost_distance import (
     CostDistanceConfig,
     CostDistanceSolver,
+    _best_steiner_position,
+    _component_delays,
     _initial_terminals,
     _Solve,
+    _target_l1,
 )
+from repro.core.future_cost import FutureCostEstimator
 from repro.core.instance import SteinerInstance
 from repro.grid.graph import RoutingGraph, build_grid_graph
 from repro.instances.chips import CHIP_SUITE, build_chip
@@ -257,11 +261,12 @@ class TestSearchLoopCalls:
         with pytest.raises(RuntimeError, match="exhausted the queue"):
             loop.next_event()
         found = loop.settled_on([5, 1, 7], [2, 0, 1], 1)
-        assert [(node, tid) for node, tid, _ in found] == [
+        assert [(node, tid) for node, tid, _, _ in found] == [
             (5, 2), (5, 0), (1, 2), (1, 0), (7, 2), (7, 0)
         ]
+        assert all(node_delay == 0.0 for *_, node_delay in found)  # no components
         lengths = (cost + 0.5 * delay).tolist()
-        for node, tid, dist in found:
+        for node, tid, dist, _ in found:
             seed = (0, 4, 8)[tid]
             expected, _ = dijkstra(graph, lengths, {seed: 0.0}, targets=[node])
             assert dist == pytest.approx(expected[node], rel=1e-12)
@@ -269,6 +274,235 @@ class TestSearchLoopCalls:
         nodes, edges = loop.path(0, 7)
         assert nodes[0] == 0 and nodes[-1] == 7 and len(edges) == len(nodes) - 1
         loop.close()
+
+
+class TestMergeStepsInC:
+    """The merge steps ``_search.c`` runs against their Python
+    specifications, value for value, on drawn cases."""
+
+    @staticmethod
+    def _delays_seen(loop, graph):
+        """Every node's member delay, as a flood from a search of its own
+        component reports it: in the SETTLED events of the other
+        components' nodes and in ``settled_on`` (whose two must agree)."""
+        probe = 10**6
+        loop.start_search(probe, 0, probe, 0.0, 0.0, 0.0, ())
+        events = {}
+        with pytest.raises(RuntimeError, match="exhausted the queue"):
+            while True:
+                assert loop.next_event() == _search.SETTLED
+                events[loop.event.node] = (loop.event.comp, loop.event.delay)
+        scan = loop.settled_on(list(range(graph.num_nodes)), [probe], -2)
+        assert len(scan) == graph.num_nodes
+        for node, comp_delay in events.items():
+            assert comp_delay[1] == scan[node][3]
+        loop.remove_search(probe)
+        return [delay for *_, delay in scan], events
+
+    @needs_compiled
+    @given(
+        shape=st.tuples(st.integers(2, 6), st.integers(2, 5), st.integers(2, 3)),
+        seed=st.integers(0, 2**20),
+        edge_share=st.sampled_from([0.3, 0.6, 1.0]),
+        loose=st.integers(0, 3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_component_delays_match_the_spec(self, shape, seed, edge_share, loose):
+        """Drawn edge sets (cycles wherever the share allows them), drawn
+        delays with ties and zero-delay vias, a third component whose nodes
+        lie on the walked edges, and ``loose`` nodes of the component no
+        edge reaches.  A node keeps the delay of its own component: the
+        third component's from its own walk, the stale delays of an
+        earlier walk of the component are overwritten or zeroed."""
+        graph = _grid(*shape)
+        rng = random.Random(seed)
+        delay = np.array([rng.choice([0.25, 1.0, 1.0, 1.5, 0.1 + rng.random()])
+                          for _ in range(graph.num_edges)])
+        delay[graph.edge_is_via] = np.array(
+            [rng.choice([0.0, 0.0, 0.003]) for _ in range(int(graph.edge_is_via.sum()))]
+        )
+        loop = _search.SearchLoop(_search.LIB, graph, graph.base_cost_array(), delay)
+        edges = {e for e in range(graph.num_edges) if rng.random() < edge_share}
+        endpoints = sorted({int(n) for e in edges for n in (graph.edge_u[e], graph.edge_v[e])})
+        if not endpoints:
+            endpoints = [0]
+        third = set(rng.sample(endpoints, len(endpoints) // 4))
+        big = [n for n in endpoints if n not in third]
+        if not big:
+            big, third = endpoints, set()
+        others = [n for n in range(graph.num_nodes) if n not in endpoints]
+        big += rng.sample(others, min(loose, len(others)))
+        loop.set_component(big, 0)
+        loop.set_component(sorted(third), 1)
+        # Earlier walks: the third component's own, and one of comp 0 over
+        # every edge, whose delays the last walk must overwrite or zero.
+        third_edges = [e for e in edges if graph.edge_u[e] in third or graph.edge_v[e] in third]
+        if third:
+            loop.component_delays(third_edges, min(third), 1)
+        loop.component_delays(range(graph.num_edges), rng.choice(big), 0)
+        representative = rng.choice(big)
+        loop.component_delays(edges, representative, 0)
+
+        seen, events = self._delays_seen(loop, graph)
+        spec = _component_delays(graph, edges, representative, delay)
+        spec_third = _component_delays(graph, third_edges, min(third), delay) if third else {}
+        for node in range(graph.num_nodes):
+            if node in third:
+                assert seen[node] == spec_third.get(node, 0.0), node
+                assert events[node][0] == 1
+            elif node in big:
+                assert seen[node] == spec.get(node, 0.0), node
+                assert events[node][0] == 0
+            else:
+                assert seen[node] == 0.0 and node not in events
+        unreached = [n for n in big if n not in spec]
+        assert all(seen[n] == 0.0 for n in unreached)
+        loop.close()
+
+    @needs_compiled
+    @given(
+        shape=st.tuples(st.integers(1, 7), st.integers(1, 6), st.integers(1, 3)),
+        seed=st.integers(0, 2**20),
+        steps=st.integers(0, 14),
+        num_roots=st.sampled_from([0, 1, 3, 24, 25, 31]),
+        weights=st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                          st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+        rates=st.tuples(st.sampled_from([0.0, 0.5, 1.5]), st.sampled_from([0.0, 0.25, 1.1])),
+        uniform=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_steiner_placement_matches_the_spec(
+        self, shape, seed, steps, num_roots, weights, rates, uniform
+    ):
+        """Drawn self-avoiding walks (one node when ``steps`` is 0), empty,
+        short and long root samples, and equal weights, rates and
+        delays, so positions tie exactly and the first must win."""
+        graph = _grid(*shape)
+        rng = random.Random(seed)
+        delay = np.full(graph.num_edges, 1.0) if uniform else np.array(
+            [rng.choice([0.0, 0.5, 1.0, 1.25]) for _ in range(graph.num_edges)])
+        nodes = [rng.randrange(graph.num_nodes)]
+        edges = []
+        for _ in range(steps):
+            choices = [pair for pair in graph.neighbors(nodes[-1]) if pair[1] not in nodes]
+            if not choices:
+                break
+            edge, other = rng.choice(choices)
+            nodes.append(int(other))
+            edges.append(int(edge))
+        roots = [rng.randrange(graph.num_nodes) for _ in range(num_roots)]
+        estimator = FutureCostEstimator(
+            graph, cost_lower_bound=np.full(graph.num_edges, rates[0]),
+            fastest_delay_per_tile=rates[1], num_landmarks=0,
+        )
+        expected = _best_steiner_position(
+            graph=graph, estimator=estimator, path_nodes=nodes, path_edges=edges,
+            delay=memoryview(delay), source_weight=weights[0], target_weight=weights[1],
+            root_nodes=roots,
+        )
+        loop = _search.SearchLoop(_search.LIB, graph, graph.base_cost_array(), delay)
+        path, root_array = np.array(nodes, np.int32), np.array(roots or [0], np.int32)
+        index = _search.LIB.cd_best_steiner(
+            loop._handle, path.ctypes.data, np.array(edges or [0], np.int32).ctypes.data,
+            len(edges), root_array.ctypes.data, len(roots), weights[0], weights[1],
+            estimator.min_cost_per_tile, estimator.fastest_delay_per_tile,
+        )
+        assert 0 <= index < len(nodes)
+        assert nodes[index] == expected
+        # The first minimum: no earlier position holds the spec's node.
+        assert nodes.index(expected) == index
+        loop.close()
+
+    @needs_compiled
+    @given(
+        shape=st.tuples(st.integers(1, 14), st.integers(1, 11)),
+        count=st.sampled_from([1, 2, 8, 9, 12]),
+        seed=st.integers(0, 2**20),
+        corners=st.booleans(),
+        repeats=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_target_field_matches_the_spec(self, shape, count, seed, corners, repeats):
+        """1, 8 (the last exact count), 9 (the first bounding box) and
+        other target counts, drawn from the grid's corners or anywhere,
+        with or without duplicates."""
+        nx, ny = shape
+        graph = _grid(nx, ny, 1)
+        rng = random.Random(seed)
+        pool = [0, nx - 1, (ny - 1) * nx, ny * nx - 1] if corners else range(nx * ny)
+        tiles = [rng.choice(pool) for _ in range(count)]
+        if repeats:
+            tiles[-1] = tiles[0]
+        loop = _search.SearchLoop(_search.LIB, graph, graph.base_cost_array(), graph.delay_array())
+        field = loop.set_targets(tiles)
+        expected = _target_l1(nx, ny, tiles)
+        assert field is loop.l1 and field.dtype == expected.dtype
+        assert field.tobytes() == expected.tobytes()
+        loop.close()
+
+
+class TestSettledOnMemory:
+    @needs_compiled
+    def test_buffers_grow_with_the_pairs_found_not_nodes_times_searches(self):
+        """A 400-search net and a 3600-node path: one search has settled
+        every node, the other 399 only queued their seeds, so 3600 pairs
+        come back.  Buffers of ``len(nodes) * len(tids)`` entries would
+        take 23 MB."""
+        import tracemalloc
+
+        graph = _grid(30, 30, 2)
+        loop = _search.SearchLoop(
+            _search.LIB, graph, graph.base_cost_array(), graph.delay_array()
+        )
+        loop.start_search(0, 0, 0, 0.5, 0.0, 0.0, ())
+        with pytest.raises(RuntimeError, match="exhausted the queue"):
+            loop.next_event()
+        for tid in range(1, 400):
+            loop.start_search(tid, tid, tid, 0.5, 0.0, 0.0, ())
+        nodes = list(range(graph.num_nodes)) * 2
+        tids = list(range(400))
+        loop.settled_on(nodes[:10], tids, -1)  # warm
+        tracemalloc.start()
+        try:
+            found = loop.settled_on(nodes, tids, -1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == len(nodes) and {tid for _, tid, _, _ in found} == {0}
+        assert peak < 2_000_000, peak
+        assert loop.settled_on(nodes, tids, 0) == []  # the settling search's own component
+        loop.close()
+
+
+class TestOneSwitch:
+    """``_search.LIB`` is the only switch: with it ``None`` (and so under
+    ``install_reference_kernel()``) no compiled piece runs, merge steps
+    included, so ``kernel_speedup`` times all the Python they replace."""
+
+    MERGE_STEPS = ("cd_component_delays", "cd_best_steiner", "cd_set_targets")
+
+    @needs_compiled
+    def test_no_compiled_merge_step_runs_without_the_library(self, monkeypatch):
+        from repro.grid.reference import install_reference_kernel
+
+        graph = _grid(7, 6, 3)
+        inst = _instance(graph, [3, 17, 17, 40, 80, 111], [0.4, 0.9, 0.2, 1.3, 0.7, 0.5],
+                         0, dbif=2.0)
+        expected = CostDistanceSolver().solve_with_details(inst, random.Random(1))
+        lib = _search.LIB
+
+        def refuse(*args):
+            raise AssertionError("a compiled merge step ran")
+
+        for name in self.MERGE_STEPS:
+            monkeypatch.setattr(lib, name, refuse)
+        with pytest.raises(AssertionError, match="compiled merge step"):
+            CostDistanceSolver().build(inst, random.Random(1))
+        for switch in (python_loop, install_reference_kernel):
+            with switch():
+                result = CostDistanceSolver().solve_with_details(inst, random.Random(1))
+            assert result.tree.edges == expected.tree.edges
+            assert result.merges == expected.merges
 
 
 class TestThreads:
