@@ -10,10 +10,11 @@ architecture builds afresh and an unchanged one loads in milliseconds.  An
 unwritable cache, or a cached file that does not load, falls back to one
 build in a per-process temporary directory.
 
-:class:`SearchLoop` wraps one solve's C state.  Besides what the kernel
-calls, it has :class:`~repro.core.heap.TwoLevelHeap`'s interface
-(``add_search``, ``remove_search``, ``push``, ``pop``, ``len``,
-``min_key``), so the heap tests drive the C heap through the same streams.
+:class:`SearchLoop` wraps the C state of the solves on one graph and
+cost vector, one solve at a time.  Besides what the kernel calls, it has
+:class:`~repro.core.heap.TwoLevelHeap`'s interface (``add_search``,
+``remove_search``, ``push``, ``pop``, ``len``, ``min_key``), so the heap
+tests drive the C heap through the same streams.
 """
 
 from __future__ import annotations
@@ -32,53 +33,76 @@ from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["LIB", "SOURCE", "FLAGS", "SearchLoop", "cache_dir", "load", "loop_name"]
+__all__ = ["LIB", "SOURCE", "FLAGS", "SearchLoop", "View", "cache_dir", "load", "loop_name"]
 
 SOURCE = Path(__file__).with_name("_search.c")
 #: No ``-ffast-math``, no ``-march=native``: the loop must round like Python.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: cd_run's events (``EV_*`` in ``_search.c``).
-EXHAUSTED, SETTLED, CONNECT, NOMEM = 0, 1, 2, 3
+#: cd_run's and cd_merge's results (``EV_*`` in ``_search.c``).
+EXHAUSTED, MERGE, DONE, NOMEM = 0, 1, 2, 3
 
 _logger = logging.getLogger("repro.core")
 
+_I32P, _F64P = ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_double)
 
-class Event(ctypes.Structure):
-    """What ``cd_run`` hands back to Python."""
+
+class View(ctypes.Structure):
+    """What Python reads of the C state after a call: the counters, the
+    merge ``cd_run`` stopped at and views of C's buffers, valid until the
+    next call (``View`` in ``_search.c``)."""
 
     _fields_ = [
-        ("key", ctypes.c_double),
-        ("dist", ctypes.c_double),
-        ("delay", ctypes.c_double),
+        ("pops", ctypes.c_int64),
+        ("labels", ctypes.c_int64),
         ("search", ctypes.c_int32),
+        ("owner", ctypes.c_int32),
         ("node", ctypes.c_int32),
-        ("permanent", ctypes.c_int32),
-        ("comp", ctypes.c_int32),
+        ("big", ctypes.c_int32),
+        ("small", ctypes.c_int32),
+        ("length", ctypes.c_int32),
+        ("num_new", ctypes.c_int32),
+        ("num_tree", ctypes.c_int32),
+        ("num_kept", ctypes.c_int32),
+        ("num_pairs", ctypes.c_int32),
+        ("pair_capacity", ctypes.c_int32),
+        ("path_nodes", _I32P),
+        ("path_edges", _I32P),
+        ("new_nodes", _I32P),
+        ("tree", _I32P),
+        ("kept", _I32P),
+        ("pair_nodes", _I32P),
+        ("pair_ids", _I32P),
+        ("pair_dist", _F64P),
+        ("pair_delay", _F64P),
     ]
 
 
 # Argument types: every array travels as its address (``ndarray.ctypes.data``
-# or ``array.buffer_info()[0]``).
+# or ``array.buffer_info()[0]``) or as a ``View`` pointer.
 _P, _I, _F = ctypes.c_void_p, ctypes.c_int32, ctypes.c_double
 _SIGNATURES = {
-    "cd_new": (_P, [_P, _P, _P, _P, _P, _I, _I, _I]),
+    "cd_new": (_P, [_P, _P, _P, _P, _P, _I, _I, _P, _P]),
     "cd_free": (None, [_P]),
+    "cd_reset": (ctypes.c_int, [_P, _I, _I, _I, _I, _F, _F, _F, _P, _I, _P, _P]),
+    "cd_run": (ctypes.c_int, [_P]),
+    "cd_merge": (ctypes.c_int, [_P, _I, _I, _F, _F, _F]),
+    "cd_prune": (ctypes.c_int, [_P, _P, _I]),
+    "cd_best_steiner": (_I, [_P, _P, _P, _I, _P, _I, _F, _F, _F, _F]),
+    "cd_start_search": (ctypes.c_int, [_P, _I, _I, _I, _F, _F, _F]),
+    "cd_connection_key": (_F, [_P, _I, _I, _F, _F]),
+    "cd_add_tree_edge": (ctypes.c_int, [_P, _I, _I, _I]),
     "cd_set_component": (ctypes.c_int, [_P, _P, _I, _I]),
+    "cd_member": (_I, [_P, _I, _F64P]),
+    "cd_component_delays": (ctypes.c_int, [_P, _P, _I, _I, _I]),
+    "cd_set_targets": (None, [_P, _P, _I]),
+    "cd_settled_on": (ctypes.c_int, [_P, _P, _I, _I]),
     "cd_add_search": (ctypes.c_int, [_P, _I]),
-    "cd_start_search": (ctypes.c_int, [_P, _I, _I, _I, _F, _F, _F, _P, _I]),
     "cd_remove_search": (None, [_P, _I]),
     "cd_push": (ctypes.c_int, [_P, _I, _I, _I, _F]),
     "cd_pop": (ctypes.c_int, [_P, _P, _P, _P, _P]),
     "cd_len": (ctypes.c_int64, [_P]),
     "cd_min_key": (_F, [_P]),
-    "cd_counts": (None, [_P, _P, _P]),
-    "cd_run": (ctypes.c_int, [_P, ctypes.POINTER(Event)]),
-    "cd_path": (_I, [_P, _I, _I, _P, _P, _I]),
-    "cd_settled_on": (_I, [_P, _P, _I, _P, _I, _I, _I, _P, _P, _P, _P]),
-    "cd_component_delays": (ctypes.c_int, [_P, _P, _I, _I, _I]),
-    "cd_best_steiner": (_I, [_P, _P, _P, _I, _P, _I, _F, _F, _F, _F]),
-    "cd_set_targets": (None, [_P, _P, _P, _I]),
 }
 
 
@@ -187,28 +211,17 @@ def _int32s(values: Iterable[int]) -> array.array:
     return array.array("i", values if isinstance(values, list) else list(values))
 
 
-class _Columns:
-    """Output arrays that C fills up to ``capacity`` entries each."""
-
-    def __init__(self, capacity: int, *dtypes: type) -> None:
-        self.capacity = capacity
-        self.columns = tuple(np.empty(capacity, dtype=dtype) for dtype in dtypes)
-        self.addresses = tuple(column.ctypes.data for column in self.columns)
-
-
-#: Columns of ``cd_path`` (nodes, edges) and ``cd_settled_on`` (node,
-#: search, dist, delay).
-_PATH = (np.int32, np.int32)
-_PAIRS = (np.int32, np.int32, np.float64, np.float64)
-
-
 class SearchLoop:
-    """The C state of one solve: labels, sub-heaps and top heap of every
-    live search, and per component node its component (which the loop
-    stops on) and its delay to the component's representative.
+    """The C state of cost-distance solves on one graph with one pair of
+    edge vectors: labels, sub-heaps and top heap of every live search, the
+    components (owner, size, edges), per component node its component, its
+    delay to the component's representative and its union-find link, and
+    the tree edges.  :meth:`reset` starts a solve, so one loop serves a
+    whole batch (see ``OracleCostContext.search_loop``).
 
     Holds references to every array the C side borrows (graph CSR, cost,
-    delay, the target field ``l1``), so they live as long as the state does.
+    delay, the target field ``l1``, the :class:`View`), so they live as long
+    as the state does.
     """
 
     def __init__(
@@ -217,7 +230,6 @@ class SearchLoop:
         graph=None,
         cost: Optional[np.ndarray] = None,
         delay: Optional[np.ndarray] = None,
-        discount: bool = False,
     ) -> None:
         """State for solves on ``graph`` (a ``RoutingGraph``; ``None``: the
         heap interface only) with the edge vectors ``cost`` and ``delay``."""
@@ -232,26 +244,23 @@ class SearchLoop:
             _require(csr[2], np.int32, 2 * graph.num_edges, "csr other")
             _require(cost, np.float64, graph.num_edges, "cost")
             _require(delay, np.float64, graph.num_edges, "delay")
-        self._lib = lib
-        self._borrowed = (csr, cost, delay)
-        arrays = [_address(array) for array in (*csr, cost, delay)]
-        self._handle = lib.cd_new(*arrays, nx, ny, int(discount))
-        if not self._handle:
-            raise MemoryError("cannot allocate the search state")
+        self.lib = lib
         #: The A* target field, per planar tile (see :meth:`set_targets`).
         self.l1 = np.zeros(nx * ny, dtype=np.float64)
-        self._l1_address = self.l1.ctypes.data
-        self.event = Event()
-        self._event_ref = ctypes.byref(self.event)
-        self._path = _Columns(256, *_PATH)
-        self._path_length = 0
-        self._pairs = _Columns(64, *_PAIRS)
+        #: What C hands back (see :class:`View`).
+        self.view = View()
+        self._borrowed = (csr, cost, delay)
+        arrays = [_address(array) for array in (*csr, cost, delay)]
+        self._handle = lib.cd_new(*arrays, nx, ny, self.l1.ctypes.data, ctypes.byref(self.view))
+        if not self._handle:
+            raise MemoryError("cannot allocate the search state")
+        self._delay = ctypes.c_double()
 
     def close(self) -> None:
         """Free the C state (idempotent; also on garbage collection).  No
         other call may follow."""
         if self._handle:
-            self._lib.cd_free(self._handle)
+            self.lib.cd_free(self._handle)
             self._handle = None
 
     def __del__(self) -> None:
@@ -263,78 +272,8 @@ class SearchLoop:
             raise MemoryError("out of memory in the search state")
         return status
 
-    # -------------------------------------------------- kernel interface
-    def set_targets(self, tiles: Sequence[int]) -> np.ndarray:
-        """Rewrite :attr:`l1` in place to the L1 distance from every planar
-        tile to the target ``tiles`` (``_target_l1``, value for value), and
-        let the potential read it from now on (before the first call: all
-        zero).  Returns :attr:`l1`."""
-        tiles = _int32s(tiles)
-        self._lib.cd_set_targets(self._handle, self._l1_address, *tiles.buffer_info())
-        return self.l1
-
-    def set_component(self, nodes: Sequence[int], comp: int) -> None:
-        """``node_comp[n] = comp`` for every node of ``nodes`` (a node new to
-        the table starts at delay 0.0)."""
-        nodes = _int32s(nodes)
-        self._check(self._lib.cd_set_component(self._handle, *nodes.buffer_info(), comp))
-
-    def component_delays(self, edges: Collection[int], representative: int, comp: int) -> None:
-        """Set the delay of every node of ``comp`` to ``representative``
-        along ``edges`` (``_component_delays``; 0.0 where no edge path
-        leads); nodes of other components on those edges keep theirs."""
-        edges = _int32s(edges)
-        status = self._lib.cd_component_delays(
-            self._handle, *edges.buffer_info(), representative, comp
-        )
-        self._check(status)
-
-    def best_steiner(
-        self,
-        roots: Sequence[int],
-        source_weight: float,
-        target_weight: float,
-        min_cost_per_tile: float,
-        fastest_delay_per_tile: float,
-    ) -> int:
-        """``_best_steiner_position`` without landmarks on the path of the
-        last :meth:`path` call, towards the sample ``roots``: the node."""
-        roots = _int32s(roots)
-        path = self._path
-        index = self._lib.cd_best_steiner(
-            self._handle,
-            *path.addresses,
-            self._path_length,
-            *roots.buffer_info(),
-            source_weight,
-            target_weight,
-            min_cost_per_tile,
-            fastest_delay_per_tile,
-        )
-        return int(path.columns[0][index])
-
-    def start_search(
-        self,
-        tid: int,
-        node: int,
-        comp: int,
-        weight: float,
-        rate: float,
-        key: float,
-        own_edges: Sequence[int],
-    ) -> None:
-        """Register search ``tid`` with its seed labelled 0 and queued."""
-        edges = _int32s(own_edges)
-        status = self._lib.cd_start_search(
-            self._handle, tid, node, comp, weight, rate, key, *edges.buffer_info()
-        )
-        self._check(status)
-
-    def next_event(self) -> int:
-        """Run until Python has to decide: a settled node of another
-        component (``SETTLED``) or a popped connection candidate
-        (``CONNECT``), described by :attr:`event` until the next call."""
-        kind = self._lib.cd_run(self._handle, self._event_ref)
+    @staticmethod
+    def _event(kind: int) -> int:
         if kind == EXHAUSTED:
             raise RuntimeError(
                 "cost-distance search exhausted the queue before connecting "
@@ -344,63 +283,187 @@ class SearchLoop:
             raise MemoryError("out of memory in the search state")
         return kind
 
-    def counts(self) -> Tuple[int, int]:
-        """Pops and labels of :meth:`next_event` so far."""
-        counts = np.zeros(2, dtype=np.int64)
-        self._lib.cd_counts(self._handle, counts.ctypes.data, counts.ctypes.data + 8)
-        pops, labels = counts.tolist()
-        return pops, labels
+    # -------------------------------------------------- kernel interface
+    def reset(
+        self,
+        root: int,
+        discount: bool,
+        future_costs: bool,
+        encourage: bool,
+        dbif: float,
+        eta: float,
+        total_weight: float,
+        nodes: List[int],
+        weights: List[float],
+        rates: List[float],
+    ) -> None:
+        """Start a solve: drop the previous one's state and set up
+        ``_Solve.__init__``'s -- component 0 the root's, component ``i + 1``
+        terminal ``i``'s (``nodes``, ``weights``, potential ``rates``), the
+        target field with ``future_costs``, every search started.
+        ``encourage``: III-E and ``dbif > 0``; ``total_weight``: the total
+        active weight as Python summed it."""
+        nodes_array = _int32s(nodes)
+        weights_array = array.array("d", weights)
+        rates_array = array.array("d", rates)
+        status = self.lib.cd_reset(
+            self._handle,
+            root,
+            discount,
+            future_costs,
+            encourage,
+            dbif,
+            eta,
+            total_weight,
+            *nodes_array.buffer_info(),
+            weights_array.buffer_info()[0],
+            rates_array.buffer_info()[0],
+        )
+        self._check(status)
 
-    def path(self, tid: int, node: int) -> Tuple[List[int], List[int]]:
-        """Nodes (seed first) and edges of search ``tid``'s parent path to
-        ``node``."""
-        while True:
-            path = self._path
-            length = self._lib.cd_path(self._handle, tid, node, *path.addresses, path.capacity)
-            if length < path.capacity:
-                self._path_length = length
-                nodes, edges = path.columns
-                return nodes[: length + 1].tolist(), edges[:length].tolist()
-            self._path = _Columns(2 * (length + 1), *_PATH)
+    def run(self) -> int:
+        """Run to the next merge (``MERGE``: its path, tree edges and
+        component union done, described by :attr:`view`) or the end
+        (``DONE``)."""
+        return self._event(self.lib.cd_run(self._handle))
 
-    def settled_on(
-        self, nodes: Sequence[int], tids: Sequence[int], comp: int
-    ) -> List[Tuple[int, int, float, float]]:
-        """``(node, tid, dist, delay)`` for every node (outer) and search of
-        ``tids`` (inner, in order) outside ``comp`` that has settled it:
-        the node's distance and its delay to its component's representative.
+    def merge(self, new_tid: int, node: int, weight: float, rate: float, total: float) -> int:
+        """Finish the merge :meth:`run` stopped at with Python's decisions
+        -- the new search ``new_tid`` (``-1``: a root merge) at ``node``
+        with ``weight`` and ``rate``, the total active weight ``total``
+        from now on -- and run on, as :meth:`run`."""
+        return self._event(self.lib.cd_merge(self._handle, new_tid, node, weight, rate, total))
 
-        The output buffers grow to the number of pairs found, never to
-        ``len(nodes) * len(tids)``."""
-        nodes, tids = _int32s(nodes), _int32s(tids)
-        while True:
-            pairs = self._pairs
-            count = self._lib.cd_settled_on(
-                self._handle,
-                *nodes.buffer_info(),
-                *tids.buffer_info(),
-                comp,
-                pairs.capacity,
-                *pairs.addresses,
+    def path(self) -> Tuple[List[int], List[int]]:
+        """Nodes (seed first) and edges of the last merge's path."""
+        view = self.view
+        return view.path_nodes[: view.length + 1], view.path_edges[: view.length]
+
+    def best_steiner(
+        self,
+        roots: Sequence[int],
+        source_weight: float,
+        target_weight: float,
+        min_cost_per_tile: float,
+        fastest_delay_per_tile: float,
+    ) -> int:
+        """``_best_steiner_position`` without landmarks on the last merge's
+        path, towards the sample ``roots``: the node."""
+        roots = _int32s(roots)
+        view = self.view
+        index = self.lib.cd_best_steiner(
+            self._handle,
+            view.path_nodes,
+            view.path_edges,
+            view.length,
+            *roots.buffer_info(),
+            source_weight,
+            target_weight,
+            min_cost_per_tile,
+            fastest_delay_per_tile,
+        )
+        return view.path_nodes[index]
+
+    def tree_edges(self) -> List[int]:
+        """The tree edges so far, in insertion order (before pruning)."""
+        view = self.view
+        return view.tree[: view.num_tree]
+
+    def pruned(self, terminals: Sequence[int]) -> Tuple[int, ...]:
+        """The tree edges without dangling branches (``terminals``: root
+        and sinks), in insertion order."""
+        terminals = _int32s(terminals)
+        self._check(self.lib.cd_prune(self._handle, *terminals.buffer_info()))
+        view = self.view
+        return tuple(view.kept[: view.num_kept])
+
+    def pairs(self) -> List[Tuple[int, int, float, float]]:
+        """``(node, tid, dist, delay)`` of the last settled-node scan: the
+        last merge's, whose connection candidates C queued, or
+        :meth:`settled_on`'s."""
+        view = self.view
+        count = view.num_pairs
+        if not count:
+            return []
+        return list(
+            zip(
+                view.pair_nodes[:count],
+                view.pair_ids[:count],
+                view.pair_dist[:count],
+                view.pair_delay[:count],
             )
-            if not count:  # most merges: skip four empty slices
-                return []
-            if count <= pairs.capacity:
-                return list(zip(*(column[:count].tolist() for column in pairs.columns)))
-            self._pairs = _Columns(2 * count, *_PAIRS)
+        )
+
+    # ------------------------------------------------------ pieces, for tests
+    def start_search(
+        self, tid: int, node: int, comp: int, weight: float, rate: float, key: float
+    ) -> None:
+        """Register search ``tid`` of component ``comp`` (its edges cost 0.0
+        under III-A) with its seed labelled 0 and queued."""
+        self._check(self.lib.cd_start_search(self._handle, tid, node, comp, weight, rate, key))
+
+    def connection_key(self, tid: int, comp: int, delay: float, dist: float) -> float:
+        """``_Solve.connection_key`` of search ``tid``'s candidate towards
+        component ``comp`` (NaN if ``comp`` has no live owner)."""
+        return self.lib.cd_connection_key(self._handle, tid, comp, delay, dist)
+
+    def add_tree_edge(self, edge: int, u: int, v: int) -> bool:
+        """Append ``edge`` (from ``u`` to ``v``) to the tree unless it
+        closes a cycle, as a merge does with its path; whether it did."""
+        return self._check(self.lib.cd_add_tree_edge(self._handle, edge, u, v)) == 1
+
+    def set_component(self, nodes: Sequence[int], comp: int) -> None:
+        """Put every node of ``nodes`` into component ``comp`` (a node new
+        to the table starts at delay 0.0)."""
+        nodes = _int32s(nodes)
+        self._check(self.lib.cd_set_component(self._handle, *nodes.buffer_info(), comp))
+
+    def member(self, node: int) -> Tuple[int, float]:
+        """The component of ``node`` (``-1``: none) and its delay to the
+        component's representative."""
+        comp = self.lib.cd_member(self._handle, node, ctypes.byref(self._delay))
+        return comp, self._delay.value
+
+    def component_delays(self, edges: Collection[int], representative: int, comp: int) -> None:
+        """Set the delay of every node of ``comp`` to ``representative``
+        along ``edges`` (``_component_delays``; 0.0 where no edge path
+        leads); nodes of other components on those edges keep theirs."""
+        edges = _int32s(edges)
+        status = self.lib.cd_component_delays(
+            self._handle, *edges.buffer_info(), representative, comp
+        )
+        self._check(status)
+
+    def set_targets(self, tiles: Sequence[int]) -> np.ndarray:
+        """Rewrite :attr:`l1` in place to the L1 distance from every planar
+        tile to the target ``tiles`` (``_target_l1``, value for value), and
+        let the potential read it from now on.  Returns :attr:`l1`."""
+        tiles = _int32s(tiles)
+        self.lib.cd_set_targets(self._handle, *tiles.buffer_info())
+        return self.l1
+
+    def settled_on(self, nodes: Sequence[int], comp: int) -> List[Tuple[int, int, float, float]]:
+        """``(node, tid, dist, delay)`` for every node (outer) and live
+        search (inner, by id: activation order) outside ``comp`` that has
+        settled it: the node's distance and its delay to its component's
+        representative.  C's buffers grow to the pairs found, never to
+        ``len(nodes)`` times the searches."""
+        nodes = _int32s(nodes)
+        self._check(self.lib.cd_settled_on(self._handle, *nodes.buffer_info(), comp))
+        return self.pairs()
 
     # --------------------------------------------- TwoLevelHeap interface
     def __len__(self) -> int:
-        return self._lib.cd_len(self._handle)
+        return self.lib.cd_len(self._handle)
 
     def __bool__(self) -> bool:
-        return self._lib.cd_len(self._handle) > 0
+        return self.lib.cd_len(self._handle) > 0
 
     def add_search(self, tid: int) -> None:
-        self._check(self._lib.cd_add_search(self._handle, tid))
+        self._check(self.lib.cd_add_search(self._handle, tid))
 
     def remove_search(self, tid: int) -> None:
-        self._lib.cd_remove_search(self._handle, tid)
+        self.lib.cd_remove_search(self._handle, tid)
 
     def push(self, tid: int, item, key: float) -> bool:
         """Queue node ``item`` or connection candidate ``("c", node)``."""
@@ -408,16 +471,16 @@ class SearchLoop:
             node, kind = item[1], 1
         else:
             node, kind = item, 0
-        return self._check(self._lib.cd_push(self._handle, tid, node, kind, key)) == 1
+        return self._check(self.lib.cd_push(self._handle, tid, node, kind, key)) == 1
 
     def pop(self):
         key = np.zeros(1, dtype=np.float64)
         ints = np.zeros(3, dtype=np.int32)  # search, node, kind
         address = ints.ctypes.data
-        if not self._lib.cd_pop(self._handle, key.ctypes.data, address, address + 4, address + 8):
+        if not self.lib.cd_pop(self._handle, key.ctypes.data, address, address + 4, address + 8):
             raise IndexError("pop from an empty two-level heap")
         tid, node, kind = ints.tolist()
         return float(key[0]), tid, (("c", node) if kind else node)
 
     def min_key(self) -> float:
-        return self._lib.cd_min_key(self._handle)
+        return self.lib.cd_min_key(self._handle)

@@ -34,14 +34,17 @@ The plain configuration (:meth:`CostDistanceConfig.plain`) disables all
 enhancements and matches the analysed algorithm, which carries the
 ``O(log t)`` approximation guarantee.
 
-The search loop -- pops, relaxations and the two-level heap -- runs as C
-(``_search.c``, see :mod:`repro.core._search`) whenever it could be built,
-and so do three steps of every merge: the component delays, the III-D
-placement without landmarks and the A* target field.  :meth:`_Solve.run`,
-:func:`_component_delays`, :func:`_best_steiner_position` and
-:func:`_target_l1` are their specification and the fallback; the flat
-queue of ``use_two_level_heap=False`` always runs in Python.  Both paths
-produce the same pops, labels and trees.
+The search loop -- pops, relaxations, the two-level heap and the connection
+candidates -- runs as C (``_search.c``, see :mod:`repro.core._search`)
+whenever it could be built, and so does every step of a merge but its
+decisions: the tree edges, the component union, the component delays, the
+III-D placement without landmarks, the A* target field and the final
+pruning.  :meth:`_Solve.run`, :meth:`_Solve.merge`, :func:`_component_delays`,
+:func:`_best_steiner_position`, :func:`_target_l1` and
+:func:`~repro.core.objective.prune_dangling_branches` are their
+specification and the fallback; the flat queue of
+``use_two_level_heap=False`` always runs in Python.  Both paths produce
+the same pops, labels and trees.
 """
 
 from __future__ import annotations
@@ -134,20 +137,21 @@ class CostDistanceResult:
 
 class _Search:
     """An active terminal (sink or Steiner vertex) and its persistent
-    Dijkstra search."""
+    Dijkstra search (its labels live in C on the compiled path)."""
 
     __slots__ = ("node", "weight", "comp", "rate", "tentative", "parent", "permanent")
 
-    def __init__(self, node: int, weight: float, comp: int, rate: float) -> None:
+    def __init__(self, node: int, weight: float, comp: int, rate: float, labels: bool) -> None:
         self.node = node
         self.weight = weight
         self.comp = comp
         #: Potential per tile of L1 distance to the nearest target:
         #: cheapest cost per tile plus ``weight`` times fastest delay per tile.
         self.rate = rate
-        self.tentative: Dict[int, float] = {node: 0.0}
-        self.parent: Dict[int, int] = {}
-        self.permanent: Set[int] = set()
+        if labels:
+            self.tentative: Dict[int, float] = {node: 0.0}
+            self.parent: Dict[int, int] = {}
+            self.permanent: Set[int] = set()
 
 
 class _FlatQueue:
@@ -267,10 +271,14 @@ class _Solve:
     and write its slots, and :meth:`run` -- the hot loop -- binds what it
     touches per pop to locals.
 
-    With the compiled loop (``loop`` set), the per-search labels and the
-    queue live in C: ``loop`` is the queue, the ``_Search`` objects keep
-    only node, weight, component and rate, and :meth:`run_compiled`
-    replaces :meth:`run`.
+    With the compiled loop (``loop`` set) the labels, the queue, the
+    connection candidates, the component edges and owners, the node
+    components and the tree live in C: the loop returns to Python once per
+    merge, :meth:`merge_compiled` takes the decisions that stay in Python
+    (the ``comp_nodes`` sets, the placement, the new search) and hands them
+    back.  :meth:`run` and :meth:`merge` are its specification.
+    ``record=False`` keeps no :class:`MergeRecord` (``merges`` is ``None``;
+    ``num_merges`` counts them either way).
     """
 
     __slots__ = (
@@ -295,11 +303,14 @@ class _Solve:
         "active",
         "queue",
         "loop",
+        "context",
         "total_active_weight",
         "tree_edges",
         "tree_edge_set",
         "acyclic",
         "merges",
+        "num_merges",
+        "scans",
     )
 
     def __init__(
@@ -309,12 +320,13 @@ class _Solve:
         rng: random.Random,
         init_nodes: List[int],
         init_weights: List[float],
+        record: bool = True,
     ) -> None:
         self.config = config
         self.rng = rng
         graph = self.graph = instance.graph
         # A context covering these exact arrays shares the future-cost
-        # estimator across the batch.
+        # estimator and this thread's compiled state across the batch.
         ctx = instance.context
         if ctx is not None and not ctx.covers(instance.cost, instance.delay):
             ctx = None
@@ -347,13 +359,20 @@ class _Solve:
             self.pot_delay_rate = estimator.fastest_delay_per_tile
         else:
             self.pot_cost_rate = self.pot_delay_rate = 0.0
-        self.l1: Sequence[float] = [0.0] * self.planar_tiles
+        self.merges: Optional[List[MergeRecord]] = [] if record else None
+        self.num_merges = 0
+        #: Set to a list, collects per merge the ``(node, tid, dist, delay)``
+        #: pairs whose connection candidates the merge queued.
+        self.scans: Optional[List[List[Tuple[int, int, float, float]]]] = None
         lib = _search.LIB if config.use_two_level_heap else None
         self.loop: Optional[_search.SearchLoop] = None
+        self.context = None
         if lib is not None:
-            self.loop = _search.SearchLoop(
-                lib, graph, instance.cost, instance.delay, config.discount_components
-            )
+            if ctx is not None and ctx.graph is graph and ctx.delay is not None:
+                self.context = ctx
+                self.loop = ctx.search_loop(lib)
+            else:
+                self.loop = _search.SearchLoop(lib, graph, instance.cost, instance.delay)
 
         # ---- component bookkeeping ----
         # ``comp_nodes`` values stay Python sets filled in this exact order:
@@ -362,6 +381,11 @@ class _Solve:
         # implicit order dependency besides the heap's tie order (both
         # pinned by tests/test_cost_distance.py::TestKernelGolden).
         self.comp_nodes: Dict[int, Set[int]] = {}
+        self.active: Dict[int, _Search] = {}
+        self.total_active_weight = 0.0
+        if self.loop is not None:
+            self.start_compiled(init_nodes, init_weights)
+            return
         self.comp_edges: Dict[int, Set[int]] = {}
         self.comp_owner: Dict[int, int] = {}
         self.node_comp: Dict[int, int] = {}
@@ -369,23 +393,14 @@ class _Solve:
         # terminal, along the component's own edges.  Used so that a search
         # entering a component "anywhere" (enhancement III-A) still pays the
         # delay towards the component's terminal, as in the paper's
-        # per-end-component labels.  The compiled loop keeps it in C, one
-        # delay per node, and hands it over with every event instead.
+        # per-end-component labels.
         self.comp_delay: Dict[int, Dict[int, float]] = {}
         self.root_comp = self.new_component(ROOT_ID, self.root_node)
-
-        self.active: Dict[int, _Search] = {}
-        if self.loop is not None:
-            self.queue = self.loop
-        elif config.use_two_level_heap:
-            self.queue = TwoLevelHeap()
-        else:
-            self.queue = _FlatQueue()
-        self.total_active_weight = 0.0
+        self.l1: Sequence[float] = [0.0] * self.planar_tiles
+        self.queue = TwoLevelHeap() if config.use_two_level_heap else _FlatQueue()
         self.tree_edges: List[int] = []
         self.tree_edge_set: Set[int] = set()
         self.acyclic = _UnionFind()
-        self.merges: List[MergeRecord] = []
 
         for tid, (node, weight) in enumerate(zip(init_nodes, init_weights)):
             self.activate(tid, node, weight, self.new_component(tid, node))
@@ -394,6 +409,40 @@ class _Solve:
         for tid in self.active:
             self.start_search(tid)
 
+    def start_compiled(self, init_nodes: List[int], init_weights: List[float]) -> None:
+        """:meth:`__init__`'s set-up with the compiled loop: the same
+        components, searches and total weight, handed to C in one call."""
+        config = self.config
+        bif = self.bif
+        comp_nodes = self.comp_nodes
+        comp_nodes[0] = {self.root_node}
+        self.root_comp = 0
+        rates = []
+        for tid, (node, weight) in enumerate(zip(init_nodes, init_weights)):
+            comp_nodes[tid + 1] = {node}
+            self.activate(tid, node, weight, tid + 1)
+            self.total_active_weight += weight
+            rates.append(self.active[tid].rate)
+        self.loop.reset(
+            self.root_node,
+            config.discount_components,
+            config.use_future_costs,
+            config.encourage_root_connections and bif.enabled,
+            bif.dbif,
+            bif.eta,
+            self.total_active_weight,
+            init_nodes,
+            init_weights,
+            rates,
+        )
+        self.l1 = self.loop.l1 if config.use_future_costs else [0.0] * self.planar_tiles
+
+    def release(self) -> None:
+        """Hand the compiled state back to the context it came from."""
+        if self.context is not None:
+            self.context.return_loop(self.loop)
+            self.context = None
+
     # ---------------------------------------------------------- bookkeeping
     def new_component(self, owner: int, node: int) -> int:
         comp_id = len(self.comp_nodes)
@@ -401,10 +450,7 @@ class _Solve:
         self.comp_edges[comp_id] = set()
         self.comp_owner[comp_id] = owner
         self.node_comp[node] = comp_id
-        if self.loop is None:
-            self.comp_delay[comp_id] = {node: 0.0}
-        else:
-            self.loop.set_component((node,), comp_id)
+        self.comp_delay[comp_id] = {node: 0.0}
         return comp_id
 
     def refresh_targets(self) -> None:
@@ -414,14 +460,10 @@ class _Solve:
         tiles = self.planar_tiles
         targets = [self.root_node % tiles]
         targets.extend(search.node % tiles for search in self.active.values())
-        if self.loop is None:
-            self.l1 = _target_l1(self.graph.nx, self.graph.ny, targets).tolist()
-        else:
-            self.l1 = self.loop.set_targets(targets)
+        self.l1 = _target_l1(self.graph.nx, self.graph.ny, targets).tolist()
 
     def node_delay(self, comp: int, node: int) -> float:
-        """Delay from ``node`` to the terminal of its component ``comp``
-        (the Python loop's table; the compiled loop's events carry it)."""
+        """Delay from ``node`` to the terminal of its component ``comp``."""
         return self.comp_delay[comp].get(node, 0.0)
 
     def connection_key(self, search: _Search, comp: int, delay: float, dist: float) -> float:
@@ -442,39 +484,24 @@ class _Solve:
 
     def activate(self, tid: int, node: int, weight: float, comp: int) -> None:
         rate = self.pot_cost_rate + weight * self.pot_delay_rate
-        self.active[tid] = _Search(node, weight, comp, rate)
+        self.active[tid] = _Search(node, weight, comp, rate, self.loop is None)
 
     def start_search(self, tid: int) -> None:
         search = self.active[tid]
         key = self.l1[search.node % self.planar_tiles] * search.rate
-        if self.loop is None:
-            self.queue.add_search(tid)
-            self.queue.push(tid, search.node, key)
-        else:
-            # A live search's component edges never change (a merge only
-            # grows components whose searches it ends), so C takes them once.
-            own_edges = self.comp_edges[search.comp] if self.config.discount_components else ()
-            self.loop.start_search(
-                tid, search.node, search.comp, search.weight, search.rate, float(key), own_edges
-            )
+        self.queue.add_search(tid)
+        self.queue.push(tid, search.node, key)
 
     def deactivate(self, tid: int) -> None:
         self.active.pop(tid, None)
         self.queue.remove_search(tid)
 
     def offer_connection(
-        self,
-        tid: int,
-        search: _Search,
-        comp: int,
-        node: int,
-        dist: float,
-        delay: Optional[float] = None,
+        self, tid: int, search: _Search, comp: int, node: int, dist: float
     ) -> None:
         """Search ``tid`` settled ``node`` of another component ``comp`` at
-        ``dist`` (``delay`` from it to that component's terminal, ``None``:
-        read :meth:`node_delay`): queue the connection candidate
-        ``("c", node)`` if it is one."""
+        ``dist``: queue the connection candidate ``("c", node)`` if it is
+        one."""
         owner = self.comp_owner.get(comp)
         if owner == ROOT_ID or owner in self.active:
             if self.config.discount_components:
@@ -486,24 +513,15 @@ class _Solve:
             else:
                 connect = node == self.active[owner].node
             if connect:
-                if delay is None:
-                    delay = self.node_delay(comp, node)
-                self.queue.push(tid, ("c", node), self.connection_key(search, comp, delay, dist))
+                key = self.connection_key(search, comp, self.node_delay(comp, node), dist)
+                self.queue.push(tid, ("c", node), key)
 
     def try_connection(
-        self,
-        tid: int,
-        search: _Search,
-        key: float,
-        node: int,
-        dist: Optional[float],
-        delay: Optional[float] = None,
+        self, tid: int, search: _Search, key: float, node: int, dist: Optional[float]
     ) -> None:
         """The connection candidate ``("c", node)`` of search ``tid`` left
-        the queue at ``key`` (``dist``: the node's label if settled;
-        ``delay``: its delay to its component's terminal, ``None``: read
-        :meth:`node_delay`): merge, re-queue it under a larger fresh key, or
-        drop it as stale."""
+        the queue at ``key`` (``dist``: the node's label if settled): merge,
+        re-queue it under a larger fresh key, or drop it as stale."""
         comp = self.node_comp.get(node)
         if comp is None or comp == search.comp:
             return
@@ -512,9 +530,7 @@ class _Solve:
             return
         if dist is None:
             return
-        if delay is None:
-            delay = self.node_delay(comp, node)
-        fresh_key = self.connection_key(search, comp, delay, dist)
+        fresh_key = self.connection_key(search, comp, self.node_delay(comp, node), dist)
         if fresh_key > key + 1e-9:
             self.queue.push(tid, ("c", node), fresh_key)
             return
@@ -599,28 +615,26 @@ class _Solve:
         return num_pops, num_labels
 
     def run_compiled(self) -> Tuple[int, int]:
-        """:meth:`run` with the pops, labels and relaxations in C: the loop
-        stops only where Python decides -- a settled node of another
-        component, a popped connection candidate."""
+        """:meth:`run` with everything but the merge decisions in C: the
+        loop returns once per merge."""
         loop = self.loop
-        event = loop.event
-        active = self.active
-        while active:
-            kind = loop.next_event()
-            tid = event.search
-            search = active[tid]
-            if kind == _search.SETTLED:
-                # C stops only on a node of another component.
-                self.offer_connection(tid, search, event.comp, event.node, event.dist, event.delay)
-            else:
-                dist = event.dist if event.permanent else None
-                self.try_connection(tid, search, event.key, event.node, dist, event.delay)
-        return loop.counts()
+        kind = loop.run()
+        while kind == _search.MERGE:
+            kind = self.merge_compiled()
+        view = loop.view
+        return view.pops, view.labels
+
+    def tree(self, sinks: Tuple[int, ...], name: str) -> EmbeddedTree:
+        """The finished tree without its dangling branches."""
+        if self.loop is None:
+            edges = tuple(self.tree_edges)
+            tree = EmbeddedTree(self.graph, self.root_node, sinks, edges, name)
+            return prune_dangling_branches(tree)
+        edges = self.loop.pruned([self.root_node, *sinks])
+        return EmbeddedTree(self.graph, self.root_node, sinks, edges, name)
 
     def path_to(self, tid: int, node: int) -> Tuple[List[int], List[int]]:
         """Nodes (seed first) and edges of search ``tid``'s path to ``node``."""
-        if self.loop is not None:
-            return self.loop.path(tid, node)
         parent = self.active[tid].parent
         rev_edges: List[int] = []
         rev_nodes: List[int] = [node]
@@ -636,8 +650,6 @@ class _Solve:
         component ``comp``) and live search outside ``comp`` (inner, in
         activation order) that has settled the node at ``dist``; ``delay``
         is the node's to the terminal of ``comp``."""
-        if self.loop is not None:
-            return self.loop.settled_on(nodes, list(self.active), comp)
         return [
             (p, tid, search.tentative[p], self.node_delay(comp, p))
             for p in nodes
@@ -646,10 +658,82 @@ class _Solve:
         ]
 
     # ---------------------------------------------------------------- merge
+    def steiner_position(
+        self,
+        source: _Search,
+        target: _Search,
+        path_nodes: Optional[List[int]],
+        path_edges: Optional[List[int]],
+    ) -> int:
+        """Where the merge of ``source`` and ``target`` places its Steiner
+        vertex: III-D on the path (``None``: the compiled loop's last), or
+        a random endpoint weighted by the two weights."""
+        estimator = self.estimator
+        if self.config.improved_steiner_placement and estimator is not None:
+            root_nodes = _root_target_sample(self.comp_nodes[self.root_comp], self.root_node)
+            if self.loop is not None:
+                if estimator.num_landmarks == 0:
+                    return self.loop.best_steiner(
+                        root_nodes,
+                        source.weight,
+                        target.weight,
+                        estimator.min_cost_per_tile,
+                        estimator.fastest_delay_per_tile,
+                    )
+                path_nodes, path_edges = self.loop.path()
+            return _best_steiner_position(
+                graph=self.graph,
+                estimator=estimator,
+                path_nodes=path_nodes,
+                path_edges=path_edges,
+                delay=self.delay,
+                source_weight=source.weight,
+                target_weight=target.weight,
+                root_nodes=root_nodes,
+            )
+        choices = [source.node, target.node]
+        weights = [source.weight, target.weight]
+        if weights[0] + weights[1] <= 0:
+            weights = [1.0, 1.0]
+        return self.rng.choices(choices, weights=weights, k=1)[0]
+
+    def record(
+        self,
+        source: _Search,
+        target_node: int,
+        target_weight: float,
+        meeting_node: int,
+        steiner_node: Optional[int],
+        path_edges: Sequence[int],
+    ) -> None:
+        """Count the merge, and keep its :class:`MergeRecord` if recording."""
+        self.num_merges += 1
+        if self.merges is None:
+            return
+        active = self.active
+        self.merges.append(
+            MergeRecord(
+                iteration=self.num_merges,
+                source_node=source.node,
+                source_weight=source.weight,
+                target_node=target_node,
+                target_weight=target_weight,
+                meeting_node=meeting_node,
+                steiner_node=steiner_node,
+                path_edges=tuple(path_edges),
+                is_root_merge=steiner_node is None,
+                active_after=len(active),
+                active_terminals=tuple((t.node, t.weight) for t in active.values())
+                if self.config.record_trace
+                else (),
+            )
+        )
+
     def merge(self, source_tid: int, owner: int, meeting_node: int) -> None:
-        """Perform one merge (one iteration of Algorithm 1)."""
+        """Perform one merge (one iteration of Algorithm 1).
+
+        The specification of :meth:`merge_compiled`."""
         graph = self.graph
-        config = self.config
         active = self.active
         comp_nodes = self.comp_nodes
         comp_edges = self.comp_edges
@@ -684,8 +768,7 @@ class _Solve:
         comp_nodes[big].update(moved)
         comp_edges[big].update(comp_edges.pop(small))
         self.comp_owner.pop(small, None)
-        if self.loop is None:
-            self.comp_delay.pop(small, None)
+        self.comp_delay.pop(small, None)
         # Path nodes that are not yet owned by any component join the merged
         # component.  Nodes already owned by a *different* component (the
         # path may brush past the root tile or a third component) keep their
@@ -696,8 +779,6 @@ class _Solve:
         comp_edges[big].update(path_edges)
         for n in new_path_nodes:
             node_comp[n] = big
-        if self.loop is not None:
-            self.loop.set_component([*moved, *new_path_nodes], big)
 
         steiner_node: Optional[int] = None
         if is_root_merge:
@@ -710,34 +791,7 @@ class _Solve:
             target = active[owner]
             target_weight = target.weight
             target_node = target.node
-            estimator = self.estimator
-            if config.improved_steiner_placement and estimator is not None:
-                root_nodes = _root_target_sample(comp_nodes[self.root_comp], self.root_node)
-                if self.loop is not None and estimator.num_landmarks == 0:
-                    steiner_node = self.loop.best_steiner(
-                        root_nodes,
-                        source.weight,
-                        target.weight,
-                        estimator.min_cost_per_tile,
-                        estimator.fastest_delay_per_tile,
-                    )
-                else:
-                    steiner_node = _best_steiner_position(
-                        graph=graph,
-                        estimator=estimator,
-                        path_nodes=path_nodes,
-                        path_edges=path_edges,
-                        delay=self.delay,
-                        source_weight=source.weight,
-                        target_weight=target.weight,
-                        root_nodes=root_nodes,
-                    )
-            else:
-                choices = [source.node, target.node]
-                weights = [source.weight, target.weight]
-                if weights[0] + weights[1] <= 0:
-                    weights = [1.0, 1.0]
-                steiner_node = self.rng.choices(choices, weights=weights, k=1)[0]
+            steiner_node = self.steiner_position(source, target, path_nodes, path_edges)
             representative = steiner_node
             new_tid = max(active) + 1
             self.deactivate(source_tid)
@@ -750,42 +804,60 @@ class _Solve:
 
         # Recompute the delay from every component node to the (new)
         # representative terminal along the component's own edges.
-        if self.loop is None:
-            self.comp_delay[big] = _component_delays(
-                graph, comp_edges[big], representative, self.delay
-            )
-        else:
-            self.loop.component_delays(comp_edges[big], representative, big)
+        self.comp_delay[big] = _component_delays(graph, comp_edges[big], representative, self.delay)
 
         # Let other searches that already labeled the freshly added path
         # nodes compete for a connection to the new component.
-        for p, other_tid, dist, delay in self.settled_on(new_path_nodes, big):
+        found = self.settled_on(new_path_nodes, big)
+        if self.scans is not None:
+            self.scans.append(found)
+        for p, other_tid, dist, delay in found:
             key = self.connection_key(active[other_tid], big, delay, dist)
             self.queue.push(other_tid, ("c", p), key)
 
-        self.merges.append(
-            MergeRecord(
-                iteration=len(self.merges) + 1,
-                source_node=source.node,
-                source_weight=source.weight,
-                target_node=target_node,
-                target_weight=target_weight,
-                meeting_node=meeting_node,
-                steiner_node=steiner_node,
-                path_edges=tuple(path_edges),
-                is_root_merge=is_root_merge,
-                active_after=len(active),
-                active_terminals=tuple((t.node, t.weight) for t in active.values())
-                if config.record_trace
-                else (),
-            )
-        )
+        self.record(source, target_node, target_weight, meeting_node, steiner_node, path_edges)
         if is_root_merge:
             # Root merges reduce the total active weight (only now: the
             # connection keys above were taken against the previous total).
             self.total_active_weight = sum(t.weight for t in active.values())
         if active:
             self.refresh_targets()
+
+    def merge_compiled(self) -> int:
+        """:meth:`merge` of the merge the compiled loop stopped at, whose
+        path, tree edges and component union C has done: take Python's
+        decisions, then let C finish the merge and run on to the next
+        (returns :meth:`_search.SearchLoop.merge`'s result)."""
+        loop = self.loop
+        view = loop.view
+        active = self.active
+        source_tid = view.search
+        owner = view.owner
+        big = view.big
+        comp_nodes = self.comp_nodes
+        members = comp_nodes[big]
+        members.update(comp_nodes.pop(view.small))
+        members.update(view.new_nodes[: view.num_new])
+        source = active[source_tid]
+        path_edges = view.path_edges[: view.length] if self.merges is not None else ()
+        if owner == ROOT_ID:
+            self.root_comp = big
+            del active[source_tid]
+            self.record(source, self.root_node, 0.0, view.node, None, path_edges)
+            self.total_active_weight = sum(t.weight for t in active.values())
+            kind = loop.merge(ROOT_ID, self.root_node, 0.0, 0.0, self.total_active_weight)
+        else:
+            target = active[owner]
+            steiner_node = self.steiner_position(source, target, None, None)
+            new_tid = max(active) + 1
+            del active[source_tid], active[owner]
+            self.activate(new_tid, steiner_node, source.weight + target.weight, big)
+            self.record(source, target.node, target.weight, view.node, steiner_node, path_edges)
+            new = active[new_tid]
+            kind = loop.merge(new_tid, steiner_node, new.weight, new.rate, self.total_active_weight)
+        if self.scans is not None:
+            self.scans.append(loop.pairs())
+        return kind
 
 
 def _component_delays(
@@ -894,7 +966,7 @@ class CostDistanceSolver(SteinerOracle):
         self, instance: SteinerInstance, rng: Optional[random.Random] = None
     ) -> EmbeddedTree:
         """Build an embedded cost-distance Steiner tree for ``instance``."""
-        return self.solve_with_details(instance, rng).tree
+        return self._solve(instance, rng, record=False).tree
 
     def solve(
         self, instance: SteinerInstance, rng: Optional[random.Random] = None
@@ -906,6 +978,13 @@ class CostDistanceSolver(SteinerOracle):
         self, instance: SteinerInstance, rng: Optional[random.Random] = None
     ) -> CostDistanceResult:
         """Run the algorithm and return the tree together with its trace."""
+        return self._solve(instance, rng, record=True)
+
+    def _solve(
+        self, instance: SteinerInstance, rng: Optional[random.Random], record: bool
+    ) -> CostDistanceResult:
+        """One run; ``record=False`` keeps no :class:`MergeRecord` (the
+        result's ``merges`` is then empty, ``num_iterations`` still counts)."""
         config = self.config
         rng = rng if rng is not None else random.Random(config.seed)
         sinks = tuple(instance.sinks)
@@ -914,15 +993,16 @@ class CostDistanceSolver(SteinerOracle):
             tree = EmbeddedTree(instance.graph, instance.root, sinks, (), self.name)
             return CostDistanceResult(tree, [], 0, 0)
 
-        state = _Solve(instance, config, rng, init_nodes, init_weights)
-        num_pops, num_labels = state.run()
-        tree = prune_dangling_branches(
-            EmbeddedTree(instance.graph, instance.root, sinks, tuple(state.tree_edges), self.name)
-        )
+        state = _Solve(instance, config, rng, init_nodes, init_weights, record)
+        try:
+            num_pops, num_labels = state.run()
+            tree = state.tree(sinks, self.name)
+        finally:
+            state.release()
         # Aggregated per-solve increments (not per pop) keep the hot loop
         # observable without taxing it.
         obs.inc("astar.pops", num_pops)
         obs.inc("cd.labels", num_labels)
-        obs.inc("cd.merges", len(state.merges))
+        obs.inc("cd.merges", state.num_merges)
         obs.inc("cd.solves")
-        return CostDistanceResult(tree, state.merges, len(state.merges), num_labels)
+        return CostDistanceResult(tree, state.merges or [], state.num_merges, num_labels)

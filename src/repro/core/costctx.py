@@ -19,6 +19,7 @@ is a pure cache, never a semantic change.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -58,6 +59,7 @@ class OracleCostContext:
         self._cost_floor: Optional[float] = None
         self._estimators: Dict[int, object] = {}
         self._validated = False
+        self._loops = threading.local()
 
     # -------------------------------------------------------------- caches
     def cost_list(self) -> List[float]:
@@ -110,6 +112,24 @@ class OracleCostContext:
             )
             self._estimators[num_landmarks] = est
         return est
+
+    def search_loop(self, lib):
+        """This thread's compiled search state (``_search.SearchLoop`` over
+        the context's graph, cost and delay, loaded from ``lib``): the one
+        :meth:`return_loop` last handed back, else a new one.  A solve holds
+        it until it hands it back, so a solve started inside another on the
+        same thread gets its own."""
+        loop = getattr(self._loops, "loop", None)
+        if loop is not None and loop.lib is lib:
+            self._loops.loop = None
+            return loop
+        from repro.core._search import SearchLoop
+
+        return SearchLoop(lib, self.graph, self.cost, self.delay)
+
+    def return_loop(self, loop) -> None:
+        """Keep ``loop`` for this thread's next :meth:`search_loop`."""
+        self._loops.loop = loop
 
     def inherit(self, prev: "OracleCostContext") -> None:
         """Seed memoised values from the previous batch's context.

@@ -235,11 +235,11 @@ def _copy_net(net: Net) -> Net:
     return Net(net.name, net.driver, list(net.sinks))
 
 
-def _find_net(nets: List[Net], name: str) -> int:
-    for index, net in enumerate(nets):
-        if net.name == name:
-            return index
-    raise ValueError(f"ECO references unknown net {name!r}")
+def _find_net(index_of: Dict[str, int], name: str) -> int:
+    index = index_of.get(name)
+    if index is None:
+        raise ValueError(f"ECO references unknown net {name!r}")
+    return index
 
 
 def _find_sink(net: Net, pin_name: str) -> int:
@@ -250,20 +250,24 @@ def _find_sink(net: Net, pin_name: str) -> int:
 
 
 def apply_eco(netlist: Netlist, ops: Sequence[EcoOp]) -> EcoResult:
-    """Apply a list of ECO ops and return the edited netlist plus impact."""
+    """Apply a list of ECO ops and return the edited netlist plus impact.
+
+    Costs O(k + n) for k ops on n nets (plus, per removal, the nets and
+    stages behind it): nets are found through a name -> index map kept in
+    step with the index shifts of added and removed nets."""
     nets = [_copy_net(net) for net in netlist.nets]
     stages = list(netlist.stages)
     original_names = [net.name for net in netlist.nets]
-    touched: List[str] = []
+    index_of = {name: index for index, name in enumerate(original_names)}
+    touched: Dict[str, None] = {}  # insertion-ordered set
     reweights: List[ReweightSink] = []
 
     def touch(name: str) -> None:
-        if name not in touched:
-            touched.append(name)
+        touched.setdefault(name)
 
     for op in ops:
         if isinstance(op, MovePin):
-            index = _find_net(nets, op.net)
+            index = _find_net(index_of, op.net)
             net = nets[index]
             position = GridPoint(op.x, op.y, op.layer)
             if net.driver.name == op.pin:
@@ -275,7 +279,7 @@ def apply_eco(netlist: Netlist, ops: Sequence[EcoOp]) -> EcoResult:
                 nets[index] = Net(net.name, net.driver, sinks)
             touch(op.net)
         elif isinstance(op, AddSink):
-            index = _find_net(nets, op.net)
+            index = _find_net(index_of, op.net)
             net = nets[index]
             if any(pin.name == op.pin for pin in net.sinks):
                 raise ValueError(f"net {op.net!r} already has a sink {op.pin!r}")
@@ -283,7 +287,7 @@ def apply_eco(netlist: Netlist, ops: Sequence[EcoOp]) -> EcoResult:
             nets[index] = Net(net.name, net.driver, sinks)
             touch(op.net)
         elif isinstance(op, RemoveSink):
-            index = _find_net(nets, op.net)
+            index = _find_net(index_of, op.net)
             net = nets[index]
             sink_index = _find_sink(net, op.pin)
             if net.num_sinks == 1:
@@ -311,7 +315,7 @@ def apply_eco(netlist: Netlist, ops: Sequence[EcoOp]) -> EcoResult:
             nets[index] = Net(net.name, net.driver, sinks)
             touch(op.net)
         elif isinstance(op, AddNet):
-            if any(net.name == op.net for net in nets):
+            if op.net in index_of:
                 raise ValueError(f"net {op.net!r} already exists")
             driver_name, dx, dy, dl = op.driver
             sinks = [
@@ -321,9 +325,10 @@ def apply_eco(netlist: Netlist, ops: Sequence[EcoOp]) -> EcoResult:
             nets.append(
                 Net(op.net, Pin(str(driver_name), GridPoint(int(dx), int(dy), int(dl))), sinks)
             )
+            index_of[op.net] = len(nets) - 1
             touch(op.net)
         elif isinstance(op, RemoveNet):
-            index = _find_net(nets, op.net)
+            index = _find_net(index_of, op.net)
             for stage in stages:
                 if stage.from_net == index or stage.to_net == index:
                     raise ValueError(
@@ -339,8 +344,11 @@ def apply_eco(netlist: Netlist, ops: Sequence[EcoOp]) -> EcoResult:
                 for s in stages
             ]
             del nets[index]
+            del index_of[op.net]
+            for shifted in range(index, len(nets)):
+                index_of[nets[shifted].name] = shifted
         elif isinstance(op, ReweightSink):
-            _find_net(nets, op.net)  # existence check at op time
+            _find_net(index_of, op.net)  # existence check at op time
             if op.weight < 0:
                 raise ValueError("sink delay weights must be non-negative")
             reweights.append(op)
@@ -350,22 +358,17 @@ def apply_eco(netlist: Netlist, ops: Sequence[EcoOp]) -> EcoResult:
 
     edited = Netlist(netlist.name, nets, stages, clock_period=netlist.clock_period)
 
-    new_index_by_name = {net.name: i for i, net in enumerate(nets)}
-    index_map = {
-        old: new_index_by_name[name]
-        for old, name in enumerate(original_names)
-        if name in new_index_by_name
-    }
+    index_map = {i: index_of[name] for i, name in enumerate(original_names) if name in index_of}
 
     overrides: Dict[str, Dict[int, float]] = {}
     for op in reweights:
-        net = nets[_find_net(nets, op.net)]
+        net = nets[_find_net(index_of, op.net)]
         sink_index = _find_sink(net, op.pin)
         overrides.setdefault(op.net, {})[sink_index] = float(op.weight)
 
     return EcoResult(
         netlist=edited,
-        touched=touched,
+        touched=list(touched),
         index_map=index_map,
         weight_overrides=overrides,
     )

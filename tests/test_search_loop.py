@@ -6,8 +6,11 @@ compiler is on the ``PATH``, and its absence must cost nothing but time.
 """
 
 import contextlib
+import dataclasses
 import functools
+import itertools
 import logging
+import math
 import random
 import shutil
 import subprocess
@@ -19,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import _search
 from repro.core.bifurcation import BifurcationModel
 from repro.core.cost_distance import (
+    ROOT_ID,
     CostDistanceConfig,
     CostDistanceSolver,
     _best_steiner_position,
@@ -48,33 +52,18 @@ def python_loop():
         _search.LIB = saved
 
 
-@contextlib.contextmanager
-def recording_scans(scans):
-    """Record what every ``_Solve.settled_on`` call returns: the order of
-    its pairs is the order in which merges push connection candidates."""
-    original = _Solve.settled_on
-
-    def record(self, nodes, comp):
-        found = original(self, nodes, comp)
-        scans.append(found)
-        return found
-
-    _Solve.settled_on = record
-    try:
-        yield
-    finally:
-        _Solve.settled_on = original
-
-
 def solve(instance, config, seed=0):
-    """Tree edges, merge records, pops, labels and settled-node scans of one
-    solve, and whether it ran compiled."""
+    """Tree edges (before and after pruning), merge records, pops, labels
+    and the settled-node scans of every merge (the pairs whose connection
+    candidates it queued, in queue order) of one solve, and whether it ran
+    compiled."""
     state = _Solve(instance, config, random.Random(seed), *_initial_terminals(instance))
     compiled = state.loop is not None
-    scans = []
-    with recording_scans(scans):
-        pops, labels = state.run()
-    return (tuple(state.tree_edges), state.merges, pops, labels, scans), compiled
+    state.scans = []
+    pops, labels = state.run()
+    edges = tuple(state.loop.tree_edges() if compiled else state.tree_edges)
+    tree = state.tree(tuple(instance.sinks), "CD").edges
+    return (edges, tree, state.merges, pops, labels, state.scans), compiled
 
 
 def both_loops(instance, config, seed=0):
@@ -95,7 +84,7 @@ class TestLoading:
             small_graph.base_cost_array(), small_graph.delay_array(),
         )
         state = _Solve(inst, CostDistanceConfig(), random.Random(0), *_initial_terminals(inst))
-        assert state.loop is not None and state.queue is state.loop
+        assert state.loop is not None
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_source_compiles_without_warnings(self, tmp_path):
@@ -183,15 +172,18 @@ def _grid(nx, ny, layers):
     return build_grid_graph(nx, ny, layers)
 
 
-@st.composite
-def instances(draw):
-    """Small grids, uniform (tie-heavy) or random prices, sinks that repeat
-    or sit on the root, penalties on or off."""
+def _priced_grid(draw):
+    """A small grid and a uniform (tie-heavy) or random price vector."""
     graph = _grid(draw(st.integers(2, 7)), draw(st.integers(2, 6)), draw(st.integers(2, 3)))
     rng = random.Random(draw(st.integers(0, 2**20)))
     cost = graph.base_cost_array()
     if draw(st.booleans()):
         cost = cost * np.array([rng.choice([0.5, 1.0, 1.0, 2.0, 3.25]) for _ in cost])
+    return graph, rng, cost
+
+
+def _net(draw, graph, rng, cost):
+    """Sinks that repeat or sit on the root, penalties on or off."""
     root = rng.randrange(graph.num_nodes)
     pins = [root] + [rng.randrange(graph.num_nodes) for _ in range(draw(st.integers(1, 6)))]
     sinks = [rng.choice(pins) for _ in range(draw(st.integers(1, 9)))]
@@ -201,6 +193,20 @@ def instances(draw):
         weights = [rng.choice([0.05, 0.3, 0.3, 1.0, 2.5]) for _ in sinks]
     dbif = draw(st.sampled_from([0.0, 2.0]))
     return _instance(graph, sinks, weights, root, dbif, cost)
+
+
+@st.composite
+def instances(draw):
+    """One drawn net on a drawn priced grid."""
+    graph, rng, cost = _priced_grid(draw)
+    return _net(draw, graph, rng, cost)
+
+
+@st.composite
+def batches(draw):
+    """Several drawn nets on one drawn priced grid, as a batch routes them."""
+    graph, rng, cost = _priced_grid(draw)
+    return [_net(draw, graph, rng, cost) for _ in range(draw(st.integers(2, 6)))]
 
 
 class TestDifferential:
@@ -241,7 +247,7 @@ class TestDifferential:
             compiled, spec = both_loops(instance, CostDistanceConfig(), index)
             assert compiled == spec, index
             checked += 1
-            crowded += sum(len(scan) > 1 for scan in spec[4])
+            crowded += sum(len(scan) > 1 for scan in spec[5])
         assert checked >= 5 and crowded > 0
 
 
@@ -249,20 +255,20 @@ class TestSearchLoopCalls:
     @needs_compiled
     def test_settled_on_orders_nodes_outer_searches_inner(self):
         """Three searches flood a graph without components (the loop runs
-        dry); the scan lists node by node, each in the given search order,
-        and skips the excluded component."""
+        dry); the scan lists node by node, each by search id (activation
+        order), and skips the excluded component."""
         from repro.core.shortest_path import dijkstra
 
         graph = build_grid_graph(3, 3, 2)
         cost, delay = graph.base_cost_array(), graph.delay_array()
         loop = _search.SearchLoop(_search.LIB, graph, cost, delay)
         for tid, node in ((0, 0), (1, 4), (2, 8)):
-            loop.start_search(tid, node, tid, 0.5, 0.0, 0.0, ())
+            loop.start_search(tid, node, tid, 0.5, 0.0, 0.0)
         with pytest.raises(RuntimeError, match="exhausted the queue"):
-            loop.next_event()
-        found = loop.settled_on([5, 1, 7], [2, 0, 1], 1)
+            loop.run()
+        found = loop.settled_on([5, 1, 7], 1)
         assert [(node, tid) for node, tid, _, _ in found] == [
-            (5, 2), (5, 0), (1, 2), (1, 0), (7, 2), (7, 0)
+            (5, 0), (5, 2), (1, 0), (1, 2), (7, 0), (7, 2)
         ]
         assert all(node_delay == 0.0 for *_, node_delay in found)  # no components
         lengths = (cost + 0.5 * delay).tolist()
@@ -270,9 +276,6 @@ class TestSearchLoopCalls:
             seed = (0, 4, 8)[tid]
             expected, _ = dijkstra(graph, lengths, {seed: 0.0}, targets=[node])
             assert dist == pytest.approx(expected[node], rel=1e-12)
-        assert loop.path(2, 8) == ([8], [])
-        nodes, edges = loop.path(0, 7)
-        assert nodes[0] == 0 and nodes[-1] == 7 and len(edges) == len(nodes) - 1
         loop.close()
 
 
@@ -281,23 +284,9 @@ class TestMergeStepsInC:
     specifications, value for value, on drawn cases."""
 
     @staticmethod
-    def _delays_seen(loop, graph):
-        """Every node's member delay, as a flood from a search of its own
-        component reports it: in the SETTLED events of the other
-        components' nodes and in ``settled_on`` (whose two must agree)."""
-        probe = 10**6
-        loop.start_search(probe, 0, probe, 0.0, 0.0, 0.0, ())
-        events = {}
-        with pytest.raises(RuntimeError, match="exhausted the queue"):
-            while True:
-                assert loop.next_event() == _search.SETTLED
-                events[loop.event.node] = (loop.event.comp, loop.event.delay)
-        scan = loop.settled_on(list(range(graph.num_nodes)), [probe], -2)
-        assert len(scan) == graph.num_nodes
-        for node, comp_delay in events.items():
-            assert comp_delay[1] == scan[node][3]
-        loop.remove_search(probe)
-        return [delay for *_, delay in scan], events
+    def _members(loop, graph):
+        """Every node's component and member delay."""
+        return [loop.member(node) for node in range(graph.num_nodes)]
 
     @needs_compiled
     @given(
@@ -343,20 +332,18 @@ class TestMergeStepsInC:
         representative = rng.choice(big)
         loop.component_delays(edges, representative, 0)
 
-        seen, events = self._delays_seen(loop, graph)
+        members = self._members(loop, graph)
         spec = _component_delays(graph, edges, representative, delay)
         spec_third = _component_delays(graph, third_edges, min(third), delay) if third else {}
-        for node in range(graph.num_nodes):
+        for node, (comp, seen) in enumerate(members):
             if node in third:
-                assert seen[node] == spec_third.get(node, 0.0), node
-                assert events[node][0] == 1
+                assert (comp, seen) == (1, spec_third.get(node, 0.0)), node
             elif node in big:
-                assert seen[node] == spec.get(node, 0.0), node
-                assert events[node][0] == 0
+                assert (comp, seen) == (0, spec.get(node, 0.0)), node
             else:
-                assert seen[node] == 0.0 and node not in events
+                assert comp == -1 and seen == 0.0, node
         unreached = [n for n in big if n not in spec]
-        assert all(seen[n] == 0.0 for n in unreached)
+        assert all(members[n][1] == 0.0 for n in unreached)
         loop.close()
 
     @needs_compiled
@@ -446,31 +433,32 @@ class TestSettledOnMemory:
     def test_buffers_grow_with_the_pairs_found_not_nodes_times_searches(self):
         """A 400-search net and a 3600-node path: one search has settled
         every node, the other 399 only queued their seeds, so 3600 pairs
-        come back.  Buffers of ``len(nodes) * len(tids)`` entries would
-        take 23 MB."""
+        come back.  Buffers of ``len(nodes) * searches`` entries would take
+        23 MB: C's grow to the pairs (its capacity), Python's list holds
+        the pairs."""
         import tracemalloc
 
         graph = _grid(30, 30, 2)
         loop = _search.SearchLoop(
             _search.LIB, graph, graph.base_cost_array(), graph.delay_array()
         )
-        loop.start_search(0, 0, 0, 0.5, 0.0, 0.0, ())
+        loop.start_search(0, 0, 0, 0.5, 0.0, 0.0)
         with pytest.raises(RuntimeError, match="exhausted the queue"):
-            loop.next_event()
+            loop.run()
         for tid in range(1, 400):
-            loop.start_search(tid, tid, tid, 0.5, 0.0, 0.0, ())
+            loop.start_search(tid, tid, tid, 0.5, 0.0, 0.0)
         nodes = list(range(graph.num_nodes)) * 2
-        tids = list(range(400))
-        loop.settled_on(nodes[:10], tids, -1)  # warm
+        loop.settled_on(nodes[:10], -1)  # warm
         tracemalloc.start()
         try:
-            found = loop.settled_on(nodes, tids, -1)
+            found = loop.settled_on(nodes, -1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(found) == len(nodes) and {tid for _, tid, _, _ in found} == {0}
         assert peak < 2_000_000, peak
-        assert loop.settled_on(nodes, tids, 0) == []  # the settling search's own component
+        assert len(nodes) <= loop.view.pair_capacity <= 2 * len(nodes)
+        assert loop.settled_on(nodes, 0) == []  # the settling search's own component
         loop.close()
 
 
@@ -479,10 +467,8 @@ class TestOneSwitch:
     ``install_reference_kernel()``) no compiled piece runs, merge steps
     included, so ``kernel_speedup`` times all the Python they replace."""
 
-    MERGE_STEPS = ("cd_component_delays", "cd_best_steiner", "cd_set_targets")
-
     @needs_compiled
-    def test_no_compiled_merge_step_runs_without_the_library(self, monkeypatch):
+    def test_no_compiled_entry_point_runs_without_the_library(self, monkeypatch):
         from repro.grid.reference import install_reference_kernel
 
         graph = _grid(7, 6, 3)
@@ -490,19 +476,160 @@ class TestOneSwitch:
                          0, dbif=2.0)
         expected = CostDistanceSolver().solve_with_details(inst, random.Random(1))
         lib = _search.LIB
+        entry_points = sorted(name for name in _search._SIGNATURES if name != "cd_free")
+        assert {"cd_reset", "cd_run", "cd_merge", "cd_prune", "cd_best_steiner"} <= set(
+            entry_points
+        )
 
         def refuse(*args):
-            raise AssertionError("a compiled merge step ran")
+            raise AssertionError("a compiled entry point ran")
 
-        for name in self.MERGE_STEPS:
+        for name in entry_points:
             monkeypatch.setattr(lib, name, refuse)
-        with pytest.raises(AssertionError, match="compiled merge step"):
+        with pytest.raises(AssertionError, match="compiled entry point"):
             CostDistanceSolver().build(inst, random.Random(1))
         for switch in (python_loop, install_reference_kernel):
             with switch():
                 result = CostDistanceSolver().solve_with_details(inst, random.Random(1))
             assert result.tree.edges == expected.tree.edges
             assert result.merges == expected.merges
+
+
+class TestConnectionKeys:
+    """``cd_connection_key`` against ``_Solve.connection_key``, bit for bit
+    (``float.hex``, so a -0.0 or a one-ulp rounding shows)."""
+
+    @needs_compiled
+    @given(
+        weights=st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.25, 0.05, 0.7, 1.3, 1e-300, 2.5]),
+                         min_size=1, max_size=4),
+        dbif=st.sampled_from([0.0, 0.0, 1e-3, 1.7, 7.3]),
+        eta=st.sampled_from([0.0, 0.25, 0.5, 0.1, 0.35]),
+        encourage=st.booleans(),
+        total=st.sampled_from(["sum", "hair-below", "equal", "zero", "above"]),
+        pick=st.integers(0, 3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_keys_match_the_spec_bit_for_bit(self, weights, dbif, eta, encourage, total, pick):
+        """Penalties on and off, ``eta`` 0, 0.25 and 0.5 and two that are
+        no power of two (so ``dbif * (eta * w)`` and ``eta * dbif * w`` may
+        round apart and a root penalty dip below 0.0), III-E on and off,
+        zero and equal weights, and a total active weight that is the
+        weights' sum, one ulp below the searching terminal's weight
+        (``total - w`` a hair below 0), equal to it, zero, or a little above
+        it -- handed to C as a value.  Every search's key towards every
+        other component, at zero and nonzero distances and delays."""
+        graph = _grid(5, 4, 2)
+        sinks = list(range(1, len(weights) + 1))
+        inst = SteinerInstance(
+            graph, 0, sinks, weights, graph.base_cost_array(), graph.delay_array(),
+            BifurcationModel(dbif=dbif, eta=eta),
+        )
+        config = CostDistanceConfig(encourage_root_connections=encourage)
+        nodes, init_weights = _initial_terminals(inst)
+        tid = pick % len(nodes)
+        w_u = init_weights[tid]
+        total_weight = {
+            "sum": sum(init_weights),
+            "hair-below": math.nextafter(w_u, -math.inf),
+            "equal": w_u,
+            "zero": 0.0,
+            "above": w_u * 1.1 + 1e-3,
+        }[total]
+        with python_loop():
+            spec = _Solve(inst, config, random.Random(0), nodes, init_weights)
+        spec.total_active_weight = total_weight
+        loop = _search.SearchLoop(_search.LIB, graph, inst.cost, inst.delay)
+        bif = inst.bifurcation
+        loop.reset(0, True, True, encourage and bif.enabled, bif.dbif, bif.eta, total_weight,
+                   nodes, init_weights, [s.rate for s in spec.active.values()])
+        for tid, search in spec.active.items():
+            for comp in range(len(nodes) + 1):
+                if comp == search.comp:
+                    continue
+                for delay, dist in itertools.product([0.0, 0.5, 1e-9], [0.0, 0.1, 1e6]):
+                    expected = spec.connection_key(search, comp, delay, dist).hex()
+                    got = loop.connection_key(tid, comp, delay, dist).hex()
+                    assert got == expected, (tid, comp, delay, dist)
+        loop.close()
+
+    @needs_compiled
+    def test_a_candidate_is_queued_again_only_above_its_key_plus_1e9(self):
+        """A root candidate popped at ``k`` with fresh key ``K``: merged
+        when ``K == k + 1e-9`` (the test is strict), queued again when
+        ``K`` is one ulp above ``k + 1e-9`` (so more pops come first)."""
+        graph = _grid(4, 4, 2)
+        cost, delay = graph.base_cost_array(), graph.delay_array()
+
+        def pops_to_merge(popped_key):
+            loop = _search.SearchLoop(_search.LIB, graph, cost, delay)
+            # Terminal 0 far from the root; search 5 (of terminal 0's
+            # component) seeds on the root, so it settles the root first.
+            loop.reset(0, True, False, True, 2.0, 0.25, 3.0, [15], [2.0], [0.0])
+            loop.start_search(5, 0, 1, 1.0, 0.0, 0.0)
+            loop.push(5, ("c", 0), popped_key)
+            assert loop.run() == _search.MERGE
+            view = loop.view
+            assert (view.search, view.owner, view.node) == (5, ROOT_ID, 0)
+            pops = view.pops
+            loop.close()
+            return pops
+
+        loop = _search.SearchLoop(_search.LIB, graph, cost, delay)
+        loop.reset(0, True, False, True, 2.0, 0.25, 3.0, [15], [2.0], [0.0])
+        loop.start_search(5, 0, 1, 1.0, 0.0, 0.0)
+        fresh = loop.connection_key(5, 0, 0.0, 0.0)  # 2.0: beta(1, 2) - 0.5
+        loop.close()
+        equal = fresh - 1e-9
+        while equal + 1e-9 < fresh:
+            equal = math.nextafter(equal, math.inf)
+        while equal + 1e-9 > fresh:
+            equal = math.nextafter(equal, -math.inf)
+        assert equal + 1e-9 == fresh
+        below = math.nextafter(equal, -math.inf)
+        assert fresh > below + 1e-9
+        assert pops_to_merge(below) > pops_to_merge(equal)
+
+
+class TestPrune:
+    @needs_compiled
+    @given(
+        shape=st.tuples(st.integers(2, 6), st.integers(2, 5), st.integers(1, 3)),
+        seed=st.integers(0, 2**20),
+        share=st.sampled_from([0.2, 0.5, 1.0]),
+        num_terminals=st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_prune_matches_prune_dangling_branches(self, shape, seed, share, num_terminals):
+        """Drawn edge streams through the tree's union-find (drawn forests,
+        with components that hold no terminal), drawn terminals: C keeps
+        what ``prune_dangling_branches`` keeps, in insertion order."""
+        from repro.core.cost_distance import _UnionFind
+        from repro.core.objective import prune_dangling_branches
+        from repro.core.tree import EmbeddedTree
+
+        graph = _grid(*shape)
+        rng = random.Random(seed)
+        edges = [e for e in range(graph.num_edges) if rng.random() < share]
+        rng.shuffle(edges)
+        loop = _search.SearchLoop(_search.LIB, graph, graph.base_cost_array(),
+                                  graph.delay_array())
+        loop.reset(0, True, False, False, 0.0, 0.25, 0.0, [], [], [])
+        acyclic, accepted = _UnionFind(), []
+        for edge in edges:
+            u, v = int(graph.edge_u[edge]), int(graph.edge_v[edge])
+            if rng.random() < 0.5:
+                u, v = v, u
+            added = loop.add_tree_edge(edge, u, v)
+            assert added == acyclic.union(u, v)
+            if added:
+                accepted.append(edge)
+        assert loop.tree_edges() == accepted
+        root = rng.randrange(graph.num_nodes)
+        sinks = tuple(rng.randrange(graph.num_nodes) for _ in range(num_terminals))
+        spec = prune_dangling_branches(EmbeddedTree(graph, root, sinks, tuple(accepted)))
+        assert loop.pruned([root, *sinks]) == spec.edges
+        loop.close()
 
 
 class TestThreads:
@@ -540,6 +667,109 @@ class TestThreads:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == [serial[index % len(instances)] for index in range(48)]
+
+
+class TestLoopReuse:
+    """One ``SearchLoop`` per context and thread serves every solve of a
+    batch: ``cd_reset`` must leave nothing of the solve before."""
+
+    @staticmethod
+    def _on_context(instance, context):
+        return dataclasses.replace(
+            instance, cost=context.cost, delay=context.delay, context=context
+        )
+
+    @staticmethod
+    def _solve_released(instance, config, seed):
+        """:func:`solve` the way the solver runs it: the loop goes back to
+        the context afterwards, also when the solve raises."""
+        state = _Solve(instance, config, random.Random(seed), *_initial_terminals(instance))
+        state.scans = []
+        try:
+            pops, labels = state.run()
+            edges = tuple(state.loop.tree_edges())
+            tree = state.tree(tuple(instance.sinks), "CD").edges
+        finally:
+            state.release()
+        return (edges, tree, state.merges, pops, labels, state.scans), state.loop
+
+    @needs_compiled
+    @given(batch=batches(), seed=st.integers(0, 3), placement=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_a_sequence_of_solves_on_one_context_equals_fresh_loops(
+        self, batch, seed, placement
+    ):
+        """Trees, merges, pops, labels and scans of a drawn batch solved
+        on one context equal those of a fresh loop per solve, and every
+        solve ran on the same loop."""
+        from repro.core.costctx import OracleCostContext
+
+        first = batch[0]
+        context = OracleCostContext(first.graph, first.cost, first.delay)
+        config = CostDistanceConfig(improved_steiner_placement=placement)
+        loops = set()
+        for index, instance in enumerate(batch):
+            fresh, _ = solve(instance, config, seed + index)
+            reused, loop = self._solve_released(
+                self._on_context(instance, context), config, seed + index
+            )
+            assert reused == fresh, index
+            loops.add(id(loop))
+        assert len(loops) == 1
+
+    @needs_compiled
+    def test_a_solve_after_one_that_raised_is_unaffected(self):
+        """The disconnected graph makes a solve raise mid-way; the loop it
+        leaves behind serves the next solve as a fresh one would."""
+        from repro.core.costctx import OracleCostContext
+
+        graph = _two_islands()
+        context = OracleCostContext(graph, np.ones(2), np.ones(2))
+        config = CostDistanceConfig()
+        broken = self._on_context(_instance(graph, [1, 3], [0.5, 0.5], 0), context)
+        fine = _instance(graph, [1], [0.5], 0)
+        expected, _ = solve(fine, config)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="exhausted the queue"):
+                self._solve_released(broken, config, 0)
+            result, loop = self._solve_released(self._on_context(fine, context), config, 0)
+            assert result == expected
+            assert context.search_loop(_search.LIB) is loop  # kept, and reused
+            context.return_loop(loop)
+
+    @needs_compiled
+    def test_six_threads_sharing_one_context_equal_a_serial_run(self):
+        """Per thread its own loop: solves of six threads on one context,
+        switching every microsecond, equal the same solves run serially."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.core.costctx import OracleCostContext
+
+        graph = _grid(9, 8, 3)
+        context = OracleCostContext(graph, graph.base_cost_array(), graph.delay_array())
+        rng = random.Random(7)
+        batch = []
+        for _ in range(12):
+            sinks = [rng.randrange(graph.num_nodes) for _ in range(rng.randint(1, 8))]
+            weights = [rng.choice([0.1, 0.5, 1.5]) for _ in sinks]
+            net = _instance(graph, sinks, weights, rng.randrange(graph.num_nodes), dbif=2.0)
+            batch.append(self._on_context(net, context))
+
+        def details(index):
+            result = CostDistanceSolver().solve_with_details(batch[index], random.Random(index))
+            return result.tree.edges, result.merges, result.num_labels
+
+        serial = [details(index) for index in range(len(batch))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(details, index % len(batch)) for index in range(72)]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [serial[index % len(batch)] for index in range(72)]
 
 
 def _two_islands():

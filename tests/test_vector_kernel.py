@@ -203,7 +203,7 @@ class TestOracleCostContext:
         assert state.cost.obj is ctx.cost and state.delay.obj is ctx.delay
         assert not [
             name for name in _Solve.__slots__
-            if isinstance(getattr(state, name), list)
+            if isinstance(getattr(state, name, None), list)  # the compiled path leaves some unset
             and len(getattr(state, name)) == small_graph.num_edges
         ]
 
