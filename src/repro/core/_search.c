@@ -16,11 +16,12 @@
  * the candidates of the new path nodes, the A* target field) and runs on to
  * the next one.  cd_prune peels the finished tree's dangling branches.
  *
- * The Python code is the specification: `_Solve.run` of the loop,
- * `offer_connection`, `try_connection` and `connection_key` of the
- * candidates, `_Solve.merge` of the merge, `_component_delays`,
- * `_best_steiner_position` and `_target_l1` of its recomputations and
- * `prune_dangling_branches` of the pruning.  The heap's sift loops (sift-up
+ * The Python code is the specification: `PySearchLoop` (cost_distance.py),
+ * the same interface in Python -- its `run` of the loop and the
+ * candidates, `connection_key` of their keys, `_absorb` and `merge` of the
+ * merge -- with `_component_delays`, `_best_steiner_position` and
+ * `_target_l1` of its recomputations and `prune_dangling_branches` of the
+ * pruning.  The heap's sift loops (sift-up
  * stops at <=, sift-down prefers the left child on ties and stops at >=),
  * the pop-then-push of the top entry, remove_search's swap with the last
  * entry, the per-node ascending edge order, the order of every push and
@@ -1220,7 +1221,7 @@ void cd_free(Solve *solve)
  * components and tree (keeping the tables' capacity), take its parameters
  * -- the root, the switches of III-A, III-C and III-E (`encourage`: on and
  * dbif > 0), the penalty's dbif and eta and the total active weight -- and
- * set up `_Solve.__init__`'s state: component 0 the root's, component
+ * set up `PySearchLoop.reset`'s state: component 0 the root's, component
  * i + 1 terminal i's, the targets, and search i started at `nodes[i]`. */
 int cd_reset(Solve *solve, int32_t root, int32_t discount, int32_t future, int32_t encourage,
              double dbif, double eta, double total, const int32_t *nodes, int32_t count,

@@ -2,8 +2,9 @@
 through :mod:`ctypes`.
 
 :data:`LIB` is the loaded library, or ``None`` when no C compiler is on the
-``PATH`` or the build or load failed; the kernel then runs its Python loop
-(one ``repro.core`` warning says so).  The shared object is cached under
+``PATH`` or the build or load failed; every solve then runs
+``cost_distance.PySearchLoop``, the same interface in Python (one
+``repro.core`` warning says so).  The shared object is cached under
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), named by a hash of
 the source, the flags and the machine, so an edited source or another
 architecture builds afresh and an unchanged one loads in milliseconds.  An
@@ -185,7 +186,7 @@ def load(compiler: str = "cc") -> Optional[ctypes.CDLL]:
         return None
 
 
-#: The loaded library, or ``None``: the kernel then runs its Python loop.
+#: The loaded library, or ``None``: the kernel then runs ``PySearchLoop``.
 LIB: Optional[ctypes.CDLL] = load()
 
 
@@ -249,7 +250,7 @@ class SearchLoop:
         self.l1 = np.zeros(nx * ny, dtype=np.float64)
         #: What C hands back (see :class:`View`).
         self.view = View()
-        self._borrowed = (csr, cost, delay)
+        self._csr, self.cost, self.delay = csr, cost, delay
         arrays = [_address(array) for array in (*csr, cost, delay)]
         self._handle = lib.cd_new(*arrays, nx, ny, self.l1.ctypes.data, ctypes.byref(self.view))
         if not self._handle:
@@ -298,7 +299,7 @@ class SearchLoop:
         rates: List[float],
     ) -> None:
         """Start a solve: drop the previous one's state and set up
-        ``_Solve.__init__``'s -- component 0 the root's, component ``i + 1``
+        the solve's -- component 0 the root's, component ``i + 1``
         terminal ``i``'s (``nodes``, ``weights``, potential ``rates``), the
         target field with ``future_costs``, every search started.
         ``encourage``: III-E and ``dbif > 0``; ``total_weight``: the total
@@ -335,8 +336,11 @@ class SearchLoop:
         return self._event(self.lib.cd_merge(self._handle, new_tid, node, weight, rate, total))
 
     def path(self) -> Tuple[List[int], List[int]]:
-        """Nodes (seed first) and edges of the last merge's path."""
+        """Nodes (seed first) and edges of the last merge's path (none
+        before the solve's first merge)."""
         view = self.view
+        if view.search < 0:
+            return [], []
         return view.path_nodes[: view.length + 1], view.path_edges[: view.length]
 
     def best_steiner(
@@ -403,7 +407,7 @@ class SearchLoop:
         self._check(self.lib.cd_start_search(self._handle, tid, node, comp, weight, rate, key))
 
     def connection_key(self, tid: int, comp: int, delay: float, dist: float) -> float:
-        """``_Solve.connection_key`` of search ``tid``'s candidate towards
+        """``PySearchLoop.connection_key`` of search ``tid``'s candidate towards
         component ``comp`` (NaN if ``comp`` has no live owner)."""
         return self.lib.cd_connection_key(self._handle, tid, comp, delay, dist)
 

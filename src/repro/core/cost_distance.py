@@ -34,30 +34,35 @@ The plain configuration (:meth:`CostDistanceConfig.plain`) disables all
 enhancements and matches the analysed algorithm, which carries the
 ``O(log t)`` approximation guarantee.
 
-The search loop -- pops, relaxations, the two-level heap and the connection
-candidates -- runs as C (``_search.c``, see :mod:`repro.core._search`)
-whenever it could be built, and so does every step of a merge but its
-decisions: the tree edges, the component union, the component delays, the
-III-D placement without landmarks, the A* target field and the final
-pruning.  :meth:`_Solve.run`, :meth:`_Solve.merge`, :func:`_component_delays`,
+One driver, :class:`_Solve`, runs every solve against a search loop that
+does all but a merge's decisions: pops, relaxations, the queue, the
+connection candidates, the tree edges, the component union, the component
+delays, the III-D placement without landmarks, the A* target field and the
+final pruning.  The loop is C (``_search.c`` behind
+:class:`_search.SearchLoop`) whenever it could be built and the heap is
+two-level, else :class:`PySearchLoop`, which has the same interface and is
+C's specification -- with :func:`_component_delays`,
 :func:`_best_steiner_position`, :func:`_target_l1` and
-:func:`~repro.core.objective.prune_dangling_branches` are their
-specification and the fallback; the flat queue of
-``use_two_level_heap=False`` always runs in Python.  Both paths produce
-the same pops, labels and trees.
+:func:`~repro.core.objective.prune_dangling_branches` -- and the loop of
+the flat queue (``use_two_level_heap=False``).  Both loops produce the
+same pops, labels and trees.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core import _search
+from repro.core.bifurcation import BifurcationModel
 from repro.core.future_cost import FutureCostEstimator
 from repro.core.heap import AddressableBinaryHeap, TwoLevelHeap
 from repro.core.instance import SteinerInstance
@@ -136,26 +141,21 @@ class CostDistanceResult:
 
 
 class _Search:
-    """An active terminal (sink or Steiner vertex) and its persistent
-    Dijkstra search (its labels live in C on the compiled path)."""
+    """An active terminal (sink or Steiner vertex); its search runs in the
+    loop under the terminal's id."""
 
-    __slots__ = ("node", "weight", "comp", "rate", "tentative", "parent", "permanent")
+    __slots__ = ("node", "weight", "rate")
 
-    def __init__(self, node: int, weight: float, comp: int, rate: float, labels: bool) -> None:
+    def __init__(self, node: int, weight: float, rate: float) -> None:
         self.node = node
         self.weight = weight
-        self.comp = comp
         #: Potential per tile of L1 distance to the nearest target:
         #: cheapest cost per tile plus ``weight`` times fastest delay per tile.
         self.rate = rate
-        if labels:
-            self.tentative: Dict[int, float] = {node: 0.0}
-            self.parent: Dict[int, int] = {}
-            self.permanent: Set[int] = set()
 
 
 class _FlatQueue:
-    """Single addressable heap with the same API as :class:`TwoLevelHeap`.
+    """Single addressable heap with the queue calls of :class:`TwoLevelHeap`.
 
     A search's members are kept in an insertion-ordered dict, so
     :meth:`remove_search` -- whose removal order shapes the heap, and with it
@@ -165,12 +165,6 @@ class _FlatQueue:
     def __init__(self) -> None:
         self._heap: AddressableBinaryHeap = AddressableBinaryHeap()
         self._by_search: Dict[int, Dict[object, None]] = {}
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
     def add_search(self, search_id: int) -> None:
         self._by_search.setdefault(search_id, {})
@@ -264,28 +258,371 @@ def _target_l1(nx: int, ny: int, targets: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(l1.ravel())
 
 
+class _LabelledSearch(_Search):
+    """A live search of :class:`PySearchLoop`: the terminal, its component
+    and its Dijkstra labels."""
+
+    __slots__ = ("comp", "tentative", "parent", "permanent")
+
+    def __init__(self, node: int, weight: float, comp: int, rate: float) -> None:
+        super().__init__(node, weight, rate)
+        self.comp = comp
+        self.tentative: Dict[int, float] = {node: 0.0}
+        self.parent: Dict[int, int] = {}
+        self.permanent: Set[int] = set()
+
+
+class _PlanarBounds:
+    """:class:`FutureCostEstimator`'s bounds without landmarks at given
+    per-tile rates (what :meth:`PySearchLoop.best_steiner` places by)."""
+
+    _landmark_dists = ()
+    delay_lower_bound = FutureCostEstimator.delay_lower_bound
+    cost_lower_bound_between = FutureCostEstimator.cost_lower_bound_between
+
+    def __init__(self, graph, min_cost_per_tile: float, fastest_delay_per_tile: float) -> None:
+        self.graph = graph
+        self.min_cost_per_tile = min_cost_per_tile
+        self.fastest_delay_per_tile = fastest_delay_per_tile
+
+
+class PySearchLoop:
+    """The search loop in Python behind the kernel interface of
+    :class:`_search.SearchLoop`, with the same events and state for the
+    same calls: the specification of ``_search.c``, and the loop of every
+    solve without the compiled library or with the flat queue
+    (``two_level=False``, III-B off).  :attr:`view` describes the last
+    event with the fields of ``_search.View`` that ``_Solve`` reads.
+    """
+
+    def __init__(self, graph, cost: np.ndarray, delay: np.ndarray, two_level: bool = True) -> None:
+        self.graph = graph
+        self.cost = memoryview(cost)
+        self.delay = memoryview(delay)
+        self.two_level = two_level
+        #: The A* target field, per planar tile, rewritten in place.
+        self.l1: List[float] = [0.0] * (graph.nx * graph.ny)
+        self.view = SimpleNamespace()
+
+    # -------------------------------------------------- kernel interface
+    def reset(
+        self,
+        root: int,
+        discount: bool,
+        future_costs: bool,
+        encourage: bool,
+        dbif: float,
+        eta: float,
+        total_weight: float,
+        nodes: List[int],
+        weights: List[float],
+        rates: List[float],
+    ) -> None:
+        """Start a solve, as :meth:`_search.SearchLoop.reset`."""
+        self.root = root
+        self.discount = discount
+        self.future_costs = future_costs
+        self.encourage = encourage
+        self.bif = BifurcationModel(dbif=dbif, eta=eta)
+        self.total = total_weight
+        self.queue = TwoLevelHeap() if self.two_level else _FlatQueue()
+        self.searches: Dict[int, _LabelledSearch] = {}
+        self.root_comp = 0
+        # Per component its owner, nodes, edges and the delay from its
+        # nodes to its terminal along its edges: a search entering it
+        # anywhere (III-A) still pays the delay to the terminal.
+        self.comp_owner: Dict[int, int] = {}
+        self.comp_members: Dict[int, List[int]] = {}
+        self.comp_edges: Dict[int, Set[int]] = {}
+        self.comp_delay: Dict[int, Dict[int, float]] = {}
+        self.node_comp: Dict[int, int] = {}
+        for comp, (owner, node) in enumerate([(ROOT_ID, root), *enumerate(nodes)]):
+            self.comp_owner[comp], self.comp_members[comp] = owner, [node]
+            self.comp_edges[comp], self.comp_delay[comp] = set(), {node: 0.0}
+            self.node_comp[node] = comp
+        if future_costs:
+            self._set_targets([root, *nodes])
+        else:
+            self.l1[:] = [0.0] * len(self.l1)
+        for tid, (node, weight, rate) in enumerate(zip(nodes, weights, rates)):
+            self._start(tid, node, tid + 1, weight, rate)
+        self.tree: List[int] = []
+        self.acyclic = _UnionFind()
+        self.found: List[Tuple[int, int, float, float]] = []
+        view = self.view
+        view.pops = view.labels = view.length = view.num_new = 0
+        view.search = view.owner = view.node = view.big = view.small = -1
+        view.path_nodes = view.path_edges = view.new_nodes = []
+
+    def run(self) -> int:
+        """Run to the next merge (``MERGE``: its path, tree edges and
+        component union done, described by :attr:`view`) or the end
+        (``DONE``)."""
+        view = self.view
+        searches = self.searches
+        node_comp = self.node_comp
+        comp_owner = self.comp_owner
+        comp_edges = self.comp_edges
+        comp_delay = self.comp_delay
+        discount = self.discount
+        root = self.root
+        key_of = self.connection_key
+        incident = self.graph.incident
+        neighbours = self.graph.neighbours
+        cost = self.cost
+        delay = self.delay
+        pop = self.queue.pop
+        push = self.queue.push
+        l1 = self.l1
+        planar_tiles = len(l1)
+        infinity = float("inf")
+        num_pops = view.pops
+        num_labels = view.labels
+
+        while searches:
+            try:
+                key, tid, item = pop()
+            except IndexError:
+                raise RuntimeError(
+                    "cost-distance search exhausted the queue before connecting "
+                    "all terminals; the routing graph is disconnected"
+                ) from None
+            num_pops += 1
+            search = searches[tid]
+
+            if isinstance(item, tuple):
+                # A connection candidate ("c", node): drop it, re-queue it
+                # under a larger fresh key, or merge.
+                node = item[1]
+                comp = node_comp.get(node)
+                if comp is None or comp == search.comp or node not in search.permanent:
+                    continue
+                owner = comp_owner.get(comp)
+                if owner != ROOT_ID and owner not in searches:
+                    continue
+                fresh = key_of(tid, comp, comp_delay[comp].get(node, 0.0), search.tentative[node])
+                if fresh > key + 1e-9:
+                    push(tid, item, fresh)
+                    continue
+                view.pops, view.labels = num_pops, num_labels
+                self._absorb(tid, owner, node)
+                return _search.MERGE
+
+            # A node label.
+            node = item
+            permanent = search.permanent
+            if node in permanent:
+                continue
+            tentative = search.tentative
+            dist = tentative[node]
+            permanent.add(node)
+            num_labels += 1
+
+            comp = node_comp.get(node)
+            if comp is not None and comp != search.comp:
+                owner = comp_owner.get(comp)
+                if owner == ROOT_ID or owner in searches:
+                    # III-A: reaching any node of another component counts
+                    # as a connection to it; else only its terminal does.
+                    if discount or node == (root if owner == ROOT_ID else searches[owner].node):
+                        candidate = key_of(tid, comp, comp_delay[comp].get(node, 0.0), dist)
+                        push(tid, ("c", node), candidate)
+
+            own_edges = comp_edges.get(search.comp) if discount else None
+            weight = search.weight
+            rate = search.rate
+            parent = search.parent
+            for edge, other in zip(incident[node], neighbours[node]):
+                if other in permanent:
+                    continue
+                if own_edges and edge in own_edges:
+                    edge_cost = 0.0
+                else:
+                    edge_cost = cost[edge]
+                candidate = dist + edge_cost + weight * delay[edge]
+                if candidate < tentative.get(other, infinity):
+                    tentative[other] = candidate
+                    parent[other] = edge
+                    push(tid, other, candidate + l1[other % planar_tiles] * rate)
+
+        view.pops, view.labels = num_pops, num_labels
+        return _search.DONE
+
+    def merge(self, new_tid: int, node: int, weight: float, rate: float, total: float) -> int:
+        """Finish the merge :meth:`run` stopped at with the caller's
+        decisions and run on, as :meth:`_search.SearchLoop.merge`."""
+        view = self.view
+        big = view.big
+        searches = self.searches
+        queue = self.queue
+        del searches[view.search]
+        queue.remove_search(view.search)
+        if view.owner == ROOT_ID:
+            self.comp_owner[big] = ROOT_ID
+            self.root_comp = big
+            representative = self.root
+        else:
+            del searches[view.owner]
+            queue.remove_search(view.owner)
+            self.comp_owner[big] = new_tid
+            # Started before the targets are refreshed below: the new
+            # search's first key is taken against the previous target set.
+            self._start(new_tid, node, big, weight, rate)
+            representative = node
+        self.comp_delay[big] = _component_delays(
+            self.graph, self.comp_edges[big], representative, self.delay
+        )
+        # Let other searches that already settled the freshly added path
+        # nodes compete for a connection to the new component: path node
+        # outer, live searches inner by id (activation order).
+        found = self.found = []
+        for p in view.new_nodes:
+            delay = self.comp_delay[big].get(p, 0.0)
+            for tid, search in searches.items():
+                if search.comp != big and p in search.permanent:
+                    dist = search.tentative[p]
+                    found.append((p, tid, dist, delay))
+                    queue.push(tid, ("c", p), self.connection_key(tid, big, delay, dist))
+        # The keys above took the previous total (it drops at a root merge).
+        self.total = total
+        if searches and self.future_costs:
+            self._set_targets([self.root, *(search.node for search in searches.values())])
+        return self.run()
+
+    def path(self) -> Tuple[List[int], List[int]]:
+        """Nodes (seed first) and edges of the last merge's path (none
+        before the solve's first merge)."""
+        return self.view.path_nodes, self.view.path_edges
+
+    def best_steiner(
+        self,
+        roots: Sequence[int],
+        source_weight: float,
+        target_weight: float,
+        min_cost_per_tile: float,
+        fastest_delay_per_tile: float,
+    ) -> int:
+        """``_best_steiner_position`` without landmarks on the last merge's
+        path, towards the sample ``roots``: the node."""
+        bound = _PlanarBounds(self.graph, min_cost_per_tile, fastest_delay_per_tile)
+        path = self.path()
+        return _best_steiner_position(bound, *path, self.delay, source_weight, target_weight, roots)
+
+    def tree_edges(self) -> List[int]:
+        """The tree edges so far, in insertion order (before pruning)."""
+        return list(self.tree)
+
+    def pruned(self, terminals: Sequence[int]) -> Tuple[int, ...]:
+        """The tree edges without dangling branches (``terminals``: root
+        and sinks), in insertion order."""
+        tree = EmbeddedTree(self.graph, terminals[0], tuple(terminals[1:]), tuple(self.tree))
+        return prune_dangling_branches(tree).edges
+
+    def pairs(self) -> List[Tuple[int, int, float, float]]:
+        """``(node, tid, dist, delay)`` of the last merge's settled-node
+        scan, whose connection candidates it queued."""
+        return self.found
+
+    # ------------------------------------------------------------ pieces
+    def connection_key(self, tid: int, comp: int, delay: float, dist: float) -> float:
+        """Full key of search ``tid``'s connection candidate towards
+        component ``comp``: path distance ``dist``, ``delay`` from the entry
+        point to the component's terminal, and the bifurcation merge
+        penalty (NaN if ``comp`` has no live owner)."""
+        searches = self.searches
+        bif = self.bif
+        w_u = searches[tid].weight
+        owner = self.comp_owner.get(comp)
+        if owner == ROOT_ID:
+            penalty = bif.beta(w_u, max(self.total - w_u, 0.0))
+            if self.encourage:
+                penalty -= bif.eta * bif.dbif * w_u
+            penalty = max(penalty, 0.0)
+        elif owner in searches:
+            penalty = bif.beta(w_u, searches[owner].weight)
+        else:
+            return math.nan
+        return dist + w_u * delay + penalty
+
+    def _start(self, tid: int, node: int, comp: int, weight: float, rate: float) -> None:
+        """Start search ``tid`` of component ``comp`` at ``node``: its seed
+        labelled 0.0 and queued under its potential."""
+        self.searches[tid] = _LabelledSearch(node, weight, comp, rate)
+        self.queue.add_search(tid)
+        self.queue.push(tid, node, self.l1[node % len(self.l1)] * rate)
+
+    def _set_targets(self, nodes: Sequence[int]) -> None:
+        """Rewrite :attr:`l1` for the target set ``nodes``."""
+        tiles = len(self.l1)
+        self.l1[:] = _target_l1(self.graph.nx, self.graph.ny, [n % tiles for n in nodes]).tolist()
+
+    def _absorb(self, tid: int, owner: int, meeting_node: int) -> None:
+        """The edge work of the merge of search ``tid`` with the component
+        of ``owner`` at ``meeting_node``, described in :attr:`view`."""
+        search = self.searches[tid]
+        other_endpoint = self.graph.other_endpoint
+        parent = search.parent
+        node = meeting_node
+        path_nodes = [node]
+        path_edges: List[int] = []
+        while node in parent:
+            edge = parent[node]
+            path_edges.append(edge)
+            node = other_endpoint(edge, node)
+            path_nodes.append(node)
+        path_nodes.reverse()
+        path_edges.reverse()
+
+        # Add the path's edges to the tree, skipping any that would close a
+        # cycle (paths may touch nodes that already belong to the tree).
+        union = self.acyclic.union
+        for edge, u, v in zip(path_edges, path_nodes, path_nodes[1:]):
+            if union(u, v):
+                self.tree.append(edge)
+
+        # Merge the two components (union by size) and absorb the path's
+        # nodes of no component.  Nodes already owned by a *different*
+        # component (the path may brush past the root tile or a third
+        # component) keep their owner -- stealing them could orphan that
+        # component's terminal.
+        src = search.comp
+        dst = self.root_comp if owner == ROOT_ID else self.searches[owner].comp
+        members = self.comp_members
+        big, small = (src, dst) if len(members[src]) >= len(members[dst]) else (dst, src)
+        node_comp = self.node_comp
+        new_nodes = [n for n in path_nodes if n not in node_comp]
+        joined = members.pop(small) + new_nodes
+        members[big].extend(joined)
+        for n in joined:
+            node_comp[n] = big
+        comp_edges = self.comp_edges
+        comp_edges[big].update(comp_edges.pop(small), path_edges)
+        del self.comp_owner[small], self.comp_delay[small]
+
+        view = self.view
+        view.search, view.owner, view.node = tid, owner, meeting_node
+        view.big, view.small = big, small
+        view.length, view.path_nodes, view.path_edges = len(path_edges), path_nodes, path_edges
+        view.num_new, view.new_nodes = len(new_nodes), new_nodes
+
+
 class _Solve:
     """The state of one run of Algorithm 1 on one instance.
 
-    One object instead of a nest of closures: the bookkeeping methods read
-    and write its slots, and :meth:`run` -- the hot loop -- binds what it
-    touches per pop to locals.
-
-    With the compiled loop (``loop`` set) the labels, the queue, the
-    connection candidates, the component edges and owners, the node
-    components and the tree live in C: the loop returns to Python once per
-    merge, :meth:`merge_compiled` takes the decisions that stay in Python
-    (the ``comp_nodes`` sets, the placement, the new search) and hands them
-    back.  :meth:`run` and :meth:`merge` are its specification.
-    ``record=False`` keeps no :class:`MergeRecord` (``merges`` is ``None``;
-    ``num_merges`` counts them either way).
+    The loop -- a :class:`_search.SearchLoop` when the compiled library is
+    loaded and the heap is two-level, else a :class:`PySearchLoop` -- holds
+    the labels, the queue, the connection candidates, the component edges
+    and owners, the node components and the tree, and returns once per
+    merge; :meth:`merge` takes the decisions that stay here (the
+    ``comp_nodes`` sets, the placement, the new search) and hands them
+    back.  ``record=False`` keeps no :class:`MergeRecord` (``merges`` is
+    ``None``; ``num_merges`` counts them either way).
     """
 
     __slots__ = (
         "config",
         "rng",
         "graph",
-        "cost",
         "delay",
         "bif",
         "root_node",
@@ -295,19 +632,11 @@ class _Solve:
         "pot_delay_rate",
         "l1",
         "comp_nodes",
-        "comp_edges",
-        "comp_owner",
-        "comp_delay",
-        "node_comp",
         "root_comp",
         "active",
-        "queue",
         "loop",
         "context",
         "total_active_weight",
-        "tree_edges",
-        "tree_edge_set",
-        "acyclic",
         "merges",
         "num_merges",
         "scans",
@@ -330,9 +659,8 @@ class _Solve:
         ctx = instance.context
         if ctx is not None and not ctx.covers(instance.cost, instance.delay):
             ctx = None
-        self.cost = memoryview(instance.cost)
         self.delay = memoryview(instance.delay)
-        self.bif = instance.bifurcation
+        bif = self.bif = instance.bifurcation
         self.root_node = instance.root
 
         estimator: Optional[FutureCostEstimator] = None
@@ -365,64 +693,31 @@ class _Solve:
         #: pairs whose connection candidates the merge queued.
         self.scans: Optional[List[List[Tuple[int, int, float, float]]]] = None
         lib = _search.LIB if config.use_two_level_heap else None
-        self.loop: Optional[_search.SearchLoop] = None
         self.context = None
-        if lib is not None:
-            if ctx is not None and ctx.graph is graph and ctx.delay is not None:
-                self.context = ctx
-                self.loop = ctx.search_loop(lib)
-            else:
-                self.loop = _search.SearchLoop(lib, graph, instance.cost, instance.delay)
+        if lib is None:
+            self.loop = PySearchLoop(
+                graph, instance.cost, instance.delay, config.use_two_level_heap
+            )
+        elif ctx is not None and ctx.graph is graph and ctx.delay is not None:
+            self.context = ctx
+            self.loop = ctx.search_loop(lib)
+        else:
+            self.loop = _search.SearchLoop(lib, graph, instance.cost, instance.delay)
 
-        # ---- component bookkeeping ----
         # ``comp_nodes`` values stay Python sets filled in this exact order:
         # _root_target_sample strides over the root component's iteration
         # order, which makes set insertion history the kernel's second
         # implicit order dependency besides the heap's tie order (both
-        # pinned by tests/test_cost_distance.py::TestKernelGolden).
-        self.comp_nodes: Dict[int, Set[int]] = {}
+        # pinned by tests/test_cost_distance.py::TestKernelGolden).  The
+        # numbering is the loop's: 0 the root's, ``i + 1`` terminal ``i``'s.
+        self.comp_nodes: Dict[int, Set[int]] = {0: {self.root_node}}
+        self.root_comp = 0
         self.active: Dict[int, _Search] = {}
         self.total_active_weight = 0.0
-        if self.loop is not None:
-            self.start_compiled(init_nodes, init_weights)
-            return
-        self.comp_edges: Dict[int, Set[int]] = {}
-        self.comp_owner: Dict[int, int] = {}
-        self.node_comp: Dict[int, int] = {}
-        # Delay from every component node to the component's representative
-        # terminal, along the component's own edges.  Used so that a search
-        # entering a component "anywhere" (enhancement III-A) still pays the
-        # delay towards the component's terminal, as in the paper's
-        # per-end-component labels.
-        self.comp_delay: Dict[int, Dict[int, float]] = {}
-        self.root_comp = self.new_component(ROOT_ID, self.root_node)
-        self.l1: Sequence[float] = [0.0] * self.planar_tiles
-        self.queue = TwoLevelHeap() if config.use_two_level_heap else _FlatQueue()
-        self.tree_edges: List[int] = []
-        self.tree_edge_set: Set[int] = set()
-        self.acyclic = _UnionFind()
-
         for tid, (node, weight) in enumerate(zip(init_nodes, init_weights)):
-            self.activate(tid, node, weight, self.new_component(tid, node))
+            self.comp_nodes[tid + 1] = {node}
+            self.activate(tid, node, weight)
             self.total_active_weight += weight
-        self.refresh_targets()
-        for tid in self.active:
-            self.start_search(tid)
-
-    def start_compiled(self, init_nodes: List[int], init_weights: List[float]) -> None:
-        """:meth:`__init__`'s set-up with the compiled loop: the same
-        components, searches and total weight, handed to C in one call."""
-        config = self.config
-        bif = self.bif
-        comp_nodes = self.comp_nodes
-        comp_nodes[0] = {self.root_node}
-        self.root_comp = 0
-        rates = []
-        for tid, (node, weight) in enumerate(zip(init_nodes, init_weights)):
-            comp_nodes[tid + 1] = {node}
-            self.activate(tid, node, weight, tid + 1)
-            self.total_active_weight += weight
-            rates.append(self.active[tid].rate)
         self.loop.reset(
             self.root_node,
             config.discount_components,
@@ -433,7 +728,7 @@ class _Solve:
             self.total_active_weight,
             init_nodes,
             init_weights,
-            rates,
+            [search.rate for search in self.active.values()],
         )
         self.l1 = self.loop.l1 if config.use_future_costs else [0.0] * self.planar_tiles
 
@@ -443,253 +738,45 @@ class _Solve:
             self.context.return_loop(self.loop)
             self.context = None
 
-    # ---------------------------------------------------------- bookkeeping
-    def new_component(self, owner: int, node: int) -> int:
-        comp_id = len(self.comp_nodes)
-        self.comp_nodes[comp_id] = {node}
-        self.comp_edges[comp_id] = set()
-        self.comp_owner[comp_id] = owner
-        self.node_comp[node] = comp_id
-        self.comp_delay[comp_id] = {node: 0.0}
-        return comp_id
-
-    def refresh_targets(self) -> None:
-        """Rebuild ``l1`` for the target set: the root and every active terminal."""
-        if not self.config.use_future_costs:
-            return
-        tiles = self.planar_tiles
-        targets = [self.root_node % tiles]
-        targets.extend(search.node % tiles for search in self.active.values())
-        self.l1 = _target_l1(self.graph.nx, self.graph.ny, targets).tolist()
-
-    def node_delay(self, comp: int, node: int) -> float:
-        """Delay from ``node`` to the terminal of its component ``comp``."""
-        return self.comp_delay[comp].get(node, 0.0)
-
-    def connection_key(self, search: _Search, comp: int, delay: float, dist: float) -> float:
-        """Full key of a connection candidate: path distance, ``delay`` from
-        the entry point to the target component's terminal, and the
-        bifurcation merge penalty."""
-        bif = self.bif
-        w_u = search.weight
-        owner = self.comp_owner[comp]
-        if owner == ROOT_ID:
-            penalty = bif.beta(w_u, max(self.total_active_weight - w_u, 0.0))
-            if self.config.encourage_root_connections and bif.enabled:
-                penalty -= bif.eta * bif.dbif * w_u
-            penalty = max(penalty, 0.0)
-        else:
-            penalty = bif.beta(w_u, self.active[owner].weight)
-        return dist + w_u * delay + penalty
-
-    def activate(self, tid: int, node: int, weight: float, comp: int) -> None:
+    def activate(self, tid: int, node: int, weight: float) -> None:
         rate = self.pot_cost_rate + weight * self.pot_delay_rate
-        self.active[tid] = _Search(node, weight, comp, rate, self.loop is None)
+        self.active[tid] = _Search(node, weight, rate)
 
-    def start_search(self, tid: int) -> None:
-        search = self.active[tid]
-        key = self.l1[search.node % self.planar_tiles] * search.rate
-        self.queue.add_search(tid)
-        self.queue.push(tid, search.node, key)
-
-    def deactivate(self, tid: int) -> None:
-        self.active.pop(tid, None)
-        self.queue.remove_search(tid)
-
-    def offer_connection(
-        self, tid: int, search: _Search, comp: int, node: int, dist: float
-    ) -> None:
-        """Search ``tid`` settled ``node`` of another component ``comp`` at
-        ``dist``: queue the connection candidate ``("c", node)`` if it is
-        one."""
-        owner = self.comp_owner.get(comp)
-        if owner == ROOT_ID or owner in self.active:
-            if self.config.discount_components:
-                # Enhancement III-A: reaching any vertex of another
-                # component counts as a connection to it.
-                connect = True
-            elif owner == ROOT_ID:
-                connect = node == self.root_node
-            else:
-                connect = node == self.active[owner].node
-            if connect:
-                key = self.connection_key(search, comp, self.node_delay(comp, node), dist)
-                self.queue.push(tid, ("c", node), key)
-
-    def try_connection(
-        self, tid: int, search: _Search, key: float, node: int, dist: Optional[float]
-    ) -> None:
-        """The connection candidate ``("c", node)`` of search ``tid`` left
-        the queue at ``key`` (``dist``: the node's label if settled): merge,
-        re-queue it under a larger fresh key, or drop it as stale."""
-        comp = self.node_comp.get(node)
-        if comp is None or comp == search.comp:
-            return
-        owner = self.comp_owner.get(comp)
-        if owner is None or (owner != ROOT_ID and owner not in self.active):
-            return
-        if dist is None:
-            return
-        fresh_key = self.connection_key(search, comp, self.node_delay(comp, node), dist)
-        if fresh_key > key + 1e-9:
-            self.queue.push(tid, ("c", node), fresh_key)
-            return
-        self.merge(tid, owner, node)
-
-    # ------------------------------------------------------------ main loop
     def run(self) -> Tuple[int, int]:
         """Run the searches until every terminal is connected; returns the
-        numbers of queue pops and of node labels.
-
-        The specification of the compiled loop (:meth:`run_compiled`)."""
-        if self.loop is not None:
-            return self.run_compiled()
-        discount = self.config.discount_components
-        incident = self.graph.incident
-        neighbours = self.graph.neighbours
-        cost = self.cost
-        delay = self.delay
-        planar_tiles = self.planar_tiles
-        active = self.active
-        node_comp = self.node_comp
-        comp_edges = self.comp_edges
-        pop = self.queue.pop
-        push = self.queue.push
-        l1 = self.l1
-        infinity = float("inf")
-        num_labels = 0
-        num_pops = 0
-
-        while active:
-            try:
-                key, tid, item = pop()
-            except IndexError:
-                raise RuntimeError(
-                    "cost-distance search exhausted the queue before connecting "
-                    "all terminals; the routing graph is disconnected"
-                ) from None
-            num_pops += 1
-            search = active.get(tid)
-            if search is None:
-                continue
-
-            if isinstance(item, tuple):
-                # Connection candidate ('c', node).
-                node = item[1]
-                dist = search.tentative.get(node) if node in search.permanent else None
-                self.try_connection(tid, search, key, node, dist)
-                l1 = self.l1
-                continue
-
-            # Regular node label.
-            node = item
-            permanent = search.permanent
-            if node in permanent:
-                continue
-            tentative = search.tentative
-            dist = tentative[node]
-            permanent.add(node)
-            num_labels += 1
-
-            comp = node_comp.get(node)
-            if comp is not None and comp != search.comp:
-                self.offer_connection(tid, search, comp, node, dist)
-
-            own_edges = comp_edges.get(search.comp) if discount else None
-            weight = search.weight
-            rate = search.rate
-            parent = search.parent
-            for edge, other in zip(incident[node], neighbours[node]):
-                if other in permanent:
-                    continue
-                if own_edges and edge in own_edges:
-                    edge_cost = 0.0
-                else:
-                    edge_cost = cost[edge]
-                candidate = dist + edge_cost + weight * delay[edge]
-                if candidate < tentative.get(other, infinity):
-                    tentative[other] = candidate
-                    parent[other] = edge
-                    push(tid, other, candidate + l1[other % planar_tiles] * rate)
-
-        return num_pops, num_labels
-
-    def run_compiled(self) -> Tuple[int, int]:
-        """:meth:`run` with everything but the merge decisions in C: the
-        loop returns once per merge."""
+        numbers of queue pops and of node labels.  The loop returns once
+        per merge."""
         loop = self.loop
         kind = loop.run()
         while kind == _search.MERGE:
-            kind = self.merge_compiled()
+            kind = self.merge()
         view = loop.view
         return view.pops, view.labels
 
     def tree(self, sinks: Tuple[int, ...], name: str) -> EmbeddedTree:
         """The finished tree without its dangling branches."""
-        if self.loop is None:
-            edges = tuple(self.tree_edges)
-            tree = EmbeddedTree(self.graph, self.root_node, sinks, edges, name)
-            return prune_dangling_branches(tree)
         edges = self.loop.pruned([self.root_node, *sinks])
         return EmbeddedTree(self.graph, self.root_node, sinks, edges, name)
 
-    def path_to(self, tid: int, node: int) -> Tuple[List[int], List[int]]:
-        """Nodes (seed first) and edges of search ``tid``'s path to ``node``."""
-        parent = self.active[tid].parent
-        rev_edges: List[int] = []
-        rev_nodes: List[int] = [node]
-        while node in parent:
-            edge = parent[node]
-            rev_edges.append(edge)
-            node = self.graph.other_endpoint(edge, node)
-            rev_nodes.append(node)
-        return rev_nodes[::-1], rev_edges[::-1]
-
-    def settled_on(self, nodes: List[int], comp: int) -> List[Tuple[int, int, float, float]]:
-        """``(node, tid, dist, delay)`` per node of ``nodes`` (outer, all of
-        component ``comp``) and live search outside ``comp`` (inner, in
-        activation order) that has settled the node at ``dist``; ``delay``
-        is the node's to the terminal of ``comp``."""
-        return [
-            (p, tid, search.tentative[p], self.node_delay(comp, p))
-            for p in nodes
-            for tid, search in self.active.items()
-            if search.comp != comp and p in search.permanent
-        ]
-
     # ---------------------------------------------------------------- merge
-    def steiner_position(
-        self,
-        source: _Search,
-        target: _Search,
-        path_nodes: Optional[List[int]],
-        path_edges: Optional[List[int]],
-    ) -> int:
+    def steiner_position(self, source: _Search, target: _Search) -> int:
         """Where the merge of ``source`` and ``target`` places its Steiner
-        vertex: III-D on the path (``None``: the compiled loop's last), or
-        a random endpoint weighted by the two weights."""
+        vertex: III-D on the loop's last path, or a random endpoint
+        weighted by the two weights."""
         estimator = self.estimator
         if self.config.improved_steiner_placement and estimator is not None:
             root_nodes = _root_target_sample(self.comp_nodes[self.root_comp], self.root_node)
-            if self.loop is not None:
-                if estimator.num_landmarks == 0:
-                    return self.loop.best_steiner(
-                        root_nodes,
-                        source.weight,
-                        target.weight,
-                        estimator.min_cost_per_tile,
-                        estimator.fastest_delay_per_tile,
-                    )
-                path_nodes, path_edges = self.loop.path()
+            if estimator.num_landmarks == 0:
+                return self.loop.best_steiner(
+                    root_nodes,
+                    source.weight,
+                    target.weight,
+                    estimator.min_cost_per_tile,
+                    estimator.fastest_delay_per_tile,
+                )
+            nodes, edges = self.loop.path()
             return _best_steiner_position(
-                graph=self.graph,
-                estimator=estimator,
-                path_nodes=path_nodes,
-                path_edges=path_edges,
-                delay=self.delay,
-                source_weight=source.weight,
-                target_weight=target.weight,
-                root_nodes=root_nodes,
+                estimator, nodes, edges, self.delay, source.weight, target.weight, root_nodes
             )
         choices = [source.node, target.node]
         weights = [source.weight, target.weight]
@@ -729,105 +816,11 @@ class _Solve:
             )
         )
 
-    def merge(self, source_tid: int, owner: int, meeting_node: int) -> None:
-        """Perform one merge (one iteration of Algorithm 1).
-
-        The specification of :meth:`merge_compiled`."""
-        graph = self.graph
-        active = self.active
-        comp_nodes = self.comp_nodes
-        comp_edges = self.comp_edges
-        node_comp = self.node_comp
-        source = active[source_tid]
-
-        path_nodes, path_edges = self.path_to(source_tid, meeting_node)
-
-        # Add new edges to the global tree, skipping anything that would
-        # close a cycle (paths may touch nodes that already belong to the
-        # growing tree).
-        for edge in path_edges:
-            if edge in self.tree_edge_set:
-                continue
-            u = int(graph.edge_u[edge])
-            v = int(graph.edge_v[edge])
-            if self.acyclic.union(u, v):
-                self.tree_edge_set.add(edge)
-                self.tree_edges.append(edge)
-
-        # Merge the two components (union by size) and absorb the path.
-        is_root_merge = owner == ROOT_ID
-        src_comp = source.comp
-        dst_comp = self.root_comp if is_root_merge else active[owner].comp
-        if len(comp_nodes[src_comp]) >= len(comp_nodes[dst_comp]):
-            big, small = src_comp, dst_comp
-        else:
-            big, small = dst_comp, src_comp
-        moved = comp_nodes.pop(small)
-        for n in moved:
-            node_comp[n] = big
-        comp_nodes[big].update(moved)
-        comp_edges[big].update(comp_edges.pop(small))
-        self.comp_owner.pop(small, None)
-        self.comp_delay.pop(small, None)
-        # Path nodes that are not yet owned by any component join the merged
-        # component.  Nodes already owned by a *different* component (the
-        # path may brush past the root tile or a third component) keep their
-        # owner -- stealing them could orphan that component's terminal and
-        # make it unreachable for future connections.
-        new_path_nodes = [n for n in path_nodes if n not in node_comp]
-        comp_nodes[big].update(new_path_nodes)
-        comp_edges[big].update(path_edges)
-        for n in new_path_nodes:
-            node_comp[n] = big
-
-        steiner_node: Optional[int] = None
-        if is_root_merge:
-            target_weight = 0.0
-            target_node = representative = self.root_node
-            self.comp_owner[big] = ROOT_ID
-            self.root_comp = big
-            self.deactivate(source_tid)
-        else:
-            target = active[owner]
-            target_weight = target.weight
-            target_node = target.node
-            steiner_node = self.steiner_position(source, target, path_nodes, path_edges)
-            representative = steiner_node
-            new_tid = max(active) + 1
-            self.deactivate(source_tid)
-            self.deactivate(owner)
-            self.activate(new_tid, steiner_node, source.weight + target.weight, big)
-            self.comp_owner[big] = new_tid
-            # Started before the targets are refreshed below: the new
-            # search's first key is taken against the previous target set.
-            self.start_search(new_tid)
-
-        # Recompute the delay from every component node to the (new)
-        # representative terminal along the component's own edges.
-        self.comp_delay[big] = _component_delays(graph, comp_edges[big], representative, self.delay)
-
-        # Let other searches that already labeled the freshly added path
-        # nodes compete for a connection to the new component.
-        found = self.settled_on(new_path_nodes, big)
-        if self.scans is not None:
-            self.scans.append(found)
-        for p, other_tid, dist, delay in found:
-            key = self.connection_key(active[other_tid], big, delay, dist)
-            self.queue.push(other_tid, ("c", p), key)
-
-        self.record(source, target_node, target_weight, meeting_node, steiner_node, path_edges)
-        if is_root_merge:
-            # Root merges reduce the total active weight (only now: the
-            # connection keys above were taken against the previous total).
-            self.total_active_weight = sum(t.weight for t in active.values())
-        if active:
-            self.refresh_targets()
-
-    def merge_compiled(self) -> int:
-        """:meth:`merge` of the merge the compiled loop stopped at, whose
-        path, tree edges and component union C has done: take Python's
-        decisions, then let C finish the merge and run on to the next
-        (returns :meth:`_search.SearchLoop.merge`'s result)."""
+    def merge(self) -> int:
+        """One iteration of Algorithm 1: the merge the loop stopped at,
+        whose path, tree edges and component union the loop has done.  Take
+        the decisions, then let the loop finish the merge and run on to the
+        next (returns the loop's :meth:`~_search.SearchLoop.merge` result)."""
         loop = self.loop
         view = loop.view
         active = self.active
@@ -844,14 +837,16 @@ class _Solve:
             self.root_comp = big
             del active[source_tid]
             self.record(source, self.root_node, 0.0, view.node, None, path_edges)
+            # Root merges reduce the total active weight; the loop keys the
+            # merge's own candidates against the previous total.
             self.total_active_weight = sum(t.weight for t in active.values())
             kind = loop.merge(ROOT_ID, self.root_node, 0.0, 0.0, self.total_active_weight)
         else:
             target = active[owner]
-            steiner_node = self.steiner_position(source, target, None, None)
+            steiner_node = self.steiner_position(source, target)
             new_tid = max(active) + 1
             del active[source_tid], active[owner]
-            self.activate(new_tid, steiner_node, source.weight + target.weight, big)
+            self.activate(new_tid, steiner_node, source.weight + target.weight)
             self.record(source, target.node, target.weight, view.node, steiner_node, path_edges)
             new = active[new_tid]
             kind = loop.merge(new_tid, steiner_node, new.weight, new.rate, self.total_active_weight)
@@ -871,33 +866,31 @@ def _component_delays(
     """
     adjacency: Dict[int, List[Tuple[int, int]]] = {}
     for edge in edges:
-        u = int(graph.edge_u[edge])
-        v = int(graph.edge_v[edge])
+        u, v = int(graph.edge_u[edge]), int(graph.edge_v[edge])
         adjacency.setdefault(u, []).append((edge, v))
         adjacency.setdefault(v, []).append((edge, u))
     result: Dict[int, float] = {representative: 0.0}
-    heap = AddressableBinaryHeap()
-    heap.push(representative, 0.0)
+    heap = [(0.0, representative)]
     settled: Set[int] = set()
     while heap:
-        d, node = heap.pop()
+        d, node = heapq.heappop(heap)
         if node in settled:
             continue
         settled.add(node)
-        result[node] = d
-        for edge, other in adjacency.get(node, []):
-            if other in settled:
-                continue
+        for edge, other in adjacency.get(node, ()):
             candidate = d + delay[edge]
-            if candidate < result.get(other, float("inf")):
+            if other not in settled and candidate < result.get(other, math.inf):
                 result[other] = candidate
-                heap.push(other, candidate)
+                heapq.heappush(heap, (candidate, other))
     return result
 
 
 def _root_target_sample(root_nodes: Set[int], root_node: int) -> List[int]:
-    """Up to ~24 nodes of the root component, striding over the set's
-    iteration order (an order dependency, see ``_Solve.comp_nodes``)."""
+    """Nodes of the root component at a stride of ``len(root_nodes) // 24``
+    over the set's iteration order (an order dependency, see
+    ``_Solve.comp_nodes``), plus ``root_node`` if the stride skips it:
+    every node of a set of up to 47 (the stride is 1), 24 to 36 nodes of
+    a larger one, so at most 48 nodes."""
     if len(root_nodes) <= 24:
         return list(root_nodes)
     sample = list(root_nodes)[:: max(1, len(root_nodes) // 24)]
@@ -907,8 +900,6 @@ def _root_target_sample(root_nodes: Set[int], root_node: int) -> List[int]:
 
 
 def _best_steiner_position(
-    *,
-    graph,
     estimator: FutureCostEstimator,
     path_nodes: List[int],
     path_edges: List[int],

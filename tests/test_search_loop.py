@@ -1,8 +1,11 @@
-"""The compiled search loop against its specification, the Python loop.
+"""The compiled search loop against its specification, ``PySearchLoop``.
 
-Both loops must produce the same pops, labels, merges and trees on every
-instance; the compiled one must really be the one that runs wherever a C
-compiler is on the ``PATH``, and its absence must cost nothing but time.
+Both loops have one interface, and the same calls must give the same
+events and the same pops, labels, merges, scans and trees on every
+instance, both compared event by event (``TestInterfaceDifferential``) and
+through the one solve driver; the compiled loop must really be the one that
+runs wherever a C compiler is on the ``PATH``, and its absence must cost
+nothing but time.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from repro.core.cost_distance import (
     ROOT_ID,
     CostDistanceConfig,
     CostDistanceSolver,
+    PySearchLoop,
     _best_steiner_position,
     _component_delays,
     _initial_terminals,
@@ -43,7 +47,7 @@ needs_compiled = pytest.mark.skipif(_search.LIB is None, reason="no compiled sea
 
 @contextlib.contextmanager
 def python_loop():
-    """Solves started inside run the Python loop (``_Solve.run``)."""
+    """Solves started inside run the Python loop (:class:`PySearchLoop`)."""
     saved = _search.LIB
     _search.LIB = None
     try:
@@ -58,10 +62,10 @@ def solve(instance, config, seed=0):
     candidates it queued, in queue order) of one solve, and whether it ran
     compiled."""
     state = _Solve(instance, config, random.Random(seed), *_initial_terminals(instance))
-    compiled = state.loop is not None
+    compiled = isinstance(state.loop, _search.SearchLoop)
     state.scans = []
     pops, labels = state.run()
-    edges = tuple(state.loop.tree_edges() if compiled else state.tree_edges)
+    edges = tuple(state.loop.tree_edges())
     tree = state.tree(tuple(instance.sinks), "CD").edges
     return (edges, tree, state.merges, pops, labels, state.scans), compiled
 
@@ -84,7 +88,7 @@ class TestLoading:
             small_graph.base_cost_array(), small_graph.delay_array(),
         )
         state = _Solve(inst, CostDistanceConfig(), random.Random(0), *_initial_terminals(inst))
-        assert state.loop is not None
+        assert isinstance(state.loop, _search.SearchLoop)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_source_compiles_without_warnings(self, tmp_path):
@@ -102,7 +106,7 @@ class TestLoading:
         )
         for config in (CostDistanceConfig.plain(), CostDistanceConfig(use_two_level_heap=False)):
             state = _Solve(inst, config, random.Random(0), *_initial_terminals(inst))
-            assert state.loop is None
+            assert isinstance(state.loop, PySearchLoop) and not state.loop.two_level
 
     def test_failed_load_falls_back_with_one_warning(self, monkeypatch, tmp_path, caplog):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # nothing cached
@@ -251,6 +255,93 @@ class TestDifferential:
         assert checked >= 5 and crowded > 0
 
 
+class TestInterfaceDifferential:
+    """``SearchLoop`` and ``PySearchLoop`` driven through one ``reset`` →
+    ``run``/``merge`` sequence with the same decisions, compared after
+    every event: the view, the path, the last scan's pairs and the tree
+    edges, and at the end the pruned tree.  The nets are crowded: many
+    terminals on a small grid, and large merge penalties that let every
+    search flood far before it connects.  So merges scan path nodes that
+    several live searches have settled, and the order of the searches
+    within one node of a scan is compared too."""
+
+    @staticmethod
+    def _event(loop, kind):
+        view = loop.view
+        path_nodes, path_edges = loop.path()
+        state = [kind, view.pops, view.labels, loop.pairs(), loop.tree_edges(),
+                 list(path_nodes), list(path_edges)]
+        if kind == _search.MERGE:
+            state += [
+                view.search, view.owner, view.node, view.big, view.small,
+                view.path_edges[: view.length], view.new_nodes[: view.num_new],
+            ]
+        return state
+
+    def _drive(self, graph, cost, rng):
+        """One drawn net through both loops; the number of scans that list
+        a node for two or more searches."""
+        num_terminals = rng.randint(5, 14)
+        picked = rng.sample(range(graph.num_nodes), num_terminals + 1)
+        root, nodes = picked[0], picked[1:]
+        weights = [rng.choice([0.05, 0.3, 0.3, 1.0, 2.5]) for _ in nodes]
+        rates = [rng.choice([0.0, 0.0, 0.5, 1.25]) for _ in nodes]
+        future, placement = rng.random() < 0.5, rng.random() < 0.5
+        total = sum(weights)
+        args = (root, rng.random() < 0.7, future, rng.random() < 0.5,
+                rng.choice([0.0, 8.0, 30.0]), 0.25, total, nodes, weights, rates)
+        delay = graph.delay_array()
+        loops = [_search.SearchLoop(_search.LIB, graph, cost, delay),
+                 PySearchLoop(graph, cost, delay)]
+        for loop in loops:
+            loop.reset(*args)
+        live = dict(enumerate(weights))
+        kinds = [loop.run() for loop in loops]
+        crowded = 0
+        while True:
+            events = [self._event(loop, kind) for loop, kind in zip(loops, kinds)]
+            assert events[0] == events[1]
+            scan = [node for node, *_ in loops[1].pairs()]
+            crowded += len(scan) > len(set(scan))
+            if kinds[0] == _search.DONE:
+                break
+            view = loops[1].view
+            if view.owner == ROOT_ID:
+                del live[view.search]
+                total = sum(live.values())
+                decision = (ROOT_ID, root, 0.0, 0.0, total)
+            else:
+                if placement:
+                    roots = rng.sample(range(graph.num_nodes), rng.choice([0, 1, 5, 30]))
+                    chosen = [loop.best_steiner(roots, live[view.search], live[view.owner],
+                                                0.5, 0.25) for loop in loops]
+                    assert chosen[0] == chosen[1]
+                    node = chosen[0]
+                else:
+                    node = rng.choice(loops[1].path()[0])
+                new_tid = max(live) + 1
+                live[new_tid] = live.pop(view.search) + live.pop(view.owner)
+                decision = (new_tid, node, live[new_tid], rng.choice([0.0, 0.5]), total)
+            kinds = [loop.merge(*decision) for loop in loops]
+        terminals = [root, *nodes]
+        assert loops[0].pruned(terminals) == loops[1].pruned(terminals)
+        loops[0].close()
+        return crowded
+
+    @needs_compiled
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (6, 5, 2), (5, 5, 3)])
+    def test_both_loops_give_the_same_events(self, shape):
+        graph = _grid(*shape)
+        rng = random.Random(sum(shape))
+        crowded = 0
+        for _ in range(25):
+            cost = graph.base_cost_array()
+            if rng.random() < 0.5:
+                cost = cost * np.array([rng.choice([0.5, 1.0, 1.0, 2.0, 3.25]) for _ in cost])
+            crowded += self._drive(graph, cost, rng)
+        assert crowded > 0
+
+
 class TestSearchLoopCalls:
     @needs_compiled
     def test_settled_on_orders_nodes_outer_searches_inner(self):
@@ -383,7 +474,7 @@ class TestMergeStepsInC:
             fastest_delay_per_tile=rates[1], num_landmarks=0,
         )
         expected = _best_steiner_position(
-            graph=graph, estimator=estimator, path_nodes=nodes, path_edges=edges,
+            estimator=estimator, path_nodes=nodes, path_edges=edges,
             delay=memoryview(delay), source_weight=weights[0], target_weight=weights[1],
             root_nodes=roots,
         )
@@ -496,7 +587,7 @@ class TestOneSwitch:
 
 
 class TestConnectionKeys:
-    """``cd_connection_key`` against ``_Solve.connection_key``, bit for bit
+    """``cd_connection_key`` against ``PySearchLoop.connection_key``, bit for bit
     (``float.hex``, so a -0.0 or a one-ulp rounding shows)."""
 
     @needs_compiled
@@ -536,19 +627,21 @@ class TestConnectionKeys:
             "zero": 0.0,
             "above": w_u * 1.1 + 1e-3,
         }[total]
-        with python_loop():
-            spec = _Solve(inst, config, random.Random(0), nodes, init_weights)
-        spec.total_active_weight = total_weight
-        loop = _search.SearchLoop(_search.LIB, graph, inst.cost, inst.delay)
+        rates = [s.rate for s in _Solve(inst, config, random.Random(0), nodes,
+                                        init_weights).active.values()]
         bif = inst.bifurcation
-        loop.reset(0, True, True, encourage and bif.enabled, bif.dbif, bif.eta, total_weight,
-                   nodes, init_weights, [s.rate for s in spec.active.values()])
-        for tid, search in spec.active.items():
+        args = (0, True, True, encourage and bif.enabled, bif.dbif, bif.eta, total_weight,
+                nodes, init_weights, rates)
+        spec = PySearchLoop(graph, inst.cost, inst.delay)
+        spec.reset(*args)
+        loop = _search.SearchLoop(_search.LIB, graph, inst.cost, inst.delay)
+        loop.reset(*args)
+        for tid in range(len(nodes)):
             for comp in range(len(nodes) + 1):
-                if comp == search.comp:
+                if comp == tid + 1:  # the search's own component
                     continue
                 for delay, dist in itertools.product([0.0, 0.5, 1e-9], [0.0, 0.1, 1e6]):
-                    expected = spec.connection_key(search, comp, delay, dist).hex()
+                    expected = spec.connection_key(tid, comp, delay, dist).hex()
                     got = loop.connection_key(tid, comp, delay, dist).hex()
                     assert got == expected, (tid, comp, delay, dist)
         loop.close()

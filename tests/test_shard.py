@@ -518,6 +518,17 @@ class TestOneShardingPathOnePoolLifecycle:
         "from_" "payload",
         "derive_net_" "rng(",
         "net_stream_" "seed(",
+        # One solve driver: the Python loop sits behind the search-loop
+        # interface, so _Solve's second driver and its helpers are gone.
+        "run_" "compiled",
+        "merge_" "compiled",
+        "start_" "compiled",
+        "path_" "to(",
+        "offer_" "connection",
+        "try_" "connection",
+        "refresh_" "targets",
+        "new_" "component",
+        "tree_edge_" "set",
     )
 
     @staticmethod
