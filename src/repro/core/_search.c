@@ -30,6 +30,10 @@
  * (-ffp-contract=off): `a + b + w * d` must stay two roundings apart from a
  * fused multiply-add.
  *
+ * cd_sink_delays stands apart: a walk of finished trees under the delay
+ * model that keeps nothing between calls, every routed net of a round in
+ * one call (`_tree_sink_delays` in core/objective.py is its specification).
+ *
  * One Solve serves many runs: cd_reset frees the searches and the members
  * and keeps the tables' capacity.  Memory grows with the nodes a search
  * touches and the nodes of the components, never with the graph (the
@@ -1408,6 +1412,252 @@ int32_t cd_best_steiner(const Solve *solve, const int32_t *nodes, const int32_t 
         }
     }
     return best;
+}
+
+/* ------------------------------------------------------------ sink delays */
+
+/* `BifurcationModel.split`: the shares of two branches of weights a, b. */
+static void split(double eta, double a, double b, double *share_a, double *share_b)
+{
+    if (a > b) {
+        *share_a = eta;
+        *share_b = 1.0 - eta;
+    } else if (a < b) {
+        *share_a = 1.0 - eta;
+        *share_b = eta;
+    } else {
+        *share_a = 0.5;
+        *share_b = 0.5;
+    }
+}
+
+/* `BifurcationModel.branch_penalties` of n >= 2 branches of weights `w`
+ * with penalties on: `split` for two branches, else the Huffman stacking --
+ * Python's stable sort of the groups by weight, the two lightest merged
+ * and the merged group appended last.  `group` (per branch its group),
+ * `list` (the groups in list order) and `group_weight` are scratch of n
+ * entries. */
+static void branch_penalties(const double *w, int32_t n, double dbif, double eta,
+                             double *penalty, int32_t *group, int32_t *list,
+                             double *group_weight)
+{
+    double la, lb;
+    if (n == 2) {
+        split(eta, w[0], w[1], &la, &lb);
+        penalty[0] = la * dbif;
+        penalty[1] = lb * dbif;
+        return;
+    }
+    for (int32_t i = 0; i < n; i++) {
+        penalty[i] = 0.0;
+        group[i] = list[i] = i;
+        group_weight[i] = w[i];
+    }
+    for (int32_t count = n; count > 1; count--) {
+        for (int32_t i = 1; i < count; i++) { /* insertion sort: stable */
+            int32_t g = list[i], j = i;
+            for (; j > 0 && group_weight[list[j - 1]] > group_weight[g]; j--)
+                list[j] = list[j - 1];
+            list[j] = g;
+        }
+        int32_t a = list[0], b = list[1];
+        split(eta, group_weight[a], group_weight[b], &la, &lb);
+        for (int32_t i = 0; i < n; i++) {
+            if (group[i] == a) {
+                penalty[i] = penalty[i] + la * dbif;
+            } else if (group[i] == b) {
+                penalty[i] = penalty[i] + lb * dbif;
+                group[i] = a;
+            }
+        }
+        group_weight[a] = group_weight[a] + group_weight[b];
+        memmove(list, list + 2, (size_t)(count - 2) * sizeof(int32_t));
+        list[count - 2] = a;
+    }
+}
+
+/* Root-to-sink delays of many trees under the linear delay model with the
+ * bifurcation penalty: `evaluate_tree`'s walk (`_tree_sink_delays` in
+ * core/objective.py is the specification).  Tree t has the edges
+ * edges[edge_start[t] .. edge_start[t + 1]), the root roots[t] and the
+ * sinks (with weights) at sink_start[t] .. sink_start[t + 1]; its sink
+ * delays go to out[] at the same offsets.  A node's children come in the
+ * order of its entries in `EmbeddedTree.incidence` (by tree edge, an
+ * edge's entry at u before the one at v), the nodes in BFS order from the
+ * root; a node's weight is 0.0 plus its sinks' weights in sink order, a
+ * subtree's its node's plus its children's in children order, and a
+ * node's delay (parent's + delay[e]) + its branch's penalty.  A tree is
+ * valid when every index lies in the graph and BFS uses every edge and
+ * reaches every sink.  Returns -1, the first invalid tree, or -2 out of
+ * memory.  The scratch lives for the call: a node -> row map, reset
+ * through the rows' nodes after each tree, and per-row arrays for the
+ * largest tree. */
+int32_t cd_sink_delays(const int32_t *edge_u, const int32_t *edge_v, const double *delay,
+                       int32_t num_nodes, int32_t num_edges, const int32_t *edges,
+                       const int32_t *edge_start, int32_t num_trees, const int32_t *roots,
+                       const int32_t *sinks, const int32_t *sink_start, const double *weights,
+                       double dbif, double eta, int32_t enabled, double *out)
+{
+    int64_t most_edges = 0;
+    for (int32_t t = 0; t < num_trees; t++) {
+        int64_t tree_edges = (int64_t)edge_start[t + 1] - edge_start[t];
+        if (tree_edges > most_edges)
+            most_edges = tree_edges;
+    }
+    /* Rows: the root and the edges' ends; incidence entries: two per edge. */
+    const size_t rows = 2 * (size_t)most_edges + 1;
+    int32_t *local = malloc((size_t)num_nodes * sizeof(int32_t) + 1);
+    int32_t *node = malloc(rows * sizeof(int32_t));
+    int32_t *first = malloc((rows + 1) * sizeof(int32_t));
+    int32_t *fill = malloc(rows * sizeof(int32_t));
+    int32_t *incident_edge = malloc(rows * sizeof(int32_t));
+    int32_t *incident_row = malloc(rows * sizeof(int32_t));
+    int32_t *order = malloc(rows * sizeof(int32_t));
+    int32_t *children = malloc((rows + 1) * sizeof(int32_t));
+    int32_t *parent = malloc(rows * sizeof(int32_t));
+    int32_t *parent_edge = malloc(rows * sizeof(int32_t));
+    int32_t *group = malloc(rows * sizeof(int32_t));
+    int32_t *list = malloc(rows * sizeof(int32_t));
+    double *own = malloc(rows * sizeof(double));
+    double *subtree = malloc(rows * sizeof(double));
+    double *node_delay = malloc(rows * sizeof(double));
+    double *branch = malloc(rows * sizeof(double));
+    double *penalty = malloc(rows * sizeof(double));
+    double *group_weight = malloc(rows * sizeof(double));
+    int32_t status = -2;
+    if (!local || !node || !first || !fill || !incident_edge || !incident_row || !order ||
+        !children || !parent || !parent_edge || !group || !list || !own || !subtree ||
+        !node_delay || !branch || !penalty || !group_weight)
+        goto done;
+    memset(local, 0xFF, (size_t)num_nodes * sizeof(int32_t)); /* EMPTY */
+    status = -1;
+    for (int32_t t = 0; t < num_trees; t++) {
+        const int32_t *tree = edges + edge_start[t], *tree_sinks = sinks + sink_start[t];
+        const int32_t num_tree = edge_start[t + 1] - edge_start[t];
+        const int32_t num_sinks = sink_start[t + 1] - sink_start[t];
+        const int32_t root = roots[t];
+        int valid = 0 <= root && root < num_nodes;
+        for (int32_t i = 0; i < num_tree && valid; i++)
+            valid = 0 <= tree[i] && tree[i] < num_edges;
+        for (int32_t j = 0; j < num_sinks && valid; j++)
+            valid = 0 <= tree_sinks[j] && tree_sinks[j] < num_nodes;
+        if (!valid) {
+            status = t;
+            break;
+        }
+        /* Rows: the root, then the edges' ends as they first appear. */
+        int32_t count = 0;
+        local[root] = count;
+        node[count++] = root;
+        for (int32_t i = 0; i < num_tree; i++) {
+            const int32_t ends[2] = {edge_u[tree[i]], edge_v[tree[i]]};
+            for (int k = 0; k < 2; k++) {
+                if (local[ends[k]] == EMPTY) {
+                    local[ends[k]] = count;
+                    node[count++] = ends[k];
+                }
+            }
+        }
+        /* The incidence in tree-edge order: a counting sort by row. */
+        memset(first, 0, (size_t)(count + 1) * sizeof(int32_t));
+        for (int32_t i = 0; i < num_tree; i++) {
+            first[local[edge_u[tree[i]]] + 1]++;
+            first[local[edge_v[tree[i]]] + 1]++;
+        }
+        for (int32_t r = 0; r < count; r++)
+            first[r + 1] += first[r];
+        memcpy(fill, first, (size_t)count * sizeof(int32_t));
+        for (int32_t i = 0; i < num_tree; i++) {
+            const int32_t ru = local[edge_u[tree[i]]], rv = local[edge_v[tree[i]]];
+            incident_edge[fill[ru]] = tree[i];
+            incident_row[fill[ru]++] = rv;
+            incident_edge[fill[rv]] = tree[i];
+            incident_row[fill[rv]++] = ru;
+        }
+        /* BFS (`parent` EMPTY: not reached); the children of order[h] are
+         * order[children[h] .. children[h + 1]). */
+        for (int32_t r = 0; r < count; r++) {
+            parent[r] = EMPTY;
+            own[r] = 0.0;
+        }
+        parent[0] = 0;
+        order[0] = 0;
+        int32_t reached = 1;
+        for (int32_t h = 0; h < reached; h++) {
+            const int32_t r = order[h];
+            children[h] = reached;
+            for (int32_t k = first[r]; k < first[r + 1]; k++) {
+                const int32_t other = incident_row[k];
+                if (parent[other] != EMPTY)
+                    continue;
+                parent[other] = r;
+                parent_edge[other] = incident_edge[k];
+                order[reached++] = other;
+            }
+        }
+        children[reached] = reached;
+        /* Every edge used: no cycle, no duplicate, no stray edge, and every
+         * row reached -- a sink on a row is reached. */
+        valid = reached - 1 == num_tree;
+        for (int32_t j = 0; j < num_sinks && valid; j++) {
+            const int32_t r = local[tree_sinks[j]];
+            valid = r != EMPTY;
+            if (valid)
+                own[r] = own[r] + weights[sink_start[t] + j];
+        }
+        if (valid) {
+            for (int32_t h = reached - 1; h >= 0; h--) {
+                double weight = own[order[h]];
+                for (int32_t c = children[h]; c < children[h + 1]; c++)
+                    weight = weight + subtree[order[c]];
+                subtree[order[h]] = weight;
+            }
+            node_delay[0] = 0.0;
+            for (int32_t h = 0; h < reached; h++) {
+                const int32_t r = order[h], n = children[h + 1] - children[h];
+                const int32_t *kids = order + children[h];
+                if (n >= 2 && enabled) {
+                    for (int32_t i = 0; i < n; i++)
+                        branch[i] = subtree[kids[i]];
+                    branch_penalties(branch, n, dbif, eta, penalty, group, list, group_weight);
+                } else {
+                    for (int32_t i = 0; i < n; i++)
+                        penalty[i] = 0.0;
+                }
+                for (int32_t i = 0; i < n; i++)
+                    node_delay[kids[i]] =
+                        (node_delay[r] + delay[parent_edge[kids[i]]]) + penalty[i];
+            }
+            for (int32_t j = 0; j < num_sinks; j++)
+                out[sink_start[t] + j] = node_delay[local[tree_sinks[j]]];
+        }
+        for (int32_t r = 0; r < count; r++)
+            local[node[r]] = EMPTY;
+        if (!valid) {
+            status = t;
+            break;
+        }
+    }
+done:
+    free(local);
+    free(node);
+    free(first);
+    free(fill);
+    free(incident_edge);
+    free(incident_row);
+    free(order);
+    free(children);
+    free(parent);
+    free(parent_edge);
+    free(group);
+    free(list);
+    free(own);
+    free(subtree);
+    free(node_delay);
+    free(branch);
+    free(penalty);
+    free(group_weight);
+    return status;
 }
 
 /* ------------------------------------- pieces, for tests and heap streams */

@@ -11,6 +11,10 @@ architecture builds afresh and an unchanged one loads in milliseconds.  An
 unwritable cache, or a cached file that does not load, falls back to one
 build in a per-process temporary directory.
 
+The library also holds ``cd_sink_delays``, the tree walk (no state kept
+between calls) that ``objective.sink_delays`` calls (``_tree_sink_delays``
+without the library).
+
 :class:`SearchLoop` wraps the C state of the solves on one graph and
 cost vector, one solve at a time.  Besides what the kernel calls, it has
 :class:`~repro.core.heap.TwoLevelHeap`'s interface (``add_search``,
@@ -104,6 +108,7 @@ _SIGNATURES = {
     "cd_pop": (ctypes.c_int, [_P, _P, _P, _P, _P]),
     "cd_len": (ctypes.c_int64, [_P]),
     "cd_min_key": (_F, [_P]),
+    "cd_sink_delays": (_I, [_P, _P, _P, _I, _I, _P, _P, _I, _P, _P, _P, _P, _F, _F, _I, _P]),
 }
 
 

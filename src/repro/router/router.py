@@ -25,9 +25,8 @@ import numpy as np
 
 from repro import faults, obs
 from repro.core.bifurcation import BifurcationModel
-from repro.core.costctx import OracleCostContext
 from repro.core.instance import SteinerInstance
-from repro.core.objective import evaluate_tree
+from repro.core.objective import sink_delays
 from repro.core.oracle import SteinerOracle
 from repro.core.tree import EmbeddedTree, TreeRecord, decode_tree, encode_tree
 from repro.engine.cache import RoundMemo
@@ -38,7 +37,7 @@ from repro.grid.graph import RoutingGraph
 from repro.router.metrics import RoutingResult
 from repro.router.netlist import Netlist
 from repro.router.resource_sharing import ResourceSharingPrices
-from repro.timing.sta import TimingReport
+from repro.timing.sta import StaticTimingAnalysis, TimingReport
 
 __all__ = ["GlobalRouterConfig", "GlobalRouter"]
 
@@ -177,6 +176,8 @@ class GlobalRouter:
             )
         self.trees: List[Optional[EmbeddedTree]] = [None] * netlist.num_nets
         self.timing_report: Optional[TimingReport] = None
+        #: The netlist's timing graph, built by the first ``_run_sta``.
+        self._sta: Optional[StaticTimingAnalysis] = None
         #: Per-round telemetry samples (always on; observe-only, so recorded
         #: and unrecorded runs stay bit-identical).  The serve layer reads
         #: ``series.latest()`` from its round hook for history/watch.
@@ -385,36 +386,27 @@ class GlobalRouter:
         return self.prices.edge_costs(self.congestion)
 
     def _net_delays(self) -> Dict[int, List[float]]:
-        """Per-sink delays of every routed net (for the STA)."""
-        delays: Dict[int, List[float]] = {}
-        costs = self.graph.base_cost_array()
-        delay = self.graph.delay_array()
-        # One context for the whole sweep: every per-net instance shares the
-        # same static cost/delay vectors, so the O(edges) validation scans
-        # run once instead of once per net.
-        context = OracleCostContext(self.graph, costs, delay=delay)
-        costs = context.cost
-        for net_index, tree in enumerate(self.trees):
-            if tree is None:
-                delays[net_index] = [0.0] * self.netlist.nets[net_index].num_sinks
-                continue
-            instance = SteinerInstance(
-                graph=self.graph,
-                root=tree.root,
-                sinks=list(tree.sinks),
-                weights=self.prices.weights_of(net_index),
-                cost=costs,
-                delay=delay,
-                bifurcation=self.bifurcation,
-                context=context,
-            )
-            breakdown = evaluate_tree(instance, tree)
-            delays[net_index] = list(breakdown.sink_delays)
+        """Per-sink delays of every routed net (for the STA): one
+        :func:`~repro.core.objective.sink_delays` call for the round."""
+        routed = [i for i, tree in enumerate(self.trees) if tree is not None]
+        trees = [self.trees[i] for i in routed]
+        values = sink_delays(
+            self.graph,
+            self.graph.edge_delay,
+            self.bifurcation,
+            trees,
+            [tree.sinks for tree in trees],
+            [self.prices.delay_weights[i] for i in routed],
+        )
+        delays = {i: [0.0] * net.num_sinks for i, net in enumerate(self.netlist.nets)}
+        delays.update(zip(routed, values))
         return delays
 
     def _run_sta(self) -> TimingReport:
-        sta = self.netlist.timing_graph()
-        return sta.analyze(self._net_delays())
+        if self._sta is None:
+            # The netlist never changes, so neither does its timing graph.
+            self._sta = self.netlist.timing_graph()
+        return self._sta.analyze(self._net_delays())
 
     def _collect_metrics(self, walltime: float) -> RoutingResult:
         report = self.timing_report

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["StaticTimingAnalysis", "TimingReport", "StageEdge"]
 
@@ -82,6 +82,9 @@ class StaticTimingAnalysis:
         self.endpoint_required: Dict[Tuple[int, int], float] = {}
         self._out_edges: Dict[int, List[StageEdge]] = {}
         self._in_edges: Dict[int, List[StageEdge]] = {}
+        #: ``topological_order()`` as ``analyze`` last computed it; ``None``
+        #: until then and after every ``add_stage``.
+        self._order: Optional[List[int]] = None
 
     # ----------------------------------------------------------- structure
     def add_stage(self, from_net: int, from_sink: int, to_net: int, cell_delay: float) -> None:
@@ -94,6 +97,7 @@ class StaticTimingAnalysis:
         self.stage_edges.append(edge)
         self._out_edges.setdefault(from_net, []).append(edge)
         self._in_edges.setdefault(to_net, []).append(edge)
+        self._order = None
 
     def set_driver_arrival(self, net: int, arrival: float) -> None:
         """Set the arrival-time offset at a net's driver (primary input delay)."""
@@ -148,7 +152,9 @@ class StaticTimingAnalysis:
             For every net index, the source-to-sink delay of each sink pin
             (ps).  Missing nets are treated as having zero delay.
         """
-        order = self.topological_order()
+        if self._order is None:
+            self._order = self.topological_order()
+        order = self._order
 
         def delays_of(net: int) -> List[float]:
             values = net_sink_delays.get(net)
@@ -161,6 +167,8 @@ class StaticTimingAnalysis:
                     f"{len(values)} delays were supplied"
                 )
             return [float(v) for v in values]
+
+        net_delays = [delays_of(net) for net in range(self.num_nets)]
 
         # Forward: arrival times.
         driver_arrival = [NEG_INF] * self.num_nets
@@ -176,8 +184,7 @@ class StaticTimingAnalysis:
                 arrival = 0.0
             arrival += self.driver_arrival_offset[net]
             driver_arrival[net] = arrival
-            delays = delays_of(net)
-            sink_arrivals[net] = [arrival + d for d in delays]
+            sink_arrivals[net] = [arrival + d for d in net_delays[net]]
 
         # Backward: required times.
         sink_required: Dict[int, List[float]] = {
@@ -186,7 +193,7 @@ class StaticTimingAnalysis:
         for (net, sink), required in self.endpoint_required.items():
             sink_required[net][sink] = min(sink_required[net][sink], required)
         for net in reversed(order):
-            delays = delays_of(net)
+            delays = net_delays[net]
             # Required time at the driver of `net`.
             driver_required = POS_INF
             for sink in range(self.num_sinks[net]):

@@ -585,6 +585,52 @@ class TestOneSwitch:
             assert result.tree.edges == expected.tree.edges
             assert result.merges == expected.merges
 
+    @needs_compiled
+    @pytest.mark.parametrize(
+        "chip, config",
+        [("c1", dict(dbif=None)), ("c2", dict(dbif=0.0, shards=2))],
+        ids=["penalties", "sharded"],
+    )
+    def test_router_sink_delays_follow_the_switch(self, monkeypatch, chip, config):
+        """The router's per-round sink delays (``cd_sink_delays``) obey the
+        same switch: a 3-round route raises with the entry points refused,
+        even with an oracle that never searches (``L1``), and under
+        ``python_loop()`` and ``install_reference_kernel()`` every round's
+        ``_net_delays`` and the ``RoutingResult`` equal the compiled run's."""
+        from repro.baselines.rsmt import RectilinearSteinerOracle
+        from repro.grid.reference import install_reference_kernel
+
+        graph, netlist = build_chip(next(s for s in CHIP_SUITE if s.name == chip))
+        config = GlobalRouterConfig(num_rounds=3, **config)
+
+        def route(oracle):
+            router = GlobalRouter(graph, netlist, oracle, config)
+            rounds = []
+            net_delays = router._net_delays
+            router._net_delays = lambda: rounds.append(net_delays()) or rounds[-1]
+            result = router.run()
+            return [{n: [d.hex() for d in v] for n, v in r.items()} for r in rounds], [
+                getattr(result, field) for field in PARITY_FIELDS
+            ]
+
+        expected = route(CostDistanceSolver())
+        assert len(expected[0]) == 3
+        with python_loop():
+            assert route(CostDistanceSolver()) == expected
+        with install_reference_kernel():
+            assert route(CostDistanceSolver()) == expected
+        lib = _search.LIB
+
+        def refuse(*args):
+            raise AssertionError("a compiled entry point ran")
+
+        for name in _search._SIGNATURES:
+            if name != "cd_free":
+                monkeypatch.setattr(lib, name, refuse)
+        for oracle in (CostDistanceSolver(), RectilinearSteinerOracle()):
+            with pytest.raises(AssertionError, match="compiled entry point"):
+                route(oracle)
+
 
 class TestConnectionKeys:
     """``cd_connection_key`` against ``PySearchLoop.connection_key``, bit for bit

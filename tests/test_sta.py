@@ -111,3 +111,28 @@ class TestAnalysis:
         sta.set_endpoint(2, 0, required=20.0)
         report = sta.analyze({0: [5.0], 1: [1.0], 2: [1.0]})
         assert report.sink_required[0][0] == pytest.approx(19.0)
+
+
+class TestReuse:
+    def test_analyze_after_add_stage_sees_the_new_stage(self):
+        """``analyze`` keeps the topological order between calls; a stage
+        added in between invalidates it (a cycle then raises)."""
+
+        def chain(num_stages):
+            sta = StaticTimingAnalysis([1, 1, 1])
+            for from_net, to_net, cell_delay in [(0, 1, 5.0), (1, 2, 4.0)][:num_stages]:
+                sta.add_stage(from_net, 0, to_net, cell_delay)
+            sta.set_endpoint(2, 0, required=100.0)
+            return sta
+
+        delays = {0: [1.0], 1: [2.0], 2: [3.0]}
+        sta = chain(1)
+        assert sta.analyze(delays).sink_arrivals[2][0] == 3.0
+        assert sta.analyze(delays) == chain(1).analyze(delays)
+        sta.add_stage(1, 0, 2, 4.0)
+        report = sta.analyze(delays)
+        assert report.sink_arrivals[2][0] == 1.0 + 5.0 + 2.0 + 4.0 + 3.0
+        assert report == chain(2).analyze(delays)
+        sta.add_stage(2, 0, 0, 1.0)
+        with pytest.raises(ValueError, match="combinational cycle"):
+            sta.analyze(delays)
